@@ -141,7 +141,7 @@ def cmd_gb(args, out) -> int:
     if args.design:
         d = load_design(args.design)
         order = make_order(args.order, d.m, args.vars, d.var_names)
-        gb = design_ideal(d, order, budget=_budget(args))
+        gb = design_ideal(d, order)
     else:
         text = _read(args.gens)
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -163,7 +163,7 @@ def cmd_gb(args, out) -> int:
 def cmd_ideal(args, out) -> int:
     d = load_design(args.design)
     order = make_order(args.order, d.m, args.vars, d.var_names)
-    gb = design_ideal(d, order, budget=_budget(args))
+    gb = design_ideal(d, order)
     print_basis(gb, out)
     return 0
 
@@ -171,7 +171,7 @@ def cmd_ideal(args, out) -> int:
 def cmd_est(args, out) -> int:
     d = load_design(args.design)
     order = make_order(args.order, d.m, args.vars, d.var_names)
-    monos = list(est_monomials(d, order, budget=_budget(args)))
+    monos = list(est_monomials(d, order))
     # display in reading order: by degree, then by the natural variable order
     monos.sort(key=lambda mo: (sum(mo), tuple(-e for e in mo)))
     print(", ".join(monomial_name(mo, d.var_names) for mo in monos), file=out)
@@ -427,12 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("ideal", help="design ideal generators (reduced basis)")
     with_design(sub)
-    _add_budget_flags(sub)
     sub.set_defaults(func=cmd_ideal)
 
     sub = subs.add_parser("est", help="standard monomials of the design ideal")
     with_design(sub)
-    _add_budget_flags(sub)
     sub.set_defaults(func=cmd_est)
 
     sub = subs.add_parser("alias", help="complete-confounding classes")

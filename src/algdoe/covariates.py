@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import CyclotomicNumber, omega
+from .cyclotomic import CyclotomicNumber, Echelon, omega
 from .designs import Design, monomial_name, parse_monomial
 from .errors import EstimabilityError, InputError
 
@@ -185,22 +185,13 @@ def _sub_label(term: Term, subscripts, factors) -> str:
 
 def _check_rank(labels, columns):
     """Exact rank check; on failure name a completely aliased pair if any."""
-    pivots: list[tuple[int, list]] = []  # (pivot_index, normalized_column)
+    ech = Echelon()
     for j, col in enumerate(columns):
-        vec = list(col)
-        for k, row in pivots:
-            if vec[k]:
-                f = vec[k]
-                vec = [a - f * b for a, b in zip(vec, row)]
-        nz = next((k for k, a in enumerate(vec) if a), None)
-        if nz is None:
+        if ech.insert(col, j) is not None:
             raise EstimabilityError(
                 _alias_message(labels, columns, j),
                 aliased=_alias_pair(labels, columns, j),
             )
-        inv = vec[nz] ** -1
-        vec = [a * inv for a in vec]
-        pivots.append((nz, vec))
 
 
 def _alias_pair(labels, columns, j):

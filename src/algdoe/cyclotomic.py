@@ -134,24 +134,15 @@ class CyclotomicNumber:
         if not self:
             raise ZeroDivisionError("cyclotomic division by zero")
         s = self.order
-        d = s - 1
-        # column j holds the coordinates of self * w^j
-        cols = []
-        for j in range(d):
-            cols.append((self * CyclotomicNumber.root(s, j)).coords)
-        # solve sum_j x_j * cols[j] = e_0 by Gaussian elimination
-        aug = [[cols[j][i] for j in range(d)] + [Fraction(1 if i == 0 else 0)]
-               for i in range(d)]
-        for k in range(d):
-            pivot = next(r for r in range(k, d) if aug[r][k] != 0)
-            aug[k], aug[pivot] = aug[pivot], aug[k]
-            pk = aug[k][k]
-            aug[k] = [v / pk for v in aug[k]]
-            for r in range(d):
-                if r != k and aug[r][k] != 0:
-                    f = aug[r][k]
-                    aug[r] = [v - f * w for v, w in zip(aug[r], aug[k])]
-        return CyclotomicNumber(s, tuple(aug[j][d] for j in range(d)))
+        # the coordinates of self * w^j, j = 0..s-2, span Q^(s-1) because
+        # self is invertible; the combination giving e_0 = 1 is the inverse
+        ech = Echelon()
+        for j in range(s - 1):
+            ech.insert((self * CyclotomicNumber.root(s, j)).coords, j)
+        combo = ech.insert([Fraction(1)] + [Fraction(0)] * (s - 2), None)
+        return CyclotomicNumber(
+            s, tuple(combo.get(j, Fraction(0)) for j in range(s - 1))
+        )
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -321,6 +312,39 @@ class CyclotomicField:
 
     def __repr__(self):
         return self.name
+
+
+class Echelon:
+    """Incremental exact row echelon form over a field.
+
+    Entries are Fractions or CyclotomicNumbers.  Every stored row has a pivot
+    entry of one, is zero at the pivots of the rows stored before it, and
+    remembers which combination of the independent inserted vectors it is.
+    """
+
+    def __init__(self):
+        self._rows: list[tuple[int, list, dict]] = []  # (pivot, row, combo)
+
+    def insert(self, vec, label):
+        """Add ``vec`` under ``label`` and return None when it is independent
+        of the vectors kept so far; otherwise keep nothing and return the
+        ``{label: coeff}`` combination of kept vectors that equals ``vec``."""
+        vec = list(vec)
+        combo: dict = {}  # vec - (reduced vec) as a combination of labels
+        for k, row, row_combo in self._rows:
+            f = vec[k]
+            if f:
+                vec = [a - f * b for a, b in zip(vec, row)]
+                for lab, c in row_combo.items():
+                    combo[lab] = combo.get(lab, 0) + f * c
+        k = next((i for i, a in enumerate(vec) if a), None)
+        if k is None:
+            return {lab: c for lab, c in combo.items() if c}
+        inv = vec[k] ** -1
+        row_combo = {lab: -c * inv for lab, c in combo.items() if c}
+        row_combo[label] = inv
+        self._rows.append((k, [a * inv for a in vec], row_combo))
+        return None
 
 
 QQ = RationalField()

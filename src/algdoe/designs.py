@@ -3,8 +3,8 @@
 A design is a finite set of distinct runs over coded levels.  Two-level
 designs are coded plus/minus one; prime-level designs carry integer labels
 0..s-1 which the complex coding interprets as powers of the s-th root of
-unity.  The design ideal is computed through the point-ideal intersection and
-is cached per (design, order).
+unity.  The design ideal is computed by the Buchberger-Moeller algorithm on
+the runs and is cached per (design, order).
 """
 
 from __future__ import annotations
@@ -17,10 +17,7 @@ from fractions import Fraction
 from .cyclotomic import QQ, cyclotomic_field, is_prime, omega
 from .errors import InputError, RankError, ScaleError
 from .groebner import (
-    Budget,
-    DEFAULT_BUDGET,
     GroebnerBasis,
-    buchberger,
     ideal_membership,
     point_ideal_intersection,
     standard_monomials,
@@ -72,14 +69,6 @@ class Design:
 
     def field(self):
         return QQ if self.coding == "pm1" else cyclotomic_field(self.s)
-
-    def levels(self):
-        """All coded levels of the ambient full factorial, as field elements."""
-        if self.coding == "pm1":
-            return [Fraction(-1), Fraction(1)]
-        if self.coding == "complex":
-            return [omega(self.s, j) for j in range(self.s)]
-        return [Fraction(j) for j in range(self.s)]
 
     def points(self):
         """Runs as tuples of field elements."""
@@ -199,9 +188,7 @@ def regular_design_from_words(m: int, words) -> Design:
 # -- design ideals -------------------------------------------------------------
 
 
-def design_ideal(
-    d: Design, order: TermOrder, budget: Budget | None = None
-) -> GroebnerBasis:
+def design_ideal(d: Design, order: TermOrder) -> GroebnerBasis:
     """Reduced Groebner basis of the vanishing ideal of the design.
 
     Prime-level designs with more than two levels must use complex coding so
@@ -213,34 +200,21 @@ def design_ideal(
         )
     if order.nvars != d.m:
         raise InputError("term order universe does not match the design")
-    if budget is None:
-        return _design_ideal_cached(d, order)
-    return _design_ideal(d, order, budget)
+    return _design_ideal(d, order)
 
 
 @functools.lru_cache(maxsize=256)
-def _design_ideal_cached(d: Design, order: TermOrder) -> GroebnerBasis:
-    return _design_ideal(d, order, DEFAULT_BUDGET)
-
-
-def _design_ideal(d: Design, order: TermOrder, budget: Budget) -> GroebnerBasis:
+def _design_ideal(d: Design, order: TermOrder) -> GroebnerBasis:
     pres = point_ideal_intersection(
-        d.points(),
-        field=d.field(),
-        var_names=d.var_names,
-        x_order=order,
-        budget=budget,
-        ambient_levels=d.levels(),
+        d.points(), field=d.field(), var_names=d.var_names, x_order=order
     )
-    return buchberger(pres, order, budget=budget)
+    return GroebnerBasis(order, pres.generators, reduced=True)
 
 
-def est_monomials(
-    d: Design, order: TermOrder, budget: Budget | None = None
-) -> tuple[Monomial, ...]:
+def est_monomials(d: Design, order: TermOrder) -> tuple[Monomial, ...]:
     """The standard monomials of the design ideal: an identifiable set of
     main and interaction effects, always of size n."""
-    return standard_monomials(design_ideal(d, order, budget))
+    return standard_monomials(design_ideal(d, order))
 
 
 # -- confounding ---------------------------------------------------------------

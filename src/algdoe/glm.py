@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .covariates import CovariateMatrix, recode_integer
+from .cyclotomic import Echelon
 from .errors import GlmConvergenceError, InputError
 
 SCORE_TOL = 1e-10
@@ -37,24 +39,10 @@ def design_matrix(A: CovariateMatrix) -> np.ndarray:
     matrix is replaced by a column basis of its integer recoding, which spans
     the same rational space and therefore yields the identical fit.
     """
-    from fractions import Fraction
-
     if not isinstance(A.columns[0][0], Fraction):
-        cols = recode_integer(A)
-        kept = []
-        pivots: list[tuple[int, list[Fraction]]] = []
-        for col in cols:
-            vec = [Fraction(v) for v in col]
-            for k, row in pivots:
-                if vec[k]:
-                    f = vec[k]
-                    vec = [a - f * b for a, b in zip(vec, row)]
-            nz = next((k for k, a in enumerate(vec) if a), None)
-            if nz is None:
-                continue
-            inv = 1 / vec[nz]
-            pivots.append((nz, [a * inv for a in vec]))
-            kept.append(col)
+        ech = Echelon()
+        kept = [col for j, col in enumerate(recode_integer(A))
+                if ech.insert(map(Fraction, col), j) is None]
         return np.array(kept, dtype=float).T
     return np.array([[float(v) for v in col] for col in A.columns], dtype=float).T
 

@@ -1,5 +1,6 @@
 """Buchberger's algorithm, reduced Groebner bases, ideal membership,
-elimination, point-ideal intersection, and standard monomials.
+elimination, vanishing ideals of points by Buchberger-Moeller, and standard
+monomials.
 
 The pair queue follows the normal strategy (smallest lcm under the active
 order, ties by index), with Buchberger's coprime criterion always on and the
@@ -13,7 +14,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from .cyclotomic import QQ
+from .cyclotomic import QQ, Echelon
 from .errors import (
     BudgetError,
     InputError,
@@ -254,17 +255,17 @@ def point_ideal_intersection(
     field=QQ,
     var_names=None,
     x_order: TermOrder | None = None,
-    budget: Budget = DEFAULT_BUDGET,
-    ambient_levels=None,
 ) -> IdealPresentation:
-    """Vanishing ideal of a finite point set, via intersection of point ideals.
+    """Vanishing ideal of a finite point set, by the Buchberger-Moeller algorithm.
 
-    ``points`` is a sequence of distinct tuples of field elements.  One slack
-    variable per point is introduced; the ideal generated by
-    ``t_i * (x_j - a_ij)`` together with ``t_1 + ... + t_n - 1`` is cut down to
-    the x-subring with a block order whose leading block holds the slack
-    variables.  The returned generators are the reduced Groebner basis of the
-    vanishing ideal with respect to ``x_order`` (grevlex by default).
+    ``points`` is a sequence of distinct tuples of field elements.  Monomials
+    are visited in increasing ``x_order`` (grevlex by default), skipping
+    multiples of the leading terms already found, and the vector of each
+    one's values on the points is reduced against an exact echelon of the
+    values of the standard monomials.  An independent monomial is standard; a
+    dependent one ``t`` yields the generator ``t - sum c_s * s`` over standard
+    monomials ``s``.  The generators are the reduced Groebner basis, monic and
+    sorted by ascending leading monomial, and are certified before returning.
     """
     points = [tuple(p) for p in points]
     if not points:
@@ -274,7 +275,6 @@ def point_ideal_intersection(
     m = len(points[0])
     if any(len(p) != m for p in points):
         raise InputError("points of unequal dimension")
-    n = len(points)
     if var_names is None:
         var_names = tuple(f"x{j + 1}" for j in range(m))
     if x_order is None:
@@ -282,66 +282,73 @@ def point_ideal_intersection(
     if x_order.nvars != m:
         raise InputError("x_order universe does not match the points")
 
-    names = tuple(f"t{i + 1}" for i in range(n)) + tuple(var_names)
-    big = PolyRing(names, field)
-    t_idx = tuple(range(n))
-    if x_order.kind == "block":
-        shifted = [(tuple(n + v for v in vars_), kind) for vars_, kind in x_order.blocks]
-    else:
-        shifted = [(tuple(n + v for v in x_order.precedence), x_order.kind)]
-    elim_order = TermOrder.block([(t_idx, "grevlex")] + shifted)
-
-    gens = []
-    coerced = [[big.field.coerce(a) for a in p] for p in points]
-    for i in range(n):
-        for j in range(m):
-            # t_i * (x_j - a_ij)
-            e_tx = [0] * (n + m)
-            e_tx[i] = 1
-            e_tx[n + j] = 1
-            e_t = [0] * (n + m)
-            e_t[i] = 1
-            terms = {tuple(e_tx): big.field.coerce(1)}
-            a = coerced[i][j]
-            if a:
-                terms[tuple(e_t)] = -a
-            gens.append(Polynomial(big, terms))
-    partition = {tuple(1 if k == i else 0 for k in range(n)) + (0,) * m:
-                 big.field.coerce(1) for i in range(n)}
-    partition[(0,) * (n + m)] = big.field.coerce(-1)
-    gens.append(Polynomial(big, partition))
-
-    gb = buchberger(gens, elim_order, budget=budget)
-    pres = eliminate(gb, [f"t{i + 1}" for i in range(n)])
-    if ambient_levels is None:
-        ambient_levels = sorted({a for p in coerced for a in p}, key=repr)
-    else:
-        ambient_levels = [big.field.coerce(a) for a in ambient_levels]
-    _verify_vanishing(pres, coerced, ambient_levels)
-    return pres
+    ring = PolyRing(var_names, field)
+    coerced = [[field.coerce(a) for a in p] for p in points]
+    key = x_order.key
+    one = field.one
+    ech = Echelon()
+    est: list[Monomial] = []
+    leads: list[Monomial] = []
+    gens: list[Polynomial] = []
+    start = (0,) * m
+    values = {start: [one] * len(points)}  # candidate -> its values on the points
+    heap = [(key(start), start)]
+    while heap:
+        _, t = heapq.heappop(heap)
+        vec = values.pop(t)
+        if any(mono_divides(lm, t) for lm in leads):
+            continue
+        combo = ech.insert(vec, t)
+        if combo is not None:
+            terms = {s: -c for s, c in combo.items()}
+            terms[t] = one
+            leads.append(t)
+            gens.append(Polynomial(ring, terms))
+            continue
+        est.append(t)
+        for j, u in enumerate(_neighbours(t)):
+            if u not in values:
+                values[u] = [v * p[j] for v, p in zip(vec, coerced)]
+                heapq.heappush(heap, (key(u), u))
+    _certify_vanishing_ideal(gens, est, coerced, x_order)
+    return IdealPresentation(ring, tuple(gens))
 
 
-def _verify_vanishing(pres: IdealPresentation, points, levels, cap: int = 4096):
-    """Evaluation check: generators vanish exactly on the given points.
+def _neighbours(t: Monomial):
+    """x_j * t for each variable x_j, in variable order."""
+    return [t[:j] + (t[j] + 1,) + t[j + 1 :] for j in range(len(t))]
 
-    When the ambient grid ``levels^m`` is small enough the zero set is compared
-    against the points exhaustively; otherwise only the vanishing direction is
-    checked.
+
+def _certify_vanishing_ideal(gens, est, points, order: TermOrder):
+    """Prove that ``gens`` is a Groebner basis of the vanishing ideal I.
+
+    The generators vanish on every point, so their leading terms generate a
+    subset of LT(I).  ``est`` is exactly the set of monomials outside the
+    leading terms (it holds 1, no element is divisible by a leading term, and
+    every neighbour x_j * s of an element is in it or divisible by one), and
+    it has n = dim F[x]/I elements, so the two leading-term ideals are equal.
     """
+    leads = [g.leading_monomial(order) for g in gens]
     for p in points:
-        for g in pres.generators:
+        for g in gens:
             if g.evaluate(p):
                 raise AssertionError(
                     f"generator {g!r} does not vanish on the input point {p}"
                 )
-    m = len(points[0])
-    if len(levels) ** m > cap:
-        return
-    point_set = {tuple(p) for p in points}
-    for q in itertools.product(levels, repeat=m):
-        vanishes = all(not g.evaluate(q) for g in pres.generators)
-        if vanishes != (q in point_set):
-            raise AssertionError(f"variety mismatch at point {q}")
+    if len(est) != len(points):
+        raise AssertionError(
+            f"{len(est)} standard monomials for {len(points)} distinct points"
+        )
+    staircase = set(est)
+    border = {u for s in est for u in _neighbours(s)} - staircase
+    if (
+        (0,) * len(points[0]) not in staircase
+        or any(mono_divides(lm, s) for lm in leads for s in est)
+        or not all(any(mono_divides(lm, u) for lm in leads) for u in border)
+    ):
+        raise AssertionError(
+            "the standard monomials are not the staircase of the leading terms"
+        )
 
 
 def standard_monomials(G: GroebnerBasis, cap: int = 1_000_000):

@@ -4,8 +4,11 @@ Conditioning the Poisson null on the sufficient statistic leaves the law
 pi(y) proportional to 1 / prod(y_i!) on the fiber.  The chain proposes a
 uniformly chosen basis move with a uniform sign; proposals leaving the
 nonnegative orthant count as rejections, which keeps the chain reversible.
-P-values use the weak inequality T(y) >= T(y_obs), so the observed point is
-always included.
+P-values count every point at least as extreme as the observed one, ties
+included: floating-point statistics that are equal in exact arithmetic can
+differ in the last bits, so T(y) >= T(y_obs) is tested with the relative
+tolerance REL_TOL, as R's fisher.test does.  The observed point is always
+included.
 """
 
 from __future__ import annotations
@@ -22,6 +25,12 @@ from .markov import MarkovBasis, enumerate_fiber
 
 DEFAULT_BURN_IN = 10_000
 DEFAULT_SAMPLES = 100_000
+REL_TOL = 1e-7
+
+
+def _at_least_as_extreme(t: float, t_obs: float) -> bool:
+    """T(y) >= T(y_obs), up to the relative tolerance REL_TOL."""
+    return t >= t_obs - REL_TOL * abs(t_obs)
 
 
 @dataclass(frozen=True)
@@ -139,7 +148,7 @@ def mh_sample(
         indicators = []
         for state in chain_states(y0, basis.moves, cfg, seed=chain_seed(cfg.seed, c)):
             t = test_statistic(kind, state, fit)
-            indicators.append(1.0 if t >= t_obs else 0.0)
+            indicators.append(1.0 if _at_least_as_extreme(t, t_obs) else 0.0)
         hits += int(sum(indicators))
         total += len(indicators)
         se_parts.append(_batch_means_se(indicators))
@@ -175,7 +184,7 @@ def exact_p_value(
         for v in y:
             w /= math.factorial(v)
         den += w
-        if test_statistic(kind, y, fit) >= t_obs:
+        if _at_least_as_extreme(test_statistic(kind, y, fit), t_obs):
             num += w
     p = num / den
     return TestResult(t_obs, float(p), 0.0, len(fiber), "exact-enumeration", p)

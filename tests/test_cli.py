@@ -216,10 +216,18 @@ def test_input_error_exit_code(tmp_path):
     assert code == 2
 
 
-def test_budget_exit_code(workdir):
+def test_budget_exit_code(tmp_path):
+    # the squares and defining words of the L8 design; design ideals are
+    # built without S-pairs, so the pair cap applies to generator files
+    gens = tmp_path / "l8.poly"
+    gens.write_text(
+        "order=lex vars=x1,x2,x3,x4,x5,x6,x7\n"
+        + "".join(f"x{i}^2-1\n" for i in range(1, 8))
+        + "x1*x2*x3+1\nx1*x4*x5+1\nx2*x4*x6+1\nx1*x2*x4*x7-1\n"
+    )
     code, _ = invoke(
         "gb",
-        "--design", str(workdir / "l8.design"),
+        "--gens", str(gens),
         "--order", "lex",
         "--max-pairs", "2",
     )

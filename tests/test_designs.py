@@ -9,15 +9,18 @@ from algdoe import (
     TermOrder,
     Word,
     alias_table,
+    buchberger,
     design_ideal,
     est_monomials,
     format_design,
     full_factorial,
+    indicator_from_design,
     is_confounded,
     parse_design,
     regular_design_from_words,
 )
 from algdoe.designs import monomial_name, parse_monomial
+from algdoe.groebner import spolynomials_reduce_to_zero
 
 from conftest import L8_WORDS, random_two_level_design
 
@@ -203,3 +206,46 @@ def test_design_ideal_bases_certify(l8, f2):
         gb = design_ideal(d, order)
         assert gb.reduced
         assert spolynomials_reduce_to_zero(gb)
+
+
+def _random_orders(rng, m):
+    k = rng.randint(1, m - 1)
+    return [
+        TermOrder.lex(m),
+        TermOrder.grevlex(m),
+        TermOrder.grlex(m, tuple(rng.sample(range(m), m))),
+        TermOrder.block([(tuple(range(k)), "grevlex"), (tuple(range(k, m)), "lex")]),
+    ]
+
+
+def test_design_ideal_matches_indicator_presentation():
+    # x_i^2 - 1 and 1 - F, with F the indicator function, generate the design
+    # ideal because it is radical; Buchberger on them shares nothing with the
+    # point-evaluation route
+    rng = random.Random(2010)
+    for _ in range(8):
+        m = rng.randint(2, 4)
+        d = random_two_level_design(rng, m, rng.randint(1, 2**m - 1))
+        R = d.ring()
+        gens = [R.parse(f"x{i}^2-1") for i in range(1, m + 1)]
+        gens.append(R.one() - indicator_from_design(d).to_polynomial(R))
+        for order in _random_orders(rng, m):
+            via_points = design_ideal(d, order)
+            direct = buchberger(gens, order)
+            assert [g.terms for g in via_points.elements] == [
+                g.terms for g in direct.elements
+            ]
+
+
+def test_complex_design_ideals_certify():
+    rng = random.Random(1004)
+    for _ in range(4):
+        m = rng.randint(2, 3)
+        pool = list(full_factorial(m, 3).runs)
+        runs = tuple(sorted(rng.sample(pool, rng.randint(2, len(pool) - 1))))
+        d = Design(m, 3, runs, "complex")
+        for order in _random_orders(rng, m):
+            gb = design_ideal(d, order)
+            assert all(not g.evaluate(p) for g in gb.elements for p in d.points())
+            assert len(est_monomials(d, order)) == d.n
+            assert spolynomials_reduce_to_zero(gb)

@@ -8,6 +8,7 @@ from algdoe import (
     Design,
     build_covariate_matrix,
     exact_p_value,
+    full_factorial,
     fiber_distribution,
     markov_basis,
     mh_sample,
@@ -67,6 +68,15 @@ def test_exact_p_intercept_only_two_cells():
     res = exact_p_value(A, (0, 2), "pearson")
     assert res.p_exact == Fraction(1, 2)
     assert res.statistic == pytest.approx(2.0)
+
+
+def test_exact_p_counts_ties():
+    # symmetric fiber points tie with the observed statistic in exact
+    # arithmetic but come out a few ulps lower in floating point
+    A = build_covariate_matrix(full_factorial(3), main_effects(3))
+    for kind in ("deviance", "pearson"):
+        res = exact_p_value(A, (3, 1, 0, 2, 2, 0, 1, 3), kind)
+        assert res.p_exact == Fraction(1704, 5929)
 
 
 def test_mh_matches_exact_within_three_se(setup_2x2):
