@@ -1,8 +1,11 @@
-"""Markov bases via toric ideals, and exhaustive fiber enumeration.
+"""Markov bases from the kernel lattice plus saturation, and exhaustive fiber
+enumeration.
 
-The toric ideal of the recoded nonnegative covariate matrix is computed with
-the Groebner engine: adjoin one parameter variable per constraint plus a
-single auxiliary inverse variable, saturate, and eliminate.  The binomials of
+The toric ideal of the recoded nonnegative covariate matrix is computed in
+the run variables p1..pn alone (Sturmfels, *Groebner Bases and Convex
+Polytopes*, 1996, Alg. 12.3): a Z-basis of its integer kernel gives the
+lattice ideal J = <p^z+ - p^z->, which is saturated by one variable at a
+time with the Buchberger engine of :mod:`algdoe.groebner`.  The binomials of
 the resulting reduced basis are moves that connect every fiber.
 """
 
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 from .covariates import CovariateMatrix, recode_integer
 from .errors import BudgetError, InputError, ScaleError
-from .groebner import Budget, DEFAULT_BUDGET, buchberger, eliminate
+from .groebner import Budget, DEFAULT_BUDGET, GroebnerBasis, buchberger, reduce_basis
 from .orders import TermOrder
 from .polynomials import PolyRing, Polynomial
 
@@ -33,72 +36,144 @@ class MarkovBasis:
 def markov_basis(A: CovariateMatrix, budget: Budget = DEFAULT_BUDGET) -> MarkovBasis:
     """Markov basis of the fibers {y >= 0 : A'y = A'y0}.
 
-    Computes the toric ideal of the recoded matrix by elimination with a
-    single saturation variable and reads the moves off its binomial reduced
-    Groebner basis.  Raises BudgetError (with a hint to use exhaustive
-    enumeration) when the computation exceeds its caps.
+    Kernel lattice plus saturation: the lattice ideal of a Z-basis of the
+    kernel of the recoded matrix is saturated by one run variable at a time,
+    each step a grevlex basis with that variable last whose binomials are
+    divided by the power of it common to their two terms (Bayer-Stillman;
+    valid because the intercept makes every binomial homogeneous).  Variables
+    on which the lattice basis is a unit vector need no step.  The moves are
+    the binomials of the reduced basis under grevlex(p1..pn), lead minus
+    trail, sorted, and each is certified to be a kernel vector.  ``budget``
+    bounds each Buchberger call of the sequence; exceeding it raises
+    BudgetError saying how far the saturation got, with a hint to use
+    exhaustive enumeration.
     """
     recoded = recode_integer(A)
     n = A.n
-    ncon = len(recoded)
-    rows = [tuple(col[i] for col in recoded) for i in range(n)]
-
-    names = (
-        tuple(f"t{j + 1}" for j in range(ncon))
-        + ("w",)
-        + tuple(f"p{i + 1}" for i in range(n))
-    )
-    ring = PolyRing(names)
-    nt = ncon + 1
-    order = TermOrder.block(
-        [(tuple(range(nt)), "grevlex"), (tuple(range(nt, nt + n)), "grevlex")]
-    )
-    one = ring.field.coerce(1)
-    gens = []
-    for i, row in enumerate(rows):
-        e_p = (0,) * nt + tuple(1 if k == i else 0 for k in range(n))
-        e_t = tuple(row) + (0,) * (1 + n)
-        gens.append(Polynomial(ring, {e_p: one, e_t: -one}))
-    # w * (prod t_j) * (prod p_i) - 1: saturation by all variables at once
-    sat = (1,) * nt + (1,) * n
-    gens.append(Polynomial(ring, {sat: one, (0,) * (nt + n): -one}))
-
-    try:
-        gb = buchberger(gens, order, budget=budget)
-    except BudgetError as exc:
-        raise BudgetError(
-            f"{exc}; for small problems use exhaustive fiber enumeration instead"
-        ) from exc
-    t_free = [
-        g
-        for g in gb.elements
-        if all(all(e[i] == 0 for i in range(nt)) for e in g.terms)
-    ]
-    if not t_free:
-        # zero toric ideal: the kernel is trivial and every fiber is a singleton
+    lattice, unit = _kernel_lattice(recoded, n)
+    _certify_kernel(recoded, lattice)
+    if not lattice:
+        # trivial kernel: every fiber is a singleton
         return MarkovBasis(n, ())
-    pres = eliminate(gb, list(range(nt)))
+
+    ring = PolyRing(tuple(f"p{i + 1}" for i in range(n)))
+    one = ring.field.coerce(1)
+    gens = [
+        Polynomial(
+            ring,
+            {tuple(max(v, 0) for v in z): one, tuple(max(-v, 0) for v in z): -one},
+        )
+        for z in lattice
+    ]
+    # p_n comes last, so that the final quotients are a basis under
+    # grevlex(p1..pn) itself
+    saturate = [k for k in range(n - 1) if k not in unit] + [n - 1]
+    for done, k in enumerate(saturate):
+        prec = tuple(i for i in range(n) if i != k) + (k,)
+        try:
+            gb = buchberger(gens, TermOrder.grevlex(n, prec), budget=budget)
+        except BudgetError as exc:
+            raise BudgetError(
+                f"{exc} while saturating p{k + 1} ({done} of {len(saturate)} "
+                "variables done); for small problems use exhaustive fiber "
+                "enumeration instead"
+            ) from exc
+        gens = [_divide_out(g, k) for g in gb.elements]
+    toric = reduce_basis(GroebnerBasis(TermOrder.grevlex(n), tuple(gens)))
 
     moves = []
-    for g in pres.generators:
-        if g.is_constant():
-            raise AssertionError("toric elimination produced a constant")
+    for g in toric.elements:
         terms = list(g.terms.items())
-        if len(terms) != 2:
-            raise AssertionError(f"non-binomial generator {g!r} in toric basis")
+        if len(terms) != 2 or terms[0][1] + terms[1][1] != 0:
+            raise AssertionError(f"toric generator {g!r} is not a binomial difference")
         (e1, c1), (e2, c2) = terms
-        if c1 + c2 != 0:
-            raise AssertionError(f"toric binomial {g!r} is not a difference")
         pos, neg = (e1, e2) if c1 == 1 else (e2, e1)
         moves.append(tuple(a - b for a, b in zip(pos, neg)))
+    _certify_kernel(recoded, moves)
     moves.sort()
     return MarkovBasis(n, tuple(moves))
 
 
+def _kernel_lattice(recoded, n: int):
+    """A Z-basis of {z in Z^n : col . z = 0 for every column of ``recoded``},
+    and the coordinates on which it is the identity.
+
+    Unimodular integer row operations on [A | I] (A = the recoded matrix with
+    one row per run) bring A to echelon form; the identity part of the rows
+    whose A part became zero is a basis.  More row operations on that basis
+    then make as many coordinates as possible unit vectors (1 in one basis
+    vector, 0 in the others).  Such a coordinate moves monotonically along
+    the path of basis steps from 0 to any lattice vector z, so p^z+ - p^z-
+    times a monomial free of its variable lies in the lattice ideal: the
+    ideal needs no saturation by that variable.
+    """
+    ncon = len(recoded)
+    rows = [[col[i] for col in recoded] + [int(i == j) for j in range(n)]
+            for i in range(n)]
+    rank = 0
+    for c in range(ncon):
+        if _gcd_pivot(rows, rank, c):
+            rank += 1
+    basis = [row[ncon:] for row in rows[rank:]]
+    unit = set()
+    done = 0
+    # last coordinates first, leaving the early ones to saturate: on 2^4 main
+    # effects the first bases then hold 60 binomials, not 132 and 143
+    for c in reversed(range(n)):
+        if abs(_gcd_pivot(basis, done, c)) != 1:
+            continue
+        piv = basis[done]
+        if piv[c] < 0:
+            piv[:] = [-v for v in piv]
+        for i, row in enumerate(basis):
+            if i != done and row[c]:
+                basis[i] = [a - row[c] * b for a, b in zip(row, piv)]
+        unit.add(c)
+        done += 1
+    return [tuple(z) for z in basis], unit
+
+
+def _gcd_pivot(rows, start: int, c: int) -> int:
+    """Euclid on column ``c`` of ``rows[start:]`` by unimodular row
+    operations, in place: afterwards only ``rows[start]`` may be nonzero in
+    that column.  Returns its entry there, the gcd up to sign (0 if none)."""
+    while True:
+        live = [i for i in range(start, len(rows)) if rows[i][c]]
+        if not live:
+            return 0
+        p = min(live, key=lambda i: abs(rows[i][c]))
+        if len(live) == 1:
+            rows[start], rows[p] = rows[p], rows[start]
+            return rows[start][c]
+        for i in live:
+            if i != p:
+                q = rows[i][c] // rows[p][c]
+                rows[i] = [a - q * b for a, b in zip(rows[i], rows[p])]
+
+
+def _divide_out(g: Polynomial, k: int) -> Polynomial:
+    """The binomial g divided by the power of p_k common to its two terms."""
+    common = min(e[k] for e in g.terms)
+    if not common:
+        return g
+    return Polynomial(
+        g.ring, {e[:k] + (e[k] - common,) + e[k + 1 :]: c for e, c in g.terms.items()}
+    )
+
+
+def _residual(recoded, move) -> tuple[int, ...]:
+    return tuple(sum(c * z for c, z in zip(col, move)) for col in recoded)
+
+
+def _certify_kernel(recoded, vectors):
+    for z in vectors:
+        if any(_residual(recoded, z)):
+            raise AssertionError(f"{z} is not a kernel vector of the recoded matrix")
+
+
 def kernel_residual(A: CovariateMatrix, move) -> tuple[int, ...]:
     """A~' z for a move; all zeros iff the move is a kernel vector."""
-    recoded = recode_integer(A)
-    return tuple(sum(c * z for c, z in zip(col, move)) for col in recoded)
+    return _residual(recode_integer(A), move)
 
 
 def enumerate_fiber(

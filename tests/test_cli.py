@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from algdoe import PolyRing, format_design
+from algdoe import PolyRing, format_design, full_factorial
 from algdoe.cli import run
 
 
@@ -140,6 +140,21 @@ def test_model_and_basis_json(workdir):
     payload = json.loads(text)
     assert payload["count"] == 1
     assert payload["moves"][0] in ([1, -1, -1, 1], [-1, 1, 1, -1])
+
+
+def test_basis_no_three_way_model(tmp_path):
+    (tmp_path / "ff3.design").write_text(format_design(full_factorial(3)))
+    (tmp_path / "n3w.model").write_text("1\nx1\nx2\nx3\nx1*x2\nx1*x3\nx2*x3\n")
+    code, text = invoke(
+        "basis",
+        "--design", str(tmp_path / "ff3.design"),
+        "--model", str(tmp_path / "n3w.model"),
+        "--max-pairs", "30000",
+    )
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["count"] == 1
+    assert payload["moves"] == [[1, -1, -1, 1, -1, 1, 1, -1]]
 
 
 def test_mctest_requires_seed(workdir, capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -90,11 +91,115 @@ def test_fiber_caps():
         enumerate_fiber(A, (40, 0, 0, 0))
 
 
-def test_budget_error_suggests_enumeration(d22):
-    A = build_covariate_matrix(d22, main_effects(2))
+def test_budget_error_suggests_enumeration():
+    A = build_covariate_matrix(full_factorial(3), main_effects(3))
     with pytest.raises(BudgetError) as exc:
         markov_basis(A, budget=Budget(max_pairs=2))
     assert "enumeration" in str(exc.value)
+
+
+def test_budget_error_reports_saturation_progress():
+    A = build_covariate_matrix(full_factorial(3), main_effects(3))
+    with pytest.raises(BudgetError) as exc:
+        markov_basis(A, budget=Budget(max_pairs=2))
+    progress = r"saturating p\d+ \(\d+ of \d+ variables done\)"
+    assert re.search(progress, str(exc.value))
+
+
+# the pair cap of the conditional benchmark workload (perfbench/workloads.json)
+CAP = Budget(max_pairs=30000)
+
+# moves of the toric elimination that the kernel-lattice engine replaced,
+# pinned as computed by it on the full factorials in run order
+GOLDEN_2_3_MAIN = (
+    (-1, 0, 0, 1, 1, 0, 0, -1),
+    (-1, 0, 1, 0, 0, 1, 0, -1),
+    (-1, 0, 1, 0, 1, 0, -1, 0),
+    (-1, 1, 0, 0, 0, 0, 1, -1),
+    (-1, 1, 0, 0, 1, -1, 0, 0),
+    (-1, 1, 1, -1, 0, 0, 0, 0),
+    (0, -1, 0, 1, 0, 1, 0, -1),
+    (0, 0, -1, 1, 0, 0, 1, -1),
+    (0, 0, 0, 0, -1, 1, 1, -1),
+)
+GOLDEN_2_3_MAIN_X1X2 = (
+    (-1, 1, 0, 0, 0, 0, 1, -1),
+    (-1, 1, 0, 0, 1, -1, 0, 0),
+    (-1, 1, 1, -1, 0, 0, 0, 0),
+    (0, 0, -1, 1, 0, 0, 1, -1),
+    (0, 0, -1, 1, 1, -1, 0, 0),
+    (0, 0, 0, 0, -1, 1, 1, -1),
+)
+GOLDEN_3X3_MAIN = (
+    (-1, 0, 1, 0, 0, 0, 1, 0, -1),
+    (-1, 0, 1, 1, 0, -1, 0, 0, 0),
+    (-1, 1, 0, 0, 0, 0, 1, -1, 0),
+    (-1, 1, 0, 1, -1, 0, 0, 0, 0),
+    (0, -1, 1, 0, 0, 0, 0, 1, -1),
+    (0, -1, 1, 0, 1, -1, 0, 0, 0),
+    (0, 0, 0, -1, 0, 1, 1, 0, -1),
+    (0, 0, 0, -1, 1, 0, 1, -1, 0),
+    (0, 0, 0, 0, -1, 1, 0, 1, -1),
+)
+
+
+def test_golden_moves():
+    ff3 = full_factorial(3)
+    cases = (
+        (build_covariate_matrix(ff3, main_effects(3)), GOLDEN_2_3_MAIN),
+        (
+            build_covariate_matrix(ff3, main_effects(3) + [term(3, 1, 2)]),
+            GOLDEN_2_3_MAIN_X1X2,
+        ),
+        (
+            build_covariate_matrix(full_factorial(2, 3), main_effects(2), "baseline"),
+            GOLDEN_3X3_MAIN,
+        ),
+    )
+    for A, moves in cases:
+        assert markov_basis(A, CAP).moves == moves
+
+
+def test_2_4_main_effects_count_and_connectivity():
+    A = build_covariate_matrix(full_factorial(4), main_effects(4))
+    basis = markov_basis(A, CAP)
+    assert len(basis.moves) == 55
+    for y0 in (
+        (1,) * 4 + (0,) * 12,
+        (1, 0, 0, 1) + (0,) * 8 + (0, 1, 1, 0),
+        (2,) + (0,) * 14 + (2,),
+    ):
+        assert fiber_connected(A, y0, basis)
+
+
+def test_no_three_way_single_degree_four_move():
+    two_way = [term(3, 1, 2), term(3, 1, 3), term(3, 2, 3)]
+    A = build_covariate_matrix(full_factorial(3), main_effects(3) + two_way)
+    basis = markov_basis(A, CAP)
+    assert basis.moves == ((1, -1, -1, 1, -1, 1, 1, -1),)
+    for y0 in ((1,) * 8, (2, 0, 1, 1, 0, 2, 1, 1), (3, 1, 0, 2, 2, 0, 1, 3)):
+        assert fiber_connected(A, y0, basis)
+
+
+def test_3x3_moves_independent_of_contrast():
+    d = full_factorial(2, 3)
+    for contrast in ("baseline", "symmetric", "complex"):
+        A = build_covariate_matrix(d, main_effects(2), contrast)
+        basis = markov_basis(A, CAP)
+        assert basis.moves == GOLDEN_3X3_MAIN
+        for y0 in ((1,) * 9, (2, 0, 1, 0, 1, 0, 1, 1, 0)):
+            assert fiber_connected(A, y0, basis)
+
+
+def test_non_kernel_lattice_vector_is_caught(d22, monkeypatch):
+    import algdoe.markov as markov
+
+    A = build_covariate_matrix(d22, main_effects(2))
+    monkeypatch.setattr(
+        markov, "_kernel_lattice", lambda recoded, n: ([(1, -1, 0, 0)], set())
+    )
+    with pytest.raises(AssertionError):
+        markov_basis(A)
 
 
 def _random_model(rng):
