@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 
 from .cyclotomic import CyclotomicNumber, Echelon, omega
-from .designs import Design, monomial_name, parse_monomial
+from .designs import Design, _value_vector, monomial_name, parse_monomial
 from .errors import EstimabilityError, InputError
 
 CONTRASTS = ("baseline", "symmetric", "complex")
@@ -116,18 +116,8 @@ def build_covariate_matrix(
 
 
 def _two_level_columns(d: Design, terms):
-    labels = []
-    columns = []
-    for t in terms:
-        labels.append(monomial_name(t))
-        col = []
-        for run in d.runs:
-            prod = 1
-            for v, e in zip(run, t):
-                if e:
-                    prod *= v
-            col.append(Fraction(prod))
-        columns.append(tuple(col))
+    labels = [monomial_name(t) for t in terms]
+    columns = [tuple(Fraction(v) for v in _value_vector(d, t)) for t in terms]
     return labels, columns
 
 

@@ -7,6 +7,10 @@ are computed by the orthogonality expansion
     b_a = 2^(-m) * sum_{x in F} x^a,
 
 realized as an exact integer Walsh-Hadamard transform of the 0/1 run table.
+The inverse, :func:`design_from_indicator`, applies the same transform to the
+scaled coefficients, evaluating the indicator at all 2^m points in O(m*2^m);
+it certifies every indicator computed here, at every m <= 20.  Classification
+checks its witness words directly on the runs.
 """
 
 from __future__ import annotations
@@ -14,13 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .designs import Design, Word, gf2_independent, regular_design_from_words
+from .designs import Design, Word, _value_vector, gf2_independent
 from .errors import InputError, InvalidIndicatorError, ScaleError
 from .orders import Monomial
 from .polynomials import PolyRing, Polynomial
 
 MAX_EXPANSION_FACTORS = 20
-_FULL_CHECK_FACTORS = 12  # exhaustive 0/1 re-evaluation is skipped above this
 
 
 class IndicatorFunction:
@@ -97,21 +100,26 @@ def _walsh_hadamard(values: list[int]) -> list[int]:
     return out
 
 
-def _run_index(run) -> int:
-    # bit k set means factor k+1 sits at level -1
+_BITS = (0, 1)  # exponent bits of a coefficient
+_PM1 = (1, -1)  # levels of a run: bit k set means factor k+1 sits at -1
+
+
+def _encode(values, levels) -> int:
+    """Table index with bit k set where values[k] == levels[1]."""
     idx = 0
-    for k, v in enumerate(run):
-        if v == -1:
+    for k, v in enumerate(values):
+        if v == levels[1]:
             idx |= 1 << k
     return idx
 
 
-def _index_bits(idx: int, m: int) -> tuple[int, ...]:
-    return tuple((idx >> k) & 1 for k in range(m))
+def _decode(idx: int, m: int, levels) -> tuple[int, ...]:
+    """Inverse of :func:`_encode`."""
+    return tuple(levels[(idx >> k) & 1] for k in range(m))
 
 
 def indicator_from_design(d: Design) -> IndicatorFunction:
-    """Exact indicator function of a two-level fraction."""
+    """Exact indicator function of a two-level fraction, certified by its inverse."""
     if d.s != 2:
         raise InputError("indicator functions are defined for two-level designs")
     if d.m > MAX_EXPANSION_FACTORS:
@@ -119,30 +127,22 @@ def indicator_from_design(d: Design) -> IndicatorFunction:
     m = d.m
     table = [0] * (1 << m)
     for run in d.runs:
-        table[_run_index(run)] = 1
+        table[_encode(run, _PM1)] = 1
     spectrum = _walsh_hadamard(table)
     denom = 1 << m
     coeffs = {
-        _index_bits(idx, m): Fraction(v, denom)
+        _decode(idx, m, _BITS): Fraction(v, denom)
         for idx, v in enumerate(spectrum)
         if v
     }
     f = IndicatorFunction(m, coeffs)
-    if m <= _FULL_CHECK_FACTORS:
-        _check_zero_one(f, {_run_index(r) for r in d.runs})
+    try:
+        certified = design_from_indicator(f).runs == tuple(sorted(d.runs))
+    except InvalidIndicatorError as exc:
+        raise AssertionError(f"indicator of the design is not 0/1-valued: {exc}") from exc
+    if not certified:
+        raise AssertionError("inverse transform of the indicator does not return the runs")
     return f
-
-
-def _check_zero_one(f: IndicatorFunction, member_indices: set[int]) -> None:
-    m = f.m
-    for idx in range(1 << m):
-        point = tuple(-1 if (idx >> k) & 1 else 1 for k in range(m))
-        value = f.evaluate(point)
-        expected = 1 if idx in member_indices else 0
-        if value != expected:
-            raise AssertionError(
-                f"indicator evaluates to {value} at {point}, expected {expected}"
-            )
 
 
 def design_from_indicator(f: IndicatorFunction) -> Design:
@@ -158,16 +158,12 @@ def design_from_indicator(f: IndicatorFunction) -> Design:
             raise InvalidIndicatorError(
                 f"coefficient {c} cannot belong to a 0/1-valued indicator"
             )
-        idx = 0
-        for k, b in enumerate(bits):
-            if b:
-                idx |= 1 << k
-        scaled[idx] = int(v)
+        scaled[_encode(bits, _BITS)] = int(v)
     values = _walsh_hadamard(scaled)
     runs = []
     for idx, v in enumerate(values):
         if v == denom:
-            runs.append(tuple(-1 if (idx >> k) & 1 else 1 for k in range(m)))
+            runs.append(_decode(idx, m, _PM1))
         elif v != 0:
             raise InvalidIndicatorError(
                 f"polynomial is not 0/1-valued on the full factorial (value {Fraction(v, denom)})"
@@ -236,18 +232,13 @@ def indicator_add_factors(
 
 def extend_design(d: Design, relations) -> Design:
     """The design with columns appended per the factor relations."""
-    relations = list(relations)
-    runs = []
-    for run in d.runs:
-        extra = []
-        for rel in relations:
-            prod = rel.sign
-            for v, b in zip(run, rel.word):
-                if b:
-                    prod *= v
-            extra.append(prod)
-        runs.append(tuple(run) + tuple(extra))
-    return Design(d.m + len(relations), 2, tuple(runs), "pm1")
+    columns = [
+        tuple(rel.sign * v for v in _value_vector(d, rel.word)) for rel in relations
+    ]
+    runs = tuple(
+        tuple(run) + tuple(col[i] for col in columns) for i, run in enumerate(d.runs)
+    )
+    return Design(d.m + len(columns), 2, runs, "pm1")
 
 
 # -- classification ------------------------------------------------------------
@@ -283,7 +274,8 @@ def classify_design(d: Design) -> DesignClass:
     """Classify a two-level design by its indicator coefficients.
 
     Regular: every nonzero coefficient has magnitude equal to the constant
-    term and the reconstruction from the implied words returns the same runs.
+    term, and the implied words hold on every run with n * 2^k = 2^m for k
+    words (independent over GF(2), so they define exactly 2^(m-k) runs).
     Subset-fractional: non-regular, but some nonconstant coefficient reaches
     the constant term; those terms define a containing regular design.
     Affinely-full-dimensional: no nonconstant coefficient reaches the
@@ -304,9 +296,10 @@ def classify_design(d: Design) -> DesignClass:
     all_extreme = all(abs(c) == b0 for c in f.coeffs.values())
     if big:
         words = _independent_words([b for b, _ in big], [s for _, s in big])
-        containing = regular_design_from_words(d.m, words)
-        contained = set(d.runs) <= set(containing.runs)
-        if all_extreme and contained and containing.n == d.n:
+        contained = all(
+            v == w.sign for w in words for v in _value_vector(d, w.bits)
+        )
+        if all_extreme and contained and d.n << len(words) == 1 << d.m:
             return DesignClass("regular", words=words)
         if contained:
             return DesignClass("subset-fractional", words=words)

@@ -19,6 +19,8 @@ from .groebner import Budget, DEFAULT_BUDGET, GroebnerBasis, buchberger, reduce_
 from .orders import TermOrder
 from .polynomials import PolyRing, Polynomial
 
+MAX_FIBER_NODES = 10_000_000  # ~50 s of search at ~5 us per node
+
 
 @dataclass(frozen=True)
 class MarkovBasis:
@@ -185,7 +187,8 @@ def enumerate_fiber(
     """The complete fiber of y0: all nonnegative integer y with A'y = A'y0.
 
     Bounded depth-first search over the recoded nonnegative matrix; requires
-    the total of y0 and the run count to stay within the caps.
+    the total of y0 and the run count to stay within the caps, and stops with
+    :class:`ScaleError` after MAX_FIBER_NODES search nodes.
     """
     y0 = tuple(int(v) for v in y0)
     if any(v < 0 for v in y0):
@@ -212,8 +215,16 @@ def enumerate_fiber(
 
     out = []
     y = [0] * n
+    nodes = 0
 
     def rec(i: int, remaining: int, partial: list[int]):
+        nonlocal nodes
+        nodes += 1
+        if nodes > MAX_FIBER_NODES:
+            raise ScaleError(
+                f"fiber search stopped after {MAX_FIBER_NODES} nodes "
+                f"with {len(out)} points found"
+            )
         if i == n:
             if remaining == 0 and partial == targets:
                 out.append(tuple(y))

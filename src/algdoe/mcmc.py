@@ -157,6 +157,13 @@ def mh_sample(
     return TestResult(t_obs, p, se, total, "mcmc")
 
 
+def _multinomial_weights(fiber) -> list[int]:
+    """N!/prod(y_i!) per fiber point: integers proportional to 1/prod(y_i!),
+    since every point of a fiber has the same total N (the intercept)."""
+    fact = [math.factorial(k) for k in range(sum(fiber[0]) + 1)]
+    return [fact[-1] // math.prod(fact[v] for v in y) for y in fiber]
+
+
 def exact_p_value(
     A: CovariateMatrix,
     y0,
@@ -167,8 +174,8 @@ def exact_p_value(
 ) -> TestResult:
     """Exact conditional p-value by complete fiber enumeration.
 
-    The fiber weights 1/prod(y_i!) are handled as exact rationals; only the
-    test statistic itself is floating point.
+    The fiber weights 1/prod(y_i!) are handled exactly, as the integers
+    N!/prod(y_i!); only the test statistic itself is floating point.
     """
     y0 = tuple(int(v) for v in y0)
     fiber = enumerate_fiber(A, y0, max_total=max_total, max_runs=max_runs)
@@ -177,28 +184,19 @@ def exact_p_value(
     if fit is None:
         fit = fit_null_glm(A, y0)
     t_obs = test_statistic(kind, y0, fit)
-    num = Fraction(0)
-    den = Fraction(0)
-    for y in fiber:
-        w = Fraction(1)
-        for v in y:
-            w /= math.factorial(v)
-        den += w
-        if _at_least_as_extreme(test_statistic(kind, y, fit), t_obs):
-            num += w
-    p = num / den
+    weights = _multinomial_weights(fiber)
+    num = sum(
+        w
+        for y, w in zip(fiber, weights)
+        if _at_least_as_extreme(test_statistic(kind, y, fit), t_obs)
+    )
+    p = Fraction(num, sum(weights))
     return TestResult(t_obs, float(p), 0.0, len(fiber), "exact-enumeration", p)
 
 
 def fiber_distribution(A: CovariateMatrix, y0, **caps):
     """Exact conditional law on the fiber, as {y: Fraction} normalized."""
     fiber = enumerate_fiber(A, y0, **caps)
-    weights = {}
-    den = Fraction(0)
-    for y in fiber:
-        w = Fraction(1)
-        for v in y:
-            w /= math.factorial(v)
-        weights[y] = w
-        den += w
-    return {y: w / den for y, w in weights.items()}
+    weights = _multinomial_weights(fiber)
+    den = sum(weights)
+    return {y: Fraction(w, den) for y, w in zip(fiber, weights)}

@@ -9,6 +9,7 @@ from algdoe import (
     InputError,
     InvalidIndicatorError,
     PolyRing,
+    Word,
     classify_design,
     design_from_indicator,
     full_factorial,
@@ -16,7 +17,8 @@ from algdoe import (
     indicator_from_design,
     regular_design_from_words,
 )
-from algdoe.indicators import FactorRelation, IndicatorFunction, extend_design
+from algdoe.designs import gf2_independent
+from algdoe.indicators import FactorRelation, IndicatorFunction, extend_design, word_group
 
 from conftest import L8_WORDS, random_two_level_design
 
@@ -123,6 +125,44 @@ def test_indicator_invariants_random_designs():
         assert b0 == Fraction(d.n, 2**m)
         assert all(abs(c) <= b0 for c in f.coeffs.values())
         assert design_from_indicator(f).runs == tuple(sorted(d.runs))
+        if m <= 6:
+            # independent reference: evaluate every term at every point
+            runs = set(d.runs)
+            for point in full_factorial(m).runs:
+                assert f.evaluate(point) == (1 if point in runs else 0)
+
+
+@pytest.mark.parametrize("corruption", ["mirror-x1", "perturb"])
+def test_corrupted_spectrum_fails_certificate(monkeypatch, corruption):
+    # m = 13 is above the size at which a full-factorial re-evaluation would
+    # be affordable; the inverse-transform certificate still runs there
+    from algdoe import indicators
+
+    m = 13
+    rng = random.Random(13)
+    runs = tuple(
+        tuple(1 - 2 * ((idx >> k) & 1) for k in range(m))
+        for idx in rng.sample(range(2**m), 64)
+    )
+    d = Design(m, 2, runs, "pm1")
+    transform = indicators._walsh_hadamard
+    calls = []
+
+    def corrupt_forward(values):
+        out = transform(values)
+        if not calls:
+            if corruption == "mirror-x1":
+                # a valid indicator, but of the design with x1 negated
+                out = [-v if idx & 1 else v for idx, v in enumerate(out)]
+            else:
+                out[1] += 2
+        calls.append(len(values))
+        return out
+
+    monkeypatch.setattr(indicators, "_walsh_hadamard", corrupt_forward)
+    with pytest.raises(AssertionError):
+        indicator_from_design(d)
+    assert len(calls) == 2
 
 
 def test_add_factors_regular_product_form(l8):
@@ -199,9 +239,32 @@ def test_classification_full_factorial_and_l8(l8):
     assert set(rebuilt.runs) == set(l8.runs)
 
 
-def test_classification_word_group_matches(l8):
-    from algdoe.indicators import word_group
+def test_classification_large_regular_fractions_match_reconstruction():
+    # the witness words are checked on the runs; the full-factorial rebuild
+    # is the reference, for regular fractions and for one run removed
+    rng = random.Random(1016)
+    for m in (10, 12, 14, 16):
+        k = rng.randint(m - 8, m - 2)
+        words, bits_list = [], []
+        while len(words) < k:
+            bits = tuple(rng.randint(0, 1) for _ in range(m))
+            if any(bits) and gf2_independent(bits_list + [bits]):
+                bits_list.append(bits)
+                words.append(Word(bits, rng.choice((-1, 1))))
+        runs = list(regular_design_from_words(m, words).runs)
+        rng.shuffle(runs)
+        for d in (Design(m, 2, tuple(runs), "pm1"), Design(m, 2, tuple(runs[1:]), "pm1")):
+            cls = classify_design(d)
+            containing = regular_design_from_words(m, cls.words)
+            assert cls.diagnostic is None
+            assert set(d.runs) <= set(containing.runs)
+            expected = "regular" if containing.n == d.n else "subset-fractional"
+            assert cls.tag == expected
+            if cls.tag == "regular":
+                assert word_group(cls.words) == word_group(words)
 
+
+def test_classification_word_group_matches(l8):
     cls = classify_design(l8)
     assert word_group(cls.words) == word_group(L8_WORDS)
 

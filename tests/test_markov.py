@@ -91,6 +91,18 @@ def test_fiber_caps():
         enumerate_fiber(A, (40, 0, 0, 0))
 
 
+def test_fiber_node_cap(monkeypatch):
+    # 2^3 main effects at total 16 takes more than 11k search nodes
+    from algdoe import markov
+
+    A = build_covariate_matrix(full_factorial(3), main_effects(3))
+    monkeypatch.setattr(markov, "MAX_FIBER_NODES", 1000)
+    with pytest.raises(ScaleError, match=r"after 1000 nodes with \d+ points found"):
+        enumerate_fiber(A, (2,) * 8)
+    with pytest.raises(ScaleError, match="1000 nodes"):
+        fiber_connected(A, (2,) * 8, markov_basis(A))
+
+
 def test_budget_error_suggests_enumeration():
     A = build_covariate_matrix(full_factorial(3), main_effects(3))
     with pytest.raises(BudgetError) as exc:
