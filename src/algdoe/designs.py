@@ -160,6 +160,11 @@ def regular_design_from_words(m: int, words) -> Design:
     Words must be independent over GF(2); the result has 2^(m-s) runs where s
     is the number of words.  Runs are listed in ascending lexicographic order
     with -1 before +1, which matches tabulated orthogonal arrays.
+
+    The runs are generated from the solution space directly: the words are
+    reduced to an echelon form whose pivot factors are each fixed by a product
+    of earlier free factors, so listing the free factors in lexicographic
+    order lists the runs in order.
     """
     words = tuple(words)
     for w in words:
@@ -169,19 +174,35 @@ def regular_design_from_words(m: int, words) -> Design:
         raise RankError("defining words are dependent over GF(2)")
     if m > 20:
         raise ScaleError("factor count too large to enumerate the full factorial")
+    # a word is (mask, sign) with bit j of the mask for factor j; multiplying
+    # two words multiplies their signs, since x_j^2 = 1
+    pivots: dict[int, tuple[int, int]] = {}
+    for w in words:
+        mask = sum(1 << j for j, b in enumerate(w.bits) if b)
+        sign = w.sign
+        for lead, (pmask, psign) in pivots.items():
+            if mask >> lead & 1:
+                mask, sign = mask ^ pmask, sign * psign
+        lead = mask.bit_length() - 1
+        for other, (omask, osign) in pivots.items():
+            if omask >> lead & 1:
+                pivots[other] = (omask ^ mask, osign * sign)
+        pivots[lead] = (mask, sign)
+    free = [j for j in range(m) if j not in pivots]
+    rules = [
+        (lead, sign, [j for j in range(lead) if mask >> j & 1])
+        for lead, (mask, sign) in sorted(pivots.items())
+    ]
     runs = []
-    for point in itertools.product((-1, 1), repeat=m):
-        ok = True
-        for w in words:
-            prod = 1
-            for v, b in zip(point, w.bits):
-                if b:
-                    prod *= v
-            if prod != w.sign:
-                ok = False
-                break
-        if ok:
-            runs.append(point)
+    for values in itertools.product((-1, 1), repeat=len(free)):
+        point = [0] * m
+        for j, v in zip(free, values):
+            point[j] = v
+        for lead, sign, factors in rules:
+            for j in factors:
+                sign *= point[j]
+            point[lead] = sign
+        runs.append(tuple(point))
     return Design(m, 2, tuple(runs), "pm1")
 
 

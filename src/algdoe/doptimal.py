@@ -2,15 +2,35 @@
 
 The criterion det(X'X), with X the n x (m+1) model matrix of the intercept
 and the factor columns, is evaluated exactly over the integers by
-fraction-free elimination.  Exhaustive search returns the true optimum with
-every maximizer; greedy exchange is a seeded hill climb with restarts and
-makes no optimality claim.
+fraction-free elimination.
+
+Exhaustive search returns the true optimum with every maximizer.  Flipping
+the sign of a factor leaves det(X'X) unchanged, and the 2^m sign flips map
+the candidate runs onto each other simply transitively, so every subset has a
+flip image that contains the first candidate.  The search therefore scores
+only the C(2^m - 1, n - 1) subsets that contain it, accumulating the Gram
+matrix X'X along the enumeration, and returns the sign-flip orbits of the
+maximizers it finds, in the order of ``itertools.combinations``.
+
+Greedy exchange is a seeded hill climb with restarts and makes no optimality
+claim.  Each sweep scores every swap of a design run v for a candidate u
+exactly from G = X'X, D = det G and the integer adjugate A = adj G, taken
+once per sweep, by the rank-one update identity (Fedorov, *Theory of Optimal
+Experiments*, 1972)
+
+    det(G - vv' + uu') = ((D + u'Au)(D - v'Av) + (u'Av)^2) / D,
+
+whose division is exact.  While D = 0 the trials are evaluated directly.
+
+Every returned optimum is checked against ``d_criterion`` before it is
+returned.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -59,6 +79,26 @@ def int_det(matrix) -> int:
     n = len(m)
     if any(len(row) != n for row in m):
         raise InputError("determinant of a non-square matrix")
+    return _det(m)
+
+
+def _det(m) -> int:
+    """Determinant of a square list of integer rows, which it overwrites."""
+    return _bareiss(m) * m[-1][-1]
+
+
+def _bareiss(m) -> int:
+    """Bareiss elimination, in place, below the diagonal of the leading
+    square block of the integer rows ``m``; columns past the block are
+    carried along.
+
+    Afterwards ``m[k][k]`` is the (k+1)-th leading minor of the block with
+    its rows swapped as returned, and the block's determinant is the sign
+    times ``m[-1][-1]``.  Returns the sign of the row swaps, or 0 when the
+    block is singular.
+    """
+    n = len(m)
+    width = len(m[0])
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -68,12 +108,40 @@ def int_det(matrix) -> int:
                 return 0
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
+        row_k = m[k]
+        pivot_value = row_k[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+            row_i = m[i]
+            lead = row_i[k]
+            for j in range(k + 1, width):
+                row_i[j] = (row_i[j] * pivot_value - lead * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot_value
+    return sign
+
+
+def _adjugate(gram) -> tuple[int, list[list[int]] | None]:
+    """det G of a square integer matrix and, when det G != 0, its integer
+    adjugate adj G = det G * G^-1 (None otherwise).
+
+    Bareiss elimination of [G | I] leaves [U | R] with U upper triangular
+    and U G^-1 = R, so U adj G = det G * R is solved by back substitution;
+    each division is exact because adj G is integral.
+    """
+    p = len(gram)
+    m = [list(row) + [int(i == j) for j in range(p)] for i, row in enumerate(gram)]
+    det = _bareiss(m) * m[p - 1][p - 1]
+    if det == 0:
+        return 0, None
+    adj: list[list[int]] = [[]] * p
+    for i in range(p - 1, -1, -1):
+        row = m[i]
+        adj[i] = [
+            (det * row[p + c] - sum(row[j] * adj[j][c] for j in range(i + 1, p)))
+            // row[i]
+            for c in range(p)
+        ]
+    return det, adj
 
 
 def _model_rows(runs) -> list[tuple[int, ...]]:
@@ -87,6 +155,11 @@ def d_criterion(d: Design) -> int:
     return _gram_det(_model_rows(d.runs))
 
 
+def _gram(rows) -> list[list[int]]:
+    cols = list(zip(*rows))
+    return [[_dot(a, b) for b in cols] for a in cols]
+
+
 def _gram_det(rows) -> int:
     n = len(rows)
     p = len(rows[0])
@@ -95,11 +168,7 @@ def _gram_det(rows) -> int:
     if n == p:
         det = int_det(rows)
         return det * det
-    gram = [
-        [sum(rows[i][a] * rows[i][b] for i in range(n)) for b in range(p)]
-        for a in range(p)
-    ]
-    return int_det(gram)
+    return int_det(_gram(rows))
 
 
 def d_optimal_search(spec: SearchSpec) -> SearchResult:
@@ -110,49 +179,124 @@ def d_optimal_search(spec: SearchSpec) -> SearchResult:
             raise ScaleError(
                 f"exhaustive search over {count} subsets exceeds the cap"
             )
-        best = -1
-        optima: list[tuple[tuple[int, ...], ...]] = []
-        for subset in itertools.combinations(candidates, spec.n):
-            det = _gram_det(_model_rows(subset))
+        best, optima = _exhaustive(candidates, spec.n)
+        runs_list = [tuple(candidates[c] for c in subset) for subset in optima]
+    else:
+        best, runs = _greedy_exchange(spec, candidates)
+        runs_list = [runs]
+    designs = tuple(Design(spec.m, 2, runs, "pm1") for runs in runs_list)
+    for d in designs:
+        if d_criterion(d) != best:
+            raise AssertionError(f"search optimum {best} is not det(X'X) of {d.runs}")
+    return SearchResult(
+        spec,
+        best,
+        designs,
+        tuple(classify_design(d) for d in designs),
+        spec.mode == "exhaustive",
+    )
+
+
+def _exhaustive(candidates, n: int) -> tuple[int, list[tuple[int, ...]]]:
+    """The optimum and every maximizing n-subset of candidate indices, in
+    ``itertools.combinations`` order.
+
+    The candidates are the full factorial in product order, so XOR-ing an
+    index with a mask f flips the factors in f, and only subsets containing
+    candidate 0 are scored.  A depth-first walk visits them in combinations
+    order and sums the packed upper triangle of X'X along the way; with
+    n = m + 1 runs it uses det(X'X) = det(X)^2 instead, whose elimination is
+    cheaper.
+    """
+    size = len(candidates)
+    rows = _model_rows(candidates)
+    p = len(rows[0])
+    if n < p:  # rank X <= n < p: every subset has det(X'X) = 0
+        return 0, list(itertools.combinations(range(size), n))
+    pairs = [(a, b) for a in range(p) for b in range(a, p)]
+    outer = [[r[a] * r[b] for a, b in pairs] for r in rows]
+    slot = {pair: k for k, pair in enumerate(pairs)}
+    unpack = [[slot[min(a, b), max(a, b)] for b in range(p)] for a in range(p)]
+    square = n == p
+
+    best = -1
+    found: list[tuple[int, ...]] = []
+    chosen = [0] * n
+
+    def walk(depth: int, start: int, gram: list[int]) -> None:
+        nonlocal best
+        for c in range(start, size - (n - depth) + 1):
+            chosen[depth] = c
+            if not square:
+                total = [g + o for g, o in zip(gram, outer[c])]
+            if depth < n - 1:
+                walk(depth + 1, c + 1, gram if square else total)
+                continue
+            if square:
+                det = _det([list(rows[k]) for k in chosen])
+                det *= det
+            else:
+                det = _det([[total[k] for k in row] for row in unpack])
             if det > best:
                 best = det
-                optima = [subset]
-            elif det == best:
-                optima.append(subset)
-        designs = tuple(Design(spec.m, 2, runs, "pm1") for runs in optima)
-        return SearchResult(
-            spec, best, designs, tuple(classify_design(d) for d in designs), True
-        )
+                found.clear()
+            if det == best:
+                found.append(tuple(chosen))
 
+    walk(1, 1, outer[0])
+    orbits = {tuple(sorted(c ^ f for c in s)) for s in found for f in range(size)}
+    return best, sorted(orbits)
+
+
+def _greedy_exchange(spec: SearchSpec, candidates) -> tuple[int, tuple]:
+    """Best det(X'X) and sorted runs over the seeded restarts of the climb.
+
+    Each sweep tries every (design position, unused candidate) swap in order
+    and applies the first one with the largest det, if it beats the current
+    design; the climb stops at the first sweep without an improving swap.
+    Designs are held as candidate indices: sampling indices draws the same
+    runs from the rng as sampling the candidates.
+    """
+    rows = _model_rows(candidates)
     rng = random.Random(spec.seed)
     best = -1
-    best_runs: tuple[tuple[int, ...], ...] | None = None
+    best_runs: tuple[tuple[int, ...], ...] = ()
     for _ in range(max(1, spec.restarts)):
-        current = rng.sample(candidates, spec.n)
-        det = _gram_det(_model_rows(current))
-        improved = True
-        while improved:
-            improved = False
+        current = rng.sample(range(len(candidates)), spec.n)
+        while True:
+            base, adj = _adjugate(_gram([rows[k] for k in current]))
+            if adj is not None:
+                adj_rows = [[_dot(a, r) for a in adj] for r in rows]
+                quad = [_dot(ar, r) for ar, r in zip(adj_rows, rows)]
+            det = base
             swap = None
             selected = set(current)
-            for i, out_pt in enumerate(current):
-                for in_pt in candidates:
-                    if in_pt in selected:
+            for i, out in enumerate(current):
+                if adj is not None:
+                    adj_out = adj_rows[out]
+                    kept = base - quad[out]
+                for k, row in enumerate(rows):
+                    if k in selected:
                         continue
-                    trial = list(current)
-                    trial[i] = in_pt
-                    trial_det = _gram_det(_model_rows(trial))
+                    if adj is None:
+                        trial = list(current)
+                        trial[i] = k
+                        trial_det = _gram_det([rows[t] for t in trial])
+                    else:
+                        cross = _dot(adj_out, row)
+                        trial_det = ((base + quad[k]) * kept + cross * cross) // base
                     if trial_det > det:
                         det = trial_det
-                        swap = (i, in_pt)
-            if swap is not None:
-                i, in_pt = swap
-                current[i] = in_pt
-                improved = True
+                        swap = (i, k)
+            if swap is None:
+                break
+            i, k = swap
+            current[i] = k
         if det > best:
             best = det
-            best_runs = tuple(sorted(current))
-    design = Design(spec.m, 2, best_runs, "pm1")
-    return SearchResult(
-        spec, best, (design,), (classify_design(design),), False
-    )
+            best_runs = tuple(candidates[k] for k in sorted(current))
+    return best, best_runs
+
+
+def _dot(a, b) -> int:
+    return sum(map(operator.mul, a, b))

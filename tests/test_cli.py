@@ -3,7 +3,15 @@ import json
 
 import pytest
 
-from algdoe import PolyRing, format_design, full_factorial
+from algdoe import (
+    Design,
+    PolyRing,
+    SearchSpec,
+    d_criterion,
+    d_optimal_search,
+    format_design,
+    full_factorial,
+)
 from algdoe.cli import run
 
 
@@ -220,6 +228,23 @@ def test_doptimal_json():
     assert payload["optimum"] == 256
     assert payload["optima_count"] == 2
     assert payload["class_histogram"] == {"regular": 2}
+
+
+def test_doptimal_greedy_json():
+    code, text = invoke(
+        "doptimal", "--m", "5", "--n", "8", "--mode", "greedy-exchange",
+        "--seed", "3", "--restarts", "4",
+    )
+    payload = json.loads(text)
+    assert code == 0
+    assert payload["exhaustive"] is False
+    res = d_optimal_search(
+        SearchSpec(m=5, n=8, mode="greedy-exchange", seed=3, restarts=4)
+    )
+    assert payload["optimum"] == res.best_det
+    assert payload["optima"] == [[list(run) for run in res.optima[0].runs]]
+    listed = Design(5, 2, tuple(tuple(run) for run in payload["optima"][0]), "pm1")
+    assert d_criterion(listed) == payload["optimum"]
 
 
 def test_input_error_exit_code(tmp_path):

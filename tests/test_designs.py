@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -6,6 +8,7 @@ from algdoe import (
     Design,
     InputError,
     RankError,
+    ScaleError,
     TermOrder,
     Word,
     alias_table,
@@ -19,7 +22,7 @@ from algdoe import (
     parse_design,
     regular_design_from_words,
 )
-from algdoe.designs import monomial_name, parse_monomial
+from algdoe.designs import gf2_independent, monomial_name, parse_monomial
 from algdoe.groebner import spolynomials_reduce_to_zero
 
 from conftest import L8_WORDS, random_two_level_design
@@ -39,6 +42,34 @@ def test_regular_design_small_fixtures(f1):
         sorted(f1.runs)
     )
     assert regular_design_from_words(3, []).runs == full_factorial(3).runs
+
+
+def test_regular_design_matches_full_factorial_filter():
+    rng = random.Random(41)
+    for _ in range(60):
+        m = rng.randint(1, 8)
+        k = rng.randint(0, m)
+        words = []
+        while len(words) < k:
+            bits = tuple(rng.randint(0, 1) for _ in range(m))
+            if any(bits) and gf2_independent([w.bits for w in words] + [bits]):
+                words.append(Word(bits, rng.choice((-1, 1))))
+        expected = tuple(
+            point
+            for point in itertools.product((-1, 1), repeat=m)
+            if all(
+                math.prod(v for v, b in zip(point, w.bits) if b) == w.sign
+                for w in words
+            )
+        )
+        assert regular_design_from_words(m, words).runs == expected
+
+
+def test_regular_design_input_checks():
+    with pytest.raises(InputError):
+        regular_design_from_words(3, [Word((1, 1), 1)])
+    with pytest.raises(ScaleError):
+        regular_design_from_words(21, [])
 
 
 def test_dependent_words_rejected():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -102,6 +103,82 @@ def test_greedy_deterministic_given_seed():
     b = d_optimal_search(SearchSpec(m=3, n=5, mode="greedy-exchange", seed=3, restarts=4))
     assert a.best_det == b.best_det
     assert a.optima[0].runs == b.optima[0].runs
+
+
+def _direct_det(runs) -> int:
+    """det(X'X) of the main effect model, from a freshly built Gram matrix."""
+    rows = [(1,) + tuple(run) for run in runs]
+    p = len(rows[0])
+    return int_det(
+        [[sum(r[a] * r[b] for r in rows) for b in range(p)] for a in range(p)]
+    )
+
+
+@pytest.mark.parametrize(
+    "m,n", [(3, 4), (3, 5), (3, 6), (3, 7), (3, 8), (4, 5), (4, 8)]
+)
+def test_exhaustive_matches_brute_force_filter(m, n):
+    candidates = list(itertools.product((-1, 1), repeat=m))
+    dets = {s: _direct_det(s) for s in itertools.combinations(candidates, n)}
+    best = max(dets.values())
+    res = d_optimal_search(SearchSpec(m=m, n=n))
+    assert res.best_det == best
+    assert [d.runs for d in res.optima] == [s for s, v in dets.items() if v == best]
+
+
+def _direct_hill_climb(spec):
+    """The greedy exchange with every trial evaluated from scratch; returns
+    (best det, sorted runs, number of restarts that began singular)."""
+    candidates = list(itertools.product((-1, 1), repeat=spec.m))
+    rng = random.Random(spec.seed)
+    best, best_runs, singular_starts = -1, None, 0
+    for _ in range(max(1, spec.restarts)):
+        current = rng.sample(candidates, spec.n)
+        det = _direct_det(current)
+        singular_starts += det == 0
+        improved = True
+        while improved:
+            improved = False
+            swap = None
+            selected = set(current)
+            for i in range(len(current)):
+                for in_pt in candidates:
+                    if in_pt in selected:
+                        continue
+                    trial = list(current)
+                    trial[i] = in_pt
+                    trial_det = _direct_det(trial)
+                    if trial_det > det:
+                        det = trial_det
+                        swap = (i, in_pt)
+            if swap is not None:
+                i, in_pt = swap
+                current[i] = in_pt
+                improved = True
+        if det > best:
+            best = det
+            best_runs = tuple(sorted(current))
+    return best, best_runs, singular_starts
+
+
+def test_greedy_matches_direct_hill_climb():
+    rng = random.Random(29)
+    singular_starts = 0
+    for _ in range(24):
+        m = rng.randint(3, 6)
+        spec = SearchSpec(
+            m=m,
+            n=rng.randint(m + 1, m + 3),
+            mode="greedy-exchange",
+            seed=rng.randrange(2**31),
+            restarts=rng.randint(1, 2),
+        )
+        best, runs, singular = _direct_hill_climb(spec)
+        singular_starts += singular
+        res = d_optimal_search(spec)
+        assert res.best_det == best, spec
+        assert res.optima[0].runs == runs, spec
+    assert singular_starts > 0  # the climb out of det 0 is exercised
 
 
 def test_scale_cap():
