@@ -26,6 +26,7 @@ from .orders import Monomial, TermOrder
 from .polynomials import PolyRing
 
 CODINGS = ("pm1", "integer", "complex")
+MAX_REGULAR_RUNS = 2**20
 
 
 @dataclass(frozen=True)
@@ -158,8 +159,9 @@ def regular_design_from_words(m: int, words) -> Design:
     """The regular two-level fraction satisfying every word x^a = c.
 
     Words must be independent over GF(2); the result has 2^(m-s) runs where s
-    is the number of words.  Runs are listed in ascending lexicographic order
-    with -1 before +1, which matches tabulated orthogonal arrays.
+    is the number of words, at most MAX_REGULAR_RUNS.  Runs are listed in
+    ascending lexicographic order with -1 before +1, which matches tabulated
+    orthogonal arrays.
 
     The runs are generated from the solution space directly: the words are
     reduced to an echelon form whose pivot factors are each fixed by a product
@@ -172,8 +174,11 @@ def regular_design_from_words(m: int, words) -> Design:
             raise InputError(f"word {w} does not match {m} factors")
     if not gf2_independent([w.bits for w in words]):
         raise RankError("defining words are dependent over GF(2)")
-    if m > 20:
-        raise ScaleError("factor count too large to enumerate the full factorial")
+    size = 2 ** (m - len(words))
+    if size > MAX_REGULAR_RUNS:
+        raise ScaleError(
+            f"a fraction of {size} runs exceeds the cap of {MAX_REGULAR_RUNS}"
+        )
     # a word is (mask, sign) with bit j of the mask for factor j; multiplying
     # two words multiplies their signs, since x_j^2 = 1
     pivots: dict[int, tuple[int, int]] = {}

@@ -4,7 +4,8 @@ The criterion det(X'X), with X the n x (m+1) model matrix of the intercept
 and the factor columns, is evaluated exactly over the integers by
 fraction-free elimination.
 
-Exhaustive search returns the true optimum with every maximizer.  Flipping
+Exhaustive search returns the true optimum with every maximizer; it needs
+n >= m+1 runs, since with fewer every subset has det(X'X) = 0.  Flipping
 the sign of a factor leaves det(X'X) unchanged, and the 2^m sign flips map
 the candidate runs onto each other simply transitively, so every subset has a
 flip image that contains the first candidate.  The search therefore scores
@@ -174,6 +175,11 @@ def _gram_det(rows) -> int:
 def d_optimal_search(spec: SearchSpec) -> SearchResult:
     candidates = list(itertools.product((-1, 1), repeat=spec.m))
     if spec.mode == "exhaustive":
+        if spec.n < spec.m + 1:
+            raise InputError(
+                f"{spec.n} runs cannot make X'X nonsingular for {spec.m + 1} "
+                "parameters: every subset has det 0"
+            )
         count = math.comb(len(candidates), spec.n)
         if count > EXHAUSTIVE_CAP:
             raise ScaleError(
@@ -211,8 +217,6 @@ def _exhaustive(candidates, n: int) -> tuple[int, list[tuple[int, ...]]]:
     size = len(candidates)
     rows = _model_rows(candidates)
     p = len(rows[0])
-    if n < p:  # rank X <= n < p: every subset has det(X'X) = 0
-        return 0, list(itertools.combinations(range(size), n))
     pairs = [(a, b) for a in range(p) for b in range(a, p)]
     outer = [[r[a] * r[b] for a, b in pairs] for r in rows]
     slot = {pair: k for k, pair in enumerate(pairs)}

@@ -72,6 +72,25 @@ def test_regular_design_input_checks():
         regular_design_from_words(21, [])
 
 
+def test_regular_design_run_cap_not_factor_cap():
+    # 24 factors and 12 independent words: a 4096-run fraction, accepted
+    # because the cap is on the run count
+    rng = random.Random(24)
+    words = []
+    while len(words) < 12:
+        w = Word(tuple(rng.randint(0, 1) for _ in range(24)), rng.choice((-1, 1)))
+        if any(w.bits) and gf2_independent([v.bits for v in words] + [w.bits]):
+            words.append(w)
+    d = regular_design_from_words(24, words)
+    assert d.n == 4096
+    assert list(d.runs) == sorted(d.runs)
+    for w in words:
+        for run in d.runs:
+            assert math.prod(v for v, b in zip(run, w.bits) if b) == w.sign
+    with pytest.raises(ScaleError, match="2097152 runs"):
+        regular_design_from_words(21, [])
+
+
 def test_dependent_words_rejected():
     with pytest.raises(RankError):
         regular_design_from_words(

@@ -89,6 +89,16 @@ def test_exhaustive_m3_n4_finds_both_half_fractions():
     assert signs == {-1, 1}  # the two opposite half fractions
 
 
+def test_exhaustive_rejects_too_few_runs():
+    # 4 runs cannot give the 6 main-effect parameters of m=5 a nonsingular
+    # X'X; the search refuses before it builds any of the C(32, 4) subsets
+    for m, n in ((5, 4), (6, 5)):
+        with pytest.raises(InputError, match="cannot make X'X nonsingular"):
+            d_optimal_search(SearchSpec(m=m, n=n))
+    greedy = d_optimal_search(SearchSpec(m=5, n=4, mode="greedy-exchange", restarts=2))
+    assert greedy.best_det == 0
+
+
 def test_greedy_never_beats_exhaustive():
     exhaustive = d_optimal_search(SearchSpec(m=3, n=4))
     greedy = d_optimal_search(

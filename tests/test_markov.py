@@ -13,8 +13,11 @@ from algdoe import (
     full_factorial,
     markov_basis,
 )
-from algdoe.groebner import Budget
-from algdoe.markov import kernel_residual
+from algdoe import PolyRing, TermOrder, Word, regular_design_from_words
+from algdoe.covariates import recode_integer
+from algdoe.errors import EstimabilityError
+from algdoe.groebner import Budget, GroebnerBasis, buchberger, reduce_basis
+from algdoe.markov import _kernel_lattice, _reduce, kernel_residual
 
 
 def term(m, *idx):
@@ -116,6 +119,11 @@ def test_budget_error_reports_saturation_progress():
         markov_basis(A, budget=Budget(max_pairs=2))
     progress = r"saturating p\d+ \(\d+ of \d+ variables done\)"
     assert re.search(progress, str(exc.value))
+    counts = (
+        r"\d+ pairs made, \d+ skipped by the coprime criterion, "
+        r"\d+ by the Gebauer-Moeller criteria, peak basis size \d+"
+    )
+    assert re.search(counts, str(exc.value))
 
 
 # the pair cap of the conditional benchmark workload (perfbench/workloads.json)
@@ -276,3 +284,99 @@ def test_random_fibers_connected():
         for z in basis.moves:
             assert not any(kernel_residual(A, z))
         checked += 1
+
+
+def _reference_moves(A, budget=CAP):
+    """The same saturation sequence through the generic polynomial engine:
+    one groebner.buchberger call per saturated variable, each element then
+    divided by the power of that variable common to its two terms, and
+    reduce_basis under grevlex(p1..pn) at the end."""
+    recoded = recode_integer(A)
+    n = A.n
+    lattice, unit = _kernel_lattice(recoded, n)
+    if not lattice:
+        return ()
+    ring = PolyRing(tuple(f"p{i + 1}" for i in range(n)))
+    gens = [
+        ring.poly({tuple(max(v, 0) for v in z): 1, tuple(max(-v, 0) for v in z): -1})
+        for z in lattice
+    ]
+    for k in [k for k in range(n - 1) if k not in unit] + [n - 1]:
+        prec = tuple(i for i in range(n) if i != k) + (k,)
+        gb = buchberger(gens, TermOrder.grevlex(n, prec), budget=budget)
+        gens = []
+        for g in gb.elements:
+            common = min(e[k] for e in g.terms)
+            gens.append(ring.poly(
+                {e[:k] + (e[k] - common,) + e[k + 1:]: c for e, c in g.terms.items()}
+            ))
+    toric = reduce_basis(GroebnerBasis(TermOrder.grevlex(n), tuple(gens)))
+    moves = []
+    for g in toric.elements:
+        (e1, c1), (e2, _) = g.terms.items()
+        pos, neg = (e1, e2) if c1 == 1 else (e2, e1)
+        moves.append(tuple(a - b for a, b in zip(pos, neg)))
+    return tuple(sorted(moves))
+
+
+CONTRASTS = ("baseline", "symmetric", "complex")
+
+
+def _random_cross_route_model(rng, k):
+    """Fractions of 2^3 or 2^4 with m+2 to 12 runs, random main effects and
+    sometimes a two-factor interaction; every fourth case is instead a
+    fraction of the 3x3 under contrast k mod 3."""
+    if k % 4 == 3:
+        pool = list(full_factorial(2, 3).runs)
+        d = Design(2, 3, tuple(sorted(rng.sample(pool, rng.randint(7, 9)))), "integer")
+        return build_covariate_matrix(d, main_effects(2), CONTRASTS[k % 3])
+    m = rng.randint(3, 4)
+    pool = list(full_factorial(m).runs)
+    n = rng.randint(m + 2, min(12, len(pool)))
+    d = Design(m, 2, tuple(sorted(rng.sample(pool, n))), "pm1")
+    terms = [term(m)] + [term(m, j) for j in range(1, m + 1) if rng.random() < 0.8]
+    if rng.random() < 0.4:
+        terms.append(term(m, *rng.sample(range(1, m + 1), 2)))
+    return build_covariate_matrix(d, terms)
+
+
+def test_moves_match_generic_engine_random_models():
+    rng = random.Random(606)
+    checked = contrasts = 0
+    while checked < 36:
+        try:
+            A = _random_cross_route_model(rng, checked)
+        except EstimabilityError:
+            continue
+        assert markov_basis(A, CAP).moves == _reference_moves(A)
+        contrasts += A.design.s == 3
+        checked += 1
+    assert contrasts == 9
+
+
+def test_moves_match_generic_engine_resolution_iii_fraction():
+    # the 16-run 2^(7-3) fraction x5 = x1x2, x6 = x1x3, x7 = x2x3
+    words = (
+        Word((1, 1, 0, 0, 1, 0, 0), 1),
+        Word((1, 0, 1, 0, 0, 1, 0), 1),
+        Word((0, 1, 1, 0, 0, 0, 1), 1),
+    )
+    A = build_covariate_matrix(regular_design_from_words(7, words), main_effects(7))
+    moves = markov_basis(A, CAP).moves
+    assert len(moves) == 33
+    assert moves == _reference_moves(A)
+
+
+def test_resolution_iv_fraction_move_degrees(w16):
+    # the 16-run 2^(7-3) resolution IV main-effects model: 7 moves of degree
+    # 2 and 70 of degree 4, as the generic engine gives them (10 s there)
+    moves = markov_basis(build_covariate_matrix(w16, main_effects(7)), CAP).moves
+    degrees = sorted(sum(abs(v) for v in z) // 2 for z in moves)
+    assert degrees == [2] * 7 + [4] * 70
+
+
+def test_reduce_tail_reduces_trails():
+    # {x2 - x3, x1^2 - x1x2} is a Groebner basis under grevlex with x3 last
+    # (coprime leads); the reduced one replaces the trail x1x2 by x1x3
+    basis = [((2, 0, 0), (1, 1, 0)), ((0, 1, 0), (0, 0, 1))]
+    assert sorted(_reduce(basis, 3)) == [((0, 1, 0), (0, 0, 1)), ((2, 0, 0), (1, 0, 1))]
