@@ -14,7 +14,9 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .covariates import build_covariate_matrix, parse_model_terms, recode_integer
+from .covariates import (
+    _check_counts, build_covariate_matrix, parse_model_terms, recode_integer,
+)
 from .designs import (
     Design,
     design_ideal,
@@ -115,13 +117,8 @@ def print_basis(gb: GroebnerBasis, out) -> None:
         print(g.text(gb.order), file=out)
 
 
-def _budget(args) -> Budget:
-    return Budget(max_pairs=args.max_pairs, max_terms=args.max_terms)
-
-
 def _add_budget_flags(sub):
     sub.add_argument("--max-pairs", type=int, default=Budget().max_pairs)
-    sub.add_argument("--max-terms", type=int, default=Budget().max_terms)
 
 
 def _frac(x: Fraction) -> str:
@@ -155,7 +152,7 @@ def cmd_gb(args, out) -> int:
         ring = PolyRing(names)
         order = make_order(args.order, len(names), args.vars, names)
         gens = [ring.parse(ln) for ln in lines[1:]]
-        gb = buchberger(gens, order, budget=_budget(args))
+        gb = buchberger(gens, order, budget=Budget(args.max_pairs, args.max_terms))
     print_basis(gb, out)
     return 0
 
@@ -296,7 +293,7 @@ def cmd_model(args, out) -> int:
 def cmd_basis(args, out) -> int:
     d = load_design(args.design)
     A = _load_model(args, d)
-    basis = markov_basis(A, budget=_budget(args))
+    basis = markov_basis(A, budget=Budget(max_pairs=args.max_pairs))
     payload = {
         "schema": SCHEMA,
         "n": A.n,
@@ -313,11 +310,7 @@ def _load_counts(path: str, n: int):
         y = [int(v) for v in values]
     except ValueError as exc:
         raise InputError(f"counts file must hold integers: {exc}") from exc
-    if len(y) != n:
-        raise InputError(f"expected {n} counts, found {len(y)}")
-    if any(v < 0 for v in y):
-        raise InputError("counts must be nonnegative")
-    return y
+    return _check_counts(n, y)
 
 
 def cmd_mctest(args, out) -> int:
@@ -330,7 +323,7 @@ def cmd_mctest(args, out) -> int:
         samples=args.samples,
         thinning=args.thin,
     )
-    basis = markov_basis(A, budget=_budget(args))
+    basis = markov_basis(A, budget=Budget(max_pairs=args.max_pairs))
     result = mh_sample(A, y0, basis, args.stat, cfg, chains=args.chains)
     payload = {
         "schema": SCHEMA,
@@ -423,6 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--order", default="grevlex")
     sub.add_argument("--vars", default=None)
     _add_budget_flags(sub)
+    sub.add_argument("--max-terms", type=int, default=Budget().max_terms)
     sub.set_defaults(func=cmd_gb)
 
     sub = subs.add_parser("ideal", help="design ideal generators (reduced basis)")

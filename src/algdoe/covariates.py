@@ -18,9 +18,10 @@ of them to a nonnegative integer matrix with an identical fiber.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 
 from .cyclotomic import CyclotomicNumber, Echelon, omega
 from .designs import Design, _value_vector, monomial_name, parse_monomial
@@ -59,11 +60,21 @@ class CovariateMatrix:
         ]
 
     def sufficient_statistic(self, y) -> tuple:
-        if len(y) != self.n:
-            raise InputError("observation length does not match the run count")
-        return tuple(
-            sum(c * int(v) for c, v in zip(col, y)) for col in self.columns
-        )
+        y = _check_counts(self.n, y)
+        return tuple(sum(c * v for c, v in zip(col, y)) for col in self.columns)
+
+
+def _check_counts(n: int, y) -> tuple[int, ...]:
+    """The counts y as ints; InputError unless they are n nonnegative integers."""
+    y = tuple(y)
+    if len(y) != n:
+        raise InputError(f"expected {n} counts, found {len(y)}")
+    for v in y:
+        if not (isinstance(v, numbers.Real) and isfinite(v) and v == int(v)):
+            raise InputError(f"counts must be integers, found {v!r}")
+        if v < 0:
+            raise InputError(f"counts must be nonnegative, found {v!r}")
+    return tuple(int(v) for v in y)
 
 
 def parse_model_terms(text: str, m: int):

@@ -12,9 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .covariates import CovariateMatrix, recode_integer
+from .covariates import CovariateMatrix, _check_counts, recode_integer
 from .cyclotomic import Echelon
 from .errors import GlmConvergenceError, InputError
 
@@ -31,20 +29,40 @@ class GlmFit:
     converged: bool
 
 
-def design_matrix(A: CovariateMatrix) -> np.ndarray:
-    """Real design matrix for the fit.
+def design_matrix(A: CovariateMatrix) -> tuple[tuple[float, ...], ...]:
+    """Real design matrix for the fit, as a tuple of rows.
 
     Rational matrices are used as-is (rank-checked at construction), so the
     coefficient vector aligns with the covariate columns.  A complex-contrast
     matrix is replaced by a column basis of its integer recoding, which spans
     the same rational space and therefore yields the identical fit.
     """
-    if not isinstance(A.columns[0][0], Fraction):
+    columns = A.columns
+    if not isinstance(columns[0][0], Fraction):
         ech = Echelon()
-        kept = [col for j, col in enumerate(recode_integer(A))
-                if ech.insert(map(Fraction, col), j) is None]
-        return np.array(kept, dtype=float).T
-    return np.array([[float(v) for v in col] for col in A.columns], dtype=float).T
+        columns = [col for j, col in enumerate(recode_integer(A))
+                   if ech.insert(map(Fraction, col), j) is None]
+    return tuple(tuple(map(float, row)) for row in zip(*columns))
+
+
+def _solve(M, b):
+    """Solve M x = b by Gaussian elimination with partial pivoting, as LAPACK
+    gesv does; exact first-nonzero pivots would be unsafe in floats."""
+    p = len(b)
+    a = [list(row) + [bi] for row, bi in zip(M, b)]
+    for c in range(p):
+        r = max(range(c, p), key=lambda i: abs(a[i][c]))
+        if a[r][c] == 0.0:
+            raise GlmConvergenceError(f"singular information matrix: zero pivot {c + 1}")
+        a[c], a[r] = a[r], a[c]
+        for i in range(c + 1, p):
+            f = a[i][c] / a[c][c]
+            for k in range(c, p + 1):
+                a[i][k] -= f * a[c][k]
+    x = [0.0] * p
+    for i in reversed(range(p)):
+        x[i] = (a[i][p] - sum(a[i][k] * x[k] for k in range(i + 1, p))) / a[i][i]
+    return x
 
 
 def fit_null_glm(A: CovariateMatrix, y0) -> GlmFit:
@@ -53,47 +71,42 @@ def fit_null_glm(A: CovariateMatrix, y0) -> GlmFit:
     Raises :class:`GlmConvergenceError` when the score equations cannot be
     satisfied, which happens on boundary sufficient statistics.
     """
-    y = np.asarray([int(v) for v in y0], dtype=float)
-    if y.shape[0] != A.n:
-        raise InputError("observation length does not match the run count")
-    if np.any(y < 0):
-        raise InputError("observations must be nonnegative")
+    y = _check_counts(A.n, y0)
     X = design_matrix(A)
-    n, p = X.shape
-    if y.sum() == 0:
+    n, p = len(X), len(X[0])
+    if sum(y) == 0:
         raise GlmConvergenceError("all-zero observations lie on the boundary")
 
-    beta = np.zeros(p)
-    beta[0] = math.log(y.mean())
-    # the recoded intercept is the first column and is identically one
-    eta = X @ beta
-    mu = np.exp(eta)
-
-    def deviance(mu_):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(y > 0, y * np.log(y / mu_), 0.0)
-        return 2.0 * float(np.sum(term - (y - mu_)))
-
-    dev = deviance(mu)
-    for _ in range(MAX_ITER):
-        score = X.T @ (y - mu)
-        if float(np.max(np.abs(score))) <= SCORE_TOL:
-            return GlmFit(tuple(map(float, beta)), tuple(map(float, mu)), True)
-        W = mu
-        XtWX = X.T @ (X * W[:, None])
+    def means_and_deviance(beta_):
+        # a mean that overflows, or vanishes under a positive count, gives an
+        # infinite deviance so that the step is halved
         try:
-            step = np.linalg.solve(XtWX, score)
-        except np.linalg.LinAlgError as exc:
-            raise GlmConvergenceError(f"singular information matrix: {exc}") from exc
+            mu_ = [math.exp(sum(x * b for x, b in zip(row, beta_))) for row in X]
+            dev_ = 2.0 * sum((yi * math.log(yi / mi) if yi > 0 else 0.0) - (yi - mi)
+                             for yi, mi in zip(y, mu_))
+        except (OverflowError, ZeroDivisionError):
+            return None, math.inf
+        return mu_, dev_
+
+    # the recoded intercept is the first column and is identically one
+    beta = [math.log(sum(y) / n)] + [0.0] * (p - 1)
+    mu, dev = means_and_deviance(beta)
+    for _ in range(MAX_ITER):
+        resid = [yi - mi for yi, mi in zip(y, mu)]
+        score = [sum(row[j] * r for row, r in zip(X, resid)) for j in range(p)]
+        if max(map(abs, score)) <= SCORE_TOL:
+            return GlmFit(tuple(beta), tuple(mu), True)
+        WX = [[x * mi for x in row] for row, mi in zip(X, mu)]
+        XtWX = [[sum(row[j] * wrow[k] for row, wrow in zip(X, WX)) for k in range(p)]
+                for j in range(p)]
+        step = _solve(XtWX, score)
         # step halving keeps the deviance from increasing or diverging
         scale = 1.0
         for _ in range(40):
-            candidate = beta + scale * step
-            mu_new = np.exp(X @ candidate)
-            if np.all(np.isfinite(mu_new)):
-                dev_new = deviance(mu_new)
-                if math.isfinite(dev_new) and dev_new <= dev + 1e-12:
-                    break
+            candidate = [b + scale * s for b, s in zip(beta, step)]
+            mu_new, dev_new = means_and_deviance(candidate)
+            if math.isfinite(dev_new) and dev_new <= dev + 1e-12:
+                break
             scale /= 2.0
         else:
             raise GlmConvergenceError("step halving failed to make progress")

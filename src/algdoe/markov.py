@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import add, and_, le, neg, not_, or_, sub
 
-from .covariates import CovariateMatrix, recode_integer
+from .covariates import CovariateMatrix, _check_counts, recode_integer
 from .errors import BudgetError, InputError, ScaleError
 from .groebner import Budget, DEFAULT_BUDGET
 
@@ -364,11 +364,7 @@ def enumerate_fiber(
     the total of y0 and the run count to stay within the caps, and stops with
     :class:`ScaleError` after MAX_FIBER_NODES search nodes.
     """
-    y0 = tuple(int(v) for v in y0)
-    if any(v < 0 for v in y0):
-        raise InputError("observations must be nonnegative integers")
-    if len(y0) != A.n:
-        raise InputError("observation length does not match the run count")
+    y0 = _check_counts(A.n, y0)
     total = sum(y0)
     if total > max_total:
         raise ScaleError(f"fiber total {total} exceeds the cap {max_total}")
@@ -429,10 +425,10 @@ def enumerate_fiber(
 
 def fiber_connected(A: CovariateMatrix, y0, basis: MarkovBasis, **caps) -> bool:
     """BFS oracle: do the basis moves connect the whole fiber of y0?"""
-    fiber = set(enumerate_fiber(A, y0, **caps))
+    start = _check_counts(A.n, y0)
+    fiber = set(enumerate_fiber(A, start, **caps))
     if not fiber:
         return True
-    start = tuple(int(v) for v in y0)
     seen = {start}
     frontier = [start]
     while frontier:

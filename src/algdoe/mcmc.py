@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covariates import CovariateMatrix
+from .covariates import CovariateMatrix, _check_counts
 from .errors import InputError
 from .glm import GlmFit, fit_null_glm, test_statistic
 from .markov import MarkovBasis, enumerate_fiber
@@ -76,7 +76,7 @@ def chain_states(y0, moves, cfg: ChainConfig, seed: int | None = None):
     Deterministic given the seed.
     """
     rng = random.Random(cfg.seed if seed is None else seed)
-    y = [int(v) for v in y0]
+    y = list(y0)
     n = len(y)
     total = sum(y)
     lgam = [math.lgamma(k + 1) for k in range(total + 1)]
@@ -135,7 +135,7 @@ def mh_sample(
     """
     if chains < 1:
         raise InputError("need at least one chain")
-    y0 = tuple(int(v) for v in y0)
+    y0 = _check_counts(A.n, y0)
     if fit is None:
         fit = fit_null_glm(A, y0)
     t_obs = test_statistic(kind, y0, fit)
@@ -177,7 +177,7 @@ def exact_p_value(
     The fiber weights 1/prod(y_i!) are handled exactly, as the integers
     N!/prod(y_i!); only the test statistic itself is floating point.
     """
-    y0 = tuple(int(v) for v in y0)
+    y0 = _check_counts(A.n, y0)
     fiber = enumerate_fiber(A, y0, max_total=max_total, max_runs=max_runs)
     if y0 not in fiber:
         raise InputError("the observed vector is not in its own fiber")

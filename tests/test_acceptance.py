@@ -343,7 +343,7 @@ def test_criterion_10_glm(d22):
             X = design_matrix(A)
             residual = max(
                 abs(sum(X[i][j] * (y[i] - fit.mu[i]) for i in range(A.n)))
-                for j in range(X.shape[1])
+                for j in range(len(X[0]))
             )
             assert residual <= 1e-8
             checked += 1

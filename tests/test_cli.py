@@ -272,3 +272,31 @@ def test_budget_exit_code(tmp_path):
         "--max-pairs", "2",
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["basis", "mctest"])
+def test_max_terms_rejected_on_markov_commands(workdir, command):
+    # the Markov engine holds two terms per element, so only gb takes the flag
+    argv = [
+        command,
+        "--design", str(workdir / "d22.design"),
+        "--model", str(workdir / "main2.model"),
+        "--max-terms", "5",
+    ]
+    if command == "mctest":
+        argv += ["--y", str(workdir / "counts.txt"), "--seed", "1"]
+    with pytest.raises(SystemExit) as exc:
+        invoke(*argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("counts", ["0 2 2\n", "0 -2 2 0\n", "0 1.5 2 0\n"])
+def test_bad_counts_exit_code(workdir, counts):
+    (workdir / "bad.txt").write_text(counts)
+    code, _ = invoke(
+        "exact",
+        "--design", str(workdir / "d22.design"),
+        "--model", str(workdir / "main2.model"),
+        "--y", str(workdir / "bad.txt"),
+    )
+    assert code == 2

@@ -1,9 +1,18 @@
+from fractions import Fraction
+
 import pytest
 
 from algdoe import (
+    ChainConfig,
     EstimabilityError,
     InputError,
     build_covariate_matrix,
+    enumerate_fiber,
+    exact_p_value,
+    fiber_connected,
+    fit_null_glm,
+    markov_basis,
+    mh_sample,
     recode_integer,
 )
 from algdoe.covariates import parse_model_terms
@@ -128,3 +137,33 @@ def test_parse_model_terms():
 def test_duplicate_terms_rejected(d22):
     with pytest.raises(InputError):
         build_covariate_matrix(d22, [term(2), term(2, 1), term(2, 1)])
+
+
+COUNT_ENTRY_POINTS = {
+    "sufficient_statistic": lambda A, basis, y: A.sufficient_statistic(y),
+    "fit_null_glm": lambda A, basis, y: fit_null_glm(A, y),
+    "enumerate_fiber": lambda A, basis, y: enumerate_fiber(A, y),
+    "fiber_connected": lambda A, basis, y: fiber_connected(A, y, basis),
+    "mh_sample": lambda A, basis, y: mh_sample(
+        A, y, basis, "pearson", ChainConfig(seed=1, burn_in=0, samples=10)
+    ),
+    "exact_p_value": lambda A, basis, y: exact_p_value(A, y, "pearson"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "y", [(1.7, 1, 1, 1), (-1, 1, 1, 1), (1, 1, 1)], ids=["float", "negative", "length"]
+)
+def test_counts_rejected_at_every_entry_point(d22, entry, y):
+    # int() used to truncate 1.7 to 1, so the fit and p-value were of (1, 1, 1, 1)
+    A = build_covariate_matrix(d22, main_effects(2))
+    with pytest.raises(InputError):
+        COUNT_ENTRY_POINTS[entry](A, markov_basis(A), y)
+
+
+def test_integral_counts_of_any_numeric_type_accepted(d22):
+    A = build_covariate_matrix(d22, main_effects(2))
+    assert A.sufficient_statistic((2.0, Fraction(1), True, 0)) == A.sufficient_statistic(
+        (2, 1, 1, 0)
+    )

@@ -1,7 +1,15 @@
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import algdoe
 
 from algdoe import (
     GlmConvergenceError,
@@ -69,7 +77,7 @@ def test_score_residuals_random_instances():
         X = design_matrix(A)
         residual = max(
             abs(sum(X[i][j] * (y[i] - fit.mu[i]) for i in range(A.n)))
-            for j in range(X.shape[1])
+            for j in range(len(X[0]))
         )
         assert residual <= 1e-8
         checked += 1
@@ -97,6 +105,77 @@ def test_boundary_statistic_converges_to_face(d22):
     fit = fit_null_glm(A, (5, 5, 0, 0))
     assert fit.mu[0] == pytest.approx(5.0, abs=1e-6)
     assert fit.mu[2] == pytest.approx(0.0, abs=1e-6)
+
+
+def test_cli_import_loads_no_numpy():
+    env = dict(os.environ)
+    src = str(Path(algdoe.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, algdoe.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
+@st.composite
+def boundary_counts(draw):
+    # cells of a 2^m full factorial, with whole faces x_j = +-1 often empty
+    m = draw(st.sampled_from([2, 3]))
+    y = draw(st.lists(st.integers(0, 200 // 2**m), min_size=2**m, max_size=2**m))
+    runs = full_factorial(m).runs
+    for j, sign in draw(st.lists(st.tuples(st.integers(0, m - 1), st.sampled_from([-1, 1])),
+                                 max_size=2)):
+        y = [0 if run[j] == sign else v for v, run in zip(y, runs)]
+    return m, tuple(y)
+
+
+def assert_converges_or_raises_convergence_error(A, y):
+    from algdoe.glm import design_matrix
+
+    try:
+        fit = fit_null_glm(A, y)
+    except GlmConvergenceError:
+        return
+    X = design_matrix(A)
+    residual = max(
+        abs(sum(X[i][j] * (y[i] - fit.mu[i]) for i in range(A.n)))
+        for j in range(len(X[0]))
+    )
+    assert residual <= 1e-8
+
+
+@settings(max_examples=150, deadline=None)
+@given(boundary_counts())
+def test_boundary_fits_converge_or_raise_convergence_error(case):
+    m, y = case
+    A = build_covariate_matrix(full_factorial(m), main_effects(m))
+    assert_converges_or_raises_convergence_error(A, y)
+
+
+@pytest.mark.parametrize(
+    "terms, y",
+    [
+        (list(itertools.product((0, 1), repeat=3)), (0, 0, 190040, 1, 0, 5, 0, 1)),
+        (main_effects(3) + [term(3, 1, 2)], (1, 1, 1, 536702, 0, 0, 1, 0)),
+    ],
+    ids=["exp-overflow", "zero-mean"],
+)
+def test_extreme_counts_converge_or_raise_convergence_error(terms, y):
+    # a full IRLS step here overflows exp() or drives a mean under a positive
+    # count to zero; either must count as an infinite deviance and halve it
+    A = build_covariate_matrix(full_factorial(3), terms)
+    assert_converges_or_raises_convergence_error(A, y)
+
+
+def test_solve_pivots_on_the_largest_entry():
+    from algdoe.glm import _solve
+
+    # the first nonzero pivot, 1e-20, would lose x1 entirely in floats
+    x = _solve([[1e-20, 1.0], [1.0, 1.0]], [1.0, 2.0])
+    assert x == pytest.approx([1.0, 1.0])
+    with pytest.raises(GlmConvergenceError):
+        _solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0])
 
 
 def test_statistics_at_fit_are_zero():

@@ -60,10 +60,6 @@ def test_intercept_only_moves():
 def test_moves_lie_in_kernel(d22, w16):
     for d, terms in ((d22, main_effects(2)), (w16, main_effects(7))):
         A = build_covariate_matrix(d, terms)
-        if d is w16:
-            # the 16-run basis is too heavy for the desk budget; skip the toric
-            # computation and only exercise the kernel check on the small case
-            continue
         basis = markov_basis(A)
         for z in basis.moves:
             assert not any(kernel_residual(A, z))
