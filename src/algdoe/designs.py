@@ -142,17 +142,27 @@ class Word:
             raise InputError("the empty word is not allowed")
 
 
-def gf2_independent(vectors) -> bool:
-    rows = [int("".join(str(b) for b in v), 2) if any(v) else 0 for v in vectors]
-    basis: list[int] = []
-    for r in rows:
-        for b in basis:
-            r = min(r, r ^ b)
-        if r == 0:
-            return False
-        basis.append(r)
-        basis.sort(reverse=True)
+def _gf2_insert(rows: dict[int, int], v: int) -> bool:
+    """Add bitmask v to ``rows``, a fully reduced GF(2) echelon keyed by each
+    row's highest set bit; False, with ``rows`` unchanged, if v is in its span."""
+    for lead, row in rows.items():
+        if v >> lead & 1:
+            v ^= row
+    if not v:
+        return False
+    lead = v.bit_length() - 1
+    for other, row in rows.items():
+        if row >> lead & 1:
+            rows[other] = row ^ v
+    rows[lead] = v
     return True
+
+
+def gf2_independent(vectors) -> bool:
+    rows: dict[int, int] = {}
+    return all(
+        _gf2_insert(rows, sum(1 << j for j, b in enumerate(v) if b)) for v in vectors
+    )
 
 
 def regular_design_from_words(m: int, words) -> Design:
@@ -179,24 +189,16 @@ def regular_design_from_words(m: int, words) -> Design:
         raise ScaleError(
             f"a fraction of {size} runs exceeds the cap of {MAX_REGULAR_RUNS}"
         )
-    # a word is (mask, sign) with bit j of the mask for factor j; multiplying
-    # two words multiplies their signs, since x_j^2 = 1
-    pivots: dict[int, tuple[int, int]] = {}
+    # a word is bit 0 for sign -1 plus bit j+1 for factor j, so that adding two
+    # words multiplies their signs, since x_j^2 = 1
+    pivots: dict[int, int] = {}
     for w in words:
-        mask = sum(1 << j for j, b in enumerate(w.bits) if b)
-        sign = w.sign
-        for lead, (pmask, psign) in pivots.items():
-            if mask >> lead & 1:
-                mask, sign = mask ^ pmask, sign * psign
-        lead = mask.bit_length() - 1
-        for other, (omask, osign) in pivots.items():
-            if omask >> lead & 1:
-                pivots[other] = (omask ^ mask, osign * sign)
-        pivots[lead] = (mask, sign)
-    free = [j for j in range(m) if j not in pivots]
+        mask = sum(2 << j for j, b in enumerate(w.bits) if b)
+        _gf2_insert(pivots, mask | (w.sign < 0))
+    free = [j for j in range(m) if j + 1 not in pivots]
     rules = [
-        (lead, sign, [j for j in range(lead) if mask >> j & 1])
-        for lead, (mask, sign) in sorted(pivots.items())
+        (lead - 1, -1 if row & 1 else 1, [j for j in range(lead - 1) if row & 2 << j])
+        for lead, row in sorted(pivots.items())
     ]
     runs = []
     for values in itertools.product((-1, 1), repeat=len(free)):
@@ -306,9 +308,9 @@ def alias_table(d: Design, max_degree: int = 2):
         raise InputError("alias tables are defined for two-level designs")
     groups: dict[tuple[int, ...], list[tuple[Monomial, int]]] = {}
     monos = [
-        mono
-        for mono in itertools.product((0, 1), repeat=d.m)
-        if sum(mono) <= max_degree
+        tuple(int(j in factors) for j in range(d.m))
+        for degree in range(max_degree + 1)
+        for factors in itertools.combinations(range(d.m), degree)
     ]
     monos.sort(key=lambda a: (sum(a), tuple(-e for e in a)))
     for mono in monos:

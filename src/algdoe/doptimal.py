@@ -22,6 +22,7 @@ Experiments*, 1972)
     det(G - vv' + uu') = ((D + u'Au)(D - v'Av) + (u'Av)^2) / D,
 
 whose division is exact.  While D = 0 the trials are evaluated directly.
+Both modes list the 2^m candidate runs, so each checks its cap first.
 
 Every returned optimum is checked against ``d_criterion`` before it is
 returned.
@@ -40,6 +41,7 @@ from .errors import InputError, ScaleError
 from .indicators import DesignClass, classify_design
 
 EXHAUSTIVE_CAP = 10_000_000
+MAX_CANDIDATES = 2**20
 
 
 @dataclass(frozen=True)
@@ -173,18 +175,24 @@ def _gram_det(rows) -> int:
 
 
 def d_optimal_search(spec: SearchSpec) -> SearchResult:
-    candidates = list(itertools.product((-1, 1), repeat=spec.m))
     if spec.mode == "exhaustive":
         if spec.n < spec.m + 1:
             raise InputError(
                 f"{spec.n} runs cannot make X'X nonsingular for {spec.m + 1} "
                 "parameters: every subset has det 0"
             )
-        count = math.comb(len(candidates), spec.n)
+        count = math.comb(2**spec.m, spec.n)
         if count > EXHAUSTIVE_CAP:
             raise ScaleError(
                 f"exhaustive search over {count} subsets exceeds the cap"
             )
+    elif 2**spec.m > MAX_CANDIDATES:
+        raise ScaleError(
+            f"greedy exchange over {2**spec.m} candidate runs exceeds the cap "
+            f"of {MAX_CANDIDATES}"
+        )
+    candidates = list(itertools.product((-1, 1), repeat=spec.m))
+    if spec.mode == "exhaustive":
         best, optima = _exhaustive(candidates, spec.n)
         runs_list = [tuple(candidates[c] for c in subset) for subset in optima]
     else:

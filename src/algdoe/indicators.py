@@ -10,7 +10,10 @@ realized as an exact integer Walsh-Hadamard transform of the 0/1 run table.
 The inverse, :func:`design_from_indicator`, applies the same transform to the
 scaled coefficients, evaluating the indicator at all 2^m points in O(m*2^m);
 it certifies every indicator computed here, at every m <= 20.  Classification
-checks its witness words directly on the runs.
+needs neither transform nor cap on m: as x^a = +-1, |b_a| = b_0 holds exactly
+when x^a is constant on F, that is when a is orthogonal over GF(2) to every
+difference of two runs, so :func:`classify_design` works on the GF(2) rank of
+those differences and checks its witness words directly on the runs.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .designs import Design, Word, _value_vector, gf2_independent
+from .designs import Design, Word, _gf2_insert, _value_vector
 from .errors import InputError, InvalidIndicatorError, ScaleError
 from .orders import Monomial
 from .polynomials import PolyRing, Polynomial
@@ -259,57 +262,47 @@ class DesignClass:
     diagnostic: str | None = None
 
 
-def _independent_words(bits_list, signs) -> tuple[Word, ...]:
-    """A GF(2)-independent generating subset, in deterministic order."""
-    chosen: list[Word] = []
-    chosen_bits: list[tuple[int, ...]] = []
-    for bits, sign in sorted(zip(bits_list, signs)):
-        if gf2_independent(chosen_bits + [bits]):
-            chosen.append(Word(bits, sign))
-            chosen_bits.append(bits)
-    return tuple(chosen)
-
-
 def classify_design(d: Design) -> DesignClass:
-    """Classify a two-level design by its indicator coefficients.
+    """Classify a two-level design by the GF(2) rank of its run differences.
 
-    Regular: every nonzero coefficient has magnitude equal to the constant
-    term, and the implied words hold on every run with n * 2^k = 2^m for k
-    words (independent over GF(2), so they define exactly 2^(m-k) runs).
-    Subset-fractional: non-regular, but some nonconstant coefficient reaches
-    the constant term; those terms define a containing regular design.
-    Affinely-full-dimensional: no nonconstant coefficient reaches the
-    constant term.
+    The witness words are the reduced echelon basis of the words constant on
+    the runs, in ascending order, each signed by its value on the first run.
+    Regular: the k words hold on every run and n * 2^k = 2^m, so they define
+    exactly the runs.  Subset-fractional: they define a larger regular design
+    that contains the runs.  Affinely-full-dimensional: the differences have
+    full rank m, so no word is constant on the runs.
     """
     if d.s != 2:
         raise InputError("classification is defined for two-level designs")
     if d.n == 2**d.m:
         return DesignClass("full-factorial")
-    f = indicator_from_design(d)
-    b0 = f.constant_term()
-    zero = (0,) * d.m
-    big = [
-        (bits, 1 if c > 0 else -1)
-        for bits, c in f.coeffs.items()
-        if bits != zero and abs(c) == b0
-    ]
-    all_extreme = all(abs(c) == b0 for c in f.coeffs.values())
-    if big:
-        words = _independent_words([b for b, _ in big], [s for _, s in big])
-        contained = all(
-            v == w.sign for w in words for v in _value_vector(d, w.bits)
-        )
-        if all_extreme and contained and d.n << len(words) == 1 << d.m:
-            return DesignClass("regular", words=words)
-        if contained:
-            return DesignClass("subset-fractional", words=words)
-        return DesignClass(
-            "subset-fractional",
-            words=words,
-            diagnostic="witness words do not contain the design; "
-            "coefficient criterion and reconstruction disagree",
-        )
-    return DesignClass("affinely-full-dimensional")
+    masks = [sum(1 << j for j, v in enumerate(run) if v < 0) for run in d.runs]
+    span: dict[int, int] = {}
+    for mask in masks:
+        _gf2_insert(span, mask ^ masks[0])
+    if len(span) == d.m:
+        return DesignClass("affinely-full-dimensional")
+    # bit j is factor j+1; a factor f leading no row gives the word f plus the
+    # leads of the rows holding f.  Those leads exceed f, so, sorted, these
+    # words are the reduced echelon basis keyed on the first factor.
+    words = []
+    for f in range(d.m):
+        if f not in span:
+            w = 1 << f | sum(1 << p for p, row in span.items() if row >> f & 1)
+            sign = -1 if (w & masks[0]).bit_count() & 1 else 1
+            words.append(Word(tuple(w >> j & 1 for j in range(d.m)), sign))
+    words = tuple(sorted(words, key=lambda w: w.bits))
+    contained = all(v == w.sign for w in words for v in _value_vector(d, w.bits))
+    if contained and d.n << len(words) == 1 << d.m:
+        return DesignClass("regular", words=words)
+    if contained:
+        return DesignClass("subset-fractional", words=words)
+    return DesignClass(
+        "subset-fractional",
+        words=words,
+        diagnostic="witness words do not contain the design; "
+        "GF(2) complement and runs disagree",
+    )
 
 
 def word_group(words) -> set[tuple[tuple[int, ...], int]]:

@@ -129,6 +129,18 @@ def test_classify_json(workdir):
     assert (code, payload["class"]) == (0, "full-factorial")
 
 
+def test_classify_l8_witness_words(workdir):
+    code, text = invoke("classify", "--design", str(workdir / "l8.design"))
+    payload = json.loads(text)
+    assert (code, payload["class"]) == (0, "regular")
+    assert payload["witness_words"] == [
+        {"monomial": "x4*x5*x6*x7", "sign": 1},
+        {"monomial": "x3*x5*x6", "sign": -1},
+        {"monomial": "x2*x5*x7", "sign": -1},
+        {"monomial": "x1*x6*x7", "sign": -1},
+    ]
+
+
 def test_model_and_basis_json(workdir):
     code, text = invoke(
         "model",
@@ -245,6 +257,11 @@ def test_doptimal_greedy_json():
     assert payload["optima"] == [[list(run) for run in res.optima[0].runs]]
     listed = Design(5, 2, tuple(tuple(run) for run in payload["optima"][0]), "pm1")
     assert d_criterion(listed) == payload["optimum"]
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "greedy-exchange"])
+def test_doptimal_scale_exit_code(mode):
+    assert invoke("doptimal", "--m", "40", "--n", "41", "--mode", mode)[0] == 3
 
 
 def test_input_error_exit_code(tmp_path):

@@ -234,6 +234,16 @@ def test_alias_table_w16_interactions_share_class(w16):
     assert mono(7, 4, 5) in members
 
 
+def test_alias_table_generates_only_low_degree_monomials():
+    # 2^40 square-free monomials exist; only the 1 + 40 + 780 of degree <= 2
+    # are generated, split by parity of degree on the runs (-1,...,-1), (1,...,1)
+    d = Design(40, 2, ((-1,) * 40, (1,) * 40), "pm1")
+    classes = alias_table(d, 2)
+    assert sum(len(cls) for cls in classes) == 821
+    assert len(classes) == 2
+    assert [cls[0] for cls in classes] == [((0,) * 40, 1), (mono(40, 1), 1)]
+
+
 def test_random_designs_est_size_matches_runs():
     rng = random.Random(123)
     for _ in range(5):

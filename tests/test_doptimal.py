@@ -196,6 +196,13 @@ def test_scale_cap():
         d_optimal_search(SearchSpec(m=6, n=12))
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "greedy-exchange"])
+def test_scale_cap_checked_before_listing_candidates(mode):
+    # listing 2^40 candidate runs first would exhaust memory
+    with pytest.raises(ScaleError):
+        d_optimal_search(SearchSpec(m=40, n=41, mode=mode))
+
+
 def test_spec_validation():
     with pytest.raises(InputError):
         SearchSpec(m=2, n=5)

@@ -17,7 +17,7 @@ from algdoe import (
     indicator_from_design,
     regular_design_from_words,
 )
-from algdoe.designs import gf2_independent
+from algdoe.designs import _value_vector, gf2_independent
 from algdoe.indicators import FactorRelation, IndicatorFunction, extend_design, word_group
 
 from conftest import L8_WORDS, random_two_level_design
@@ -262,6 +262,77 @@ def test_classification_large_regular_fractions_match_reconstruction():
             assert cls.tag == expected
             if cls.tag == "regular":
                 assert word_group(cls.words) == word_group(words)
+
+
+def _coefficient_route_classify(d):
+    """Reference classifier on the indicator coefficients: the words are the
+    smallest GF(2)-independent exponents with |b_a| = b_0, in sorted order."""
+    if d.n == 2**d.m:
+        return "full-factorial", (), None
+    f = indicator_from_design(d)
+    b0 = f.constant_term()
+    big = sorted(
+        (bits, 1 if c > 0 else -1)
+        for bits, c in f.coeffs.items()
+        if any(bits) and abs(c) == b0
+    )
+    if not big:
+        return "affinely-full-dimensional", (), None
+    words = []
+    for bits, sign in big:
+        if gf2_independent([w for w, _ in words] + [bits]):
+            words.append((bits, sign))
+    all_extreme = all(abs(c) == b0 for c in f.coeffs.values())
+    contained = all(
+        v == sign for bits, sign in words for v in _value_vector(d, bits)
+    )
+    if all_extreme and contained and d.n << len(words) == 1 << d.m:
+        return "regular", tuple(words), None
+    if contained:
+        return "subset-fractional", tuple(words), None
+    return "subset-fractional", tuple(words), "witness words do not contain the design"
+
+
+def _classified(d):
+    cls = classify_design(d)
+    return cls.tag, tuple((w.bits, w.sign) for w in cls.words), cls.diagnostic
+
+
+def test_classification_matches_coefficient_route():
+    rng = random.Random(2003)
+    for m in range(1, 9):
+        for n in range(1, 2**m + 1):
+            d = random_two_level_design(rng, m, n)
+            assert _classified(d) == _coefficient_route_classify(d), d.runs
+    for m in range(2, 13):
+        for _ in range(4):
+            k = rng.randint(1, m - 1)
+            words, bits_list = [], []
+            while len(words) < k:
+                bits = tuple(rng.randint(0, 1) for _ in range(m))
+                if any(bits) and gf2_independent(bits_list + [bits]):
+                    bits_list.append(bits)
+                    words.append(Word(bits, rng.choice((-1, 1))))
+            runs = regular_design_from_words(m, words).runs
+            subset = rng.sample(runs, rng.randint(1, len(runs)))
+            for d in (Design(m, 2, runs, "pm1"), Design(m, 2, tuple(subset), "pm1")):
+                assert _classified(d) == _coefficient_route_classify(d), d.runs
+
+
+def test_classification_beyond_the_indicator_cap():
+    # m = 24 is past the transform cap; the words come from the runs alone
+    rng = random.Random(24)
+    words, bits_list = [], []
+    while len(words) < 12:
+        bits = tuple(rng.randint(0, 1) for _ in range(24))
+        if any(bits) and gf2_independent(bits_list + [bits]):
+            bits_list.append(bits)
+            words.append(Word(bits, rng.choice((-1, 1))))
+    d = regular_design_from_words(24, words)
+    assert d.n == 4096
+    cls = classify_design(d)
+    assert (cls.tag, cls.diagnostic) == ("regular", None)
+    assert word_group(cls.words) == word_group(words)
 
 
 def test_classification_word_group_matches(l8):
