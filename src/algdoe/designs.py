@@ -184,10 +184,10 @@ def regular_design_from_words(m: int, words) -> Design:
             raise InputError(f"word {w} does not match {m} factors")
     if not gf2_independent([w.bits for w in words]):
         raise RankError("defining words are dependent over GF(2)")
-    size = 2 ** (m - len(words))
-    if size > MAX_REGULAR_RUNS:
+    if m - len(words) >= MAX_REGULAR_RUNS.bit_length():  # 2^(m-k) > the cap
         raise ScaleError(
-            f"a fraction of {size} runs exceeds the cap of {MAX_REGULAR_RUNS}"
+            f"a fraction of 2^{m - len(words)} runs exceeds the cap of "
+            f"{MAX_REGULAR_RUNS}"
         )
     # a word is bit 0 for sign -1 plus bit j+1 for factor j, so that adding two
     # words multiplies their signs, since x_j^2 = 1

@@ -31,7 +31,6 @@ returned.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import random
 from dataclasses import dataclass
@@ -57,7 +56,8 @@ class SearchSpec:
             raise InputError(f"unknown search mode {self.mode!r}")
         if self.n < 1 or self.m < 1:
             raise InputError("need at least one run and one factor")
-        if self.n > 2**self.m:
+        # n > 2^m, without building 2^m
+        if (self.n - 1).bit_length() > self.m:
             raise InputError("run count exceeds the candidate pool")
 
 
@@ -181,14 +181,14 @@ def d_optimal_search(spec: SearchSpec) -> SearchResult:
                 f"{spec.n} runs cannot make X'X nonsingular for {spec.m + 1} "
                 "parameters: every subset has det 0"
             )
-        count = math.comb(2**spec.m, spec.n)
-        if count > EXHAUSTIVE_CAP:
+        if _subsets_exceed(spec.m, spec.n, EXHAUSTIVE_CAP):
             raise ScaleError(
-                f"exhaustive search over {count} subsets exceeds the cap"
+                f"exhaustive search over C(2^{spec.m}, {spec.n}) subsets exceeds "
+                f"the cap of {EXHAUSTIVE_CAP}"
             )
-    elif 2**spec.m > MAX_CANDIDATES:
+    elif spec.m >= MAX_CANDIDATES.bit_length():  # 2^m > MAX_CANDIDATES
         raise ScaleError(
-            f"greedy exchange over {2**spec.m} candidate runs exceeds the cap "
+            f"greedy exchange over 2^{spec.m} candidate runs exceeds the cap "
             f"of {MAX_CANDIDATES}"
         )
     candidates = list(itertools.product((-1, 1), repeat=spec.m))
@@ -209,6 +209,19 @@ def d_optimal_search(spec: SearchSpec) -> SearchResult:
         tuple(classify_design(d) for d in designs),
         spec.mode == "exhaustive",
     )
+
+
+def _subsets_exceed(m: int, n: int, cap: int) -> bool:
+    """Whether C(2^m, n) > cap, for 1 <= n <= 2^m, building no integer
+    much larger than cap."""
+    if m >= cap.bit_length():  # C(2^m, n) >= 2^m > cap unless n = 2^m
+        return n.bit_length() <= m
+    size, count = 1 << m, 1
+    for i in range(min(n, size - n)):  # C(size, i) grows with i up to here
+        count = count * (size - i) // (i + 1)
+        if count > cap:
+            return True
+    return False
 
 
 def _exhaustive(candidates, n: int) -> tuple[int, list[tuple[int, ...]]]:

@@ -2,17 +2,21 @@
 elimination, vanishing ideals of points by Buchberger-Moeller, and standard
 monomials.
 
-The pair queue follows the normal strategy (smallest lcm under the active
-order, ties by index), with Buchberger's coprime criterion always on and the
-chain criterion behind a flag.  Exceeding the configured budget raises a
-structured :class:`~algdoe.errors.BudgetError` instead of hanging.
+Buchberger's algorithm and the binomial completions of the Markov engine keep
+their S-pairs in one :class:`_Completion`, by the criteria of Gebauer and
+Moeller, and take them smallest lcm under the active order first.  Exceeding
+the budget raises a structured :class:`~algdoe.errors.BudgetError` instead of
+hanging.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
+from itertools import compress
+from operator import and_, le, not_, or_
 
 from .cyclotomic import QQ, Echelon
 from .errors import (
@@ -30,7 +34,6 @@ from .polynomials import (
     _division,
     mono_divides,
     mono_lcm,
-    mono_mul,
     mono_quot,
     normal_form,
 )
@@ -86,18 +89,17 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
     return f.mul_term(mono_quot(l, fm), fc**-1) - g.mul_term(mono_quot(l, gm), gc**-1)
 
 
-def buchberger(
-    gens,
-    order: TermOrder,
-    budget: Budget = DEFAULT_BUDGET,
-    chain_criterion: bool = True,
-) -> GroebnerBasis:
+def buchberger(gens, order: TermOrder, budget: Budget = DEFAULT_BUDGET) -> GroebnerBasis:
     """Compute the reduced Groebner basis of the ideal generated by ``gens``.
 
     ``gens`` may be an :class:`IdealPresentation` or an iterable of nonzero
-    polynomials over a common ring.  The output is deterministic: pairs are
-    selected by smallest lcm, and the final basis is inter-reduced, monic, and
-    sorted by ascending leading monomial.
+    polynomials over a common ring.  Each generator, smallest leading
+    monomial first, and each S-polynomial is divided by the minimal basis,
+    which a nonzero remainder joins; the S-pairs are kept by the
+    Gebauer-Moeller criteria and taken smallest lcm first.  The output is
+    deterministic: inter-reduced, monic, and sorted by ascending leading
+    monomial.  A pair budget error reports the pairs made and skipped by
+    each criterion and the peak basis size.
     """
     if isinstance(gens, IdealPresentation):
         gens = gens.generators
@@ -113,73 +115,165 @@ def buchberger(
     if order.nvars != ring.nvars:
         raise InputError("term order universe does not match the ring")
 
-    key = order.key
-    basis: list[Polynomial] = []
-    lead: list[Monomial] = []
+    completion = _Completion(ring.nvars, order.key, budget.max_pairs)
+    elements: list[Polynomial] = []  # monic, numbered as their leads
     div_data: list = []
-    heap: list = []
-    done: set[tuple[int, int]] = set()
-    pairs_generated = 0
 
-    def push_pairs(j: int):
-        nonlocal pairs_generated
-        for i in range(j):
-            l = mono_lcm(lead[i], lead[j])
-            heapq.heappush(heap, (key(l), i, j))
-        pairs_generated += j
-        if pairs_generated > budget.max_pairs:
+    def remainder(f: Polynomial) -> dict:
+        minimal = [div_data[i] for i in completion.minimal()]
+        return _division(f.terms, minimal, order)[0]
+
+    def add(terms: dict):
+        g = Polynomial(ring, terms).monic(order)
+        lm, lc = g.leading_term(order)
+        completion.insert(lm)
+        elements.append(g)
+        div_data.append((g.terms, lm, lc))
+
+    for g in sorted(gens, key=lambda g: order.key(g.leading_monomial(order))):
+        if r := remainder(g):
+            add(r)
+    while (pair := completion.pop()) is not None:
+        i, j, _ = pair
+        r = remainder(s_polynomial(elements[i], elements[j], order))
+        if not r:
+            continue
+        if len(r) > budget.max_terms:
+            raise BudgetError(f"term budget exceeded ({len(r)} > {budget.max_terms})")
+        add(r)
+
+    minimal = tuple(elements[i] for i in completion.minimal())
+    return reduce_basis(GroebnerBasis(order, minimal, reduced=False))
+
+
+def _members(bits: int):
+    """The positions of the set bits, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+class _Completion:
+    """The leading monomials and S-pairs of one Buchberger completion.
+
+    Leads are exponent tuples numbered in the order they were added.  Their
+    support bitmasks are stored transposed: ``using[v]`` has bit i set when
+    lead i uses variable v, and ``active`` has bit i set while lead i is in
+    the minimal basis.  So the leads whose support lies inside that of a
+    monomial, the only ones that can divide it, are one OR over its zero
+    coordinates away.  Pairs (i, j, lcm of leads i and j) are numbered and
+    stored the same way, the live ones in ``live``, and are kept by the
+    criteria of Gebauer and Moeller (*J. Symb. Comput.* 6, 1988).
+    ``max_pairs`` bounds the pairs made, counted as the size of the minimal
+    basis at each insertion; a bare lead index (no :meth:`insert`) needs
+    neither it nor ``key``.
+    """
+
+    def __init__(self, nvars: int, key=None, max_pairs: int = 0):
+        self.key = key
+        self.max_pairs = max_pairs
+        self.lead = []
+        self.using = [0] * nvars
+        self.active = 0
+        self.pairs = []
+        self.live = 0
+        self.pairs_using = [0] * nvars
+        self.heap = []  # (key of the lcm, pair number)
+        self.made = self.coprime = self.chain = self.peak = 0
+
+    def divisor(self, u):
+        """The number of a lead of the minimal basis dividing x^u, or None."""
+        outside = functools.reduce(or_, compress(self.using, map(not_, u)), 0)
+        for i in _members(self.active & ~outside):
+            if all(map(le, self.lead[i], u)):
+                return i
+        return None
+
+    def minimal(self) -> list[int]:
+        """The numbers of the leads of the minimal basis, ascending."""
+        return list(_members(self.active))
+
+    def index(self, lead) -> int:
+        """Add ``lead`` to the minimal basis, making no pairs; its number."""
+        i = len(self.lead)
+        bit = 1 << i
+        for v in compress(range(len(lead)), lead):
+            self.using[v] |= bit
+        self.active |= bit
+        self.lead.append(lead)
+        return i
+
+    def insert(self, a):
+        """Add ``a``, which no lead of the minimal basis divides, update the
+        pairs and drop the leads it divides from the minimal basis."""
+        lead = self.lead
+        size = self.active.bit_count()
+        self.made += size
+        if self.made > self.max_pairs:
             raise BudgetError(
-                f"pair budget exceeded ({pairs_generated} > {budget.max_pairs})"
+                f"pair budget exceeded ({self.made} > {self.max_pairs}): "
+                f"{self.made} pairs made, {self.coprime} skipped by the coprime "
+                f"criterion, {self.chain} by the Gebauer-Moeller criteria, "
+                f"peak basis size {self.peak}"
             )
+        # leads that share a variable with a, and those whose support
+        # contains that of a (candidates for multiples of a)
+        sharing = self.active & functools.reduce(or_, compress(self.using, a), 0)
+        covering = functools.reduce(and_, compress(self.using, a), self.active)
+        h = self.index(a)
 
-    def add(poly: Polynomial):
-        monic = poly.monic(order)
-        lm, lc = monic.leading_term(order)
-        basis.append(monic)
-        lead.append(lm)
-        div_data.append((monic.terms, lm, lc))
-        push_pairs(len(basis) - 1)
+        # criterion B: drop a pair (i, j) when a divides its lcm strictly in
+        # both of lcm(i, h) and lcm(j, h)
+        pairs = self.pairs
+        candidates = functools.reduce(and_, compress(self.pairs_using, a), self.live)
+        for p in _members(candidates):
+            i, j, lcm = pairs[p]
+            if (
+                all(map(le, a, lcm))
+                and tuple(map(max, lead[i], a)) != lcm
+                and tuple(map(max, lead[j], a)) != lcm
+            ):
+                self.live ^= 1 << p
+                self.chain += 1
 
-    for g in gens:
-        add(g)
+        # new pairs (i, h): those with disjoint leads are skipped by
+        # Buchberger's first criterion; of the others, criterion M drops a
+        # pair whose lcm is a multiple of another's (of equal lcms it keeps
+        # the last).  A coprime pair needs no part in M: its lcm divides that
+        # of (k, h) only if lead i divides lead k, and the basis is minimal.
+        self.coprime += size - sharing.bit_count()
+        lcms = [(tuple(map(max, lead[i], a)), i) for i in _members(sharing)]
+        new = sorted((sum(lcm), lcm, i) for lcm, i in lcms)
+        kept = []
+        for idx, (_, lcm, i) in enumerate(new):
+            if (idx + 1 < len(new) and new[idx + 1][1] == lcm) or any(
+                all(map(le, k, lcm)) for k in kept
+            ):
+                self.chain += 1
+                continue
+            kept.append(lcm)
+            p = len(pairs)
+            pairs.append((i, h, lcm))
+            self.live |= 1 << p
+            for v in compress(range(len(lcm)), lcm):
+                self.pairs_using[v] |= 1 << p
+            heapq.heappush(self.heap, (self.key(lcm), p))
 
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        if (i, j) in done:
-            continue
-        done.add((i, j))
-        li, lj = lead[i], lead[j]
-        l = mono_lcm(li, lj)
-        # coprime criterion: disjoint leading supports reduce to zero
-        if l == mono_mul(li, lj):
-            continue
-        if chain_criterion and _chain_redundant(i, j, l, lead, done):
-            continue
-        s = s_polynomial(basis[i], basis[j], order)
-        if s.is_zero():
-            continue
-        rterms, _ = _division(s.terms, div_data, order)
-        if not rterms:
-            continue
-        if len(rterms) > budget.max_terms:
-            raise BudgetError(
-                f"term budget exceeded ({len(rterms)} > {budget.max_terms})"
-            )
-        add(Polynomial(ring, rterms))
+        # leads that a divides leave the minimal basis (their pairs stay)
+        for k in _members(covering):
+            if all(map(le, a, lead[k])):
+                self.active ^= 1 << k
+        self.peak = max(self.peak, self.active.bit_count())
 
-    return reduce_basis(GroebnerBasis(order, tuple(basis), reduced=False))
-
-
-def _chain_redundant(i, j, l, lead, done):
-    for k, lk in enumerate(lead):
-        if k == i or k == j:
-            continue
-        if mono_divides(lk, l):
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a in done and b in done:
-                return True
-    return False
+    def pop(self):
+        """The live pair (i, j, lcm) of smallest key, or None if none is left."""
+        while self.heap:
+            _, p = heapq.heappop(self.heap)
+            if self.live >> p & 1:
+                self.live ^= 1 << p
+                return self.pairs[p]
+        return None
 
 
 def reduce_basis(G: GroebnerBasis) -> GroebnerBasis:
@@ -197,17 +291,11 @@ def reduce_basis(G: GroebnerBasis) -> GroebnerBasis:
             continue
         kept.append(g)
         kept_lm.append(lm)
-    # tail-reduce each element against the others until stable
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(kept)):
-            others = kept[:i] + kept[i + 1 :]
-            r, _ = normal_form(kept[i], others, order)
-            r = r.monic(order)
-            if r.terms != kept[i].terms:
-                kept[i] = r
-                changed = True
+    # tail-reduce each element against the others: one pass suffices, as no
+    # lead divides another and so every lead stays fixed
+    for i in range(len(kept)):
+        others = kept[:i] + kept[i + 1 :]
+        kept[i] = normal_form(kept[i], others, order)[0].monic(order)
     kept.sort(key=lambda g: key(g.leading_monomial(order)))
     return GroebnerBasis(order, tuple(kept), reduced=True)
 

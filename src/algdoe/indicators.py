@@ -217,6 +217,13 @@ def indicator_add_factors(
             raise InputError(
                 f"relation at position {pos} carries index {rel.index}"
             )
+    # each relation can double the coefficients, and no indicator on at most
+    # MAX_EXPANSION_FACTORS factors has more than 2^MAX_EXPANSION_FACTORS
+    if len(f1.coeffs) << k > 1 << MAX_EXPANSION_FACTORS:
+        raise ScaleError(
+            f"adding {k} factors can make {len(f1.coeffs)}*2^{k} coefficients, "
+            f"more than 2^{MAX_EXPANSION_FACTORS}"
+        )
     total = m + k
     coeffs = {bits + (0,) * k: c for bits, c in f1.coeffs.items()}
     for pos, rel in enumerate(relations):

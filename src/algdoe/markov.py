@@ -7,24 +7,20 @@ Polytopes*, 1996, Alg. 12.3): a Z-basis of its integer kernel gives the
 lattice ideal J = <p^z+ - p^z->, which is saturated by one variable at a
 time.  Each step is a Buchberger completion done directly on binomials
 x^lead - x^trail held as pairs of exponent tuples: a monomial u is reduced
-by an element whose lead divides it to u - lead + trail, divisibility is
-first filtered by the support bitmask of each lead, and S-pairs are pruned
-by the coprime and chain criteria in the form of Gebauer and Moeller (*J.
-Symb. Comput.* 6, 1988) when they are made.  The binomials of the resulting
+by an element whose lead divides it to u - lead + trail, and the leads and
+S-pairs are kept by the Gebauer-Moeller bookkeeping of the generic engine,
+:class:`algdoe.groebner._Completion`.  The binomials of the resulting
 reduced basis are moves that connect every fiber.
 """
 
 from __future__ import annotations
 
-import functools
-import heapq
 from dataclasses import dataclass
-from itertools import compress
-from operator import add, and_, le, neg, not_, or_, sub
+from operator import add, neg, sub
 
 from .covariates import CovariateMatrix, _check_counts, recode_integer
 from .errors import BudgetError, InputError, ScaleError
-from .groebner import Budget, DEFAULT_BUDGET
+from .groebner import Budget, DEFAULT_BUDGET, _Completion
 
 MAX_FIBER_NODES = 10_000_000  # ~50 s of search at ~5 us per node
 
@@ -76,17 +72,13 @@ def markov_basis(A: CovariateMatrix, budget: Budget = DEFAULT_BUDGET) -> MarkovB
     saturate = [k for k in range(n - 1) if k not in unit] + [n - 1]
     for done, k in enumerate(saturate):
         prec = [i for i in range(n) if i != k] + [k]
-        completion = _Completion(budget, n)
         try:
-            gens = completion.saturate(gens, prec)
+            gens = _saturate(gens, prec, budget.max_pairs)
         except BudgetError as exc:
             raise BudgetError(
-                f"{exc} while saturating p{k + 1} ({done} of {len(saturate)} "
-                f"variables done): {completion.made} pairs made, "
-                f"{completion.coprime} skipped by the coprime criterion, "
-                f"{completion.chain} by the Gebauer-Moeller criteria, peak "
-                f"basis size {completion.peak}; for small problems use "
-                "exhaustive fiber enumeration instead"
+                f"{exc}, while saturating p{k + 1} ({done} of {len(saturate)} "
+                "variables done); for small problems use exhaustive fiber "
+                "enumeration instead"
             ) from exc
 
     moves = sorted(tuple(map(sub, lead, trail)) for lead, trail in gens)
@@ -101,183 +93,71 @@ def _key(u):
     return sum(u), tuple(map(neg, reversed(u)))
 
 
-def _members(bits: int):
-    """The positions of the set bits, lowest first."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
-class _Basis:
-    """Binomials x^lead - x^trail that reduce monomials, held as lead and
-    step = trail - lead, indexed by the order they were added in.
-
-    The support bitmasks of the leads are stored transposed: ``using[v]`` has
-    bit i set when lead i uses variable v, and ``active`` has bit i set while
-    element i is in the basis.  So the elements whose support lies inside
-    that of a monomial, the only ones whose lead can divide it, are one OR
-    over its zero coordinates away."""
-
-    def __init__(self, n: int):
-        self.lead = []
-        self.step = []
-        self.using = [0] * n
-        self.active = 0
-
-    def add(self, lead, trail) -> int:
-        i = len(self.lead)
-        bit = 1 << i
-        for v in compress(range(len(lead)), lead):
-            self.using[v] |= bit
-        self.active |= bit
-        self.lead.append(lead)
-        self.step.append(tuple(map(sub, trail, lead)))
-        return i
-
-    def divisor(self, u):
-        """An element of the basis whose lead divides x^u, or None."""
-        outside = functools.reduce(or_, compress(self.using, map(not_, u)), 0)
-        for i in _members(self.active & ~outside):
-            if all(map(le, self.lead[i], u)):
-                return i
-        return None
-
-    def normal_form(self, u):
-        """While some lead divides x^u, replace u by u - lead + trail."""
-        while (i := self.divisor(u)) is not None:
-            u = tuple(map(add, u, self.step[i]))
-        return u
-
-    def elements(self):
-        """(lead, trail) of each element of the basis."""
-        return [
-            (self.lead[i], tuple(map(add, self.lead[i], self.step[i])))
-            for i in _members(self.active)
-        ]
+def _normal_form(u, leads: _Completion, step):
+    """While lead i divides x^u, replace u by u - lead + trail = u + step[i]."""
+    while (i := leads.divisor(u)) is not None:
+        u = tuple(map(add, u, step[i]))
+    return u
 
 
 def _reduce(binomials, n: int):
     """The reduced Groebner basis from a Groebner basis of binomials (lead,
     trail): drop every element whose lead another kept lead divides, then
     replace each trail by its normal form."""
-    kept = _Basis(n)
+    kept = _Completion(n)
+    step = []
     for lead, trail in sorted(binomials, key=lambda g: _key(g[0])):
         if kept.divisor(lead) is None:
-            kept.add(lead, trail)
-    return [(lead, kept.normal_form(trail)) for lead, trail in kept.elements()]
+            kept.index(lead)
+            step.append(tuple(map(sub, trail, lead)))
+    return [
+        (lead, _normal_form(tuple(map(add, lead, s)), kept, step))
+        for lead, s in zip(kept.lead, step)
+    ]
 
 
-class _Completion:
-    """One Buchberger completion of homogeneous binomials under grevlex with
-    the last coordinate least significant, with the pair criteria of
-    Gebauer and Moeller, and the counters a BudgetError reports."""
+def _saturate(binomials, prec, max_pairs: int):
+    """The reduced basis of the saturation by the variable ``prec[-1]``, in
+    the original coordinates: complete under grevlex with precedence
+    ``prec``, divide the last coordinate out and reduce.
 
-    def __init__(self, budget: Budget, n: int):
-        self.max_pairs = budget.max_pairs
-        self.n = n
-        self.basis = _Basis(n)  # every element added; ``active`` is minimal
-        # S-pairs by creation number: (i, j, lcm of leads i and j), the live
-        # ones as a bitset, and their lcm supports transposed as in _Basis
-        self.pairs = []
-        self.live = 0
-        self.pairs_using = [0] * n
-        self.heap = []  # (grevlex key of the lcm, pair number)
-        self.made = self.coprime = self.chain = self.peak = 0
+    A binomial x^lead - x^trail is held as its lead, numbered in the shared
+    pair bookkeeping, and step = trail - lead, so the S-binomial of a pair
+    (i, j) with lcm l is x^(l + step_i) - x^(l + step_j)."""
+    completion = _Completion(len(prec), _key, max_pairs)
+    step = []
 
-    def saturate(self, binomials, prec):
-        """The reduced basis of the saturation by the variable ``prec[-1]``,
-        in the original coordinates: complete under grevlex with precedence
-        ``prec``, divide the last coordinate out and reduce."""
-        gens = []
-        for a, b in binomials:
-            a, b = tuple(a[p] for p in prec), tuple(b[p] for p in prec)
-            gens.append((a, b) if _key(a) > _key(b) else (b, a))
-        for a, b in sorted(gens, key=lambda g: _key(g[0])):
-            self._insert(a, b)
-        step = self.basis.step
-        while self.heap:
-            _, p = heapq.heappop(self.heap)
-            if self.live >> p & 1:
-                self.live ^= 1 << p
-                i, j, lcm = self.pairs[p]
-                self._insert(
-                    tuple(map(add, lcm, step[i])), tuple(map(add, lcm, step[j]))
-                )
-        divided = []
-        for lead, trail in self.basis.elements():
-            common = min(lead[-1], trail[-1])
-            divided.append((lead[:-1] + (lead[-1] - common,),
-                            trail[:-1] + (trail[-1] - common,)))
-        inverse = sorted(range(self.n), key=prec.__getitem__)
-        return [
-            (tuple(lead[p] for p in inverse), tuple(trail[p] for p in inverse))
-            for lead, trail in _reduce(divided, self.n)
-        ]
+    def insert(a, b):
+        a = _normal_form(a, completion, step)
+        b = _normal_form(b, completion, step)
+        if a != b:
+            if _key(a) < _key(b):
+                a, b = b, a
+            completion.insert(a)
+            step.append(tuple(map(sub, b, a)))
 
-    def _insert(self, a, b):
-        """Reduce x^a - x^b; if it is not zero, add it to the basis and
-        update the pairs by the Gebauer-Moeller criteria."""
-        basis = self.basis
-        a = basis.normal_form(a)
-        b = basis.normal_form(b)
-        if a == b:
-            return
-        if _key(a) < _key(b):
-            a, b = b, a
-        lead = basis.lead
-        size = basis.active.bit_count()
-        self.made += size
-        if self.made > self.max_pairs:
-            raise BudgetError(f"pair budget exceeded ({self.made} > {self.max_pairs})")
-        # basis elements whose lead shares a variable with a, and those whose
-        # support contains that of a (candidates for multiples of a)
-        sharing = basis.active & functools.reduce(or_, compress(basis.using, a), 0)
-        covering = functools.reduce(and_, compress(basis.using, a), basis.active)
-        h = basis.add(a, b)
+    gens = []
+    for a, b in binomials:
+        a, b = tuple(a[p] for p in prec), tuple(b[p] for p in prec)
+        gens.append((a, b) if _key(a) > _key(b) else (b, a))
+    for a, b in sorted(gens, key=lambda g: _key(g[0])):
+        insert(a, b)
+    while (pair := completion.pop()) is not None:
+        i, j, lcm = pair
+        insert(tuple(map(add, lcm, step[i])), tuple(map(add, lcm, step[j])))
 
-        # criterion B: drop a pair (i, j) when lead h divides its lcm strictly
-        # in both of lcm(i, h) and lcm(j, h)
-        pairs = self.pairs
-        candidates = functools.reduce(and_, compress(self.pairs_using, a), self.live)
-        for p in _members(candidates):
-            i, j, lcm = pairs[p]
-            if (
-                all(map(le, a, lcm))
-                and tuple(map(max, lead[i], a)) != lcm
-                and tuple(map(max, lead[j], a)) != lcm
-            ):
-                self.live ^= 1 << p
-                self.chain += 1
-
-        # new pairs (i, h): those with disjoint leads are skipped by
-        # Buchberger's first criterion; of the others, criterion M drops a
-        # pair whose lcm is a multiple of another's (of equal lcms it keeps
-        # the last).  A coprime pair needs no part in M: its lcm divides that
-        # of (k, h) only if lead i divides lead k, and the basis is minimal.
-        self.coprime += size - sharing.bit_count()
-        lcms = [(tuple(map(max, lead[i], a)), i) for i in _members(sharing)]
-        new = sorted((sum(lcm), lcm, i) for lcm, i in lcms)
-        kept = []
-        for idx, (_, lcm, i) in enumerate(new):
-            if (idx + 1 < len(new) and new[idx + 1][1] == lcm) or any(
-                all(map(le, k, lcm)) for k in kept
-            ):
-                self.chain += 1
-                continue
-            kept.append(lcm)
-            p = len(pairs)
-            pairs.append((i, h, lcm))
-            self.live |= 1 << p
-            for v in compress(range(self.n), lcm):
-                self.pairs_using[v] |= 1 << p
-            heapq.heappush(self.heap, (_key(lcm), p))
-
-        # elements whose lead a divides leave the basis (their pairs stay)
-        for k in _members(covering):
-            if all(map(le, a, lead[k])):
-                basis.active ^= 1 << k
-        self.peak = max(self.peak, basis.active.bit_count())
+    divided = []
+    for i in completion.minimal():
+        lead = completion.lead[i]
+        trail = tuple(map(add, lead, step[i]))
+        common = min(lead[-1], trail[-1])
+        divided.append((lead[:-1] + (lead[-1] - common,),
+                        trail[:-1] + (trail[-1] - common,)))
+    inverse = sorted(range(len(prec)), key=prec.__getitem__)
+    return [
+        (tuple(lead[p] for p in inverse), tuple(trail[p] for p in inverse))
+        for lead, trail in _reduce(divided, len(prec))
+    ]
 
 
 def _kernel_lattice(recoded, n: int):

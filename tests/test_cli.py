@@ -264,6 +264,28 @@ def test_doptimal_scale_exit_code(mode):
     assert invoke("doptimal", "--m", "40", "--n", "41", "--mode", mode)[0] == 3
 
 
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["--m", "23", "--n", "100000"], "C(2^23, 100000) subsets"),
+        (["--m", "20000", "--n", "5", "--mode", "greedy-exchange"], "2^20000 candidate"),
+    ],
+)
+def test_doptimal_huge_counts_exit_code(argv, count, capsys):
+    assert invoke("doptimal", *argv)[0] == 3
+    assert count in capsys.readouterr().err
+
+
+def test_addfactors_scale_exit_code(tmp_path, capsys):
+    ind = tmp_path / "one.indicator"
+    ind.write_text("m=21\n1\n")
+    rels = tmp_path / "rels.txt"
+    rels.write_text("".join(f"x{i}\n" for i in range(1, 22)))
+    code, _ = invoke("addfactors", "--indicator", str(ind), "--relations", str(rels))
+    assert code == 3
+    assert "2^21 coefficients" in capsys.readouterr().err
+
+
 def test_input_error_exit_code(tmp_path):
     bad = tmp_path / "bad.design"
     bad.write_text("m=2 s=2 coding=pm1\n1 1\n1 1\n")

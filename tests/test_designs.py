@@ -87,8 +87,14 @@ def test_regular_design_run_cap_not_factor_cap():
     for w in words:
         for run in d.runs:
             assert math.prod(v for v, b in zip(run, w.bits) if b) == w.sign
-    with pytest.raises(ScaleError, match="2097152 runs"):
+    with pytest.raises(ScaleError, match=r"2\^21 runs"):
         regular_design_from_words(21, [])
+
+
+def test_run_cap_names_the_count_symbolically():
+    # 2^20000 has more digits than Python's int-to-str limit allows
+    with pytest.raises(ScaleError, match=r"2\^20000 runs"):
+        regular_design_from_words(20000, [])
 
 
 def test_dependent_words_rejected():

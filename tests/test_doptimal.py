@@ -203,6 +203,20 @@ def test_scale_cap_checked_before_listing_candidates(mode):
         d_optimal_search(SearchSpec(m=40, n=41, mode=mode))
 
 
+@pytest.mark.parametrize(
+    "spec, count",
+    [
+        (SearchSpec(m=23, n=100_000), r"C\(2\^23, 100000\) subsets"),
+        (SearchSpec(m=20_000, n=5, mode="greedy-exchange"), r"2\^20000 candidate runs"),
+    ],
+)
+def test_scale_cap_names_counts_symbolically(spec, count):
+    # both counts have more digits than Python's int-to-str limit allows,
+    # and C(2^23, 10^5) takes about a second to compute in full
+    with pytest.raises(ScaleError, match=count):
+        d_optimal_search(spec)
+
+
 def test_spec_validation():
     with pytest.raises(InputError):
         SearchSpec(m=2, n=5)

@@ -9,6 +9,7 @@ from algdoe import (
     InputError,
     InvalidIndicatorError,
     PolyRing,
+    ScaleError,
     Word,
     classify_design,
     design_from_indicator,
@@ -194,6 +195,18 @@ def test_add_factors_identity_and_derived_case(f2):
     combined = indicator_add_factors(base, rels)
     direct = indicator_from_design(extend_design(f2, rels))
     assert combined == direct
+
+
+def test_add_factors_capped_before_expanding():
+    # 21 relations on the indicator 1 would make 2^21 coefficients
+    base = IndicatorFunction(21, {(0,) * 21: 1})
+    rels = [
+        FactorRelation(i + 1, 1, tuple(int(j == i) for j in range(21)))
+        for i in range(21)
+    ]
+    with pytest.raises(ScaleError, match=r"1\*2\^21 coefficients"):
+        indicator_add_factors(base, rels)
+    assert len(indicator_add_factors(base, rels[:2]).coeffs) == 4
 
 
 @settings(max_examples=25, deadline=None)

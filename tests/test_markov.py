@@ -16,7 +16,13 @@ from algdoe import (
 from algdoe import PolyRing, TermOrder, Word, regular_design_from_words
 from algdoe.covariates import recode_integer
 from algdoe.errors import EstimabilityError
-from algdoe.groebner import Budget, GroebnerBasis, buchberger, reduce_basis
+from algdoe.groebner import (
+    Budget,
+    GroebnerBasis,
+    buchberger,
+    reduce_basis,
+    spolynomials_reduce_to_zero,
+)
 from algdoe.markov import _kernel_lattice, _reduce, kernel_residual
 
 
@@ -282,21 +288,27 @@ def test_random_fibers_connected():
         checked += 1
 
 
+def _lattice_ideal(A):
+    """Generators p^z+ - p^z- of the lattice ideal of the kernel basis, their
+    ring, and the coordinates that need no saturation."""
+    lattice, unit = _kernel_lattice(recode_integer(A), A.n)
+    ring = PolyRing(tuple(f"p{i + 1}" for i in range(A.n)))
+    gens = [
+        ring.poly({tuple(max(v, 0) for v in z): 1, tuple(max(-v, 0) for v in z): -1})
+        for z in lattice
+    ]
+    return ring, gens, unit
+
+
 def _reference_moves(A, budget=CAP):
     """The same saturation sequence through the generic polynomial engine:
     one groebner.buchberger call per saturated variable, each element then
     divided by the power of that variable common to its two terms, and
     reduce_basis under grevlex(p1..pn) at the end."""
-    recoded = recode_integer(A)
     n = A.n
-    lattice, unit = _kernel_lattice(recoded, n)
-    if not lattice:
+    ring, gens, unit = _lattice_ideal(A)
+    if not gens:
         return ()
-    ring = PolyRing(tuple(f"p{i + 1}" for i in range(n)))
-    gens = [
-        ring.poly({tuple(max(v, 0) for v in z): 1, tuple(max(-v, 0) for v in z): -1})
-        for z in lattice
-    ]
     for k in [k for k in range(n - 1) if k not in unit] + [n - 1]:
         prec = tuple(i for i in range(n) if i != k) + (k,)
         gb = buchberger(gens, TermOrder.grevlex(n, prec), budget=budget)
@@ -348,6 +360,21 @@ def test_moves_match_generic_engine_random_models():
         contrasts += A.design.s == 3
         checked += 1
     assert contrasts == 9
+
+
+def test_buchberger_binomial_ideals_certify():
+    # the engines above share their pair criteria; this check uses none
+    rng = random.Random(808)
+    checked = 0
+    while checked < 8:
+        try:
+            A = _random_cross_route_model(rng, checked)
+        except EstimabilityError:
+            continue
+        _, gens, _ = _lattice_ideal(A)
+        order = TermOrder.grevlex(A.n, tuple(rng.sample(range(A.n), A.n)))
+        assert spolynomials_reduce_to_zero(buchberger(gens, order, budget=CAP))
+        checked += 1
 
 
 def test_moves_match_generic_engine_resolution_iii_fraction():
