@@ -22,9 +22,10 @@ from .designs import (
     design_ideal,
     est_monomials,
     alias_table,
-    monomial_name,
+    factor_ring,
     parse_design,
-    parse_monomial,
+    parse_signed_monomial,
+    read_header,
 )
 from .doptimal import SearchSpec, d_optimal_search
 from .errors import AlgdoeError, BudgetError, InputError, ScaleError
@@ -45,7 +46,7 @@ from .mcmc import (
     mh_sample,
 )
 from .orders import TermOrder
-from .polynomials import PolyRing
+from .polynomials import PolyRing, monomial_name
 
 SCHEMA = 1
 
@@ -100,14 +101,14 @@ def make_order(name: str, nvars: int, vars_spec: str | None, names) -> TermOrder
 
 
 def order_header(order: TermOrder, names) -> str:
-    if order.kind == "block":
-        spec = ";".join(
-            f"{kind}({','.join(names[i] for i in vars_)})"
-            for vars_, kind in order.blocks
+    kind = order.kind
+    if kind == "block":
+        kind = "block:" + ";".join(
+            f"{inner}({','.join(names[i] for i in vars_)})"
+            for vars_, inner in order.blocks
         )
-        return f"order=block:{spec}"
     prec = ",".join(names[i] for i in order.precedence)
-    return f"order={order.kind} vars={prec}"
+    return f"order={kind} vars={prec}"
 
 
 def print_basis(gb: GroebnerBasis, out) -> None:
@@ -137,21 +138,13 @@ def cmd_gb(args, out) -> int:
         raise InputError("gb needs exactly one of --design or --gens")
     if args.design:
         d = load_design(args.design)
-        order = make_order(args.order, d.m, args.vars, d.var_names)
+        order = make_order(args.order or "grevlex", d.m, args.vars, d.var_names)
         gb = design_ideal(d, order)
     else:
-        text = _read(args.gens)
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("order="):
-            raise InputError("generator file must start with an order header")
-        names = tuple(
-            v.strip()
-            for v in lines[0].split("vars=", 1)[1].split(",")
-            if v.strip()
-        )
-        ring = PolyRing(names)
-        order = make_order(args.order, len(names), args.vars, names)
-        gens = [ring.parse(ln) for ln in lines[1:]]
+        header, lines = read_header(_read(args.gens), "generator", ("order", "vars"))
+        ring = PolyRing(v for v in header["vars"].split(",") if v)
+        order = make_order(args.order or header["order"], ring.nvars, args.vars, ring.names)
+        gens = [ring.parse(ln) for ln in lines]
         gb = buchberger(gens, order, budget=Budget(args.max_pairs, args.max_terms))
     print_basis(gb, out)
     return 0
@@ -225,15 +218,14 @@ def cmd_classify(args, out) -> int:
 
 
 def parse_indicator_file(text: str) -> IndicatorFunction:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2 or not lines[0].startswith("m="):
+    header, lines = read_header(text, "indicator", ("m",))
+    if not lines:
         raise InputError("indicator file needs an 'm=<int>' header and a polynomial")
     try:
-        m = int(lines[0][2:])
+        m = int(header["m"])
     except ValueError as exc:
-        raise InputError(f"bad indicator header {lines[0]!r}") from exc
-    ring = PolyRing(tuple(f"x{j + 1}" for j in range(m)))
-    poly = ring.parse(" ".join(lines[1:]))
+        raise InputError(f"bad indicator header: {exc}") from exc
+    poly = factor_ring(m).parse(" ".join(lines))
     return IndicatorFunction.from_polynomial(poly)
 
 
@@ -246,20 +238,13 @@ def cmd_addfactors(args, out) -> int:
     ]
     relations = []
     for pos, line in enumerate(rel_lines, start=1):
-        body = line
-        sign = 1
-        if body.startswith("-"):
-            sign = -1
-            body = body[1:]
-        elif body.startswith("+"):
-            body = body[1:]
-        word = parse_monomial(body.strip(), f1.m)
+        word, sign = parse_signed_monomial(line, f1.m)
         relations.append(FactorRelation(pos, sign, word))
     f2 = indicator_add_factors(f1, relations)
     total = f2.m
     # added factors continue the x numbering so the output re-parses as an
     # indicator file
-    ring = PolyRing(tuple(f"x{j + 1}" for j in range(total)))
+    ring = factor_ring(total)
     order = TermOrder.grevlex(total)
     print(f"m={total}", file=out)
     print(f2.to_polynomial(ring).text(order), file=out)
@@ -413,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("gb", help="reduced Groebner basis of a design ideal or generator file")
     sub.add_argument("--design")
     sub.add_argument("--gens", help="polynomial file with an order header")
-    sub.add_argument("--order", default="grevlex")
+    sub.add_argument("--order", default=None)
     sub.add_argument("--vars", default=None)
     _add_budget_flags(sub)
     sub.add_argument("--max-terms", type=int, default=Budget().max_terms)

@@ -24,8 +24,9 @@ from fractions import Fraction
 from math import gcd, isfinite
 
 from .cyclotomic import CyclotomicNumber, Echelon, omega
-from .designs import Design, _value_vector, monomial_name, parse_monomial
+from .designs import Design, _value_vector, parse_monomial
 from .errors import EstimabilityError, InputError
+from .polynomials import monomial_name
 
 CONTRASTS = ("baseline", "symmetric", "complex")
 

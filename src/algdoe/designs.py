@@ -23,7 +23,7 @@ from .groebner import (
     standard_monomials,
 )
 from .orders import Monomial, TermOrder
-from .polynomials import PolyRing
+from .polynomials import PolyRing, monomial_name  # monomial_name: re-exported
 
 CODINGS = ("pm1", "integer", "complex")
 MAX_REGULAR_RUNS = 2**20
@@ -101,21 +101,33 @@ def format_design(d: Design) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_design(text: str) -> Design:
+def read_header(text: str, kind: str, required) -> tuple[dict[str, str], list[str]]:
+    """The ``key=value`` fields of the first nonblank line of a design,
+    generator or indicator file, and the file's other nonblank lines, stripped.
+
+    ``kind`` names the file in errors; a missing ``required`` key is an
+    InputError.
+    """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise InputError("empty design file")
-    header = dict(
-        part.split("=", 1) for part in lines[0].split() if "=" in part
-    )
+        raise InputError(f"empty {kind} file")
+    header = dict(part.split("=", 1) for part in lines[0].split() if "=" in part)
+    for key in required:
+        if key not in header:
+            raise InputError(f"{kind} header {lines[0]!r} has no {key}=")
+    return header, lines[1:]
+
+
+def parse_design(text: str) -> Design:
+    header, rows = read_header(text, "design", ("m",))
     try:
         m = int(header["m"])
         s = int(header.get("s", "2"))
-        coding = header.get("coding", "pm1" if s == 2 else "integer")
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"bad design header {lines[0]!r}") from exc
+    except ValueError as exc:
+        raise InputError(f"bad design header: {exc}") from exc
+    coding = header.get("coding", "pm1" if s == 2 else "integer")
     runs = []
-    for ln in lines[1:]:
+    for ln in rows:
         try:
             runs.append(tuple(int(v) for v in ln.split()))
         except ValueError as exc:
@@ -326,36 +338,26 @@ def alias_table(d: Design, max_degree: int = 2):
     return classes
 
 
-def monomial_name(mono: Monomial, names=None) -> str:
-    if not any(mono):
-        return "1"
-    if names is None:
-        names = [f"x{i + 1}" for i in range(len(mono))]
-    return "*".join(
-        names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(mono) if e
-    )
+def factor_ring(m: int) -> PolyRing:
+    """The rational polynomial ring in the factor names x1..xm."""
+    return PolyRing(f"x{j + 1}" for j in range(m))
+
+
+def parse_signed_monomial(text: str, m: int) -> tuple[Monomial, int]:
+    """Parse a single term ``x1*x3`` or ``-x1*x3`` over x1..xm as its
+    exponents and its sign; ``1`` is the empty monomial."""
+    terms = factor_ring(m).parse(text).terms
+    if len(terms) != 1:
+        raise InputError(f"{text.strip()!r} is not a single term")
+    ((mono, coeff),) = terms.items()
+    if coeff not in (1, -1):
+        raise InputError(f"{text.strip()!r} has a coefficient other than 1 or -1")
+    return mono, int(coeff)
 
 
 def parse_monomial(text: str, m: int) -> Monomial:
-    """Parse 'x1*x3' style monomials; '1' is the empty monomial."""
-    text = text.strip()
-    expts = [0] * m
-    if text == "1":
-        return tuple(expts)
-    for factor in text.split("*"):
-        factor = factor.strip()
-        if "^" in factor:
-            name, power = factor.split("^", 1)
-            k = int(power)
-        else:
-            name, k = factor, 1
-        if not name.startswith("x"):
-            raise InputError(f"bad factor {factor!r} in monomial")
-        try:
-            idx = int(name[1:]) - 1
-        except ValueError as exc:
-            raise InputError(f"bad factor {factor!r} in monomial") from exc
-        if not 0 <= idx < m:
-            raise InputError(f"factor {name} outside x1..x{m}")
-        expts[idx] += k
-    return tuple(expts)
+    """Parse 'x1*x3' style monomials over x1..xm; '1' is the empty monomial."""
+    mono, sign = parse_signed_monomial(text, m)
+    if sign != 1:
+        raise InputError(f"{text.strip()!r} is not a monomial")
+    return mono

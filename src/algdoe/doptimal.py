@@ -230,7 +230,8 @@ def _exhaustive(candidates, n: int) -> tuple[int, list[tuple[int, ...]]]:
 
     The candidates are the full factorial in product order, so XOR-ing an
     index with a mask f flips the factors in f, and only subsets containing
-    candidate 0 are scored.  A depth-first walk visits them in combinations
+    candidate 0 are scored.  A depth-first walk, on an explicit stack so that
+    n is not bounded by the recursion limit, visits them in combinations
     order and sums the packed upper triangle of X'X along the way; with
     n = m + 1 runs it uses det(X'X) = det(X)^2 instead, whose elimination is
     cheaper.
@@ -247,29 +248,37 @@ def _exhaustive(candidates, n: int) -> tuple[int, list[tuple[int, ...]]]:
     best = -1
     found: list[tuple[int, ...]] = []
     chosen = [0] * n
+    # (depth, next candidate, gram of chosen[:depth]); a frame is pushed back
+    # for its next sibling before its child, which keeps combinations order
+    stack = [(1, 1, outer[0])]
+    while stack:
+        depth, c, gram = stack.pop()
+        if c > size - (n - depth):
+            continue
+        stack.append((depth, c + 1, gram))
+        chosen[depth] = c
+        if not square:
+            gram = [g + o for g, o in zip(gram, outer[c])]
+        if depth < n - 1:
+            stack.append((depth + 1, c + 1, gram))
+            continue
+        if square:
+            det = _det([list(rows[k]) for k in chosen])
+            det *= det
+        else:
+            det = _det([[gram[k] for k in row] for row in unpack])
+        if det > best:
+            best = det
+            found.clear()
+        if det == best:
+            found.append(tuple(chosen))
 
-    def walk(depth: int, start: int, gram: list[int]) -> None:
-        nonlocal best
-        for c in range(start, size - (n - depth) + 1):
-            chosen[depth] = c
-            if not square:
-                total = [g + o for g, o in zip(gram, outer[c])]
-            if depth < n - 1:
-                walk(depth + 1, c + 1, gram if square else total)
-                continue
-            if square:
-                det = _det([list(rows[k]) for k in chosen])
-                det *= det
-            else:
-                det = _det([[total[k] for k in row] for row in unpack])
-            if det > best:
-                best = det
-                found.clear()
-            if det == best:
-                found.append(tuple(chosen))
-
-    walk(1, 1, outer[0])
-    orbits = {tuple(sorted(c ^ f for c in s)) for s in found for f in range(size)}
+    # sign-flip orbits partition the subsets, so a found subset already in
+    # the set brings nothing new
+    orbits: set[tuple[int, ...]] = set()
+    for subset in found:
+        if subset not in orbits:
+            orbits.update(tuple(sorted(c ^ f for c in subset)) for f in range(size))
     return best, sorted(orbits)
 
 

@@ -43,8 +43,10 @@ class ChainConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise InputError("samples must be at least 1")
-        if self.burn_in < 0 or self.thinning < 0:
-            raise InputError("burn-in and thinning must be nonnegative")
+        if self.burn_in < 0:
+            raise InputError("burn-in must be nonnegative")
+        if self.thinning < 1:
+            raise InputError("thinning must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ def chain_states(y0, moves, cfg: ChainConfig, seed: int | None = None):
     lgam = [math.lgamma(k + 1) for k in range(total + 1)]
     moves = [tuple(z) for z in moves]
     nmoves = len(moves)
-    stride = max(1, cfg.thinning)
+    stride = cfg.thinning
     steps = cfg.burn_in + stride * cfg.samples
     recorded = 0
     for step in range(1, steps + 1):

@@ -15,10 +15,6 @@ Monomial = tuple[int, ...]
 KINDS = ("lex", "grlex", "grevlex")
 
 
-def mono_deg(a: Monomial) -> int:
-    return sum(a)
-
-
 def _simple_key(kind: str, precedence: tuple[int, ...], a: Monomial):
     if kind == "lex":
         return tuple(a[p] for p in precedence)
@@ -116,9 +112,6 @@ class TermOrder:
         if ka > kb:
             return 1
         return 0
-
-    def greater(self, a: Monomial, b: Monomial) -> bool:
-        return self.key(a) > self.key(b)
 
     # -- elimination --------------------------------------------------------
 

@@ -159,16 +159,8 @@ class Polynomial:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
     def constant_term(self):
         return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -292,9 +284,6 @@ class Polynomial:
         inv = c ** -1
         return Polynomial(self.ring, {e: v * inv for e, v in self.terms.items()})
 
-    def sorted_terms(self, order: TermOrder, reverse: bool = True):
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=reverse)
-
     # -- evaluation and display --------------------------------------------
 
     def evaluate(self, point):
@@ -408,21 +397,30 @@ def _coeff_str(c) -> str:
     return str(c)
 
 
+def monomial_name(mono: Monomial, names=None) -> str:
+    """Text of a monomial, such as ``x1*x3^2``; ``1`` for the empty monomial.
+
+    ``names`` defaults to x1, x2, ...
+    """
+    if not any(mono):
+        return "1"
+    if names is None:
+        names = [f"x{i + 1}" for i in range(len(mono))]
+    return "*".join(
+        names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(mono) if e
+    )
+
+
 def _term_strings(f: Polynomial, monomials) -> list[str]:
     names = f.ring.names
     out = []
     for e in monomials:
-        c = f.terms[e]
-        factors = [
-            (names[i] if k == 1 else f"{names[i]}^{k}")
-            for i, k in enumerate(e)
-            if k
-        ]
-        mono = "*".join(factors)
-        cs = _coeff_str(c)
-        if not mono:
+        cs = _coeff_str(f.terms[e])
+        if not any(e):
             out.append(cs)
-        elif cs == "1":
+            continue
+        mono = monomial_name(e, names)
+        if cs == "1":
             out.append(mono)
         elif cs == "-1":
             out.append("-" + mono)
@@ -446,6 +444,14 @@ def format_polynomial(f: Polynomial, order: TermOrder) -> str:
 
 
 def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
+    """Read the text format: a signed sum of ``*``-separated factors, each a
+    rational ``p`` or ``p/q``, an indeterminate with an optional ``^k``, or a
+    parenthesised coefficient.
+
+    A parenthesised coefficient is read by the same grammar as a polynomial in
+    the one indeterminate ``w`` and then evaluated at the field's root of
+    unity, so over QQ it must be free of ``w``.
+    """
     tokens = []
     pos = 0
     while pos < len(text):
@@ -480,61 +486,25 @@ def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
             return Fraction(num, den)
         return Fraction(num)
 
-    def parse_cyclotomic():
-        # inside parentheses: rational combination of w powers
-        total = ring.field.zero
-        sign = 1
-        if peek() == ("op", "-"):
-            take()
-            sign = -1
-        while True:
-            total = total + sign * parse_cyclo_term()
-            tok = peek()
-            if tok == ("op", "+"):
-                take()
-                sign = 1
-            elif tok == ("op", "-"):
-                take()
-                sign = -1
-            else:
-                return total
-
-    def parse_cyclo_term():
-        kind, val = peek()
-        coeff = Fraction(1)
-        if kind == "num":
-            coeff = parse_rational()
-            if peek() == ("op", "*"):
-                take()
-            else:
-                return ring.field.coerce(coeff)
-        kind, val = take("name")
-        if val != "w":
-            raise InputError(f"unexpected symbol {val!r} in coefficient")
-        power = 1
-        if peek() == ("op", "^"):
-            take()
-            power = int(take("num")[1])
-        if not isinstance(ring.field, CyclotomicField):
+    def parse_coefficient(field):
+        take("lpar")
+        w_poly = parse_sum(PolyRing(("w",), field))
+        take("rpar")
+        if isinstance(field, CyclotomicField):
+            return w_poly.evaluate((CyclotomicNumber.root(field.order),))
+        if any(k for (k,) in w_poly.terms):
             raise InputError("cyclotomic coefficient in a rational ring")
-        return coeff * CyclotomicNumber.root(ring.field.order, power)
+        return w_poly.constant_term()
 
-    def parse_term():
+    def parse_term(ring: PolyRing):
         expts = [0] * ring.nvars
-        coeff = None
-        saw_factor = False
+        coeff = Fraction(1)
         while True:
             kind, val = peek()
             if kind == "num":
-                c = parse_rational()
-                coeff = c if coeff is None else coeff * c
-                saw_factor = True
+                coeff = coeff * parse_rational()
             elif kind == "lpar":
-                take()
-                c = parse_cyclotomic()
-                take("rpar")
-                coeff = c if coeff is None else coeff * c
-                saw_factor = True
+                coeff = coeff * parse_coefficient(ring.field)
             elif kind == "name":
                 take()
                 if val not in ring._index:
@@ -544,40 +514,37 @@ def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
                     take()
                     power = int(take("num")[1])
                 expts[ring._index[val]] += power
-                saw_factor = True
             else:
                 raise InputError("empty term in polynomial")
-            if peek() == ("op", "*"):
-                take()
-                continue
-            break
-        if not saw_factor:
-            raise InputError("empty term in polynomial")
-        c = ring.field.coerce(1) if coeff is None else ring.field.coerce(coeff)
-        return tuple(expts), c
+            if peek() != ("op", "*"):
+                return tuple(expts), ring.field.coerce(coeff)
+            take()
 
-    terms: dict = {}
-    sign = 1
-    kind, val = peek()
-    if kind == "op" and val in "+-":
-        take()
-        sign = -1 if val == "-" else 1
-    while True:
-        e, c = parse_term()
-        c = c * sign if sign < 0 else c
-        if c:
-            prev = terms.get(e)
-            v = c if prev is None else prev + c
-            if v:
-                terms[e] = v
-            else:
-                terms.pop(e, None)
+    def parse_sum(ring: PolyRing) -> Polynomial:
+        terms: dict = {}
+        sign = 1
         kind, val = peek()
-        if kind is None:
-            break
         if kind == "op" and val in "+-":
             take()
             sign = -1 if val == "-" else 1
-        else:
-            raise InputError(f"unexpected token {val!r} between terms")
-    return Polynomial(ring, terms)
+        while True:
+            e, c = parse_term(ring)
+            c = -c if sign < 0 else c
+            if c:
+                prev = terms.get(e)
+                v = c if prev is None else prev + c
+                if v:
+                    terms[e] = v
+                else:
+                    terms.pop(e, None)
+            kind, val = peek()
+            if kind != "op" or val not in "+-":
+                return Polynomial(ring, terms)
+            take()
+            sign = -1 if val == "-" else 1
+
+    f = parse_sum(ring)
+    kind, val = peek()
+    if kind is not None:
+        raise InputError(f"unexpected token {val!r} between terms")
+    return f

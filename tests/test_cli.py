@@ -58,6 +58,39 @@ def test_gb_from_generator_file(workdir):
     assert set(body) == {"x2^2-1", "x1-x2"}
 
 
+def test_gb_gens_header_without_vars_exits_2(tmp_path):
+    gens = tmp_path / "novars.poly"
+    for header in ("order=lex", "order=block:grevlex(x1);grevlex(x2)", "vars=x1,x2"):
+        gens.write_text(f"{header}\nx1^2-1\nx2^2-1\n")
+        assert invoke("gb", "--gens", str(gens))[0] == 2
+        assert invoke("gb", "--gens", str(gens), "--order", "lex")[0] == 2
+
+
+def test_gb_gens_uses_header_order(workdir):
+    code, text = invoke("gb", "--design", str(workdir / "l8.design"), "--order", "lex")
+    assert code == 0
+    again = workdir / "l8-lex.poly"
+    again.write_text(text)
+    assert invoke("gb", "--gens", str(again)) == (0, text)
+    # --order still takes precedence over the header
+    code, grevlex = invoke("gb", "--gens", str(again), "--order", "grevlex")
+    assert code == 0
+    assert grevlex == invoke("gb", "--design", str(workdir / "l8.design"))[1]
+    assert grevlex != text
+
+
+def test_gb_block_order_output_rereads(workdir):
+    order = ["--order", "block:x7,x"]
+    code, text = invoke("gb", "--design", str(workdir / "l8.design"), *order)
+    assert code == 0
+    assert text.splitlines()[0] == (
+        "order=block:grevlex(x7);grevlex(x1,x2,x3,x4,x5,x6) vars=x7,x1,x2,x3,x4,x5,x6"
+    )
+    again = workdir / "l8-block.poly"
+    again.write_text(text)
+    assert invoke("gb", "--gens", str(again), *order) == (0, text)
+
+
 def test_est_golden(workdir):
     code, text = invoke(
         "est", "--design", str(workdir / "l8.design"), "--order", "grevlex"
@@ -231,6 +264,18 @@ def test_three_level_contrasts_same_exact_p(workdir, tmp_path):
         assert code == 0
         values[contrast] = json.loads(text)["p_exact"]
     assert len(set(values.values())) == 1
+
+
+def test_mctest_rejects_zero_thinning(workdir):
+    code, _ = invoke(
+        "mctest",
+        "--design", str(workdir / "d22.design"),
+        "--model", str(workdir / "main2.model"),
+        "--y", str(workdir / "counts.txt"),
+        "--seed", "1",
+        "--thin", "0",
+    )
+    assert code == 2
 
 
 def test_doptimal_json():

@@ -22,7 +22,13 @@ from algdoe import (
     parse_design,
     regular_design_from_words,
 )
-from algdoe.designs import gf2_independent, monomial_name, parse_monomial
+from algdoe.designs import (
+    gf2_independent,
+    monomial_name,
+    parse_monomial,
+    parse_signed_monomial,
+    read_header,
+)
 from algdoe.groebner import spolynomials_reduce_to_zero
 
 from conftest import L8_WORDS, random_two_level_design
@@ -263,6 +269,46 @@ def test_parse_monomial():
     assert parse_monomial("1", 3) == (0, 0, 0)
     with pytest.raises(InputError):
         parse_monomial("x9", 3)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [("1", (0, 0, 0)), ("x1*x1", (2, 0, 0)), (" x1 * x3^2 ", (1, 0, 2)), ("(1)*x2", (0, 1, 0))],
+)
+def test_monomials_accepted(text, expected):
+    assert parse_monomial(text, 3) == expected
+
+
+@pytest.mark.parametrize("text", ["2*x1", "-x1", "x1+x2", "x0", "(w)*x1", "x1*x2-x1*x2", ""])
+def test_monomials_rejected(text):
+    with pytest.raises(InputError):
+        parse_monomial(text, 3)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [("-x1*x2", ((1, 1, 0), -1)), ("+x3", ((0, 0, 1), 1)), ("x2", ((0, 1, 0), 1))],
+)
+def test_relations_accepted(text, expected):
+    assert parse_signed_monomial(text, 3) == expected
+
+
+@pytest.mark.parametrize("text", ["2*x1", "-1/2*x1", "x1-x2", "x4", "(w)"])
+def test_relations_rejected(text):
+    with pytest.raises(InputError):
+        parse_signed_monomial(text, 3)
+
+
+def test_read_header_fields_and_body():
+    header, body = read_header("\n order=lex  vars=x,y \n\n x^2-1 \ny\n", "generator", ("vars",))
+    assert header == {"order": "lex", "vars": "x,y"}
+    assert body == ["x^2-1", "y"]
+
+
+@pytest.mark.parametrize("text", ["", "order=lex\nx\n", "vars\nx\n"])
+def test_read_header_missing_key(text):
+    with pytest.raises(InputError):
+        read_header(text, "generator", ("vars",))
 
 
 def test_design_ideal_bases_certify(l8, f2):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -222,3 +223,22 @@ def test_spec_validation():
         SearchSpec(m=2, n=5)
     with pytest.raises(InputError):
         SearchSpec(m=2, n=2, mode="annealing")
+
+
+def test_exhaustive_search_needs_no_recursion_per_run():
+    # C(128, 127) subsets of 127 runs each: a walk that recursed once per
+    # chosen run would need over a hundred frames
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        res = d_optimal_search(SearchSpec(7, 127))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(res.optima) == 128
+    without_first = Design(7, 2, full_factorial(7).runs[1:], "pm1")
+    assert res.best_det == d_criterion(without_first)

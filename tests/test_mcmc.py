@@ -6,6 +6,7 @@ import pytest
 from algdoe import (
     ChainConfig,
     Design,
+    InputError,
     build_covariate_matrix,
     exact_p_value,
     full_factorial,
@@ -145,3 +146,11 @@ def test_thinning_and_burn_in_change_the_stream(setup_2x2):
         chain_states((1, 1, 1, 1), basis.moves, ChainConfig(seed=3, burn_in=0, samples=150, thinning=1))
     )
     assert thin == dense[2::3]
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"thinning": 0}, {"thinning": -1}, {"burn_in": -1}, {"samples": 0}]
+)
+def test_chain_config_rejects_bad_values(kwargs):
+    with pytest.raises(InputError):
+        ChainConfig(seed=1, **kwargs)

@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from algdoe import (
     CoefficientFieldError,
+    CyclotomicNumber,
+    InputError,
     PolyRing,
     TermOrder,
     ZeroPolynomialError,
@@ -100,6 +102,25 @@ def test_cyclotomic_text_round_trip():
     assert ring.parse(f.text(order)) == f
 
 
+def test_parenthesised_coefficients():
+    assert R7.parse("(2)*x1") == 2 * R7.var("x1")
+    assert R7.parse("-(1/2-3/2)*x1*(2)") == 2 * R7.var("x1")
+    ring = PolyRing(["x1"], cyclotomic_field(3))
+    w = omega(3)
+    assert ring.parse("(w)*x1") == ring.var("x1") * w
+    assert ring.parse("(w^3)") == ring.one()
+    # 1 + w + w^2 = 0 in Q(w3)
+    assert ring.parse("(1+w+w^2)*x1+(w*w)") == ring.const(w**2)
+
+
+@pytest.mark.parametrize(
+    "text", ["(w)", "(w)*x1", "(1+w)", "(x1)", "(2", "2)", "()", "x1+", "x8", "2 x1"]
+)
+def test_rational_ring_rejects(text):
+    with pytest.raises(InputError):
+        R7.parse(text)
+
+
 coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 small_polys = st.dictionaries(
     st.tuples(*([st.integers(0, 3)] * 3)), coeffs, min_size=0, max_size=6
@@ -140,3 +161,20 @@ def test_division_identity_and_idempotence(f, divisors, order):
     assert total == f
     r2, _ = normal_form(r, divisors, order)
     assert r2 == r
+
+
+def _cyclotomic_polys(order):
+    coords = st.tuples(*([coeffs] * (order - 1)))
+    elements = coords.map(lambda c: CyclotomicNumber(order, c))
+    ring = PolyRing(["x1", "x2", "x3"], cyclotomic_field(order))
+    return st.dictionaries(
+        st.tuples(*([st.integers(0, 3)] * 3)), elements, min_size=0, max_size=5
+    ).map(ring.poly)
+
+
+@pytest.mark.parametrize("order", [3, 5])
+@given(data=st.data())
+def test_cyclotomic_parse_print_round_trip(order, data):
+    f = data.draw(_cyclotomic_polys(order))
+    term_order = data.draw(orders3)
+    assert f.ring.parse(f.text(term_order)) == f
