@@ -32,7 +32,6 @@ from .errors import (
     InputError,
     InvalidIndicatorError,
     NonZeroDimensionalError,
-    OrderMismatchError,
     RankError,
     ScaleError,
     ZeroPolynomialError,
@@ -41,9 +40,7 @@ from .glm import GlmFit, fit_null_glm, test_statistic
 from .groebner import (
     Budget,
     GroebnerBasis,
-    IdealPresentation,
     buchberger,
-    eliminate,
     ideal_membership,
     point_ideal_intersection,
     reduce_basis,

@@ -45,7 +45,7 @@ from .mcmc import (
     exact_p_value,
     mh_sample,
 )
-from .orders import TermOrder
+from .orders import TermOrder, format_order, parse_order
 from .polynomials import PolyRing, monomial_name
 
 SCHEMA = 1
@@ -63,57 +63,9 @@ def load_design(path: str) -> Design:
     return parse_design(_read(path))
 
 
-def make_order(name: str, nvars: int, vars_spec: str | None, names) -> TermOrder:
-    precedence = None
-    if vars_spec:
-        listed = [v.strip() for v in vars_spec.split(",") if v.strip()]
-        index = {n: i for i, n in enumerate(names)}
-        try:
-            precedence = tuple(index[v] for v in listed)
-        except KeyError as exc:
-            raise InputError(f"unknown variable {exc.args[0]!r} in --vars") from exc
-        if len(precedence) != nvars:
-            raise InputError("--vars must list every variable exactly once")
-    if name == "lex":
-        return TermOrder.lex(nvars, precedence)
-    if name == "grlex":
-        return TermOrder.grlex(nvars, precedence)
-    if name == "grevlex":
-        return TermOrder.grevlex(nvars, precedence)
-    if name.startswith("block:"):
-        prefixes = [p.strip() for p in name[len("block:"):].split(",") if p.strip()]
-        if not prefixes:
-            raise InputError("block order needs at least one prefix")
-        base = precedence if precedence is not None else tuple(range(nvars))
-        blocks = []
-        assigned: set[int] = set()
-        for prefix in prefixes:
-            vars_ = tuple(i for i in base if names[i].startswith(prefix)
-                          and i not in assigned)
-            if not vars_:
-                raise InputError(f"no variables match block prefix {prefix!r}")
-            assigned |= set(vars_)
-            blocks.append((vars_, "grevlex"))
-        if len(assigned) != nvars:
-            raise InputError("block prefixes must cover every variable")
-        return TermOrder.block(blocks)
-    raise InputError(f"unknown order {name!r}")
-
-
-def order_header(order: TermOrder, names) -> str:
-    kind = order.kind
-    if kind == "block":
-        kind = "block:" + ";".join(
-            f"{inner}({','.join(names[i] for i in vars_)})"
-            for vars_, inner in order.blocks
-        )
-    prec = ",".join(names[i] for i in order.precedence)
-    return f"order={kind} vars={prec}"
-
-
 def print_basis(gb: GroebnerBasis, out) -> None:
     names = gb.ring.names
-    print(order_header(gb.order, names), file=out)
+    print(f"order={format_order(gb.order, names)} vars={','.join(names)}", file=out)
     for g in gb.elements:
         print(g.text(gb.order), file=out)
 
@@ -138,12 +90,12 @@ def cmd_gb(args, out) -> int:
         raise InputError("gb needs exactly one of --design or --gens")
     if args.design:
         d = load_design(args.design)
-        order = make_order(args.order or "grevlex", d.m, args.vars, d.var_names)
+        order = parse_order(args.order or "grevlex", d.var_names, args.vars)
         gb = design_ideal(d, order)
     else:
         header, lines = read_header(_read(args.gens), "generator", ("order", "vars"))
         ring = PolyRing(v for v in header["vars"].split(",") if v)
-        order = make_order(args.order or header["order"], ring.nvars, args.vars, ring.names)
+        order = parse_order(args.order or header["order"], ring.names, args.vars)
         gens = [ring.parse(ln) for ln in lines]
         gb = buchberger(gens, order, budget=Budget(args.max_pairs, args.max_terms))
     print_basis(gb, out)
@@ -152,7 +104,7 @@ def cmd_gb(args, out) -> int:
 
 def cmd_ideal(args, out) -> int:
     d = load_design(args.design)
-    order = make_order(args.order, d.m, args.vars, d.var_names)
+    order = parse_order(args.order, d.var_names, args.vars)
     gb = design_ideal(d, order)
     print_basis(gb, out)
     return 0
@@ -160,7 +112,7 @@ def cmd_ideal(args, out) -> int:
 
 def cmd_est(args, out) -> int:
     d = load_design(args.design)
-    order = make_order(args.order, d.m, args.vars, d.var_names)
+    order = parse_order(args.order, d.var_names, args.vars)
     monos = list(est_monomials(d, order))
     # display in reading order: by degree, then by the natural variable order
     monos.sort(key=lambda mo: (sum(mo), tuple(-e for e in mo)))

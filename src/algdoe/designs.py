@@ -245,10 +245,9 @@ def design_ideal(d: Design, order: TermOrder) -> GroebnerBasis:
 
 @functools.lru_cache(maxsize=256)
 def _design_ideal(d: Design, order: TermOrder) -> GroebnerBasis:
-    pres = point_ideal_intersection(
+    return point_ideal_intersection(
         d.points(), field=d.field(), var_names=d.var_names, x_order=order
     )
-    return GroebnerBasis(order, pres.generators, reduced=True)
 
 
 def est_monomials(d: Design, order: TermOrder) -> tuple[Monomial, ...]:
@@ -318,6 +317,8 @@ def alias_table(d: Design, max_degree: int = 2):
     """
     if d.s != 2:
         raise InputError("alias tables are defined for two-level designs")
+    if max_degree < 0:
+        raise InputError(f"max_degree must be nonnegative, got {max_degree}")
     groups: dict[tuple[int, ...], list[tuple[Monomial, int]]] = {}
     monos = [
         tuple(int(j in factors) for j in range(d.m))

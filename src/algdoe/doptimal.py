@@ -56,6 +56,8 @@ class SearchSpec:
             raise InputError(f"unknown search mode {self.mode!r}")
         if self.n < 1 or self.m < 1:
             raise InputError("need at least one run and one factor")
+        if self.restarts < 1:
+            raise InputError("restarts must be at least 1")
         # n > 2^m, without building 2^m
         if (self.n - 1).bit_length() > self.m:
             raise InputError("run count exceeds the candidate pool")
@@ -295,7 +297,7 @@ def _greedy_exchange(spec: SearchSpec, candidates) -> tuple[int, tuple]:
     rng = random.Random(spec.seed)
     best = -1
     best_runs: tuple[tuple[int, ...], ...] = ()
-    for _ in range(max(1, spec.restarts)):
+    for _ in range(spec.restarts):
         current = rng.sample(range(len(candidates)), spec.n)
         while True:
             base, adj = _adjugate(_gram([rows[k] for k in current]))

@@ -21,10 +21,6 @@ class InputError(AlgdoeError):
     """Invalid user-supplied data. CLI exit code 2."""
 
 
-class OrderMismatchError(InputError):
-    """The supplied term order does not eliminate the requested variables."""
-
-
 class InvalidIndicatorError(InputError):
     """A polynomial claimed to be an indicator is not 0/1-valued."""
 

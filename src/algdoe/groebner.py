@@ -1,6 +1,5 @@
-"""Buchberger's algorithm, reduced Groebner bases, ideal membership,
-elimination, vanishing ideals of points by Buchberger-Moeller, and standard
-monomials.
+"""Buchberger's algorithm, reduced Groebner bases, ideal membership, vanishing
+ideals of points by Buchberger-Moeller, and standard monomials.
 
 Buchberger's algorithm and the binomial completions of the Markov engine keep
 their S-pairs in one :class:`_Completion`, by the criteria of Gebauer and
@@ -23,7 +22,6 @@ from .errors import (
     BudgetError,
     InputError,
     NonZeroDimensionalError,
-    OrderMismatchError,
     ScaleError,
     ZeroPolynomialError,
 )
@@ -51,23 +49,6 @@ DEFAULT_BUDGET = Budget()
 
 
 @dataclass(frozen=True)
-class IdealPresentation:
-    """An ideal given by a finite list of nonzero generators."""
-
-    ring: PolyRing
-    generators: tuple[Polynomial, ...]
-
-    def __post_init__(self):
-        if not self.generators:
-            raise InputError("an ideal presentation needs at least one generator")
-        for g in self.generators:
-            if g.is_zero():
-                raise ZeroPolynomialError("zero generator in ideal presentation")
-            if g.ring != self.ring:
-                raise InputError("generator ring does not match the presentation ring")
-
-
-@dataclass(frozen=True)
 class GroebnerBasis:
     order: TermOrder
     elements: tuple[Polynomial, ...]
@@ -92,17 +73,14 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
 def buchberger(gens, order: TermOrder, budget: Budget = DEFAULT_BUDGET) -> GroebnerBasis:
     """Compute the reduced Groebner basis of the ideal generated by ``gens``.
 
-    ``gens`` may be an :class:`IdealPresentation` or an iterable of nonzero
-    polynomials over a common ring.  Each generator, smallest leading
-    monomial first, and each S-polynomial is divided by the minimal basis,
-    which a nonzero remainder joins; the S-pairs are kept by the
-    Gebauer-Moeller criteria and taken smallest lcm first.  The output is
-    deterministic: inter-reduced, monic, and sorted by ascending leading
-    monomial.  A pair budget error reports the pairs made and skipped by
-    each criterion and the peak basis size.
+    ``gens`` is an iterable of nonzero polynomials over a common ring.  Each
+    generator, smallest leading monomial first, and each S-polynomial is
+    divided by the minimal basis, which a nonzero remainder joins; the S-pairs
+    are kept by the Gebauer-Moeller criteria and taken smallest lcm first.
+    The output is deterministic: inter-reduced, monic, and sorted by ascending
+    leading monomial.  A pair budget error reports the pairs made and skipped
+    by each criterion and the peak basis size.
     """
-    if isinstance(gens, IdealPresentation):
-        gens = gens.generators
     gens = list(gens)
     if not gens:
         raise InputError("no generators given")
@@ -312,38 +290,12 @@ def ideal_membership(f: Polynomial, G: GroebnerBasis):
     return False, None
 
 
-def eliminate(G: GroebnerBasis, drop) -> IdealPresentation:
-    """Restrict a Groebner basis under an elimination order to the subring
-    without the ``drop`` variables; the result generates the elimination ideal."""
-    ring = G.ring
-    drop_idx = frozenset(
-        v if isinstance(v, int) else ring._index[v] for v in drop
-    )
-    if not drop_idx:
-        return IdealPresentation(ring, G.elements)
-    if not G.order.eliminates(drop_idx):
-        raise OrderMismatchError(
-            "the basis order does not eliminate the requested variables"
-        )
-    keep = [i for i in range(ring.nvars) if i not in drop_idx]
-    sub = PolyRing(tuple(ring.names[i] for i in keep), ring.field)
-    out = []
-    for g in G.elements:
-        if any(any(e[i] for i in drop_idx) for e in g.terms):
-            continue
-        out.append(Polynomial(sub, {tuple(e[i] for i in keep): c
-                                    for e, c in g.terms.items()}))
-    if not out:
-        raise InputError("elimination produced no generators")
-    return IdealPresentation(sub, tuple(out))
-
-
 def point_ideal_intersection(
     points,
     field=QQ,
     var_names=None,
     x_order: TermOrder | None = None,
-) -> IdealPresentation:
+) -> GroebnerBasis:
     """Vanishing ideal of a finite point set, by the Buchberger-Moeller algorithm.
 
     ``points`` is a sequence of distinct tuples of field elements.  Monomials
@@ -352,8 +304,9 @@ def point_ideal_intersection(
     one's values on the points is reduced against an exact echelon of the
     values of the standard monomials.  An independent monomial is standard; a
     dependent one ``t`` yields the generator ``t - sum c_s * s`` over standard
-    monomials ``s``.  The generators are the reduced Groebner basis, monic and
-    sorted by ascending leading monomial, and are certified before returning.
+    monomials ``s``.  The generators are monic and sorted by ascending leading
+    monomial, and are certified as the reduced Groebner basis under
+    ``x_order``, which is returned.
     """
     points = [tuple(p) for p in points]
     if not points:
@@ -399,7 +352,7 @@ def point_ideal_intersection(
                 values[u] = [v * p[j] for v, p in zip(vec, coerced)]
                 heapq.heappush(heap, (key(u), u))
     _certify_vanishing_ideal(gens, est, coerced, x_order)
-    return IdealPresentation(ring, tuple(gens))
+    return GroebnerBasis(x_order, tuple(gens), reduced=True)
 
 
 def _neighbours(t: Monomial):

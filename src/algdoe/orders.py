@@ -3,6 +3,8 @@
 A monomial is a dense tuple of nonnegative integer exponents over a fixed
 indeterminate universe.  Every order here is total and multiplicative, and is
 realized through a sort key so that ``key(a) > key(b)`` iff ``a`` is greater.
+Orders are read from and written as text by :func:`parse_order` and
+:func:`format_order`, so that a written order reads back as the same order.
 """
 
 from __future__ import annotations
@@ -113,26 +115,6 @@ class TermOrder:
             return 1
         return 0
 
-    # -- elimination --------------------------------------------------------
-
-    def eliminates(self, drop: frozenset[int]) -> bool:
-        """True if every monomial containing a drop variable beats every
-        monomial free of them, so the drop variables can be eliminated."""
-        if not drop:
-            return True
-        if self.kind == "lex":
-            return drop == frozenset(self.precedence[: len(drop)])
-        if self.kind == "block":
-            seen: set[int] = set()
-            for vars_, _ in self.blocks:
-                if seen == drop:
-                    return True
-                if not set(vars_) <= drop:
-                    return False
-                seen |= set(vars_)
-            return seen == drop
-        return False
-
 
 def _prec(nvars: int, precedence):
     if precedence is None:
@@ -141,6 +123,99 @@ def _prec(nvars: int, precedence):
     if len(precedence) != nvars:
         raise InputError("precedence length must equal the universe size")
     return precedence
+
+
+def parse_order(text: str, names, precedence: str | None = None) -> TermOrder:
+    """Read an order over the variables ``names``, given in ring order.
+
+    The forms are those :func:`format_order` writes: ``lex``, ``grlex`` or
+    ``grevlex`` with the ring order as precedence, ``grevlex(x3,x1,x2)`` with
+    the listed precedence, most significant first, and
+    ``block:grevlex(x3);lex(x1,x2)`` with each block's variables and inner
+    kind.  Input may also use the prefix shorthand ``block:x3,x``: each prefix
+    collects, as one grevlex block, the variables not yet taken whose names
+    start with it.  ``precedence`` (the CLI's ``--vars``) is a comma-separated
+    list of every variable that sets the precedence of a bare kind or the
+    sequence the prefixes are matched along; it cannot be combined with a
+    form that names its variables.
+    """
+    nvars = len(names)
+    index = {name: i for i, name in enumerate(names)}
+    text = text.strip()
+    if "(" in text:
+        if precedence:
+            raise InputError(
+                "--vars cannot be combined with an order that names its variables"
+            )
+        if text.startswith("block:"):
+            specs = text[len("block:"):].split(";")
+            order = TermOrder.block(_named(spec, index) for spec in specs)
+        else:
+            vars_, kind = _named(text, index)
+            order = TermOrder(kind, vars_)
+        if order.nvars != nvars:
+            raise InputError(f"order {text!r} must list every variable exactly once")
+        return order
+    base = tuple(range(nvars))
+    if precedence:
+        base = _indices(precedence, index)
+        if sorted(base) != list(range(nvars)):
+            raise InputError("--vars must list every variable exactly once")
+    if text.startswith("block:"):
+        return _prefix_blocks(text[len("block:"):], names, base)
+    if text not in KINDS:
+        raise InputError(f"unknown order {text!r}")
+    return TermOrder(text, base)
+
+
+def format_order(order: TermOrder, names) -> str:
+    """The text of ``order`` over the variables ``names``, given in ring order;
+    :func:`parse_order` reads it back as the same order."""
+
+    def named(vars_, kind):
+        return f"{kind}({','.join(names[i] for i in vars_)})"
+
+    if order.kind == "block":
+        return "block:" + ";".join(named(*block) for block in order.blocks)
+    if order.precedence == tuple(range(order.nvars)):
+        return order.kind
+    return named(order.precedence, order.kind)
+
+
+def _indices(text: str, index: dict) -> tuple[int, ...]:
+    try:
+        return tuple(index[v.strip()] for v in text.split(",") if v.strip())
+    except KeyError as exc:
+        raise InputError(f"unknown variable {exc.args[0]!r} in order") from exc
+
+
+def _named(spec: str, index: dict) -> tuple[tuple[int, ...], str]:
+    """``kind(v1,v2,...)`` as the listed variables' indices and the kind."""
+    kind, paren, rest = spec.strip().partition("(")
+    if not paren or not rest.endswith(")"):
+        raise InputError(f"bad order {spec!r}: expected kind(v1,v2,...)")
+    if kind not in KINDS:
+        raise InputError(f"unknown term order kind {kind!r}")
+    return _indices(rest[:-1], index), kind
+
+
+def _prefix_blocks(text: str, names, base: tuple[int, ...]) -> TermOrder:
+    prefixes = [p.strip() for p in text.split(",") if p.strip()]
+    if not prefixes:
+        raise InputError("block order needs at least one prefix")
+    blocks = []
+    assigned: set[int] = set()
+    for prefix in prefixes:
+        vars_ = tuple(
+            i for i in base if names[i].startswith(prefix) and i not in assigned
+        )
+        if not vars_:
+            raise InputError(f"no variables match block prefix {prefix!r}")
+        assigned.update(vars_)
+        blocks.append((vars_, "grevlex"))
+    if len(assigned) != len(names):
+        raise InputError("block prefixes must cover every variable")
+    return TermOrder.block(blocks)
 
 
 def compare(order: TermOrder, a: Monomial, b: Monomial) -> int:

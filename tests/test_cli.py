@@ -84,11 +84,45 @@ def test_gb_block_order_output_rereads(workdir):
     code, text = invoke("gb", "--design", str(workdir / "l8.design"), *order)
     assert code == 0
     assert text.splitlines()[0] == (
-        "order=block:grevlex(x7);grevlex(x1,x2,x3,x4,x5,x6) vars=x7,x1,x2,x3,x4,x5,x6"
+        "order=block:grevlex(x7);grevlex(x1,x2,x3,x4,x5,x6) vars=x1,x2,x3,x4,x5,x6,x7"
     )
     again = workdir / "l8-block.poly"
     again.write_text(text)
-    assert invoke("gb", "--gens", str(again), *order) == (0, text)
+    assert invoke("gb", "--gens", str(again)) == (0, text)
+
+
+@pytest.mark.parametrize("order", ["lex", "grevlex", "block:x7,x", "block:x3,x"])
+@pytest.mark.parametrize(
+    "precedence", [None, "x7,x6,x5,x4,x3,x2,x1", "x3,x1,x7,x5,x2,x6,x4"]
+)
+def test_gb_output_rereads_byte_for_byte(workdir, order, precedence):
+    argv = ["gb", "--design", str(workdir / "l8.design"), "--order", order]
+    if precedence:
+        argv += ["--vars", precedence]
+    code, text = invoke(*argv)
+    assert code == 0
+    assert text.splitlines()[0].endswith(" vars=x1,x2,x3,x4,x5,x6,x7")
+    again = workdir / "l8-again.poly"
+    again.write_text(text)
+    assert invoke("gb", "--gens", str(again)) == (0, text)
+
+
+def test_gb_reads_block_header_listing_precedence(tmp_path):
+    # the header gb wrote for block orders before vars= listed the ring order
+    gens = tmp_path / "old-block.poly"
+    gens.write_text(
+        "order=block:grevlex(x7);grevlex(x1,x2,x3,x4,x5,x6) vars=x7,x1,x2,x3,x4,x5,x6\n"
+        "x7^2-1\nx1+x6*x7\nx1^2-1\n"
+    )
+    code, text = invoke("gb", "--gens", str(gens))
+    assert code == 0
+    assert text.splitlines() == [
+        "order=block:grevlex(x7);grevlex(x1,x2,x3,x4,x5,x6) vars=x7,x1,x2,x3,x4,x5,x6",
+        "x6^2-1",
+        "x1^2-1",
+        "x7+x1*x6",
+    ]
+    assert invoke("gb", "--gens", str(gens), "--order", "block:x7,x") == (0, text)
 
 
 def test_est_golden(workdir):
@@ -276,6 +310,18 @@ def test_mctest_rejects_zero_thinning(workdir):
         "--thin", "0",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["alias", "--design", "l8.design", "--max-degree", "-1"],
+        ["doptimal", "--m", "3", "--n", "4", "--restarts", "0"],
+    ],
+)
+def test_negative_counts_exit_code(workdir, argv):
+    argv = [str(workdir / a) if a.endswith(".design") else a for a in argv]
+    assert invoke(*argv)[0] == 2
 
 
 def test_doptimal_json():

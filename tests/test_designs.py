@@ -256,6 +256,11 @@ def test_alias_table_generates_only_low_degree_monomials():
     assert [cls[0] for cls in classes] == [((0,) * 40, 1), (mono(40, 1), 1)]
 
 
+def test_alias_table_rejects_negative_degree(l8):
+    with pytest.raises(InputError, match="max_degree"):
+        alias_table(l8, -1)
+
+
 def test_random_designs_est_size_matches_runs():
     rng = random.Random(123)
     for _ in range(5):

@@ -225,6 +225,12 @@ def test_spec_validation():
         SearchSpec(m=2, n=2, mode="annealing")
 
 
+def test_spec_rejects_zero_restarts():
+    for mode in ("exhaustive", "greedy-exchange"):
+        with pytest.raises(InputError, match="restarts"):
+            SearchSpec(m=3, n=4, mode=mode, restarts=0)
+
+
 def test_exhaustive_search_needs_no_recursion_per_run():
     # C(128, 127) subsets of 127 runs each: a walk that recursed once per
     # chosen run would need over a hundred frames

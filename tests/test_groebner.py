@@ -9,11 +9,9 @@ from algdoe import (
     BudgetError,
     InputError,
     NonZeroDimensionalError,
-    OrderMismatchError,
     PolyRing,
     TermOrder,
     buchberger,
-    eliminate,
     ideal_membership,
     point_ideal_intersection,
     reduce_basis,
@@ -167,20 +165,8 @@ def test_eliminate_single_point():
         [(Fraction(1), Fraction(-1), Fraction(1))],
         x_order=TermOrder.lex(3),
     )
-    texts = {g.text(TermOrder.lex(3)) for g in pres.generators}
+    texts = {g.text(TermOrder.lex(3)) for g in pres.elements}
     assert texts == {"x1-1", "x2+1", "x3-1"}
-
-
-def test_eliminate_empty_drop_returns_basis():
-    gb = buchberger(parse_gens(["x1^2-1"]), LEX7)
-    pres = eliminate(gb, [])
-    assert pres.generators == gb.elements
-
-
-def test_eliminate_rejects_non_elimination_order():
-    gb = buchberger(parse_gens(["x1^2-1", "x2^2-1"]), GREV7)
-    with pytest.raises(OrderMismatchError):
-        eliminate(gb, ["x1"])
 
 
 def test_point_intersection_full_factorial():
@@ -191,7 +177,7 @@ def test_point_intersection_full_factorial():
     ]
     order = TermOrder.lex(3)
     pres = point_ideal_intersection(points, x_order=order)
-    assert {g.text(order) for g in pres.generators} == {
+    assert {g.text(order) for g in pres.elements} == {
         "x1^2-1",
         "x2^2-1",
         "x3^2-1",
@@ -206,7 +192,7 @@ def test_point_intersection_three_point_variety():
     ]
     # the internal certificate checks vanishing on the points and |Est| = n
     pres = point_ideal_intersection(points)
-    assert all(not g.evaluate(p) for g in pres.generators for p in points)
+    assert all(not g.evaluate(p) for g in pres.elements for p in points)
 
 
 def test_standard_monomials_fixtures():

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from algdoe import DimensionError, TermOrder, compare
+from algdoe import DimensionError, InputError, TermOrder, compare
+from algdoe.orders import KINDS, format_order, parse_order
 from algdoe.polynomials import mono_mul
 
 
@@ -51,11 +52,6 @@ def test_block_order_eliminates():
     t_mono = (1, 0, 0, 5)
     x_mono = (0, 0, 9, 9)
     assert compare(order, t_mono, x_mono) == 1
-    assert order.eliminates(frozenset({0, 1}))
-    assert not order.eliminates(frozenset({1}))
-    assert not TermOrder.grevlex(4).eliminates(frozenset({0}))
-    assert TermOrder.lex(4).eliminates(frozenset({0, 1}))
-    assert not TermOrder.lex(4).eliminates(frozenset({1}))
 
 
 orders = st.one_of(
@@ -91,3 +87,57 @@ def test_transitive_sampled(order, a, b, c):
 @given(orders, monos)
 def test_one_divides_everything_is_minimal(order, a):
     assert compare(order, a, (0, 0, 0, 0)) >= 0
+
+
+NAMES = ("x1", "x2", "x3", "y1", "x10", "t")
+
+
+@st.composite
+def named_orders(draw):
+    nvars = draw(st.integers(min_value=1, max_value=6))
+    precedence = tuple(draw(st.permutations(range(nvars))))
+    if draw(st.booleans()):
+        return TermOrder(draw(st.sampled_from(KINDS)), precedence), NAMES[:nvars]
+    cuts = draw(st.sets(st.integers(1, nvars - 1))) if nvars > 1 else set()
+    bounds = [0, *sorted(cuts), nvars]
+    blocks = [
+        (precedence[a:b], draw(st.sampled_from(KINDS)))
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    return TermOrder.block(blocks), NAMES[:nvars]
+
+
+@given(named_orders())
+def test_format_parse_round_trip(order_names):
+    order, names = order_names
+    assert parse_order(format_order(order, names), names) == order
+
+
+def test_order_text_forms():
+    names = ("x1", "x2", "x3")
+    assert format_order(TermOrder.lex(3), names) == "lex"
+    assert format_order(TermOrder.grevlex(3, (2, 0, 1)), names) == "grevlex(x3,x1,x2)"
+    assert parse_order("grlex", names, "x3,x1,x2") == TermOrder.grlex(3, (2, 0, 1))
+    block = TermOrder.block([((2,), "grevlex"), ((0, 1), "grevlex")])
+    assert parse_order("block:x3,x", names) == block
+    assert format_order(block, names) == "block:grevlex(x3);grevlex(x1,x2)"
+
+
+@pytest.mark.parametrize(
+    "text, precedence",
+    [
+        ("grevlex(x3,x1,x2)", "x1,x2,x3"),
+        ("block:grevlex(x3);lex(x1,x2)", "x1,x2,x3"),
+        ("grevlex(x3,x1)", None),
+        ("grevlex(x3,x1,x1)", None),
+        ("block:grevlex(x3);lex(x1)", None),
+        ("block:grevlex(x3);block(x1,x2)", None),
+        ("grevlex(x3,x1,x9)", None),
+        ("block", None),
+        ("lex", "x1,x2"),
+        ("block:x3,y", None),
+    ],
+)
+def test_parse_order_rejects(text, precedence):
+    with pytest.raises(InputError):
+        parse_order(text, ("x1", "x2", "x3"), precedence)
