@@ -22,7 +22,7 @@ from .covariates import CovariateMatrix, _check_counts, recode_integer
 from .errors import BudgetError, InputError, ScaleError
 from .groebner import Budget, DEFAULT_BUDGET, _Completion
 
-MAX_FIBER_NODES = 10_000_000  # ~50 s of search at ~5 us per node
+MAX_FIBER_NODES = 10_000_000  # ~40 s at ~4 us per node (2 vCPU, Python 3.11)
 
 
 @dataclass(frozen=True)
@@ -255,13 +255,13 @@ def enumerate_fiber(
     targets = [sum(c * v for c, v in zip(col, y0)) for col in recoded]
     n = A.n
     ncon = len(recoded)
-    # suffix maxima let the search prune constraints that cannot be reached
-    suffix_max = []
-    for col in recoded:
-        sm = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            sm[i] = max(sm[i + 1], col[i])
-        suffix_max.append(sm)
+    # suffix minima and maxima over the runs not yet assigned bound what
+    # they can add to each constraint: the unassigned counts are nonnegative
+    # and sum to what remains of the total, so a branch whose constraint
+    # would overshoot even at the minimum, or fall short even at the
+    # maximum, holds no fiber point
+    suffix_min = [[min(col[i:], default=0) for i in range(n + 1)] for col in recoded]
+    suffix_max = [[max(col[i:], default=0) for i in range(n + 1)] for col in recoded]
 
     out = []
     y = [0] * n
@@ -282,12 +282,13 @@ def enumerate_fiber(
         for v in range(remaining + 1):
             y[i] = v
             ok = True
+            rest = remaining - v
             for j in range(ncon):
                 acc = partial[j] + recoded[j][i] * v
-                if acc > targets[j]:
+                if acc + suffix_min[j][i + 1] * rest > targets[j]:
                     ok = False
                     break
-                if acc + suffix_max[j][i + 1] * (remaining - v) < targets[j]:
+                if acc + suffix_max[j][i + 1] * rest < targets[j]:
                     ok = False
                     break
             if ok:

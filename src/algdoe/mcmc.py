@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,26 +80,32 @@ def chain_states(y0, moves, cfg: ChainConfig, seed: int | None = None):
     """
     rng = random.Random(cfg.seed if seed is None else seed)
     y = list(y0)
-    n = len(y)
-    total = sum(y)
-    lgam = [math.lgamma(k + 1) for k in range(total + 1)]
-    moves = [tuple(z) for z in moves]
-    nmoves = len(moves)
+    # each move as its (coordinate, entry) pairs on its support, in index
+    # order: a step reads and writes only the coordinates the move changes
+    supports = [tuple((i, b) for i, b in enumerate(z) if b) for z in moves]
+    # a coordinate can pass the total before a later one of the same
+    # proposal turns out negative, so the table reaches past the total
+    reach = max((abs(b) for support in supports for _, b in support), default=0)
+    lgam = [math.lgamma(k + 1) for k in range(sum(y) + reach + 1)]
+    nmoves = len(supports)
     stride = cfg.thinning
     steps = cfg.burn_in + stride * cfg.samples
     recorded = 0
     for step in range(1, steps + 1):
-        z = moves[rng.randrange(nmoves)]
+        support = supports[rng.randrange(nmoves)]
         sign = 1 if rng.random() < 0.5 else -1
-        candidate = [a + sign * b for a, b in zip(y, z)]
-        if min(candidate) >= 0:
-            # log acceptance ratio: sum over changed coordinates only
-            logr = 0.0
-            for i in range(n):
-                if z[i]:
-                    logr += lgam[y[i]] - lgam[candidate[i]]
+        # log acceptance ratio, summed in index order over the support; a
+        # negative coordinate rejects the proposal with no acceptance draw
+        logr = 0.0
+        for i, b in support:
+            v = y[i] + sign * b
+            if v < 0:
+                break
+            logr += lgam[y[i]] - lgam[v]
+        else:
             if logr >= 0.0 or rng.random() < math.exp(logr):
-                y = candidate
+                for i, b in support:
+                    y[i] += sign * b
         if step > cfg.burn_in and (step - cfg.burn_in) % stride == 0:
             recorded += 1
             yield tuple(y)
@@ -146,11 +153,18 @@ def mh_sample(
     hits = 0
     total = 0
     se_parts: list[float] = []
+    # the indicator depends on the state alone, so each distinct state's
+    # statistic is computed once; chains revisit a few states many times
+    indicator_of: dict[tuple[int, ...], float] = {}
     for c in range(chains):
         indicators = []
         for state in chain_states(y0, basis.moves, cfg, seed=chain_seed(cfg.seed, c)):
-            t = test_statistic(kind, state, fit)
-            indicators.append(1.0 if _at_least_as_extreme(t, t_obs) else 0.0)
+            hit = indicator_of.get(state)
+            if hit is None:
+                t = test_statistic(kind, state, fit)
+                hit = 1.0 if _at_least_as_extreme(t, t_obs) else 0.0
+                indicator_of[state] = hit
+            indicators.append(hit)
         hits += int(sum(indicators))
         total += len(indicators)
         se_parts.append(_batch_means_se(indicators))
@@ -181,7 +195,8 @@ def exact_p_value(
     """
     y0 = _check_counts(A.n, y0)
     fiber = enumerate_fiber(A, y0, max_total=max_total, max_runs=max_runs)
-    if y0 not in fiber:
+    at = bisect_left(fiber, y0)
+    if at == len(fiber) or fiber[at] != y0:
         raise InputError("the observed vector is not in its own fiber")
     if fit is None:
         fit = fit_null_glm(A, y0)

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -97,7 +98,7 @@ def test_fiber_caps():
 
 
 def test_fiber_node_cap(monkeypatch):
-    # 2^3 main effects at total 16 takes more than 11k search nodes
+    # 2^3 main effects at total 16 takes 2 285 search nodes
     from algdoe import markov
 
     A = build_covariate_matrix(full_factorial(3), main_effects(3))
@@ -106,6 +107,56 @@ def test_fiber_node_cap(monkeypatch):
         enumerate_fiber(A, (2,) * 8)
     with pytest.raises(ScaleError, match="1000 nodes"):
         fiber_connected(A, (2,) * 8, markov_basis(A))
+
+
+def _brute_force_fiber(A, y0, same_total):
+    """Oracle: the points with the exact sufficient statistic of y0 among
+    ``same_total``, the points of {0..N}^n with the total N of y0."""
+    target = A.sufficient_statistic(y0)
+    return [y for y in same_total if A.sufficient_statistic(y) == target]
+
+
+def test_fiber_matches_brute_force(three_level_integer):
+    ff3 = full_factorial(3)
+    ff33 = full_factorial(2, 3)
+    cases = [
+        (build_covariate_matrix(full_factorial(2), main_effects(2)), 5),
+        (build_covariate_matrix(ff3, main_effects(3)), 4),
+        (build_covariate_matrix(ff3, main_effects(3) + [term(3, 1, 2)]), 4),
+        (build_covariate_matrix(full_factorial(1, 3), [term(1)]), 6),
+    ]
+    for contrast in ("baseline", "symmetric", "complex"):
+        cases.append((build_covariate_matrix(ff33, main_effects(2), contrast), 3))
+        cases.append(
+            (build_covariate_matrix(three_level_integer, main_effects(3), contrast), 3)
+        )
+    rng = random.Random(12)
+    spaces = {}
+    for A, total in cases:
+        if (A.n, total) not in spaces:
+            # itertools.product lists the points in sorted order
+            space = itertools.product(range(total + 1), repeat=A.n)
+            spaces[A.n, total] = [y for y in space if sum(y) == total]
+        same_total = spaces[A.n, total]
+        for _ in range(3):
+            y0 = [0] * A.n
+            for _ in range(total):
+                y0[rng.randrange(A.n)] += 1
+            y0 = tuple(y0)
+            assert enumerate_fiber(A, y0) == _brute_force_fiber(A, y0, same_total)
+
+
+def test_fiber_2_4_main_effects_within_node_budget(monkeypatch):
+    # round-robin counts, total 12: 82 590 search nodes once a branch is
+    # dropped as soon as the unassigned runs must overshoot a constraint
+    from algdoe import markov
+
+    A = build_covariate_matrix(full_factorial(4), main_effects(4))
+    monkeypatch.setattr(markov, "MAX_FIBER_NODES", 200_000)
+    y0 = tuple(1 if i < 12 else 0 for i in range(16))
+    fiber = enumerate_fiber(A, y0)
+    assert len(fiber) == 7830
+    assert y0 in fiber
 
 
 def test_budget_error_suggests_enumeration():

@@ -1,3 +1,5 @@
+import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -14,7 +16,14 @@ from algdoe import (
     markov_basis,
     mh_sample,
 )
-from algdoe.mcmc import chain_seed, chain_states, splitmix64
+from algdoe.glm import fit_null_glm, test_statistic
+from algdoe.mcmc import (
+    _at_least_as_extreme,
+    _batch_means_se,
+    chain_seed,
+    chain_states,
+    splitmix64,
+)
 
 
 def term(m, *idx):
@@ -154,3 +163,112 @@ def test_thinning_and_burn_in_change_the_stream(setup_2x2):
 def test_chain_config_rejects_bad_values(kwargs):
     with pytest.raises(InputError):
         ChainConfig(seed=1, **kwargs)
+
+
+def _reference_chain_states(y0, moves, cfg: ChainConfig, seed: int | None = None):
+    """The dense chain: builds and scans the whole candidate at every step."""
+    rng = random.Random(cfg.seed if seed is None else seed)
+    y = list(y0)
+    n = len(y)
+    total = sum(y)
+    lgam = [math.lgamma(k + 1) for k in range(total + 1)]
+    moves = [tuple(z) for z in moves]
+    nmoves = len(moves)
+    stride = cfg.thinning
+    steps = cfg.burn_in + stride * cfg.samples
+    recorded = 0
+    for step in range(1, steps + 1):
+        z = moves[rng.randrange(nmoves)]
+        sign = 1 if rng.random() < 0.5 else -1
+        candidate = [a + sign * b for a, b in zip(y, z)]
+        if min(candidate) >= 0:
+            # log acceptance ratio: sum over changed coordinates only
+            logr = 0.0
+            for i in range(n):
+                if z[i]:
+                    logr += lgam[y[i]] - lgam[candidate[i]]
+            if logr >= 0.0 or rng.random() < math.exp(logr):
+                y = candidate
+        if step > cfg.burn_in and (step - cfg.burn_in) % stride == 0:
+            recorded += 1
+            yield tuple(y)
+            if recorded >= cfg.samples:
+                return
+
+
+def _reference_mh_sample(A, y0, basis, kind, cfg, chains=1):
+    """mh_sample with the statistic computed at every recorded state."""
+    from algdoe.mcmc import TestResult
+
+    fit = fit_null_glm(A, y0)
+    t_obs = test_statistic(kind, y0, fit)
+    hits = 0
+    total = 0
+    se_parts = []
+    for c in range(chains):
+        indicators = []
+        for state in _reference_chain_states(
+            y0, basis.moves, cfg, seed=chain_seed(cfg.seed, c)
+        ):
+            t = test_statistic(kind, state, fit)
+            indicators.append(1.0 if _at_least_as_extreme(t, t_obs) else 0.0)
+        hits += int(sum(indicators))
+        total += len(indicators)
+        se_parts.append(_batch_means_se(indicators))
+    p = hits / total
+    se = math.sqrt(sum(s * s for s in se_parts)) / chains
+    return TestResult(t_obs, p, se, total, "mcmc")
+
+
+def _chain_cases():
+    ff3 = full_factorial(3)
+    me3 = main_effects(3)
+    models = [
+        build_covariate_matrix(ff3, me3),
+        build_covariate_matrix(ff3, me3 + [term(3, 1, 2)]),
+        build_covariate_matrix(full_factorial(4), main_effects(4)),
+    ]
+    for contrast in ("baseline", "symmetric", "complex"):
+        models.append(
+            build_covariate_matrix(full_factorial(2, 3), main_effects(2), contrast)
+        )
+    cases = [(A, markov_basis(A).moves) for A in models]
+    # an entry of absolute value 2: the move leaves the orthant from y_0 = 1
+    A = build_covariate_matrix(full_factorial(1, 3), [term(1)])
+    cases.append((A, markov_basis(A).moves + ((2, -1, -1),)))
+    return cases
+
+
+def _random_counts(rng, n, total):
+    y = [0] * n
+    for _ in range(total):
+        y[rng.randrange(n)] += 1
+    return tuple(y)
+
+
+def test_chain_states_match_dense_reference():
+    rng = random.Random(7)
+    for _, moves in _chain_cases():
+        n = len(moves[0])
+        for seed in (1, 2, 3):
+            y0 = _random_counts(rng, n, rng.randint(1, 3 * n))
+            for burn_in in (0, 25):
+                for thinning in (1, 3):
+                    cfg = ChainConfig(
+                        seed=seed, burn_in=burn_in, samples=400, thinning=thinning
+                    )
+                    assert list(chain_states(y0, moves, cfg)) == list(
+                        _reference_chain_states(y0, moves, cfg)
+                    )
+
+
+def test_mh_sample_matches_per_state_statistic():
+    rng = random.Random(8)
+    for A, _ in _chain_cases()[:6]:
+        basis = markov_basis(A)
+        y0 = _random_counts(rng, A.n, 2 * A.n)
+        cfg = ChainConfig(seed=rng.randrange(2**31), burn_in=50, samples=600)
+        for kind in ("deviance", "pearson"):
+            for chains in (1, 3):
+                want = _reference_mh_sample(A, y0, basis, kind, cfg, chains)
+                assert mh_sample(A, y0, basis, kind, cfg, chains) == want
