@@ -16,14 +16,9 @@ from fractions import Fraction
 
 from .cyclotomic import QQ, cyclotomic_field, is_prime, omega
 from .errors import InputError, RankError, ScaleError
-from .groebner import (
-    GroebnerBasis,
-    ideal_membership,
-    point_ideal_intersection,
-    standard_monomials,
-)
+from .groebner import GroebnerBasis, point_ideal_intersection, standard_monomials
 from .orders import Monomial, TermOrder
-from .polynomials import PolyRing, monomial_name  # monomial_name: re-exported
+from .polynomials import PolyRing, monomial_name, normal_form  # monomial_name: re-exported
 
 CODINGS = ("pm1", "integer", "complex")
 MAX_REGULAR_RUNS = 2**20
@@ -73,8 +68,6 @@ class Design:
 
     def points(self):
         """Runs as tuples of field elements."""
-        if self.coding == "pm1":
-            return [tuple(Fraction(v) for v in run) for run in self.runs]
         if self.coding == "complex":
             return [tuple(omega(self.s, v) for v in run) for run in self.runs]
         return [tuple(Fraction(v) for v in run) for run in self.runs]
@@ -281,8 +274,8 @@ def is_confounded(a1: Monomial, a2: Monomial, d: Design):
     """+1 or -1 when x^a1 and x^a2 are completely confounded on the design,
     None otherwise.
 
-    Decided by ideal membership of x^a1 - c*x^a2 in the design ideal, and
-    cross-checked against direct evaluation over the runs.
+    Decided by the normal forms of x^a1 and x^a2, equal or opposite, in the
+    design ideal, and cross-checked against direct evaluation over the runs.
     """
     if d.s != 2:
         raise InputError("confounding analysis is defined for two-level designs")
@@ -290,14 +283,10 @@ def is_confounded(a1: Monomial, a2: Monomial, d: Design):
     _square_free_over(a1, d.m)
     _square_free_over(a2, d.m)
     gb = design_ideal(d, TermOrder.grevlex(d.m))
-    ring = gb.ring
-    membership = None
-    for c in (1, -1):
-        f = ring.monomial(a1) - ring.monomial(a2) * c
-        member, _ = ideal_membership(f, gb)
-        if member:
-            membership = c
-            break
+    r1, r2 = (
+        normal_form(gb.ring.monomial(a), gb.elements, gb.order)[0] for a in (a1, a2)
+    )
+    membership = 1 if r1 == r2 else -1 if r1 == -r2 else None
     values = {v1 * v2 for v1, v2 in zip(_value_vector(d, a1), _value_vector(d, a2))}
     evaluation = values.pop() if len(values) == 1 else None
     if membership != evaluation:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import itertools
 from dataclasses import dataclass
 from itertools import compress
 from operator import and_, le, not_, or_
@@ -46,6 +45,7 @@ class Budget:
 
 
 DEFAULT_BUDGET = Budget()
+MAX_STANDARD_MONOMIALS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -347,7 +347,8 @@ def point_ideal_intersection(
             gens.append(Polynomial(ring, terms))
             continue
         est.append(t)
-        for j, u in enumerate(_neighbours(t)):
+        for j in range(m):
+            u = t[:j] + (t[j] + 1,) + t[j + 1 :]
             if u not in values:
                 values[u] = [v * p[j] for v, p in zip(vec, coerced)]
                 heapq.heappush(heap, (key(u), u))
@@ -355,19 +356,14 @@ def point_ideal_intersection(
     return GroebnerBasis(x_order, tuple(gens), reduced=True)
 
 
-def _neighbours(t: Monomial):
-    """x_j * t for each variable x_j, in variable order."""
-    return [t[:j] + (t[j] + 1,) + t[j + 1 :] for j in range(len(t))]
-
-
 def _certify_vanishing_ideal(gens, est, points, order: TermOrder):
     """Prove that ``gens`` is a Groebner basis of the vanishing ideal I.
 
     The generators vanish on every point, so their leading terms generate a
     subset of LT(I).  ``est`` is exactly the set of monomials outside the
-    leading terms (it holds 1, no element is divisible by a leading term, and
-    every neighbour x_j * s of an element is in it or divisible by one), and
-    it has n = dim F[x]/I elements, so the two leading-term ideals are equal.
+    leading terms (a walk of that complement, stopped after n monomials,
+    returns it), and it has n = dim F[x]/I elements, so the two leading-term
+    ideals are equal.
     """
     leads = [g.leading_monomial(order) for g in gens]
     for p in points:
@@ -380,49 +376,55 @@ def _certify_vanishing_ideal(gens, est, points, order: TermOrder):
         raise AssertionError(
             f"{len(est)} standard monomials for {len(points)} distinct points"
         )
-    staircase = set(est)
-    border = {u for s in est for u in _neighbours(s)} - staircase
-    if (
-        (0,) * len(points[0]) not in staircase
-        or any(mono_divides(lm, s) for lm in leads for s in est)
-        or not all(any(mono_divides(lm, u) for lm in leads) for u in border)
-    ):
+    walk = _staircase(leads, len(points[0]), len(est))
+    if walk is None or set(walk) != set(est):
         raise AssertionError(
             "the standard monomials are not the staircase of the leading terms"
         )
 
 
-def standard_monomials(G: GroebnerBasis, cap: int = 1_000_000):
+def _staircase(leads, nvars: int, limit: int):
+    """The monomials that no lead divides, or None if more than ``limit``.
+
+    Canonical generation from 1: a standard s whose last variable is x_l yields
+    u = s * x_j for j >= l, so each monomial is reached once.  A lead dividing
+    u but not s has exponent u_j at x_j, so only those leads are tested.
+    """
+    tested: dict[tuple[int, int], list[Monomial]] = {}
+    for lm in leads:
+        for j, e in enumerate(lm):
+            if e:
+                tested.setdefault((j, e), []).append(lm)
+    one = (0,) * nvars
+    walk = [] if one in leads else [(one, 0)]
+    for s, last in walk:  # the loop also visits what it appends
+        for j in range(last, nvars):
+            u = s[:j] + (s[j] + 1,) + s[j + 1 :]
+            if not any(mono_divides(lm, u) for lm in tested.get((j, u[j]), ())):
+                walk.append((u, j))
+        if len(walk) > limit:
+            return None
+    return [s for s, _ in walk]
+
+
+def standard_monomials(G: GroebnerBasis):
     """Monomials outside the leading-term ideal, sorted ascending.
 
     Requires a zero-dimensional ideal: every variable must appear as a pure
-    power among the leading terms, which bounds the staircase box.
+    power among the leading terms.  They are walked from 1, at a cost that
+    grows with their number; more than MAX_STANDARD_MONOMIALS is a ScaleError.
     """
-    order = G.order
-    nvars = G.ring.nvars
     leads = G.leading_monomials()
-    bounds = [None] * nvars
-    for lm in leads:
-        support = [i for i, e in enumerate(lm) if e]
-        if len(support) == 1:
-            i = support[0]
-            if bounds[i] is None or lm[i] < bounds[i]:
-                bounds[i] = lm[i]
-    if any(b is None for b in bounds):
-        missing = [G.ring.names[i] for i, b in enumerate(bounds) if b is None]
+    powers = {j for lm in leads for j, e in enumerate(lm) if e and e == sum(lm)}
+    missing = [name for j, name in enumerate(G.ring.names) if j not in powers]
+    if missing:
         raise NonZeroDimensionalError(
             f"no pure power of {', '.join(missing)} among the leading terms"
         )
-    size = 1
-    for b in bounds:
-        size *= b
-        if size > cap:
-            raise ScaleError(f"staircase box larger than {cap}")
-    out = []
-    for e in itertools.product(*(range(b) for b in bounds)):
-        if not any(mono_divides(lm, e) for lm in leads):
-            out.append(e)
-    out.sort(key=order.key)
+    out = _staircase(leads, G.ring.nvars, MAX_STANDARD_MONOMIALS)
+    if out is None:
+        raise ScaleError(f"more than {MAX_STANDARD_MONOMIALS} standard monomials")
+    out.sort(key=G.order.key)
     return tuple(out)
 
 

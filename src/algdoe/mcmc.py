@@ -19,10 +19,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covariates import CovariateMatrix, _check_counts
+from .covariates import CovariateMatrix, _check_counts, recode_integer
 from .errors import InputError
 from .glm import GlmFit, fit_null_glm, test_statistic
-from .markov import MarkovBasis, enumerate_fiber
+from .markov import MarkovBasis, _residual, enumerate_fiber
 
 DEFAULT_BURN_IN = 10_000
 DEFAULT_SAMPLES = 100_000
@@ -141,10 +141,15 @@ def mh_sample(
 
     Runs ``chains`` independent chains with seeds split from the master seed
     and pools their counts.  A degenerate fiber (no moves) returns p = 1.
+    A move outside the kernel of A, which would leave the fiber, is refused.
     """
     if chains < 1:
         raise InputError("need at least one chain")
     y0 = _check_counts(A.n, y0)
+    recoded = recode_integer(A)
+    for z in basis.moves:
+        if len(z) != A.n or any(_residual(recoded, z)):
+            raise InputError(f"move {z} is not a kernel vector of A")
     if fit is None:
         fit = fit_null_glm(A, y0)
     t_obs = test_statistic(kind, y0, fit)

@@ -182,6 +182,19 @@ def test_est_cardinality_random_orders(l8):
         assert len(est_monomials(l8, order)) == l8.n
 
 
+def test_est_twenty_factors_no_box_cap():
+    # the pure squares bound a box of 2^20 monomials, but only 24 are standard
+    rng = random.Random(2020)
+    runs = set()
+    while len(runs) < 24:
+        runs.add(tuple(rng.choice((-1, 1)) for _ in range(20)))
+    d = Design(20, 2, tuple(sorted(runs)), "pm1")
+    est = est_monomials(d, TermOrder.grevlex(20))
+    assert len(est) == 24
+    assert est[0] == (0,) * 20
+    assert all(sum(mono) == 1 for mono in est[1:21])
+
+
 def test_est_block_order_matches_base_design(f1):
     # adding a factor y = x1*x2 and ordering {y} ahead of {x} leaves the
     # identifiable set of the base design unchanged

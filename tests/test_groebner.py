@@ -1,25 +1,34 @@
+import itertools
 import random
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algdoe import (
     Budget,
     BudgetError,
+    Design,
     InputError,
     NonZeroDimensionalError,
     PolyRing,
+    ScaleError,
     TermOrder,
     buchberger,
+    design_ideal,
     ideal_membership,
     point_ideal_intersection,
     reduce_basis,
     s_polynomial,
     standard_monomials,
 )
-from algdoe.groebner import GroebnerBasis, spolynomials_reduce_to_zero
-from algdoe.polynomials import normal_form
+from algdoe.groebner import (
+    GroebnerBasis,
+    _certify_vanishing_ideal,
+    spolynomials_reduce_to_zero,
+)
+from algdoe.polynomials import mono_divides, normal_form
 
 R7 = PolyRing([f"x{i}" for i in range(1, 8)])
 LEX7 = TermOrder.lex(7)
@@ -221,6 +230,105 @@ def test_standard_monomials_requires_zero_dimensional():
     gb = buchberger([R2.parse("x1^2-1")], TermOrder.lex(2))
     with pytest.raises(NonZeroDimensionalError):
         standard_monomials(gb)
+
+
+def _box_standard_monomials(G):
+    """Standard monomials listed from the box of the pure-power leads, every
+    monomial of the box tested against every lead: the walk's reference."""
+    leads = G.leading_monomials()
+    bounds = [
+        min(lm[j] for lm in leads if lm[j] and lm[j] == sum(lm))
+        for j in range(G.ring.nvars)
+    ]
+    out = [
+        e
+        for e in itertools.product(*(range(b) for b in bounds))
+        if not any(mono_divides(lm, e) for lm in leads)
+    ]
+    return tuple(sorted(out, key=G.order.key))
+
+
+def _random_order(rng, m):
+    kind = rng.choice((TermOrder.lex, TermOrder.grlex, TermOrder.grevlex))
+    return kind(m, tuple(rng.sample(range(m), m)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_standard_monomials_match_box_on_design_ideals(seed):
+    rng = random.Random(seed)
+    if rng.random() < 0.6:
+        m, s, coding = rng.randint(1, 5), 2, "pm1"
+        pool = list(itertools.product((-1, 1), repeat=m))
+    else:
+        m, s, coding = rng.randint(1, 3), 3, "complex"
+        pool = list(itertools.product(range(3), repeat=m))
+    runs = rng.sample(pool, rng.randint(1, len(pool)))
+    G = design_ideal(Design(m, s, tuple(runs), coding), _random_order(rng, m))
+    est = standard_monomials(G)
+    assert est == _box_standard_monomials(G)
+    assert len(est) == len(runs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_standard_monomials_match_box_on_buchberger_outputs(seed):
+    rng = random.Random(seed)
+    m = rng.randint(1, 3)
+    R = PolyRing([f"x{i}" for i in range(1, m + 1)])
+    # a pure power in every variable keeps the ideal zero-dimensional
+    gens = [
+        R.monomial(tuple(rng.randint(1, 3) * (j == i) for j in range(m)))
+        - R.const(rng.randint(0, 1))
+        for i in range(m)
+    ]
+    for _ in range(rng.randint(0, 2)):
+        terms = rng.sample(list(itertools.product(range(3), repeat=m))[1:], 2)
+        gens.append(R.monomial(terms[0]) - R.monomial(terms[1]) * rng.choice((1, -1)))
+    G = buchberger([g for g in gens if not g.is_zero()], _random_order(rng, m))
+    if any(lm == (0,) * m for lm in G.leading_monomials()):
+        with pytest.raises(NonZeroDimensionalError):
+            standard_monomials(G)
+        return
+    assert standard_monomials(G) == _box_standard_monomials(G)
+
+
+def test_standard_monomials_cap_raises_scale_error():
+    # the staircase of 21 pure squares has 2^21 monomials
+    R = PolyRing([f"x{i}" for i in range(1, 22)])
+    G = GroebnerBasis(
+        TermOrder.grevlex(21),
+        tuple(R.parse(f"x{i}^2-1") for i in range(1, 22)),
+        reduced=True,
+    )
+    with pytest.raises(ScaleError, match="1000000"):
+        standard_monomials(G)
+
+
+def _certificate_inputs(d):
+    points = d.points()
+    G = point_ideal_intersection(points, x_order=GREV7)
+    return list(G.elements), list(standard_monomials(G)), points
+
+
+def test_certificate_rejects_est_with_a_border_monomial(l8):
+    gens, est, points = _certificate_inputs(l8)
+    _certify_vanishing_ideal(gens, est, points, GREV7)
+    # a leading term is a border monomial: it is outside the staircase
+    est[-1] = gens[0].leading_monomial(GREV7)
+    with pytest.raises(AssertionError, match="staircase"):
+        _certify_vanishing_ideal(gens, est, points, GREV7)
+
+
+def test_certificate_rejects_leads_without_a_pure_power(l8):
+    gens, est, points = _certificate_inputs(l8)
+    # without x7^2 - 1 the leads leave x7^k standard for every k: the walk
+    # must stop at n monomials
+    square = (0,) * 6 + (2,)
+    kept = [g for g in gens if g.leading_monomial(GREV7) != square]
+    assert len(kept) == len(gens) - 1
+    with pytest.raises(AssertionError, match="staircase"):
+        _certify_vanishing_ideal(kept, est, points, GREV7)
 
 
 def test_certifying_self_check():

@@ -135,6 +135,19 @@ def test_degenerate_fiber(setup_2x2):
     assert res.samples_used == 0
 
 
+def test_mh_sample_rejects_moves_outside_the_kernel(setup_2x2):
+    from algdoe.markov import MarkovBasis
+
+    A, _ = setup_2x2
+    cfg = ChainConfig(seed=1, burn_in=10, samples=100)
+    # a move that changes the total leaves the fiber
+    with pytest.raises(InputError, match=r"move \(1, 0, 0, 0\)"):
+        mh_sample(A, (1, 1, 1, 1), MarkovBasis(4, ((1, 0, 0, 0),)), "pearson", cfg)
+    # a move for three runs against a four-run matrix
+    with pytest.raises(InputError, match=r"move \(1, -1, 0\)"):
+        mh_sample(A, (1, 1, 1, 1), MarkovBasis(3, ((1, -1, 0),)), "pearson", cfg)
+
+
 def test_chain_pooling_and_seed_split(setup_2x2):
     A, basis = setup_2x2
     assert splitmix64(0) != splitmix64(1)
