@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .covariates import (
@@ -68,14 +67,6 @@ def print_basis(gb: GroebnerBasis, out) -> None:
     print(f"order={format_order(gb.order, names)} vars={','.join(names)}", file=out)
     for g in gb.elements:
         print(g.text(gb.order), file=out)
-
-
-def _add_budget_flags(sub):
-    sub.add_argument("--max-pairs", type=int, default=Budget().max_pairs)
-
-
-def _frac(x: Fraction) -> str:
-    return str(x)
 
 
 def _emit_json(payload: dict, out) -> None:
@@ -294,7 +285,7 @@ def cmd_exact(args, out) -> int:
         "stat_kind": args.stat,
         "statistic": result.statistic,
         "p_value": result.p_value,
-        "p_exact": _frac(result.p_exact),
+        "p_exact": str(result.p_exact),
         "std_error": 0.0,
         "fiber_size": result.samples_used,
     }
@@ -352,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--gens", help="polynomial file with an order header")
     sub.add_argument("--order", default=None)
     sub.add_argument("--vars", default=None)
-    _add_budget_flags(sub)
+    sub.add_argument("--max-pairs", type=int, default=Budget().max_pairs)
     sub.add_argument("--max-terms", type=int, default=Budget().max_terms)
     sub.set_defaults(func=cmd_gb)
 
@@ -393,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     with_design(sub, order=False)
     sub.add_argument("--model", required=True)
     sub.add_argument("--contrast", choices=("baseline", "symmetric", "complex"))
-    _add_budget_flags(sub)
+    sub.add_argument("--max-pairs", type=int, default=Budget().max_pairs)
     sub.set_defaults(func=cmd_basis)
 
     sub = subs.add_parser("mctest", help="Metropolis-Hastings conditional test")
@@ -407,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     sub.add_argument("--thin", type=int, default=1)
     sub.add_argument("--chains", type=int, default=1)
-    _add_budget_flags(sub)
+    sub.add_argument("--max-pairs", type=int, default=Budget().max_pairs)
     sub.set_defaults(func=cmd_mctest)
 
     sub = subs.add_parser("exact", help="exact conditional test by enumeration")

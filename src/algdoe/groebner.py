@@ -366,9 +366,21 @@ def _certify_vanishing_ideal(gens, est, points, order: TermOrder):
     ideals are equal.
     """
     leads = [g.leading_monomial(order) for g in gens]
-    for p in points:
-        for g in gens:
-            if g.evaluate(p):
+    values = {(0,) * len(points[0]): [1] * len(points)}
+
+    def at(u):
+        """The values of x^u on the points, memoized: those of x^u / x_j, x_j
+        the first variable of u, times x_j."""
+        if u not in values:
+            j = next(j for j, e in enumerate(u) if e)
+            w = at(u[:j] + (u[j] - 1,) + u[j + 1 :])
+            values[u] = [v * p[j] for v, p in zip(w, points)]
+        return values[u]
+
+    for g in gens:
+        terms = [(c, at(e)) for e, c in g.terms.items()]
+        for r, p in enumerate(points):
+            if sum(c * vec[r] for c, vec in terms):
                 raise AssertionError(
                     f"generator {g!r} does not vanish on the input point {p}"
                 )
@@ -412,7 +424,8 @@ def standard_monomials(G: GroebnerBasis):
 
     Requires a zero-dimensional ideal: every variable must appear as a pure
     power among the leading terms.  They are walked from 1, at a cost that
-    grows with their number; more than MAX_STANDARD_MONOMIALS is a ScaleError.
+    grows with their number.  More than MAX_STANDARD_MONOMIALS is a ScaleError,
+    raised before the walk if the least exponents of the leads imply it.
     """
     leads = G.leading_monomials()
     powers = {j for lm in leads for j, e in enumerate(lm) if e and e == sum(lm)}
@@ -421,9 +434,16 @@ def standard_monomials(G: GroebnerBasis):
         raise NonZeroDimensionalError(
             f"no pure power of {', '.join(missing)} among the leading terms"
         )
-    out = _staircase(leads, G.ring.nvars, MAX_STANDARD_MONOMIALS)
+    # every lead but 1 reaches d_j, the least positive exponent of x_j among
+    # the leads, at some x_j, so the monomials below every d_j are standard
+    cap = MAX_STANDARD_MONOMIALS
+    box = 1 if all(map(any, leads)) else 0
+    for j in range(G.ring.nvars):
+        if box <= cap:
+            box *= min(lm[j] for lm in leads if lm[j])
+    out = _staircase(leads, G.ring.nvars, cap) if box <= cap else None
     if out is None:
-        raise ScaleError(f"more than {MAX_STANDARD_MONOMIALS} standard monomials")
+        raise ScaleError(f"more than {cap} standard monomials")
     out.sort(key=G.order.key)
     return tuple(out)
 

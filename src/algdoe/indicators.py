@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 from .designs import Design, Word, _gf2_insert, _value_vector
 from .errors import InputError, InvalidIndicatorError, ScaleError
@@ -90,16 +91,14 @@ class IndicatorFunction:
 
 
 def _walsh_hadamard(values: list[int]) -> list[int]:
-    """In-place integer Walsh-Hadamard transform with the (-1)^(a.x) kernel."""
+    """Integer Walsh-Hadamard transform with the (-1)^(a.x) kernel, in
+    constant geometry: each of the log2(n) passes applies the kernel to the
+    lowest index bit and moves that bit to the top, so after the last pass
+    every bit is back in place."""
     out = list(values)
-    h = 1
-    n = len(out)
-    while h < n:
-        for start in range(0, n, h * 2):
-            for k in range(start, start + h):
-                a, b = out[k], out[k + h]
-                out[k], out[k + h] = a + b, a - b
-        h *= 2
+    for _ in range(len(out).bit_length() - 1):
+        even, odd = out[::2], out[1::2]
+        out = [*map(add, even, odd), *map(sub, even, odd)]
     return out
 
 

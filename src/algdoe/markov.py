@@ -5,22 +5,24 @@ The toric ideal of the recoded nonnegative covariate matrix is computed in
 the run variables p1..pn alone (Sturmfels, *Groebner Bases and Convex
 Polytopes*, 1996, Alg. 12.3): a Z-basis of its integer kernel gives the
 lattice ideal J = <p^z+ - p^z->, which is saturated by one variable at a
-time.  Each step is a Buchberger completion done directly on binomials
-x^lead - x^trail held as pairs of exponent tuples: a monomial u is reduced
-by an element whose lead divides it to u - lead + trail, and the leads and
-S-pairs are kept by the Gebauer-Moeller bookkeeping of the generic engine,
-:class:`algdoe.groebner._Completion`.  The binomials of the resulting
-reduced basis are moves that connect every fiber.
+time.  Each step is a Buchberger completion under the package's grevlex
+:class:`~algdoe.orders.TermOrder` with that variable last, done directly on
+binomials x^lead - x^trail held as pairs of exponent tuples: a monomial u is
+reduced by an element whose lead divides it to u - lead + trail, and the
+leads and S-pairs are kept by the Gebauer-Moeller bookkeeping of the generic
+engine, :class:`algdoe.groebner._Completion`.  The binomials of the
+resulting reduced basis are moves that connect every fiber.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, neg, sub
+from operator import add, sub
 
 from .covariates import CovariateMatrix, _check_counts, recode_integer
 from .errors import BudgetError, InputError, ScaleError
 from .groebner import Budget, DEFAULT_BUDGET, _Completion
+from .orders import TermOrder
 
 MAX_FIBER_NODES = 10_000_000  # ~40 s at ~4 us per node (2 vCPU, Python 3.11)
 
@@ -71,9 +73,8 @@ def markov_basis(A: CovariateMatrix, budget: Budget = DEFAULT_BUDGET) -> MarkovB
     # grevlex(p1..pn) itself
     saturate = [k for k in range(n - 1) if k not in unit] + [n - 1]
     for done, k in enumerate(saturate):
-        prec = [i for i in range(n) if i != k] + [k]
         try:
-            gens = _saturate(gens, prec, budget.max_pairs)
+            gens = _saturate(gens, k, budget.max_pairs)
         except BudgetError as exc:
             raise BudgetError(
                 f"{exc}, while saturating p{k + 1} ({done} of {len(saturate)} "
@@ -86,13 +87,6 @@ def markov_basis(A: CovariateMatrix, budget: Budget = DEFAULT_BUDGET) -> MarkovB
     return MarkovBasis(n, tuple(moves))
 
 
-def _key(u):
-    """Sort key of a monomial under grevlex, the last coordinate least
-    significant: degree, then the smaller exponent at the last difference is
-    the greater monomial."""
-    return sum(u), tuple(map(neg, reversed(u)))
-
-
 def _normal_form(u, leads: _Completion, step):
     """While lead i divides x^u, replace u by u - lead + trail = u + step[i]."""
     while (i := leads.divisor(u)) is not None:
@@ -100,13 +94,14 @@ def _normal_form(u, leads: _Completion, step):
     return u
 
 
-def _reduce(binomials, n: int):
+def _reduce(binomials, key):
     """The reduced Groebner basis from a Groebner basis of binomials (lead,
-    trail): drop every element whose lead another kept lead divides, then
-    replace each trail by its normal form."""
-    kept = _Completion(n)
+    trail) under the order whose sort key is ``key``: drop every element whose
+    lead another kept lead divides, then replace each trail by its normal
+    form."""
+    kept = _Completion(len(binomials[0][0]))
     step = []
-    for lead, trail in sorted(binomials, key=lambda g: _key(g[0])):
+    for lead, trail in sorted(binomials, key=lambda g: key(g[0])):
         if kept.divisor(lead) is None:
             kept.index(lead)
             step.append(tuple(map(sub, trail, lead)))
@@ -116,31 +111,30 @@ def _reduce(binomials, n: int):
     ]
 
 
-def _saturate(binomials, prec, max_pairs: int):
-    """The reduced basis of the saturation by the variable ``prec[-1]``, in
-    the original coordinates: complete under grevlex with precedence
-    ``prec``, divide the last coordinate out and reduce.
+def _saturate(binomials, k: int, max_pairs: int):
+    """The reduced basis of the saturation by p_k: complete under grevlex with
+    p_k last and the other variables in order, divide the power of p_k common
+    to lead and trail out of each element and reduce.
 
     A binomial x^lead - x^trail is held as its lead, numbered in the shared
     pair bookkeeping, and step = trail - lead, so the S-binomial of a pair
     (i, j) with lcm l is x^(l + step_i) - x^(l + step_j)."""
-    completion = _Completion(len(prec), _key, max_pairs)
+    n = len(binomials[0][0])
+    key = TermOrder.grevlex(n, tuple(i for i in range(n) if i != k) + (k,)).key
+    completion = _Completion(n, key, max_pairs)
     step = []
 
     def insert(a, b):
         a = _normal_form(a, completion, step)
         b = _normal_form(b, completion, step)
         if a != b:
-            if _key(a) < _key(b):
+            if key(a) < key(b):
                 a, b = b, a
             completion.insert(a)
             step.append(tuple(map(sub, b, a)))
 
-    gens = []
-    for a, b in binomials:
-        a, b = tuple(a[p] for p in prec), tuple(b[p] for p in prec)
-        gens.append((a, b) if _key(a) > _key(b) else (b, a))
-    for a, b in sorted(gens, key=lambda g: _key(g[0])):
+    gens = [(a, b) if key(a) > key(b) else (b, a) for a, b in binomials]
+    for a, b in sorted(gens, key=lambda g: key(g[0])):
         insert(a, b)
     while (pair := completion.pop()) is not None:
         i, j, lcm = pair
@@ -150,14 +144,10 @@ def _saturate(binomials, prec, max_pairs: int):
     for i in completion.minimal():
         lead = completion.lead[i]
         trail = tuple(map(add, lead, step[i]))
-        common = min(lead[-1], trail[-1])
-        divided.append((lead[:-1] + (lead[-1] - common,),
-                        trail[:-1] + (trail[-1] - common,)))
-    inverse = sorted(range(len(prec)), key=prec.__getitem__)
-    return [
-        (tuple(lead[p] for p in inverse), tuple(trail[p] for p in inverse))
-        for lead, trail in _reduce(divided, len(prec))
-    ]
+        common = min(lead[k], trail[k])
+        divided.append((lead[:k] + (lead[k] - common,) + lead[k + 1:],
+                        trail[:k] + (trail[k] - common,) + trail[k + 1:]))
+    return _reduce(divided, key)
 
 
 def _kernel_lattice(recoded, n: int):

@@ -13,6 +13,7 @@ from algdoe import (
     InputError,
     NonZeroDimensionalError,
     PolyRing,
+    Polynomial,
     ScaleError,
     TermOrder,
     buchberger,
@@ -305,6 +306,51 @@ def test_standard_monomials_cap_raises_scale_error():
         standard_monomials(G)
 
 
+def test_standard_monomials_cap_refuses_before_the_walk(monkeypatch):
+    # every monomial below x1..x21 is standard: 2^21 of them, known from the
+    # least exponents of the leads alone
+    from algdoe import groebner
+
+    def walk(*args):
+        raise AssertionError("the staircase was walked")
+
+    monkeypatch.setattr(groebner, "_staircase", walk)
+    R = PolyRing([f"x{i}" for i in range(1, 22)])
+    G = GroebnerBasis(
+        TermOrder.grevlex(21),
+        tuple(R.parse(f"x{i}^2-1") for i in range(1, 22)),
+        reduced=True,
+    )
+    with pytest.raises(ScaleError, match="more than 1000000 standard monomials"):
+        standard_monomials(G)
+
+
+def test_standard_monomials_cap_stops_in_the_walk(monkeypatch):
+    # x1*x2*x3 makes every least exponent 1, so the bound is 1 and only the
+    # walk finds the 27 - 8 = 19 standard monomials
+    from algdoe import groebner
+
+    R = PolyRing(["x1", "x2", "x3"])
+    G = GroebnerBasis(
+        TermOrder.grevlex(3),
+        tuple(R.parse(f) for f in ("x1^3", "x2^3", "x3^3", "x1*x2*x3")),
+        reduced=True,
+    )
+    assert len(standard_monomials(G)) == 19
+    walks = []
+    staircase = groebner._staircase
+
+    def walk(*args):
+        walks.append(args)
+        return staircase(*args)
+
+    monkeypatch.setattr(groebner, "_staircase", walk)
+    monkeypatch.setattr(groebner, "MAX_STANDARD_MONOMIALS", 10)
+    with pytest.raises(ScaleError, match="more than 10 standard monomials"):
+        standard_monomials(G)
+    assert len(walks) == 1
+
+
 def _certificate_inputs(d):
     points = d.points()
     G = point_ideal_intersection(points, x_order=GREV7)
@@ -329,6 +375,34 @@ def test_certificate_rejects_leads_without_a_pure_power(l8):
     assert len(kept) == len(gens) - 1
     with pytest.raises(AssertionError, match="staircase"):
         _certify_vanishing_ideal(kept, est, points, GREV7)
+
+
+def _with_tail_coefficient_changed(g, order):
+    lead = g.leading_monomial(order)
+    tail = max((e for e in g.terms if e != lead), key=order.key)
+    terms = dict(g.terms)
+    terms[tail] = terms[tail] + 1
+    return Polynomial(g.ring, terms)
+
+
+def test_certificate_rejects_a_generator_that_does_not_vanish(l8):
+    gens, est, points = _certificate_inputs(l8)
+    gens[0] = _with_tail_coefficient_changed(gens[0], GREV7)
+    with pytest.raises(AssertionError, match="does not vanish on the input point"):
+        _certify_vanishing_ideal(gens, est, points, GREV7)
+
+
+def test_certificate_rejects_a_complex_generator_that_does_not_vanish(
+    three_level_complex,
+):
+    order = TermOrder.grevlex(3)
+    points = three_level_complex.points()
+    G = design_ideal(three_level_complex, order)
+    gens, est = list(G.elements), list(standard_monomials(G))
+    _certify_vanishing_ideal(gens, est, points, order)
+    gens[-1] = _with_tail_coefficient_changed(gens[-1], order)
+    with pytest.raises(AssertionError, match="does not vanish on the input point"):
+        _certify_vanishing_ideal(gens, est, points, order)
 
 
 def test_certifying_self_check():

@@ -359,3 +359,17 @@ def test_rejects_non_two_level():
         indicator_from_design(d3)
     with pytest.raises(InputError):
         classify_design(d3)
+
+
+def test_walsh_hadamard_matches_the_defining_sum():
+    from algdoe import indicators
+
+    rng = random.Random(64)
+    for m in range(7):
+        n = 1 << m
+        v = [rng.randint(-9, 9) for _ in range(n)]
+        expected = [
+            sum((-1) ** bin(a & x).count("1") * v[x] for x in range(n))
+            for a in range(n)
+        ]
+        assert indicators._walsh_hadamard(v) == expected

@@ -24,7 +24,7 @@ from algdoe.groebner import (
     reduce_basis,
     spolynomials_reduce_to_zero,
 )
-from algdoe.markov import _kernel_lattice, _reduce, kernel_residual
+from algdoe.markov import _kernel_lattice, _reduce, _saturate, kernel_residual
 
 
 def term(m, *idx):
@@ -413,6 +413,53 @@ def test_moves_match_generic_engine_random_models():
     assert contrasts == 9
 
 
+def _reference_step(ring, binomials, k):
+    """One saturation step through the generic engine: buchberger under
+    grevlex with p_k last, each element divided by the power of p_k common to
+    its two terms, then reduce_basis; as sorted (lead, trail) pairs."""
+    n = ring.nvars
+    order = TermOrder.grevlex(n, tuple(i for i in range(n) if i != k) + (k,))
+    gb = buchberger([ring.poly({a: 1, b: -1}) for a, b in binomials], order, CAP)
+    divided = []
+    for g in gb.elements:
+        common = min(e[k] for e in g.terms)
+        divided.append(ring.poly(
+            {e[:k] + (e[k] - common,) + e[k + 1:]: c for e, c in g.terms.items()}
+        ))
+    pairs = []
+    for g in reduce_basis(GroebnerBasis(order, tuple(divided))).elements:
+        lead = g.leading_monomial(order)
+        (trail,) = set(g.terms) - {lead}
+        assert (g.terms[lead], g.terms[trail]) == (1, -1)
+        pairs.append((lead, trail))
+    return sorted(pairs)
+
+
+def test_saturation_steps_match_generic_engine_random_models():
+    # each step, fed the binomials of the step before, on the models above
+    rng = random.Random(606)
+    checked = 0
+    while checked < 36:
+        try:
+            A = _random_cross_route_model(rng, checked)
+        except EstimabilityError:
+            continue
+        checked += 1
+        n = A.n
+        lattice, unit = _kernel_lattice(recode_integer(A), n)
+        ring = PolyRing(tuple(f"p{i + 1}" for i in range(n)))
+        gens = [
+            (tuple(max(v, 0) for v in z), tuple(max(-v, 0) for v in z))
+            for z in lattice
+        ]
+        for k in [k for k in range(n - 1) if k not in unit] + [n - 1]:
+            if not gens:
+                break
+            step = _saturate(gens, k, CAP.max_pairs)
+            assert sorted(step) == _reference_step(ring, gens, k)
+            gens = step
+
+
 def test_buchberger_binomial_ideals_certify():
     # the engines above share their pair criteria; this check uses none
     rng = random.Random(808)
@@ -453,4 +500,4 @@ def test_reduce_tail_reduces_trails():
     # {x2 - x3, x1^2 - x1x2} is a Groebner basis under grevlex with x3 last
     # (coprime leads); the reduced one replaces the trail x1x2 by x1x3
     basis = [((2, 0, 0), (1, 1, 0)), ((0, 1, 0), (0, 0, 1))]
-    assert sorted(_reduce(basis, 3)) == [((0, 1, 0), (0, 0, 1)), ((2, 0, 0), (1, 0, 1))]
+    assert sorted(_reduce(basis, TermOrder.grevlex(3).key)) == [((0, 1, 0), (0, 0, 1)), ((2, 0, 0), (1, 0, 1))]
