@@ -14,7 +14,7 @@ import sys
 
 from . import __version__
 from .covariates import (
-    _check_counts, build_covariate_matrix, parse_model_terms, recode_integer,
+    CONTRASTS, _check_counts, build_covariate_matrix, parse_model_terms, recode_integer,
 )
 from .designs import (
     Design,
@@ -194,7 +194,8 @@ def cmd_addfactors(args, out) -> int:
     return 0
 
 
-def _load_model(args, d: Design):
+def _load_model(args):
+    d = load_design(args.design)
     terms, contrast = parse_model_terms(_read(args.model), d.m)
     if args.contrast:
         contrast = args.contrast
@@ -202,8 +203,7 @@ def _load_model(args, d: Design):
 
 
 def cmd_model(args, out) -> int:
-    d = load_design(args.design)
-    A = _load_model(args, d)
+    A = _load_model(args)
     recoded = recode_integer(A)
     payload = {
         "schema": SCHEMA,
@@ -219,8 +219,7 @@ def cmd_model(args, out) -> int:
 
 
 def cmd_basis(args, out) -> int:
-    d = load_design(args.design)
-    A = _load_model(args, d)
+    A = _load_model(args)
     basis = markov_basis(A, budget=Budget(max_pairs=args.max_pairs))
     payload = {
         "schema": SCHEMA,
@@ -242,8 +241,7 @@ def _load_counts(path: str, n: int):
 
 
 def cmd_mctest(args, out) -> int:
-    d = load_design(args.design)
-    A = _load_model(args, d)
+    A = _load_model(args)
     y0 = _load_counts(args.y, A.n)
     cfg = ChainConfig(
         seed=args.seed,
@@ -275,8 +273,7 @@ def cmd_mctest(args, out) -> int:
 
 
 def cmd_exact(args, out) -> int:
-    d = load_design(args.design)
-    A = _load_model(args, d)
+    A = _load_model(args)
     y0 = _load_counts(args.y, A.n)
     result = exact_p_value(A, y0, args.stat, max_total=args.max_total)
     payload = {
@@ -331,41 +328,49 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def with_design(sub, order=True):
-        sub.add_argument("--design", required=True, help="design file")
-        if order:
-            sub.add_argument("--order", default="grevlex")
-            sub.add_argument("--vars", default=None,
-                             help="comma-separated precedence, most significant first")
+    shared = {
+        "--design": dict(required=True, help="design file"),
+        "--order": dict(default="grevlex"),
+        "--vars": dict(default=None,
+                       help="comma-separated precedence, most significant first"),
+        "--model": dict(required=True),
+        "--contrast": dict(choices=CONTRASTS),
+        "--stat": dict(choices=("pearson", "deviance"), default="pearson"),
+        "--max-pairs": dict(type=int, default=Budget().max_pairs),
+    }
+
+    def with_flags(sub, *flags):
+        for flag in flags:
+            sub.add_argument(flag, **shared[flag])
 
     sub = subs.add_parser("gb", help="reduced Groebner basis of a design ideal or generator file")
     sub.add_argument("--design")
     sub.add_argument("--gens", help="polynomial file with an order header")
     sub.add_argument("--order", default=None)
     sub.add_argument("--vars", default=None)
-    sub.add_argument("--max-pairs", type=int, default=Budget().max_pairs)
+    with_flags(sub, "--max-pairs")
     sub.add_argument("--max-terms", type=int, default=Budget().max_terms)
     sub.set_defaults(func=cmd_gb)
 
     sub = subs.add_parser("ideal", help="design ideal generators (reduced basis)")
-    with_design(sub)
+    with_flags(sub, "--design", "--order", "--vars")
     sub.set_defaults(func=cmd_ideal)
 
     sub = subs.add_parser("est", help="standard monomials of the design ideal")
-    with_design(sub)
+    with_flags(sub, "--design", "--order", "--vars")
     sub.set_defaults(func=cmd_est)
 
     sub = subs.add_parser("alias", help="complete-confounding classes")
-    with_design(sub, order=False)
+    with_flags(sub, "--design")
     sub.add_argument("--max-degree", type=int, default=2)
     sub.set_defaults(func=cmd_alias)
 
     sub = subs.add_parser("indicator", help="indicator function of a design")
-    with_design(sub, order=False)
+    with_flags(sub, "--design")
     sub.set_defaults(func=cmd_indicator)
 
     sub = subs.add_parser("classify", help="classify a two-level design")
-    with_design(sub, order=False)
+    with_flags(sub, "--design")
     sub.set_defaults(func=cmd_classify)
 
     sub = subs.add_parser("addfactors", help="indicator after adding defined factors")
@@ -375,38 +380,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_addfactors)
 
     sub = subs.add_parser("model", help="covariate matrix for a model file")
-    with_design(sub, order=False)
-    sub.add_argument("--model", required=True)
-    sub.add_argument("--contrast", choices=("baseline", "symmetric", "complex"))
+    with_flags(sub, "--design", "--model", "--contrast")
     sub.set_defaults(func=cmd_model)
 
     sub = subs.add_parser("basis", help="Markov basis of a covariate matrix")
-    with_design(sub, order=False)
-    sub.add_argument("--model", required=True)
-    sub.add_argument("--contrast", choices=("baseline", "symmetric", "complex"))
-    sub.add_argument("--max-pairs", type=int, default=Budget().max_pairs)
+    with_flags(sub, "--design", "--model", "--contrast", "--max-pairs")
     sub.set_defaults(func=cmd_basis)
 
     sub = subs.add_parser("mctest", help="Metropolis-Hastings conditional test")
-    with_design(sub, order=False)
-    sub.add_argument("--model", required=True)
-    sub.add_argument("--contrast", choices=("baseline", "symmetric", "complex"))
+    with_flags(sub, "--design", "--model", "--contrast")
     sub.add_argument("--y", required=True, help="counts file")
-    sub.add_argument("--stat", choices=("pearson", "deviance"), default="pearson")
+    with_flags(sub, "--stat")
     sub.add_argument("--seed", type=int, required=True)
     sub.add_argument("--burnin", type=int, default=DEFAULT_BURN_IN)
     sub.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     sub.add_argument("--thin", type=int, default=1)
     sub.add_argument("--chains", type=int, default=1)
-    sub.add_argument("--max-pairs", type=int, default=Budget().max_pairs)
+    with_flags(sub, "--max-pairs")
     sub.set_defaults(func=cmd_mctest)
 
     sub = subs.add_parser("exact", help="exact conditional test by enumeration")
-    with_design(sub, order=False)
-    sub.add_argument("--model", required=True)
-    sub.add_argument("--contrast", choices=("baseline", "symmetric", "complex"))
+    with_flags(sub, "--design", "--model", "--contrast")
     sub.add_argument("--y", required=True)
-    sub.add_argument("--stat", choices=("pearson", "deviance"), default="pearson")
+    with_flags(sub, "--stat")
     sub.add_argument("--max-total", type=int, default=30)
     sub.set_defaults(func=cmd_exact)
 

@@ -5,12 +5,18 @@ designs are coded plus/minus one; prime-level designs carry integer labels
 0..s-1 which the complex coding interprets as powers of the s-th root of
 unity.  The design ideal is computed by the Buchberger-Moeller algorithm on
 the runs and is cached per (design, order).
+
+Two-level runs and square-free words share one index map, kept here: bit m-1-j
+is set where factor j+1 is at -1 (a run over RUN_LEVELS) or present (a word over
+WORD_LEVELS), the element's position in ``itertools.product(levels, repeat=m)``;
+multiplying two elements XORs their indices.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -128,6 +134,26 @@ def parse_design(text: str) -> Design:
     return Design(m, s, tuple(runs), coding)
 
 
+# -- the two-level index map ---------------------------------------------------
+
+RUN_LEVELS = (1, -1)
+WORD_LEVELS = (0, 1)
+
+
+def product_index(element, levels) -> int:
+    """Position of ``element`` in ``itertools.product(levels, repeat=m)``."""
+    high = levels[1]
+    idx = 0
+    for v in element:
+        idx = idx << 1 | (v == high)
+    return idx
+
+
+def product_element(idx: int, m: int, levels) -> tuple[int, ...]:
+    """The element at position idx of ``itertools.product(levels, repeat=m)``."""
+    return tuple([levels[c == "1"] for c in f"{idx:0{m}b}"])
+
+
 # -- defining words ------------------------------------------------------------
 
 
@@ -148,14 +174,14 @@ class Word:
 
 
 def _gf2_insert(rows: dict[int, int], v: int) -> bool:
-    """Add bitmask v to ``rows``, a fully reduced GF(2) echelon keyed by each
-    row's highest set bit; False, with ``rows`` unchanged, if v is in its span."""
+    """Add index v to ``rows``, a fully reduced GF(2) echelon keyed by each row's
+    lowest set bit (its last factor); False, ``rows`` unchanged, if v is in its span."""
     for lead, row in rows.items():
         if v >> lead & 1:
             v ^= row
     if not v:
         return False
-    lead = v.bit_length() - 1
+    lead = (v & -v).bit_length() - 1
     for other, row in rows.items():
         if row >> lead & 1:
             rows[other] = row ^ v
@@ -165,9 +191,7 @@ def _gf2_insert(rows: dict[int, int], v: int) -> bool:
 
 def gf2_independent(vectors) -> bool:
     rows: dict[int, int] = {}
-    return all(
-        _gf2_insert(rows, sum(1 << j for j, b in enumerate(v) if b)) for v in vectors
-    )
+    return all(_gf2_insert(rows, product_index(v, WORD_LEVELS)) for v in vectors)
 
 
 def regular_design_from_words(m: int, words) -> Design:
@@ -194,17 +218,16 @@ def regular_design_from_words(m: int, words) -> Design:
             f"a fraction of 2^{m - len(words)} runs exceeds the cap of "
             f"{MAX_REGULAR_RUNS}"
         )
-    # a word is bit 0 for sign -1 plus bit j+1 for factor j, so that adding two
-    # words multiplies their signs, since x_j^2 = 1
+    # sign -1 is bit m, first of m+1 places: adding words multiplies signs
     pivots: dict[int, int] = {}
     for w in words:
-        mask = sum(2 << j for j, b in enumerate(w.bits) if b)
-        _gf2_insert(pivots, mask | (w.sign < 0))
-    free = [j for j in range(m) if j + 1 not in pivots]
-    rules = [
-        (lead - 1, -1 if row & 1 else 1, [j for j in range(lead - 1) if row & 2 << j])
-        for lead, row in sorted(pivots.items())
-    ]
+        _gf2_insert(pivots, (w.sign < 0) << m | product_index(w.bits, WORD_LEVELS))
+    free = [j for j in range(m) if m - 1 - j not in pivots]
+    rules = []
+    for lead, row in pivots.items():
+        negative, *bits = product_element(row ^ 1 << lead, m + 1, WORD_LEVELS)
+        factors = list(itertools.compress(range(m), bits))
+        rules.append((m - 1 - lead, -1 if negative else 1, factors))
     runs = []
     for values in itertools.product((-1, 1), repeat=len(free)):
         point = [0] * m
@@ -260,14 +283,7 @@ def _square_free_over(mono: Monomial, m: int) -> None:
 
 
 def _value_vector(d: Design, mono: Monomial) -> tuple[int, ...]:
-    out = []
-    for run in d.runs:
-        prod = 1
-        for v, e in zip(run, mono):
-            if e:
-                prod *= v
-        out.append(prod)
-    return tuple(out)
+    return tuple(math.prod(itertools.compress(run, mono)) for run in d.runs)
 
 
 def is_confounded(a1: Monomial, a2: Monomial, d: Design):

@@ -65,6 +65,19 @@ def _solve(M, b):
     return x
 
 
+def _deviance(y, mu) -> float:
+    """Poisson deviance of y against mu; inf where a positive count meets a zero mean."""
+    total = 0.0
+    for yi, mi in zip(y, mu):
+        if yi > 0:
+            if mi == 0.0:
+                return math.inf
+            total += yi * math.log(yi / mi) - (yi - mi)
+        else:
+            total += mi
+    return 2.0 * total
+
+
 def fit_null_glm(A: CovariateMatrix, y0) -> GlmFit:
     """Poisson maximum likelihood for the null model defined by A.
 
@@ -82,11 +95,9 @@ def fit_null_glm(A: CovariateMatrix, y0) -> GlmFit:
         # infinite deviance so that the step is halved
         try:
             mu_ = [math.exp(sum(x * b for x, b in zip(row, beta_))) for row in X]
-            dev_ = 2.0 * sum((yi * math.log(yi / mi) if yi > 0 else 0.0) - (yi - mi)
-                             for yi, mi in zip(y, mu_))
-        except (OverflowError, ZeroDivisionError):
+        except OverflowError:
             return None, math.inf
-        return mu_, dev_
+        return mu_, _deviance(y, mu_)
 
     # the recoded intercept is the first column and is identically one
     beta = [math.log(sum(y) / n)] + [0.0] * (p - 1)
@@ -133,15 +144,7 @@ def test_statistic(kind: str, y, fit: GlmFit) -> float:
             total += d * d / mi
         return total
     if kind == "deviance":
-        total = 0.0
-        for yi, mi in zip(y, mu):
-            if yi > 0:
-                if mi == 0.0:
-                    return math.inf
-                total += yi * math.log(yi / mi) - (yi - mi)
-            else:
-                total += mi
-        return 2.0 * total
+        return _deviance(y, mu)
     raise InputError(f"unknown statistic kind {kind!r}")
 
 

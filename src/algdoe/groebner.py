@@ -43,6 +43,11 @@ class Budget:
     max_pairs: int = 1_000_000
     max_terms: int = 100_000
 
+    def __post_init__(self):
+        for name in ("max_pairs", "max_terms"):
+            if getattr(self, name) < 0:
+                raise InputError(f"{name} must be nonnegative, got {getattr(self, name)}")
+
 
 DEFAULT_BUDGET = Budget()
 MAX_STANDARD_MONOMIALS = 1_000_000

@@ -6,7 +6,8 @@ are computed by the orthogonality expansion
 
     b_a = 2^(-m) * sum_{x in F} x^a,
 
-realized as an exact integer Walsh-Hadamard transform of the 0/1 run table.
+realized as an exact integer Walsh-Hadamard transform of the 0/1 run table,
+indexed by the map of :mod:`algdoe.designs` and read back off itertools.product.
 The inverse, :func:`design_from_indicator`, applies the same transform to the
 scaled coefficients, evaluating the indicator at all 2^m points in O(m*2^m);
 it certifies every indicator computed here, at every m <= 20.  Classification
@@ -18,11 +19,14 @@ those differences and checks its witness words directly on the runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, product
 from operator import add, sub
 
-from .designs import Design, Word, _gf2_insert, _value_vector
+from .designs import (RUN_LEVELS, WORD_LEVELS, Design, Word, _gf2_insert,
+                      _value_vector, product_element, product_index)
 from .errors import InputError, InvalidIndicatorError, ScaleError
 from .orders import Monomial
 from .polynomials import PolyRing, Polynomial
@@ -73,11 +77,7 @@ class IndicatorFunction:
             raise InputError("point length does not match the factor count")
         total = Fraction(0)
         for bits, c in self.coeffs.items():
-            prod = 1
-            for v, b in zip(point, bits):
-                if b:
-                    prod *= v
-            total += c * prod
+            total += c * math.prod(compress(point, bits))
         return total
 
     def to_polynomial(self, ring: PolyRing) -> Polynomial:
@@ -102,24 +102,6 @@ def _walsh_hadamard(values: list[int]) -> list[int]:
     return out
 
 
-_BITS = (0, 1)  # exponent bits of a coefficient
-_PM1 = (1, -1)  # levels of a run: bit k set means factor k+1 sits at -1
-
-
-def _encode(values, levels) -> int:
-    """Table index with bit k set where values[k] == levels[1]."""
-    idx = 0
-    for k, v in enumerate(values):
-        if v == levels[1]:
-            idx |= 1 << k
-    return idx
-
-
-def _decode(idx: int, m: int, levels) -> tuple[int, ...]:
-    """Inverse of :func:`_encode`."""
-    return tuple(levels[(idx >> k) & 1] for k in range(m))
-
-
 def indicator_from_design(d: Design) -> IndicatorFunction:
     """Exact indicator function of a two-level fraction, certified by its inverse."""
     if d.s != 2:
@@ -129,14 +111,13 @@ def indicator_from_design(d: Design) -> IndicatorFunction:
     m = d.m
     table = [0] * (1 << m)
     for run in d.runs:
-        table[_encode(run, _PM1)] = 1
+        table[product_index(run, RUN_LEVELS)] = 1
     spectrum = _walsh_hadamard(table)
     denom = 1 << m
-    coeffs = {
-        _decode(idx, m, _BITS): Fraction(v, denom)
-        for idx, v in enumerate(spectrum)
-        if v
-    }
+    coeffs = zip(
+        compress(product(WORD_LEVELS, repeat=m), spectrum),
+        (Fraction(v, denom) for v in spectrum if v),
+    )
     f = IndicatorFunction(m, coeffs)
     try:
         certified = design_from_indicator(f).runs == tuple(sorted(d.runs))
@@ -160,20 +141,18 @@ def design_from_indicator(f: IndicatorFunction) -> Design:
             raise InvalidIndicatorError(
                 f"coefficient {c} cannot belong to a 0/1-valued indicator"
             )
-        scaled[_encode(bits, _BITS)] = int(v)
+        scaled[product_index(bits, WORD_LEVELS)] = int(v)
     values = _walsh_hadamard(scaled)
-    runs = []
-    for idx, v in enumerate(values):
-        if v == denom:
-            runs.append(_decode(idx, m, _PM1))
-        elif v != 0:
-            raise InvalidIndicatorError(
-                f"polynomial is not 0/1-valued on the full factorial (value {Fraction(v, denom)})"
-            )
+    if not set(values) <= {0, denom}:
+        v = next(v for v in values if v not in (0, denom))
+        raise InvalidIndicatorError(
+            f"polynomial is not 0/1-valued on the full factorial (value {Fraction(v, denom)})"
+        )
+    # read backwards, the table lists the runs in ascending order
+    runs = tuple(compress(product(RUN_LEVELS[::-1], repeat=m), reversed(values)))
     if not runs:
         raise InvalidIndicatorError("indicator is identically zero")
-    runs.sort()
-    return Design(m, 2, tuple(runs), "pm1")
+    return Design(m, 2, runs, "pm1")
 
 
 # -- adding factors -----------------------------------------------------------
@@ -223,31 +202,28 @@ def indicator_add_factors(
             f"adding {k} factors can make {len(f1.coeffs)}*2^{k} coefficients, "
             f"more than 2^{MAX_EXPANSION_FACTORS}"
         )
-    total = m + k
-    coeffs = {bits + (0,) * k: c for bits, c in f1.coeffs.items()}
+    # the added factors take the lowest k bits of the index, the last of them bit 0
+    coeffs = {product_index(bits, WORD_LEVELS) << k: c for bits, c in f1.coeffs.items()}
     for pos, rel in enumerate(relations):
-        mask = rel.word + tuple(1 if i == pos else 0 for i in range(k))
-        half = Fraction(1, 2)
-        sign = rel.sign
+        mask = product_index(rel.word, WORD_LEVELS) << k | 1 << (k - 1 - pos)
         out: dict = {}
-        for bits, c in coeffs.items():
-            c2 = c * half
-            out[bits] = out.get(bits, Fraction(0)) + c2
-            flipped = tuple(b ^ w for b, w in zip(bits, mask))
-            out[flipped] = out.get(flipped, Fraction(0)) + sign * c2
-        coeffs = {bits: c for bits, c in out.items() if c}
-    return IndicatorFunction(total, coeffs)
+        for idx, c in coeffs.items():
+            c2 = c / 2
+            out[idx] = out.get(idx, Fraction(0)) + c2
+            out[idx ^ mask] = out.get(idx ^ mask, Fraction(0)) + rel.sign * c2
+        coeffs = {idx: c for idx, c in out.items() if c}
+    keys = (product_element(idx, m + k, WORD_LEVELS) for idx in coeffs)
+    return IndicatorFunction(m + k, zip(keys, coeffs.values()))
 
 
 def extend_design(d: Design, relations) -> Design:
     """The design with columns appended per the factor relations."""
-    columns = [
-        tuple(rel.sign * v for v in _value_vector(d, rel.word)) for rel in relations
-    ]
+    relations = list(relations)
     runs = tuple(
-        tuple(run) + tuple(col[i] for col in columns) for i, run in enumerate(d.runs)
+        run + tuple(rel.sign * math.prod(compress(run, rel.word)) for rel in relations)
+        for run in d.runs
     )
-    return Design(d.m + len(columns), 2, runs, "pm1")
+    return Design(d.m + len(relations), 2, runs, "pm1")
 
 
 # -- classification ------------------------------------------------------------
@@ -282,22 +258,22 @@ def classify_design(d: Design) -> DesignClass:
         raise InputError("classification is defined for two-level designs")
     if d.n == 2**d.m:
         return DesignClass("full-factorial")
-    masks = [sum(1 << j for j, v in enumerate(run) if v < 0) for run in d.runs]
+    masks = [product_index(run, RUN_LEVELS) for run in d.runs]
     span: dict[int, int] = {}
     for mask in masks:
         _gf2_insert(span, mask ^ masks[0])
     if len(span) == d.m:
         return DesignClass("affinely-full-dimensional")
-    # bit j is factor j+1; a factor f leading no row gives the word f plus the
-    # leads of the rows holding f.  Those leads exceed f, so, sorted, these
-    # words are the reduced echelon basis keyed on the first factor.
+    # a bit b leading no row gives the word b plus the leads of the rows
+    # holding b.  Those leads are lower bits, so by ascending b these words
+    # ascend: they are the reduced echelon basis keyed on the first factor.
     words = []
-    for f in range(d.m):
-        if f not in span:
-            w = 1 << f | sum(1 << p for p, row in span.items() if row >> f & 1)
+    for b in range(d.m):
+        if b not in span:
+            w = 1 << b | sum(1 << p for p, row in span.items() if row >> b & 1)
             sign = -1 if (w & masks[0]).bit_count() & 1 else 1
-            words.append(Word(tuple(w >> j & 1 for j in range(d.m)), sign))
-    words = tuple(sorted(words, key=lambda w: w.bits))
+            words.append(Word(product_element(w, d.m, WORD_LEVELS), sign))
+    words = tuple(words)
     contained = all(v == w.sign for w in words for v in _value_vector(d, w.bits))
     if contained and d.n << len(words) == 1 << d.m:
         return DesignClass("regular", words=words)
@@ -317,12 +293,9 @@ def word_group(words) -> set[tuple[tuple[int, ...], int]]:
     if not words:
         return set()
     m = len(words[0].bits)
-    group = {(0,) * m: 1}
+    group = {0: 1}
     for w in words:
-        new = dict(group)
-        for bits, sign in group.items():
-            combined = tuple(b ^ c for b, c in zip(bits, w.bits))
-            new[combined] = sign * w.sign
-        group = new
-    group.pop((0,) * m, None)
-    return {(bits, sign) for bits, sign in group.items()}
+        idx = product_index(w.bits, WORD_LEVELS)
+        group.update({g ^ idx: sign * w.sign for g, sign in group.items()})
+    group.pop(0)
+    return {(product_element(g, m, WORD_LEVELS), sign) for g, sign in group.items()}

@@ -234,6 +234,10 @@ def enumerate_fiber(
     the total of y0 and the run count to stay within the caps, and stops with
     :class:`ScaleError` after MAX_FIBER_NODES search nodes.
     """
+    if max_total < 0:
+        raise InputError(f"max_total must be nonnegative, got {max_total}")
+    if max_runs < 1:
+        raise InputError(f"max_runs must be at least 1, got {max_runs}")
     y0 = _check_counts(A.n, y0)
     total = sum(y0)
     if total > max_total:

@@ -8,6 +8,7 @@ anywhere in this module.
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 
@@ -291,12 +292,13 @@ class Polynomial:
         if len(point) != self.ring.nvars:
             raise DimensionError("point length does not match the universe")
         values = [self.ring.field.coerce(v) for v in point]
+        power = functools.cache(lambda j, k: values[j] ** k)  # once per call
         total = self.ring.field.zero
         for e, c in self.terms.items():
             v = c
-            for x, k in zip(values, e):
+            for j, k in enumerate(e):
                 if k:
-                    v = v * x**k
+                    v = v * power(j, k)
             total = total + v
         return total
 

@@ -317,10 +317,16 @@ def test_mctest_rejects_zero_thinning(workdir):
     [
         ["alias", "--design", "l8.design", "--max-degree", "-1"],
         ["doptimal", "--m", "3", "--n", "4", "--restarts", "0"],
+        ["basis", "--design", "d22.design", "--model", "main2.model", "--max-pairs", "-5"],
+        ["mctest", "--design", "d22.design", "--model", "main2.model",
+         "--y", "counts.txt", "--seed", "1", "--max-pairs", "-1"],
+        ["exact", "--design", "d22.design", "--model", "main2.model",
+         "--y", "counts.txt", "--max-total", "-1"],
     ],
 )
 def test_negative_counts_exit_code(workdir, argv):
-    argv = [str(workdir / a) if a.endswith(".design") else a for a in argv]
+    argv = [str(workdir / a) if a.endswith((".design", ".model", ".txt")) else a
+            for a in argv]
     assert invoke(*argv)[0] == 2
 
 
@@ -402,6 +408,15 @@ def test_budget_exit_code(tmp_path):
         "--max-pairs", "2",
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("flag", ["--max-pairs", "--max-terms"])
+def test_gb_negative_budget_exit_code(tmp_path, capsys, flag):
+    gens = tmp_path / "g.poly"
+    gens.write_text("order=lex vars=x1,x2\nx1^2-1\nx1*x2-1\n")
+    assert invoke("gb", "--gens", str(gens), flag, "-5")[0] == 2
+    name = flag[2:].replace("-", "_")
+    assert f"error: {name} must be nonnegative, got -5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["basis", "mctest"])

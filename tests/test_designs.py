@@ -23,10 +23,14 @@ from algdoe import (
     regular_design_from_words,
 )
 from algdoe.designs import (
+    RUN_LEVELS,
+    WORD_LEVELS,
     gf2_independent,
     monomial_name,
     parse_monomial,
     parse_signed_monomial,
+    product_element,
+    product_index,
     read_header,
 )
 from algdoe.groebner import spolynomials_reduce_to_zero
@@ -36,6 +40,14 @@ from conftest import L8_WORDS, random_two_level_design
 
 def mono(m, *idx):
     return tuple(1 if i + 1 in idx else 0 for i in range(m))
+
+
+def test_index_map_is_the_product_position():
+    for m in range(1, 9):
+        for levels in (RUN_LEVELS, WORD_LEVELS):
+            for idx, element in enumerate(itertools.product(levels, repeat=m)):
+                assert product_index(element, levels) == idx
+                assert product_element(idx, m, levels) == element
 
 
 def test_regular_design_reproduces_published_table(l8):

@@ -133,6 +133,15 @@ def test_indicator_invariants_random_designs():
                 assert f.evaluate(point) == (1 if point in runs else 0)
 
 
+def test_design_from_indicator_lists_runs_in_order():
+    rng = random.Random(12)
+    for m in range(1, 13):
+        pool = list(full_factorial(m).runs)
+        runs = rng.sample(pool, rng.randint(1, min(len(pool), 200)))
+        f = indicator_from_design(Design(m, 2, tuple(runs), "pm1"))
+        assert design_from_indicator(f).runs == tuple(sorted(runs))
+
+
 @pytest.mark.parametrize("corruption", ["mirror-x1", "perturb"])
 def test_corrupted_spectrum_fails_certificate(monkeypatch, corruption):
     # m = 13 is above the size at which a full-factorial re-evaluation would
@@ -153,8 +162,9 @@ def test_corrupted_spectrum_fails_certificate(monkeypatch, corruption):
         out = transform(values)
         if not calls:
             if corruption == "mirror-x1":
-                # a valid indicator, but of the design with x1 negated
-                out = [-v if idx & 1 else v for idx, v in enumerate(out)]
+                # a valid indicator, but of the design with x1 negated; x1 is
+                # bit m-1 of a coefficient's index
+                out = [-v if idx >> (m - 1) & 1 else v for idx, v in enumerate(out)]
             else:
                 out[1] += 2
         calls.append(len(values))

@@ -7,6 +7,7 @@ import pytest
 from algdoe import (
     BudgetError,
     Design,
+    InputError,
     ScaleError,
     build_covariate_matrix,
     enumerate_fiber,
@@ -95,6 +96,19 @@ def test_fiber_caps():
     A = build_covariate_matrix(d, [term(2)])
     with pytest.raises(ScaleError):
         enumerate_fiber(A, (40, 0, 0, 0))
+
+
+def test_negative_caps_are_input_errors(d22):
+    A = build_covariate_matrix(d22, main_effects(2))
+    with pytest.raises(InputError, match="max_total"):
+        enumerate_fiber(A, (1, 1, 1, 1), max_total=-1)
+    with pytest.raises(InputError, match="max_runs"):
+        enumerate_fiber(A, (1, 1, 1, 1), max_runs=0)
+    with pytest.raises(InputError, match="max_pairs"):
+        Budget(max_pairs=-1)
+    with pytest.raises(InputError, match="max_terms"):
+        Budget(max_terms=-1)
+    assert enumerate_fiber(A, (0, 0, 0, 0), max_total=0) == [(0, 0, 0, 0)]
 
 
 def test_fiber_node_cap(monkeypatch):

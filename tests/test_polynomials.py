@@ -102,6 +102,24 @@ def test_cyclotomic_text_round_trip():
     assert ring.parse(f.text(order)) == f
 
 
+def test_evaluate_computes_each_power_once(monkeypatch):
+    # the terms share x1^2 and x2: three distinct powers, where taking each
+    # term's powers anew takes six
+    ring = PolyRing(["x1", "x2"], cyclotomic_field(3))
+    f = ring.parse("x1^2*x2+x1^2+(w)*x2+x1*x2")
+    w, w2 = omega(3), omega(3, 2)
+    expected = w**2 * w2 + w**2 + w * w2 + w * w2
+    power, calls = CyclotomicNumber.__pow__, []
+
+    def counted(self, n):
+        calls.append(n)
+        return power(self, n)
+
+    monkeypatch.setattr(CyclotomicNumber, "__pow__", counted)
+    assert f.evaluate((w, w2)) == expected
+    assert sorted(calls) == [1, 1, 2]
+
+
 def test_parenthesised_coefficients():
     assert R7.parse("(2)*x1") == 2 * R7.var("x1")
     assert R7.parse("-(1/2-3/2)*x1*(2)") == 2 * R7.var("x1")
