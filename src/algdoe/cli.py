@@ -79,7 +79,14 @@ def _emit_json(payload: dict, out) -> None:
 def cmd_gb(args, out) -> int:
     if bool(args.design) == bool(args.gens):
         raise InputError("gb needs exactly one of --design or --gens")
+    caps = {"max_pairs": args.max_pairs, "max_terms": args.max_terms}
+    caps = {name: cap for name, cap in caps.items() if cap is not None}
     if args.design:
+        if caps:
+            raise InputError(
+                "--max-pairs and --max-terms apply to --gens only: "
+                "a design ideal has no pair budget"
+            )
         d = load_design(args.design)
         order = parse_order(args.order or "grevlex", d.var_names, args.vars)
         gb = design_ideal(d, order)
@@ -88,7 +95,7 @@ def cmd_gb(args, out) -> int:
         ring = PolyRing(v for v in header["vars"].split(",") if v)
         order = parse_order(args.order or header["order"], ring.names, args.vars)
         gens = [ring.parse(ln) for ln in lines]
-        gb = buchberger(gens, order, budget=Budget(args.max_pairs, args.max_terms))
+        gb = buchberger(gens, order, budget=Budget(**caps))
     print_basis(gb, out)
     return 0
 
@@ -348,8 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--gens", help="polynomial file with an order header")
     sub.add_argument("--order", default=None)
     sub.add_argument("--vars", default=None)
-    with_flags(sub, "--max-pairs")
-    sub.add_argument("--max-terms", type=int, default=Budget().max_terms)
+    # no defaults: --design refuses both, --gens fills in Budget's own
+    sub.add_argument("--max-pairs", type=int)
+    sub.add_argument("--max-terms", type=int)
     sub.set_defaults(func=cmd_gb)
 
     sub = subs.add_parser("ideal", help="design ideal generators (reduced basis)")

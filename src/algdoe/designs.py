@@ -24,7 +24,7 @@ from .cyclotomic import QQ, cyclotomic_field, is_prime, omega
 from .errors import InputError, RankError, ScaleError
 from .groebner import GroebnerBasis, point_ideal_intersection, standard_monomials
 from .orders import Monomial, TermOrder
-from .polynomials import PolyRing, monomial_name, normal_form  # monomial_name: re-exported
+from .polynomials import PolyRing, monomial_name  # monomial_name: re-exported
 
 CODINGS = ("pm1", "integer", "complex")
 MAX_REGULAR_RUNS = 2**20
@@ -55,11 +55,14 @@ class Design:
         if len(set(self.runs)) != len(self.runs):
             raise InputError("replicated runs are not allowed")
         valid = {-1, 1} if self.coding == "pm1" else set(range(self.s))
-        for run in self.runs:
-            if len(run) != self.m:
-                raise InputError(f"run {run} has wrong length")
-            if any(v not in valid for v in run):
-                raise InputError(f"run {run} has an invalid coded level")
+        # whole-table set checks; the runs are walked only to name the culprit
+        levels = set(itertools.chain.from_iterable(self.runs))
+        if set(map(len, self.runs)) != {self.m} or not levels <= valid:
+            for run in self.runs:
+                if len(run) != self.m:
+                    raise InputError(f"run {run} has wrong length")
+                if any(v not in valid for v in run):
+                    raise InputError(f"run {run} has an invalid coded level")
 
     @property
     def n(self) -> int:
@@ -290,26 +293,19 @@ def is_confounded(a1: Monomial, a2: Monomial, d: Design):
     """+1 or -1 when x^a1 and x^a2 are completely confounded on the design,
     None otherwise.
 
-    Decided by the normal forms of x^a1 and x^a2, equal or opposite, in the
-    design ideal, and cross-checked against direct evaluation over the runs.
+    Complete confounding is membership of x^a1 -+ x^a2 in the design ideal,
+    and that holds exactly when the polynomial vanishes on every run.  On a
+    +-1 design the monomials' values are exact integers, so the answer is
+    decided by evaluation on the runs; :func:`algdoe.groebner.ideal_membership`
+    gives the same answer with cofactors.
     """
     if d.s != 2:
         raise InputError("confounding analysis is defined for two-level designs")
     a1, a2 = tuple(a1), tuple(a2)
     _square_free_over(a1, d.m)
     _square_free_over(a2, d.m)
-    gb = design_ideal(d, TermOrder.grevlex(d.m))
-    r1, r2 = (
-        normal_form(gb.ring.monomial(a), gb.elements, gb.order)[0] for a in (a1, a2)
-    )
-    membership = 1 if r1 == r2 else -1 if r1 == -r2 else None
     values = {v1 * v2 for v1, v2 in zip(_value_vector(d, a1), _value_vector(d, a2))}
-    evaluation = values.pop() if len(values) == 1 else None
-    if membership != evaluation:
-        raise AssertionError(
-            f"membership ({membership}) and evaluation ({evaluation}) disagree"
-        )
-    return membership
+    return values.pop() if len(values) == 1 else None
 
 
 def alias_table(d: Design, max_degree: int = 2):
@@ -325,23 +321,22 @@ def alias_table(d: Design, max_degree: int = 2):
     if max_degree < 0:
         raise InputError(f"max_degree must be nonnegative, got {max_degree}")
     groups: dict[tuple[int, ...], list[tuple[Monomial, int]]] = {}
+    # combinations lists the monomials in representative order, so the
+    # classes, made in the order of their first members, come out sorted
     monos = [
         tuple(int(j in factors) for j in range(d.m))
         for degree in range(max_degree + 1)
         for factors in itertools.combinations(range(d.m), degree)
     ]
-    monos.sort(key=lambda a: (sum(a), tuple(-e for e in a)))
     for mono in monos:
         vec = _value_vector(d, mono)
         sign = 1 if vec[0] == 1 else -1
         canon = tuple(v * sign for v in vec)
         groups.setdefault(canon, []).append((mono, sign))
-    classes = []
-    for members in groups.values():
-        rep_sign = members[0][1]
-        classes.append([(mono, sign * rep_sign) for mono, sign in members])
-    classes.sort(key=lambda cls: (sum(cls[0][0]), tuple(-e for e in cls[0][0])))
-    return classes
+    return [
+        [(mono, sign * members[0][1]) for mono, sign in members]
+        for members in groups.values()
+    ]
 
 
 def factor_ring(m: int) -> PolyRing:

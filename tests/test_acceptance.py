@@ -6,6 +6,7 @@ report lines alongside the pytest verdicts.
 
 import io
 import itertools
+import math
 import random
 import time
 from contextlib import contextmanager
@@ -153,10 +154,22 @@ def test_criterion_3_confounding(l8):
             if sum(mono) <= 3
         ]
         assert len(monos) == 64
-        # is_confounded verifies the membership result against direct
-        # evaluation internally and raises on any disagreement
-        for a1, a2 in itertools.combinations(monos, 2):
-            is_confounded(a1, a2, l8)
+        pairs = list(itertools.combinations(monos, 2))
+        assert len(pairs) == 2016
+        for a1, a2 in pairs:
+            x1, x2 = ring.monomial(a1), ring.monomial(a2)
+            membership = next(
+                (sign for sign in (1, -1) if ideal_membership(x1 - sign * x2, gb)[0]),
+                None,
+            )
+            values = {
+                math.prod(itertools.compress(run, a1))
+                * math.prod(itertools.compress(run, a2))
+                for run in l8.runs
+            }
+            evaluation = values.pop() if len(values) == 1 else None
+            assert membership == evaluation
+            assert is_confounded(a1, a2, l8) == evaluation
 
 
 def test_criterion_4_indicators(l8, f1, f2, f3):

@@ -419,6 +419,16 @@ def test_gb_negative_budget_exit_code(tmp_path, capsys, flag):
     assert f"error: {name} must be nonnegative, got -5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("--max-pairs", "5"), ("--max-terms", "100000"), ("--max-pairs", "-5", "--max-terms", "-1")],
+)
+def test_gb_design_refuses_budget_flags(workdir, capsys, flags):
+    # the design ideal is built by Buchberger-Moeller, which has no pair budget
+    assert invoke("gb", "--design", str(workdir / "l8.design"), *flags)[0] == 2
+    assert "apply to --gens only" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["basis", "mctest"])
 def test_max_terms_rejected_on_markov_commands(workdir, command):
     # the Markov engine holds two terms per element, so only gb takes the flag

@@ -34,6 +34,7 @@ from algdoe.designs import (
     read_header,
 )
 from algdoe.groebner import spolynomials_reduce_to_zero
+from algdoe.polynomials import normal_form
 
 from conftest import L8_WORDS, random_two_level_design
 
@@ -228,27 +229,54 @@ def test_is_confounded_fixtures(l8, d22):
     assert is_confounded(mono(2, 1), mono(2, 2), d22) is None
 
 
+def _membership_answer(a1, a2, gb):
+    """+1 or -1 when x^a1 -+ x^a2 has normal form zero modulo the design
+    ideal, None when neither does."""
+    x1, x2 = gb.ring.monomial(a1), gb.ring.monomial(a2)
+    for sign in (1, -1):
+        if normal_form(x1 - sign * x2, gb.elements, gb.order)[0].is_zero():
+            return sign
+    return None
+
+
+def _evaluation_answer(a1, a2, d):
+    values = {
+        math.prod(itertools.compress(run, a1)) * math.prod(itertools.compress(run, a2))
+        for run in d.runs
+    }
+    return values.pop() if len(values) == 1 else None
+
+
 def test_confounding_membership_equals_evaluation_exhaustive(l8):
-    import itertools
-
-    monos = [
-        m for m in itertools.product((0, 1), repeat=7) if 0 < sum(m) <= 2
-    ]
-    for a1, a2 in itertools.combinations(monos, 2):
-        c = is_confounded(a1, a2, l8)  # raises internally on any disagreement
-        prod = {
-            _prod(run, a1) * _prod(run, a2) for run in l8.runs
-        }
-        expected = prod.pop() if len(prod) == 1 else None
-        assert c == expected
+    gb = design_ideal(l8, TermOrder.grevlex(7))
+    monos = [m for m in itertools.product((0, 1), repeat=7) if sum(m) <= 3]
+    pairs = list(itertools.combinations(monos, 2))
+    assert len(pairs) == 2016
+    for a1, a2 in pairs:
+        expected = _evaluation_answer(a1, a2, l8)
+        assert _membership_answer(a1, a2, gb) == expected
+        assert is_confounded(a1, a2, l8) == expected
 
 
-def _prod(run, mono):
-    p = 1
-    for v, e in zip(run, mono):
-        if e:
-            p *= v
-    return p
+def test_is_confounded_equals_membership_random_designs():
+    # membership in the design ideal is the definition of complete
+    # confounding; is_confounded decides by evaluation, under any order
+    rng = random.Random(1616)
+    answers = set()
+    for _ in range(60):
+        m = rng.randint(1, 7)
+        d = random_two_level_design(rng, m, rng.randint(1, min(2**m, 12)))
+        pairs = [
+            tuple(tuple(rng.randint(0, 1) for _ in range(m)) for _ in range(2))
+            for _ in range(8)
+        ]
+        for order in (TermOrder.lex(m), TermOrder.grlex(m), TermOrder.grevlex(m)):
+            gb = design_ideal(d, order)
+            for a1, a2 in pairs:
+                answer = is_confounded(a1, a2, d)
+                assert answer == _membership_answer(a1, a2, gb), (d.runs, a1, a2)
+                answers.add(answer)
+    assert answers == {1, -1, None}
 
 
 def test_alias_table_l8(l8):
@@ -279,6 +307,28 @@ def test_alias_table_generates_only_low_degree_monomials():
     assert sum(len(cls) for cls in classes) == 821
     assert len(classes) == 2
     assert [cls[0] for cls in classes] == [((0,) * 40, 1), (mono(40, 1), 1)]
+
+
+def _reading_key(mono):
+    return sum(mono), tuple(-e for e in mono)
+
+
+def test_alias_table_order_is_reading_order():
+    # members and classes come out in (degree, reversed exponents) order of
+    # the monomials and representatives, with no sort in alias_table
+    rng = random.Random(311)
+    for m in range(1, 12):
+        d = random_two_level_design(rng, m, rng.randint(1, min(2**m, 16)))
+        for max_degree in range(4):
+            classes = alias_table(d, max_degree)
+            for cls in classes:
+                keys = [_reading_key(mono) for mono, _ in cls]
+                assert keys == sorted(keys)
+                assert cls[0][1] == 1
+            reps = [_reading_key(cls[0][0]) for cls in classes]
+            assert reps == sorted(reps)
+            count = sum(math.comb(m, k) for k in range(max_degree + 1))
+            assert sum(map(len, classes)) == count
 
 
 def test_alias_table_rejects_negative_degree(l8):
