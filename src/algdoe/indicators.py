@@ -10,6 +10,12 @@ realized as an exact integer Walsh-Hadamard transform of the 0/1 run table,
 indexed by the map of :mod:`algdoe.designs` and read back off itertools.product.
 The inverse, :func:`design_from_indicator`, applies the same transform to the
 scaled coefficients, evaluating the indicator at all 2^m points in O(m*2^m).
+The transform packs the table into 32-bit lanes (64-bit once the absolute
+values sum to 2^29 or more) of 4 KB whole ints and runs each butterfly pass
+as a few whole-int additions, shifts and masks, with no Python int per entry;
+the lanes cannot overflow while the absolute values sum to less than 2^61,
+and the inverse refuses any coefficient above 1 in absolute value, which
+bounds its input by 2^(2m).
 As the two share the transform and the index map, neither checks the other
 at run time.  Classification
 needs neither transform nor cap on m: as x^a = +-1, |b_a| = b_0 holds exactly
@@ -21,18 +27,20 @@ those differences and checks its witness words directly on the runs.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, product
-from operator import add, sub
+from itertools import chain, compress, product
 
 from .designs import (RUN_LEVELS, WORD_LEVELS, Design, Word, _gf2_insert,
                       _value_vector, product_element, product_index)
 from .errors import InputError, InvalidIndicatorError, ScaleError
 from .orders import Monomial
-from .polynomials import PolyRing, Polynomial
+from .polynomials import PolyRing, Polynomial, monomial_name
 
 MAX_EXPANSION_FACTORS = 20
+LANE_CHUNK_BYTES = 4096  # bytes of packed lanes per chunk of the transform
 
 
 class IndicatorFunction:
@@ -42,8 +50,18 @@ class IndicatorFunction:
 
     def __init__(self, m: int, coeffs):
         self.m = m
+        coeffs = dict(coeffs)
+        keys, values = coeffs.keys(), coeffs.values()
+        # whole-table set checks; the entries are walked one by one, converting
+        # or refusing each key in turn, only when a check fails
+        if (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {m}
+                and set(chain.from_iterable(keys)) <= {0, 1}):
+            if not set(map(type, values)) <= {Fraction}:
+                values = map(Fraction, values)
+            self.coeffs = {bits: c for bits, c in zip(keys, values) if c}
+            return
         clean = {}
-        for bits, c in dict(coeffs).items():
+        for bits, c in coeffs.items():
             bits = tuple(bits)
             if len(bits) != m or any(b not in (0, 1) for b in bits):
                 raise InputError(f"indicator exponents must lie in {{0,1}}^{m}")
@@ -93,14 +111,59 @@ class IndicatorFunction:
 
 def _walsh_hadamard(values: list[int]) -> list[int]:
     """Integer Walsh-Hadamard transform with the (-1)^(a.x) kernel, in
-    constant geometry: each of the log2(n) passes applies the kernel to the
-    lowest index bit and moves that bit to the top, so after the last pass
-    every bit is back in place."""
-    out = list(values)
-    for _ in range(len(out).bit_length() - 1):
-        even, odd = out[::2], out[1::2]
-        out = [*map(add, even, odd), *map(sub, even, odd)]
-    return out
+    natural order, on values packed into fixed-width lanes of whole ints.
+
+    A lane of ``bits`` bits holds v + 2^(bits-3).  Every intermediate is a
+    signed sum of the inputs, so while sum |v| < 2^(bits-3) every lane stays
+    in (0, 2^(bits-2)) and no butterfly carries or borrows across lanes: a
+    pass adds and subtracts whole ints and corrects the offset once.  Passes
+    on the low index bits run inside chunks of LANE_CHUNK_BYTES, the others
+    pair whole chunks in constant geometry.
+    """
+    n = len(values)
+    total = sum(map(abs, values))
+    if total >= 1 << 61:
+        raise ScaleError(
+            f"Walsh-Hadamard input sums to {total} in absolute value, "
+            "past the 2^61 that 64-bit lanes hold"
+        )
+    table = array("i" if total < 1 << 29 else "q", values)
+    if sys.byteorder == "big":
+        table.byteswap()
+    width = table.itemsize
+    bits = 8 * width
+    lanes = min(n, LANE_CHUNK_BYTES // width)
+    size = lanes * width
+
+    def every_lane(v: int) -> int:
+        return int.from_bytes(v.to_bytes(width, "little") * lanes, "little")
+
+    # the two's complement t of v has t ^ sign = v + 2^(bits-1) = v + bias + lift
+    sign, lift, bias = (every_lane(1 << bits - 1), every_lane(3 << bits - 3),
+                        every_lane(1 << bits - 3))
+    passes = []
+    for j in range(lanes.bit_length() - 1):
+        run = b"\xff" * (width << j)
+        keep = int.from_bytes((run + bytes(len(run))) * (lanes >> j + 1), "little")
+        passes.append((bits << j, keep, bias & keep))
+    raw = memoryview(table).cast("B")
+    chunks = []
+    for start in range(0, n * width, size):
+        p = (int.from_bytes(raw[start:start + size], "little") ^ sign) - lift
+        for shift, keep, low_bias in passes:
+            a = p & keep
+            b = p >> shift & keep
+            p = a + b - low_bias | a + low_bias - b << shift
+        chunks.append(p)
+    for _ in range(len(chunks).bit_length() - 1):
+        even, odd = chunks[::2], chunks[1::2]
+        chunks = [*(a + b - bias for a, b in zip(even, odd)),
+                  *(a + bias - b for a, b in zip(even, odd))]
+    out = array(table.typecode)
+    out.frombytes(b"".join(((p + lift) ^ sign).to_bytes(size, "little") for p in chunks))
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out.tolist()
 
 
 def indicator_from_design(d: Design) -> IndicatorFunction:
@@ -130,12 +193,19 @@ def design_from_indicator(f: IndicatorFunction) -> Design:
     denom = 1 << m
     scaled = [0] * denom
     for bits, c in f.coeffs.items():
-        v = c * denom
-        if v.denominator != 1:
+        num, den = c.numerator, c.denominator
+        # |b_a| <= b_0 <= 1 on an indicator, so the transform's input sums to
+        # at most 2^(2m) in absolute value
+        if abs(num) > den:
+            raise InvalidIndicatorError(
+                f"coefficient {c} of {monomial_name(bits)} exceeds 1 in absolute "
+                "value, so it cannot belong to a 0/1-valued indicator"
+            )
+        if denom % den:
             raise InvalidIndicatorError(
                 f"coefficient {c} cannot belong to a 0/1-valued indicator"
             )
-        scaled[product_index(bits, WORD_LEVELS)] = int(v)
+        scaled[product_index(bits, WORD_LEVELS)] = num * (denom // den)
     values = _walsh_hadamard(scaled)
     if not set(values) <= {0, denom}:
         v = next(v for v in values if v not in (0, denom))

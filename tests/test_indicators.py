@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from algdoe import (
     indicator_from_design,
     regular_design_from_words,
 )
+from algdoe import indicators
 from algdoe.designs import _value_vector, gf2_independent
 from algdoe.indicators import FactorRelation, IndicatorFunction, extend_design, word_group
 
@@ -116,6 +118,33 @@ def test_invalid_indicator_rejected():
     g = IndicatorFunction(2, {bits(2, 1): Fraction(1)})
     with pytest.raises(InvalidIndicatorError):
         design_from_indicator(g)
+
+
+@pytest.mark.parametrize("c", [10**30, -(10**30), Fraction(3, 2), Fraction(-3, 2)])
+def test_inverse_refuses_coefficients_above_one(c):
+    # |b_a| <= b_0 <= 1 on every indicator; the refusal names the term
+    f = IndicatorFunction(3, {bits(3): Fraction(1, 2), bits(3, 1, 3): c})
+    with pytest.raises(InvalidIndicatorError, match=rf"^coefficient {c} of x1\*x3 exceeds 1"):
+        design_from_indicator(f)
+    # |c| = 1 passes this check and fails on the values
+    g = IndicatorFunction(3, {bits(3): 1, bits(3, 1, 3): -1})
+    with pytest.raises(InvalidIndicatorError, match="not 0/1-valued"):
+        design_from_indicator(g)
+
+
+def test_indicator_function_checks_its_exponents():
+    f = IndicatorFunction(2, {(0, 1): 1, (1, 1): Fraction(0), (0, 0): Fraction(-1, 2)})
+    assert f.coeffs == {(0, 1): Fraction(1), (0, 0): Fraction(-1, 2)}
+    assert all(type(c) is Fraction for c in f.coeffs.values())
+    # other sequences are converted to tuples; exponents need only equal 0 or 1
+    g = IndicatorFunction(2, {range(2): 1, (True, 0.0): Fraction(1, 4)})
+    assert list(g.coeffs) == [(0, 1), (1, 0)]
+    assert type(list(g.coeffs)[0]) is tuple
+    assert IndicatorFunction(0, {(): 1}).coeffs == {(): Fraction(1)}
+    assert IndicatorFunction(3, {}).coeffs == {}
+    for bad in ({(0, 1, 0): 1}, {(0,): 1}, {(0, 2): 1}, {(0, -1): 1}, {(1, 0): 1, "01": 1}):
+        with pytest.raises(InputError, match=r"^indicator exponents must lie in \{0,1\}\^2$"):
+            IndicatorFunction(2, bad)
 
 
 def test_indicator_invariants_random_designs():
@@ -360,9 +389,83 @@ def test_rejects_non_two_level():
         classify_design(d3)
 
 
-def test_walsh_hadamard_matches_the_defining_sum():
-    from algdoe import indicators
+def _reference_walsh_hadamard(values):
+    """One Python int per entry, in constant geometry: each of the log2(n)
+    passes applies the kernel to the lowest index bit and moves that bit to
+    the top, so after the last pass every bit is back in place."""
+    out = list(values)
+    for _ in range(len(out).bit_length() - 1):
+        even, odd = out[::2], out[1::2]
+        out = [*map(operator.add, even, odd), *map(operator.sub, even, odd)]
+    return out
 
+
+def test_walsh_hadamard_matches_reference():
+    # 0/1 tables and small values take 32-bit lanes, |v| >= 2^29 64-bit ones;
+    # from m = 11 (32-bit) or m = 10 (64-bit) the table spans several chunks
+    rng = random.Random(1714)
+    for m in range(15):
+        n = 1 << m
+        for v in (
+            [rng.randint(0, 1) for _ in range(n)],
+            [rng.randint(-9, 9) for _ in range(n)],
+            [rng.choice((-1, 1)) * rng.randint(2**29, 2**40) for _ in range(n)],
+        ):
+            assert indicators._walsh_hadamard(v) == _reference_walsh_hadamard(v)
+
+
+@pytest.mark.parametrize("total", [2**29 - 1, 2**29, 2**61 - 1])
+def test_walsh_hadamard_at_the_lane_bounds(total):
+    # every output reaches +-total for one concentrated input; random signs
+    # spread the same total over the table
+    rng = random.Random(total)
+    for m in (0, 3, 11):
+        n = 1 << m
+        for sign in (1, -1):
+            v = [0] * n
+            v[rng.randrange(n)] = sign * total
+            assert indicators._walsh_hadamard(v) == _reference_walsh_hadamard(v)
+        cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
+        v = [rng.choice((-1, 1)) * (b - a) for a, b in zip([0, *cuts], [*cuts, total])]
+        assert sum(map(abs, v)) == total
+        assert indicators._walsh_hadamard(v) == _reference_walsh_hadamard(v)
+
+
+def test_walsh_hadamard_refuses_inputs_past_64_bit_lanes():
+    for v in ([2**61], [2**60, 0, -(2**60), 0]):
+        with pytest.raises(ScaleError, match="past the 2\\^61"):
+            indicators._walsh_hadamard(v)
+
+
+def test_indicator_spot_checks_at_large_m():
+    # b_a against the defining sum on the runs, for 25 terms of the indicator
+    # and 25 random a (mostly zero), and the round trip; on a regular fraction
+    # and on a union of three random cosets of its run group: a non-regular
+    # design whose 2^12 possible terms keep the Fraction work small next to
+    # the 2^m-entry transform
+    rng = random.Random(2018)
+    for m in (18, 20):
+        bits_list = []
+        while len(bits_list) < 12:
+            w = tuple(rng.randint(0, 1) for _ in range(m))
+            if any(w) and gf2_independent(bits_list + [w]):
+                bits_list.append(w)
+        cosets = [
+            regular_design_from_words(m, [Word(w, rng.choice((-1, 1))) for w in bits_list])
+            for _ in range(3)
+        ]
+        union = {run for coset in cosets for run in coset.runs}
+        assert len(union) == 3 * cosets[0].n
+        for d in (cosets[0], Design(m, 2, tuple(union), "pm1")):
+            f = indicator_from_design(d)
+            terms = rng.sample(sorted(f.coeffs), min(25, len(f.coeffs)))
+            for a in terms + [tuple(rng.randint(0, 1) for _ in range(m)) for _ in range(25)]:
+                total = sum(math.prod(itertools.compress(x, a)) for x in d.runs)
+                assert f.coefficient(a) == Fraction(total, 2**m)
+            assert design_from_indicator(f).runs == tuple(sorted(d.runs))
+
+
+def test_walsh_hadamard_matches_the_defining_sum():
     rng = random.Random(64)
     for m in range(7):
         n = 1 << m
