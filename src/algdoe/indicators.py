@@ -51,24 +51,14 @@ class IndicatorFunction:
     def __init__(self, m: int, coeffs):
         self.m = m
         coeffs = dict(coeffs)
-        keys, values = coeffs.keys(), coeffs.values()
-        # whole-table set checks; the entries are walked one by one, converting
-        # or refusing each key in turn, only when a check fails
-        if (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {m}
-                and set(chain.from_iterable(keys)) <= {0, 1}):
-            if not set(map(type, values)) <= {Fraction}:
-                values = map(Fraction, values)
-            self.coeffs = {bits: c for bits, c in zip(keys, values) if c}
-            return
-        clean = {}
-        for bits, c in coeffs.items():
-            bits = tuple(bits)
-            if len(bits) != m or any(b not in (0, 1) for b in bits):
-                raise InputError(f"indicator exponents must lie in {{0,1}}^{m}")
-            c = Fraction(c)
-            if c:
-                clean[bits] = c
-        self.coeffs = clean
+        keys = list(map(tuple, coeffs))
+        # the exponents are checked once over the whole table, as sets
+        if not (set(map(len, keys)) <= {m} and set(chain.from_iterable(keys)) <= {0, 1}):
+            raise InputError(f"indicator exponents must lie in {{0,1}}^{m}")
+        values = coeffs.values()
+        if not set(map(type, values)) <= {Fraction}:
+            values = map(Fraction, values)
+        self.coeffs = {bits: c for bits, c in zip(keys, values) if c}
 
     def __eq__(self, other):
         return (

@@ -120,9 +120,12 @@ def test_invalid_indicator_rejected():
         design_from_indicator(g)
 
 
-@pytest.mark.parametrize("c", [10**30, -(10**30), Fraction(3, 2), Fraction(-3, 2)])
+@pytest.mark.parametrize(
+    "c", [10**30, -(10**30), Fraction(3, 2), Fraction(-3, 2), Fraction(5, 3)]
+)
 def test_inverse_refuses_coefficients_above_one(c):
-    # |b_a| <= b_0 <= 1 on every indicator; the refusal names the term
+    # |b_a| <= b_0 <= 1 on every indicator; the refusal names the term, and
+    # comes before the check of the denominator
     f = IndicatorFunction(3, {bits(3): Fraction(1, 2), bits(3, 1, 3): c})
     with pytest.raises(InvalidIndicatorError, match=rf"^coefficient {c} of x1\*x3 exceeds 1"):
         design_from_indicator(f)
