@@ -31,6 +31,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain, compress, product
 
 from .designs import (RUN_LEVELS, WORD_LEVELS, Design, Word, _gf2_insert,
@@ -168,9 +169,12 @@ def indicator_from_design(d: Design) -> IndicatorFunction:
         table[product_index(run, RUN_LEVELS)] = 1
     spectrum = _walsh_hadamard(table)
     denom = 1 << m
+    # the spectrum of n runs takes integer values in [-n, n], so each Fraction
+    # is made once, on first use, and shared by the coefficients it equals
+    fraction = cache(lambda v: Fraction(v, denom))
     coeffs = zip(
         compress(product(WORD_LEVELS, repeat=m), spectrum),
-        (Fraction(v, denom) for v in spectrum if v),
+        map(fraction, filter(None, spectrum)),
     )
     return IndicatorFunction(m, coeffs)
 

@@ -4,6 +4,14 @@ Conditioning the Poisson null on the sufficient statistic leaves the law
 pi(y) proportional to 1 / prod(y_i!) on the fiber.  The chain proposes a
 uniformly chosen basis move with a uniform sign; proposals leaving the
 nonnegative orthant count as rejections, which keeps the chain reversible.
+The chains of one test intern the states they visit, one integer id per
+distinct state, and resolve each proposal, a (state, move, sign) triple,
+once, on its first use: it leaves the orthant (stay, no draw), has
+log r >= 0 (accept, no draw), or owes one uniform draw against exp(log r).
+A proposal met again replays that outcome with the same random draws, so the
+stream is the one a chain that recomputes every step would give.  Memory
+grows with the distinct proposals made, which the step count bounds; the
+statistic is computed once per distinct recorded state.
 P-values count every point at least as extreme as the observed one, ties
 included: floating-point statistics that are equal in exact arithmetic can
 differ in the last bits, so T(y) >= T(y_obs) is tested with the relative
@@ -72,45 +80,119 @@ def chain_seed(master: int, chain_index: int) -> int:
     return splitmix64((master + chain_index) & 0xFFFFFFFFFFFFFFFF)
 
 
+def _chain(y0, moves, cfg: ChainConfig, seeds):
+    """Run one chain per seed, all from y0; returns ``(states, recorded)``.
+
+    ``states`` lists each distinct state in order of first visit, so a
+    state's index is its id; ``recorded[c]`` holds the ids of the states
+    chain c keeps after burn-in and thinning.  The chains share the interned
+    states and the resolved proposals.  Each step draws the move index k as
+    ``Random.randrange(len(moves))`` does and the sign as ``random() < 0.5``.
+    """
+    nmoves = len(moves)
+    if not nmoves:
+        raise InputError("a chain needs at least one move")
+    bits = nmoves.bit_length()
+    width = 2 * nmoves
+    # each move as its (coordinate, entry) pairs on its support, in index
+    # order, for sign +1 at j = 2k and sign -1 at j = 2k + 1
+    signed = []
+    for z in moves:
+        support = [(i, b) for i, b in enumerate(z) if b]
+        signed.append(tuple(support))
+        signed.append(tuple((i, -b) for i, b in support))
+    # a coordinate can pass the total before a later one of the same
+    # proposal turns out negative, so the table reaches past the total
+    reach = max((abs(b) for support in signed for _, b in support), default=0)
+    lgam = [math.lgamma(k + 1) for k in range(sum(y0) + reach + 1)]
+    states = [tuple(y0)]
+    ids = {states[0]: 0}
+
+    def intern(y, support):
+        target = list(y)
+        for i, b in support:
+            target[i] += b
+        target = tuple(target)
+        tid = ids.setdefault(target, len(states))
+        if tid == len(states):
+            states.append(target)
+        return tid
+
+    # A proposal (state id, j) is resolved on its first use, under the key
+    # sid * width + j, to one int.  A state id >= 0 is where the chain goes
+    # with no draw: the state itself if the proposal leaves the orthant, the
+    # target if log r >= 0.  Otherwise it is ~d < 0 for the d-th proposal
+    # that owes one uniform draw against probs[d] = exp(log r), whose target
+    # is interned when a draw first accepts it (targets[d]).  The sign, not
+    # the probability, says whether a draw is owed: exp(log r) can underflow
+    # to 0.0, or round to 1.0 with log r < 0.
+    outcomes: dict[int, int] = {}
+    probs: list[float] = []
+    targets: list[int | None] = []
+    stride = cfg.thinning
+    steps = cfg.burn_in + stride * cfg.samples
+    runs = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        getrandbits = rng.getrandbits
+        uniform = rng.random
+        recorded = []
+        record = recorded.append
+        due = cfg.burn_in + stride
+        sid = base = 0
+        y = states[0]
+        for step in range(1, steps + 1):
+            k = getrandbits(bits)
+            while k >= nmoves:
+                k = getrandbits(bits)
+            j = 2 * k + (uniform() >= 0.5)
+            key = base + j
+            nxt = outcomes.get(key)
+            if nxt is None:
+                support = signed[j]
+                # log acceptance ratio, summed in index order over the support
+                logr = 0.0
+                for i, b in support:
+                    v = y[i] + b
+                    if v < 0:
+                        nxt = outcomes[key] = sid
+                        break
+                    logr += lgam[y[i]] - lgam[v]
+                else:
+                    if logr >= 0.0:
+                        nxt = outcomes[key] = intern(y, support)
+                    else:
+                        nxt = outcomes[key] = ~len(probs)
+                        probs.append(math.exp(logr))
+                        targets.append(None)
+            if nxt < 0:
+                d = ~nxt
+                if uniform() < probs[d]:
+                    nxt = targets[d]
+                    if nxt is None:
+                        nxt = targets[d] = intern(y, signed[j])
+                else:
+                    nxt = sid
+            if nxt != sid:
+                sid = nxt
+                y = states[sid]
+                base = sid * width
+            if step == due:
+                record(sid)
+                due += stride
+        runs.append(recorded)
+    return states, runs
+
+
 def chain_states(y0, moves, cfg: ChainConfig, seed: int | None = None):
     """Generator of recorded fiber states, after burn-in and thinning.
 
     The stationary law is the conditional Poisson pi(y) ~ 1/prod(y_i!).
     Deterministic given the seed.
     """
-    rng = random.Random(cfg.seed if seed is None else seed)
-    y = list(y0)
-    # each move as its (coordinate, entry) pairs on its support, in index
-    # order: a step reads and writes only the coordinates the move changes
-    supports = [tuple((i, b) for i, b in enumerate(z) if b) for z in moves]
-    # a coordinate can pass the total before a later one of the same
-    # proposal turns out negative, so the table reaches past the total
-    reach = max((abs(b) for support in supports for _, b in support), default=0)
-    lgam = [math.lgamma(k + 1) for k in range(sum(y) + reach + 1)]
-    nmoves = len(supports)
-    stride = cfg.thinning
-    steps = cfg.burn_in + stride * cfg.samples
-    recorded = 0
-    for step in range(1, steps + 1):
-        support = supports[rng.randrange(nmoves)]
-        sign = 1 if rng.random() < 0.5 else -1
-        # log acceptance ratio, summed in index order over the support; a
-        # negative coordinate rejects the proposal with no acceptance draw
-        logr = 0.0
-        for i, b in support:
-            v = y[i] + sign * b
-            if v < 0:
-                break
-            logr += lgam[y[i]] - lgam[v]
-        else:
-            if logr >= 0.0 or rng.random() < math.exp(logr):
-                for i, b in support:
-                    y[i] += sign * b
-        if step > cfg.burn_in and (step - cfg.burn_in) % stride == 0:
-            recorded += 1
-            yield tuple(y)
-            if recorded >= cfg.samples:
-                return
+    states, (recorded,) = _chain(y0, moves, cfg, [cfg.seed if seed is None else seed])
+    for sid in recorded:
+        yield states[sid]
 
 
 def _batch_means_se(indicators) -> float:
@@ -155,21 +237,19 @@ def mh_sample(
     t_obs = test_statistic(kind, y0, fit)
     if not basis.moves:
         return TestResult(t_obs, 1.0, 0.0, 0, "mcmc")
+    seeds = [chain_seed(cfg.seed, c) for c in range(chains)]
+    states, runs = _chain(y0, basis.moves, cfg, seeds)
+    # the indicator depends on the state alone, so it is computed once per
+    # distinct recorded state, by id, over all chains
+    hit_of: list[float | None] = [None] * len(states)
+    for sid in set().union(*runs):
+        t = test_statistic(kind, states[sid], fit)
+        hit_of[sid] = 1.0 if _at_least_as_extreme(t, t_obs) else 0.0
     hits = 0
     total = 0
     se_parts: list[float] = []
-    # the indicator depends on the state alone, so each distinct state's
-    # statistic is computed once; chains revisit a few states many times
-    indicator_of: dict[tuple[int, ...], float] = {}
-    for c in range(chains):
-        indicators = []
-        for state in chain_states(y0, basis.moves, cfg, seed=chain_seed(cfg.seed, c)):
-            hit = indicator_of.get(state)
-            if hit is None:
-                t = test_statistic(kind, state, fit)
-                hit = 1.0 if _at_least_as_extreme(t, t_obs) else 0.0
-                indicator_of[state] = hit
-            indicators.append(hit)
+    for recorded in runs:
+        indicators = list(map(hit_of.__getitem__, recorded))
         hits += int(sum(indicators))
         total += len(indicators)
         se_parts.append(_batch_means_se(indicators))

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -148,6 +149,11 @@ def test_mh_sample_rejects_moves_outside_the_kernel(setup_2x2):
         mh_sample(A, (1, 1, 1, 1), MarkovBasis(3, ((1, -1, 0),)), "pearson", cfg)
 
 
+def test_chain_states_needs_a_move():
+    with pytest.raises(InputError, match="at least one move"):
+        list(chain_states((1, 1, 1, 1), (), ChainConfig(seed=1, samples=10)))
+
+
 def test_chain_pooling_and_seed_split(setup_2x2):
     A, basis = setup_2x2
     assert splitmix64(0) != splitmix64(1)
@@ -273,6 +279,18 @@ def test_chain_states_match_dense_reference():
                     assert list(chain_states(y0, moves, cfg)) == list(
                         _reference_chain_states(y0, moves, cfg)
                     )
+    # log r = 2 lgamma(1001) - lgamma(2001), about -1382, so exp(log r) is 0.0,
+    # yet the reference still makes the acceptance draw; a chain that read
+    # "no draw" off a zero probability would fall out of step here.  (The
+    # other float edge, log r < 0 with exp(log r) == 1.0, cannot occur: every
+    # nonzero lgamma(k + 1) is at least ln 2, so all table entries and their
+    # sums are multiples of 2^-53, and exp(-2^-53) < 1.0.)
+    moves = ((2000, -1000, -1000, 0, 0), (0, 0, 0, 1, -1))
+    cfg = ChainConfig(seed=4, burn_in=0, samples=3000)
+    y0 = (0, 1000, 1000, 5, 5)
+    assert list(chain_states(y0, moves, cfg)) == list(
+        _reference_chain_states(y0, moves, cfg)
+    )
 
 
 def test_mh_sample_matches_per_state_statistic():
@@ -285,3 +303,18 @@ def test_mh_sample_matches_per_state_statistic():
             for chains in (1, 3):
                 want = _reference_mh_sample(A, y0, basis, kind, cfg, chains)
                 assert mh_sample(A, y0, basis, kind, cfg, chains) == want
+
+
+def test_mh_sample_golden():
+    # pinned: the move index is drawn as Random.randrange draws it, so a
+    # Python whose randrange changed would show here
+    A = build_covariate_matrix(full_factorial(3), main_effects(3))
+    cfg = ChainConfig(seed=2024, burn_in=1000, samples=5000)
+    # sum() of floats is compensated from Python 3.12 on, which moves the
+    # last bit of the batch-means standard error, not the chain
+    se = 0.013094093748814897 if sys.version_info >= (3, 12) else 0.013094093748814898
+    for kind in ("deviance", "pearson"):
+        res = mh_sample(A, (3, 1, 0, 2, 2, 0, 1, 3), markov_basis(A), kind, cfg, chains=2)
+        assert res.p_value == 0.2884
+        assert res.std_error == se
+        assert res.samples_used == 10000
