@@ -190,10 +190,14 @@ def _check_rank(labels, columns):
     ech = Echelon()
     for j, col in enumerate(columns):
         if ech.insert(col, j) is not None:
-            raise EstimabilityError(
-                _alias_message(labels, columns, j),
-                aliased=_alias_pair(labels, columns, j),
-            )
+            term, other = pair = _alias_pair(labels, columns, j)
+            if other is None:
+                message = (f"term {term} is linearly dependent on the preceding "
+                           "columns; the model is not estimable on this design")
+            else:
+                message = (f"term {term} is confounded with {other} on this design; "
+                           "they cannot be estimated simultaneously")
+            raise EstimabilityError(message, aliased=pair)
 
 
 def _alias_pair(labels, columns, j):
@@ -217,19 +221,6 @@ def _alias_pair(labels, columns, j):
         if ok:
             return (labels[j], labels[i])
     return (labels[j], None)
-
-
-def _alias_message(labels, columns, j):
-    pair = _alias_pair(labels, columns, j)
-    if pair[1] is not None:
-        return (
-            f"term {pair[0]} is confounded with {pair[1]} on this design; "
-            "they cannot be estimated simultaneously"
-        )
-    return (
-        f"term {pair[0]} is linearly dependent on the preceding columns; "
-        "the model is not estimable on this design"
-    )
 
 
 # -- integer recoding -----------------------------------------------------------

@@ -9,7 +9,9 @@ the runs and is cached per (design, order).
 Two-level runs and square-free words share one index map, kept here: bit m-1-j
 is set where factor j+1 is at -1 (a run over RUN_LEVELS) or present (a word over
 WORD_LEVELS), the element's position in ``itertools.product(levels, repeat=m)``;
-multiplying two elements XORs their indices.
+multiplying two elements XORs their indices.  Confounding, alias classes and
+classification all ask whether x^a is constant on the runs, and with which
+sign: x^a's packed column, the XOR of its factors' columns, answers them.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -176,20 +179,19 @@ class Word:
             raise InputError("the empty word is not allowed")
 
 
-def _gf2_insert(rows: dict[int, int], v: int) -> bool:
-    """Add index v to ``rows``, a fully reduced GF(2) echelon keyed by each row's
-    lowest set bit (its last factor); False, ``rows`` unchanged, if v is in its span."""
+def _gf2_insert(rows: dict[int, int], v: int, data: int = -1) -> int:
+    """Reduce v by ``rows``, a fully reduced GF(2) echelon keyed by lowest set
+    bit; the remainder, returned, joins it if nonzero under the low ``data`` bits."""
     for lead, row in rows.items():
         if v >> lead & 1:
             v ^= row
-    if not v:
-        return False
-    lead = (v & -v).bit_length() - 1
-    for other, row in rows.items():
-        if row >> lead & 1:
-            rows[other] = row ^ v
-    rows[lead] = v
-    return True
+    if v & data:
+        lead = (v & -v).bit_length() - 1
+        for other, row in rows.items():
+            if row >> lead & 1:
+                rows[other] = row ^ v
+        rows[lead] = v
+    return v
 
 
 def gf2_independent(vectors) -> bool:
@@ -289,23 +291,34 @@ def _value_vector(d: Design, mono: Monomial) -> tuple[int, ...]:
     return tuple(math.prod(itertools.compress(run, mono)) for run in d.runs)
 
 
+def _columns(d: Design) -> list[int]:
+    """Each factor's column as an n-bit int: run r sets bit n-1-r where it is -1."""
+    digit = {1: ord("0"), -1: ord("1")}.__getitem__
+    digits = bytes(map(digit, itertools.chain.from_iterable(d.runs)))
+    return [int(digits[j :: d.m], 2) for j in range(d.m)]
+
+
+def _product(columns: list[int], mono) -> int:
+    """x^mono's column, the XOR of its factors': 0 if constant +1, all ones if -1."""
+    return functools.reduce(operator.xor, itertools.compress(columns, mono), 0)
+
+
 def is_confounded(a1: Monomial, a2: Monomial, d: Design):
     """+1 or -1 when x^a1 and x^a2 are completely confounded on the design,
     None otherwise.
 
     Complete confounding is membership of x^a1 -+ x^a2 in the design ideal,
-    and that holds exactly when the polynomial vanishes on every run.  On a
-    +-1 design the monomials' values are exact integers, so the answer is
-    decided by evaluation on the runs; :func:`algdoe.groebner.ideal_membership`
-    gives the same answer with cofactors.
+    which holds exactly when x^a1 * x^a2 is constant on the runs, as its
+    packed column shows; :func:`algdoe.groebner.ideal_membership` gives the
+    same answer with cofactors.
     """
     if d.s != 2:
         raise InputError("confounding analysis is defined for two-level designs")
     a1, a2 = tuple(a1), tuple(a2)
     _square_free_over(a1, d.m)
     _square_free_over(a2, d.m)
-    values = {v1 * v2 for v1, v2 in zip(_value_vector(d, a1), _value_vector(d, a2))}
-    return values.pop() if len(values) == 1 else None
+    column = _product(_columns(d), map(operator.ne, a1, a2))
+    return {0: 1, (1 << d.n) - 1: -1}.get(column)
 
 
 def alias_table(d: Design, max_degree: int = 2):
@@ -320,7 +333,9 @@ def alias_table(d: Design, max_degree: int = 2):
         raise InputError("alias tables are defined for two-level designs")
     if max_degree < 0:
         raise InputError(f"max_degree must be nonnegative, got {max_degree}")
-    groups: dict[tuple[int, ...], list[tuple[Monomial, int]]] = {}
+    columns = _columns(d)
+    ones = (1 << d.n) - 1
+    groups: dict[int, list[tuple[Monomial, int]]] = {}
     # combinations lists the monomials in representative order, so the
     # classes, made in the order of their first members, come out sorted
     monos = [
@@ -329,10 +344,9 @@ def alias_table(d: Design, max_degree: int = 2):
         for factors in itertools.combinations(range(d.m), degree)
     ]
     for mono in monos:
-        vec = _value_vector(d, mono)
-        sign = 1 if vec[0] == 1 else -1
-        canon = tuple(v * sign for v in vec)
-        groups.setdefault(canon, []).append((mono, sign))
+        column = _product(columns, mono)
+        key = min(column, column ^ ones)  # top bit clear: +1 on the first run
+        groups.setdefault(key, []).append((mono, 1 if key == column else -1))
     return [
         [(mono, sign * members[0][1]) for mono, sign in members]
         for members in groups.values()

@@ -17,11 +17,10 @@ the lanes cannot overflow while the absolute values sum to less than 2^61,
 and the inverse refuses any coefficient above 1 in absolute value, which
 bounds its input by 2^(2m).
 As the two share the transform and the index map, neither checks the other
-at run time.  Classification
-needs neither transform nor cap on m: as x^a = +-1, |b_a| = b_0 holds exactly
-when x^a is constant on F, that is when a is orthogonal over GF(2) to every
-difference of two runs, so :func:`classify_design` works on the GF(2) rank of
-those differences and checks its witness words directly on the runs.
+at run time.  Classification needs neither transform nor cap on m: as
+x^a = +-1, |b_a| = b_0 holds exactly when x^a is constant on F, a GF(2)
+dependency among the packed factor columns of :mod:`algdoe.designs`, which
+:func:`classify_design` finds and checks word by word on those columns.
 """
 
 from __future__ import annotations
@@ -34,8 +33,8 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, compress, product
 
-from .designs import (RUN_LEVELS, WORD_LEVELS, Design, Word, _gf2_insert,
-                      _value_vector, product_element, product_index)
+from .designs import (RUN_LEVELS, WORD_LEVELS, Design, Word, _columns, _gf2_insert,
+                      _product, product_element, product_index)
 from .errors import InputError, InvalidIndicatorError, ScaleError
 from .orders import Monomial
 from .polynomials import PolyRing, Polynomial, monomial_name
@@ -264,12 +263,13 @@ def indicator_add_factors(
     coeffs = {product_index(bits, WORD_LEVELS) << k: c for bits, c in f1.coeffs.items()}
     for pos, rel in enumerate(relations):
         mask = product_index(rel.word, WORD_LEVELS) << k | 1 << (k - 1 - pos)
-        out: dict = {}
+        # the new factor's bit is 0 in every key, so idx ^ mask is a new key
+        out = {}
         for idx, c in coeffs.items():
             c2 = c / 2
-            out[idx] = out.get(idx, Fraction(0)) + c2
-            out[idx ^ mask] = out.get(idx ^ mask, Fraction(0)) + rel.sign * c2
-        coeffs = {idx: c for idx, c in out.items() if c}
+            out[idx] = c2
+            out[idx ^ mask] = rel.sign * c2
+        coeffs = out
     keys = (product_element(idx, m + k, WORD_LEVELS) for idx in coeffs)
     return IndicatorFunction(m + k, zip(keys, coeffs.values()))
 
@@ -303,46 +303,44 @@ class DesignClass:
 
 
 def classify_design(d: Design) -> DesignClass:
-    """Classify a two-level design by the GF(2) rank of its run differences.
+    """Classify a two-level design by the GF(2) dependencies of its columns.
 
     The witness words are the reduced echelon basis of the words constant on
     the runs, in ascending order, each signed by its value on the first run.
     Regular: the k words hold on every run and n * 2^k = 2^m, so they define
     exactly the runs.  Subset-fractional: they define a larger regular design
-    that contains the runs.  Affinely-full-dimensional: the differences have
-    full rank m, so no word is constant on the runs.
+    that contains the runs.  Affinely-full-dimensional: the columns taken
+    relative to the first run are independent, so no word is constant.
     """
     if d.s != 2:
         raise InputError("classification is defined for two-level designs")
     if d.n == 2**d.m:
         return DesignClass("full-factorial")
-    masks = [product_index(run, RUN_LEVELS) for run in d.runs]
+    n, m = d.n, d.m
+    columns = _columns(d)
+    data = (1 << n) - 1
+    # Each column, relative to the first run, carries its factor's index bit
+    # above the n data bits.  Inserted last factor first, a column that
+    # reduces to zero data leaves a word's bits: its own over later factors'
+    # bits and no other word's, so the words ascend in reduced echelon form.
     span: dict[int, int] = {}
-    for mask in masks:
-        _gf2_insert(span, mask ^ masks[0])
-    if len(span) == d.m:
+    found = []
+    for j in reversed(range(m)):
+        col = columns[j]
+        relative = col ^ data if col >> n - 1 else col
+        rest = _gf2_insert(span, 1 << n + m - 1 - j | relative, data)
+        if not rest & data:
+            bits = product_element(rest >> n, m, WORD_LEVELS)
+            found.append((bits, _product(columns, bits)))
+    if not found:
         return DesignClass("affinely-full-dimensional")
-    # a bit b leading no row gives the word b plus the leads of the rows
-    # holding b.  Those leads are lower bits, so by ascending b these words
-    # ascend: they are the reduced echelon basis keyed on the first factor.
-    words = []
-    for b in range(d.m):
-        if b not in span:
-            w = 1 << b | sum(1 << p for p, row in span.items() if row >> b & 1)
-            sign = -1 if (w & masks[0]).bit_count() & 1 else 1
-            words.append(Word(product_element(w, d.m, WORD_LEVELS), sign))
-    words = tuple(words)
-    contained = all(v == w.sign for w in words for v in _value_vector(d, w.bits))
-    if contained and d.n << len(words) == 1 << d.m:
-        return DesignClass("regular", words=words)
-    if contained:
-        return DesignClass("subset-fractional", words=words)
-    return DesignClass(
-        "subset-fractional",
-        words=words,
-        diagnostic="witness words do not contain the design; "
-        "GF(2) complement and runs disagree",
-    )
+    # the witness: each word is constant on the runs, its sign the first run's
+    words = tuple(Word(bits, -1 if column >> n - 1 else 1) for bits, column in found)
+    if not all(column in (0, data) for _, column in found):
+        return DesignClass("subset-fractional", words, "witness words do not "
+                           "contain the design; GF(2) complement and runs disagree")
+    tag = "regular" if n << len(words) == 1 << m else "subset-fractional"
+    return DesignClass(tag, words=words)
 
 
 def word_group(words) -> set[tuple[tuple[int, ...], int]]:

@@ -196,18 +196,15 @@ def chain_states(y0, moves, cfg: ChainConfig, seed: int | None = None):
 
 
 def _batch_means_se(indicators) -> float:
-    m = len(indicators)
-    b = math.isqrt(m)
-    if b < 2 or m // b < 2:
+    """Batch-means standard error of the mean of 0/1 ints, from the integer
+    batch counts with one final division, so no float sum sets its digits."""
+    b = math.isqrt(len(indicators))
+    if b < 2:  # else nb >= b >= 2, as b * b <= len(indicators)
         return 0.0
-    nbatch = m // b
-    means = []
-    for k in range(nbatch):
-        chunk = indicators[k * b : (k + 1) * b]
-        means.append(sum(chunk) / b)
-    grand = sum(means) / nbatch
-    var = sum((x - grand) ** 2 for x in means) / (nbatch - 1)
-    return math.sqrt(var / nbatch)
+    nb = len(indicators) // b
+    counts = [sum(indicators[k * b : (k + 1) * b]) for k in range(nb)]
+    spread = nb * sum(c * c for c in counts) - sum(counts) ** 2
+    return math.sqrt(spread / (b * b * nb * nb * (nb - 1)))
 
 
 def mh_sample(
@@ -241,20 +238,20 @@ def mh_sample(
     states, runs = _chain(y0, basis.moves, cfg, seeds)
     # the indicator depends on the state alone, so it is computed once per
     # distinct recorded state, by id, over all chains
-    hit_of: list[float | None] = [None] * len(states)
+    hit_of: list[int | None] = [None] * len(states)
     for sid in set().union(*runs):
         t = test_statistic(kind, states[sid], fit)
-        hit_of[sid] = 1.0 if _at_least_as_extreme(t, t_obs) else 0.0
+        hit_of[sid] = int(_at_least_as_extreme(t, t_obs))
     hits = 0
     total = 0
     se_parts: list[float] = []
     for recorded in runs:
         indicators = list(map(hit_of.__getitem__, recorded))
-        hits += int(sum(indicators))
+        hits += sum(indicators)
         total += len(indicators)
         se_parts.append(_batch_means_se(indicators))
     p = hits / total
-    se = math.sqrt(sum(s * s for s in se_parts)) / chains
+    se = math.sqrt(math.fsum(s * s for s in se_parts)) / chains
     return TestResult(t_obs, p, se, total, "mcmc")
 
 

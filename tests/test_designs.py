@@ -336,6 +336,64 @@ def test_alias_table_rejects_negative_degree(l8):
         alias_table(l8, -1)
 
 
+def _alias_classes_by_evaluation(d, max_degree):
+    """alias_table's classes, keyed by each monomial's values on the runs
+    times its value on the first run."""
+    groups = {}
+    for degree in range(max_degree + 1):
+        for factors in itertools.combinations(range(d.m), degree):
+            values = [math.prod(run[j] for j in factors) for run in d.runs]
+            canon = tuple(v * values[0] for v in values)
+            a = mono(d.m, *(j + 1 for j in factors))
+            groups.setdefault(canon, []).append((a, values[0]))
+    return [[(a, s * members[0][1]) for a, s in members] for members in groups.values()]
+
+
+def _shuffled_designs(rng):
+    """Two-level designs past one 64-bit word of runs, in shuffled run order:
+    full factorials, single runs, random subsets and regular fractions up to
+    m = 16, each whole and as a random subset."""
+    yield full_factorial(7)
+    yield Design(16, 2, (tuple(rng.choice((-1, 1)) for _ in range(16)),), "pm1")
+    for m in (1, 3):
+        yield Design(m, 2, ((1,) * m,), "pm1")
+    for m, n in ((7, 65), (8, 130), (9, 300), (10, 1000)):
+        yield random_two_level_design(rng, m, n)
+    for m, k in ((8, 1), (10, 3), (12, 5), (16, 9), (16, 7), (16, 3)):
+        while True:
+            bits = [tuple(rng.randint(0, 1) for _ in range(m)) for _ in range(k)]
+            if all(map(any, bits)) and gf2_independent(bits):
+                break
+        d = regular_design_from_words(m, [Word(b, rng.choice((-1, 1))) for b in bits])
+        yield d
+        yield Design(m, 2, tuple(rng.sample(d.runs, rng.randint(65, d.n - 1))), "pm1")
+
+
+def test_packed_columns_match_evaluation_on_the_runs():
+    # is_confounded and alias_table read packed columns; the reference
+    # multiplies the factor values run by run
+    rng = random.Random(1919)
+    answers = set()
+    for d in _shuffled_designs(rng):
+        runs = list(d.runs)
+        rng.shuffle(runs)
+        d = Design(d.m, 2, tuple(runs), "pm1")
+        max_degree = 1 if d.n > 2000 else 2
+        classes = alias_table(d, max_degree)
+        assert classes == _alias_classes_by_evaluation(d, max_degree), d.runs[:2]
+        # random pairs, and pairs across each alias class, which are confounded
+        pairs = [
+            tuple(tuple(rng.randint(0, 1) for _ in range(d.m)) for _ in range(2))
+            for _ in range(10)
+        ]
+        pairs += [(cls[0][0], a) for cls in classes for a, _ in cls[1:3]]
+        for a1, a2 in pairs:
+            answer = is_confounded(a1, a2, d)
+            assert answer == _evaluation_answer(a1, a2, d), (a1, a2)
+            answers.add(answer)
+    assert answers == {1, -1, None}
+
+
 def test_random_designs_est_size_matches_runs():
     rng = random.Random(123)
     for _ in range(5):

@@ -1,6 +1,5 @@
 import math
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -230,12 +229,12 @@ def _reference_mh_sample(A, y0, basis, kind, cfg, chains=1):
             y0, basis.moves, cfg, seed=chain_seed(cfg.seed, c)
         ):
             t = test_statistic(kind, state, fit)
-            indicators.append(1.0 if _at_least_as_extreme(t, t_obs) else 0.0)
-        hits += int(sum(indicators))
+            indicators.append(int(_at_least_as_extreme(t, t_obs)))
+        hits += sum(indicators)
         total += len(indicators)
         se_parts.append(_batch_means_se(indicators))
     p = hits / total
-    se = math.sqrt(sum(s * s for s in se_parts)) / chains
+    se = math.sqrt(math.fsum(s * s for s in se_parts)) / chains
     return TestResult(t_obs, p, se, total, "mcmc")
 
 
@@ -305,14 +304,31 @@ def test_mh_sample_matches_per_state_statistic():
                 assert mh_sample(A, y0, basis, kind, cfg, chains) == want
 
 
+def test_batch_means_se_matches_float_batch_means():
+    # the standard error of the batch means, each batch of b = isqrt(m) hits
+    # averaged in floats; the integer formula differs only in rounding
+    rng = random.Random(11)
+    for m in (0, 1, 3, 4, 8, 9, 50, 1000, 1001):
+        hits = [int(rng.random() < 0.3) for _ in range(m)]
+        b = math.isqrt(m)
+        if b < 2:
+            assert _batch_means_se(hits) == 0.0
+            continue
+        means = [sum(hits[k * b : (k + 1) * b]) / b for k in range(m // b)]
+        grand = sum(means) / len(means)
+        var = sum((x - grand) ** 2 for x in means) / (len(means) - 1)
+        want = math.sqrt(var / len(means))
+        assert math.isclose(_batch_means_se(hits), want, rel_tol=1e-12, abs_tol=1e-15)
+
+
 def test_mh_sample_golden():
     # pinned: the move index is drawn as Random.randrange draws it, so a
     # Python whose randrange changed would show here
     A = build_covariate_matrix(full_factorial(3), main_effects(3))
     cfg = ChainConfig(seed=2024, burn_in=1000, samples=5000)
-    # sum() of floats is compensated from Python 3.12 on, which moves the
-    # last bit of the batch-means standard error, not the chain
-    se = 0.013094093748814897 if sys.version_info >= (3, 12) else 0.013094093748814898
+    # the standard error comes from integer batch counts, so no float sum,
+    # which Python 3.12 made compensated, moves its last bit
+    se = 0.013094093748814897
     for kind in ("deviance", "pearson"):
         res = mh_sample(A, (3, 1, 0, 2, 2, 0, 1, 3), markov_basis(A), kind, cfg, chains=2)
         assert res.p_value == 0.2884
