@@ -44,8 +44,8 @@ from .mcmc import (
     exact_p_value,
     mh_sample,
 )
-from .orders import TermOrder, format_order, parse_order
-from .polynomials import PolyRing, monomial_name
+from .orders import TermOrder, format_order, monomial_name, parse_order
+from .polynomials import PolyRing
 
 SCHEMA = 1
 
@@ -298,6 +298,8 @@ def cmd_exact(args, out) -> int:
 
 
 def cmd_doptimal(args, out) -> int:
+    if args.list_limit < 0:
+        raise InputError(f"--list-limit must be nonnegative, got {args.list_limit}")
     spec = SearchSpec(
         m=args.m,
         n=args.n,

@@ -24,9 +24,9 @@ from fractions import Fraction
 from math import gcd, isfinite
 
 from .cyclotomic import CyclotomicNumber, Echelon, omega
-from .designs import Design, _value_vector, parse_monomial
+from .designs import Design, _columns, _product, parse_monomial
 from .errors import EstimabilityError, InputError
-from .polynomials import monomial_name
+from .orders import monomial_name
 
 CONTRASTS = ("baseline", "symmetric", "complex")
 
@@ -129,7 +129,9 @@ def build_covariate_matrix(
 
 def _two_level_columns(d: Design, terms):
     labels = [monomial_name(t) for t in terms]
-    columns = [tuple(Fraction(v) for v in _value_vector(d, t)) for t in terms]
+    packed = _columns(d)
+    value = {"0": Fraction(1), "1": Fraction(-1)}.__getitem__
+    columns = [tuple(map(value, f"{_product(packed, t):0{d.n}b}")) for t in terms]
     return labels, columns
 
 

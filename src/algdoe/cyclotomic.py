@@ -15,6 +15,7 @@ from functools import lru_cache
 from typing import Union
 
 from .errors import CoefficientFieldError, InputError
+from .orders import _format_terms
 
 Rational = Union[int, Fraction]
 
@@ -195,27 +196,8 @@ class CyclotomicNumber:
     def __str__(self):
         if not self:
             return "0"
-        parts = []
-        for k, c in enumerate(self.coords):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                mono = "w" if k == 1 else f"w^{k}"
-                if c == 1:
-                    term = mono
-                elif c == -1:
-                    term = f"-{mono}"
-                else:
-                    term = f"{c}*{mono}"
-                if parts and not term.startswith("-"):
-                    term = "+" + term
-                parts.append(term)
-        out = parts[0]
-        for t in parts[1:]:
-            out += t if t.startswith(("+", "-")) else "+" + t
-        return out
+        # ascending powers of w, in the text grammar of polynomials
+        return _format_terms((((k,), str(c)) for k, c in enumerate(self.coords) if c), ("w",))
 
     def __repr__(self):
         return f"CyclotomicNumber({self.order}, {self})"

@@ -9,16 +9,18 @@ the runs and is cached per (design, order).
 Two-level runs and square-free words share one index map, kept here: bit m-1-j
 is set where factor j+1 is at -1 (a run over RUN_LEVELS) or present (a word over
 WORD_LEVELS), the element's position in ``itertools.product(levels, repeat=m)``;
-multiplying two elements XORs their indices.  Confounding, alias classes and
-classification all ask whether x^a is constant on the runs, and with which
-sign: x^a's packed column, the XOR of its factors' columns, answers them.
+multiplying two elements XORs their indices.  A two-level design packs its
+runs once, on first use, into one table of run-major '0'/'1' digits ('1' at -1)
+that it keeps: a factor's column and a run's index are base-2 reads of that
+table.  Confounding, alias classes and classification all ask whether x^a is
+constant on the runs, and with which sign: x^a's packed column, the XOR of its
+factors' columns, answers them.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,8 +28,8 @@ from fractions import Fraction
 from .cyclotomic import QQ, cyclotomic_field, is_prime, omega
 from .errors import InputError, RankError, ScaleError
 from .groebner import GroebnerBasis, point_ideal_intersection, standard_monomials
-from .orders import Monomial, TermOrder
-from .polynomials import PolyRing, monomial_name  # monomial_name: re-exported
+from .orders import Monomial, TermOrder, monomial_name  # monomial_name: re-exported
+from .polynomials import PolyRing
 
 CODINGS = ("pm1", "integer", "complex")
 MAX_REGULAR_RUNS = 2**20
@@ -86,6 +88,11 @@ class Design:
 
     def ring(self) -> PolyRing:
         return PolyRing(self.var_names, self.field())
+
+    @functools.cached_property
+    def _digits(self) -> bytes:
+        """The two-level run table, packed once per design."""
+        return _pack(self.runs)
 
 
 def full_factorial(m: int, s: int = 2) -> Design:
@@ -287,15 +294,25 @@ def _square_free_over(mono: Monomial, m: int) -> None:
         raise InputError("effects are square-free monomials")
 
 
-def _value_vector(d: Design, mono: Monomial) -> tuple[int, ...]:
-    return tuple(math.prod(itertools.compress(run, mono)) for run in d.runs)
+def _pack(runs) -> bytes:
+    """Two-level runs as run-major digits: ord('1') where a factor is at -1."""
+    digit = {1: ord("0"), -1: ord("1")}.__getitem__
+    return bytes(map(digit, itertools.chain.from_iterable(runs)))
+
+
+def _column(d: Design, j: int) -> int:
+    """Factor j+1's column as an n-bit int: run r sets bit n-1-r where it is -1."""
+    return int(d._digits[j :: d.m], 2)
 
 
 def _columns(d: Design) -> list[int]:
-    """Each factor's column as an n-bit int: run r sets bit n-1-r where it is -1."""
-    digit = {1: ord("0"), -1: ord("1")}.__getitem__
-    digits = bytes(map(digit, itertools.chain.from_iterable(d.runs)))
-    return [int(digits[j :: d.m], 2) for j in range(d.m)]
+    return [_column(d, j) for j in range(d.m)]
+
+
+def _run_indices(d: Design) -> list[int]:
+    """Each run's ``product_index(run, RUN_LEVELS)``, read off the packed table."""
+    digits, m = d._digits, d.m
+    return [int(digits[i : i + m], 2) for i in range(0, len(digits), m)]
 
 
 def _product(columns: list[int], mono) -> int:
@@ -317,7 +334,8 @@ def is_confounded(a1: Monomial, a2: Monomial, d: Design):
     a1, a2 = tuple(a1), tuple(a2)
     _square_free_over(a1, d.m)
     _square_free_over(a2, d.m)
-    column = _product(_columns(d), map(operator.ne, a1, a2))
+    differ = itertools.compress(range(d.m), map(operator.ne, a1, a2))
+    column = functools.reduce(operator.xor, (_column(d, j) for j in differ), 0)
     return {0: 1, (1 << d.n) - 1: -1}.get(column)
 
 

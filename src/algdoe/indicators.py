@@ -7,7 +7,9 @@ are computed by the orthogonality expansion
     b_a = 2^(-m) * sum_{x in F} x^a,
 
 realized as an exact integer Walsh-Hadamard transform of the 0/1 run table,
-indexed by the map of :mod:`algdoe.designs` and read back off itertools.product.
+indexed by the map of :mod:`algdoe.designs` and read back off itertools.product;
+the run indices are read off the design's packed table, as every two-level
+reader reads it, so the runs are packed once per design.
 The inverse, :func:`design_from_indicator`, applies the same transform to the
 scaled coefficients, evaluating the indicator at all 2^m points in O(m*2^m).
 The transform packs the table into 32-bit lanes (64-bit once the absolute
@@ -19,7 +21,7 @@ bounds its input by 2^(2m).
 As the two share the transform and the index map, neither checks the other
 at run time.  Classification needs neither transform nor cap on m: as
 x^a = +-1, |b_a| = b_0 holds exactly when x^a is constant on F, a GF(2)
-dependency among the packed factor columns of :mod:`algdoe.designs`, which
+dependency among the factor columns of that table, which
 :func:`classify_design` finds and checks word by word on those columns.
 """
 
@@ -34,10 +36,10 @@ from functools import cache
 from itertools import chain, compress, product
 
 from .designs import (RUN_LEVELS, WORD_LEVELS, Design, Word, _columns, _gf2_insert,
-                      _product, product_element, product_index)
+                      _product, _run_indices, product_element, product_index)
 from .errors import InputError, InvalidIndicatorError, ScaleError
-from .orders import Monomial
-from .polynomials import PolyRing, Polynomial, monomial_name
+from .orders import Monomial, monomial_name
+from .polynomials import PolyRing, Polynomial
 
 MAX_EXPANSION_FACTORS = 20
 LANE_CHUNK_BYTES = 4096  # bytes of packed lanes per chunk of the transform
@@ -164,8 +166,8 @@ def indicator_from_design(d: Design) -> IndicatorFunction:
         raise ScaleError(f"indicator expansion capped at m <= {MAX_EXPANSION_FACTORS}")
     m = d.m
     table = [0] * (1 << m)
-    for run in d.runs:
-        table[product_index(run, RUN_LEVELS)] = 1
+    for idx in _run_indices(d):
+        table[idx] = 1
     spectrum = _walsh_hadamard(table)
     denom = 1 << m
     # the spectrum of n runs takes integer values in [-n, n], so each Fraction

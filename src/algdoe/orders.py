@@ -5,6 +5,8 @@ indeterminate universe.  Every order here is total and multiplicative, and is
 realized through a sort key so that ``key(a) > key(b)`` iff ``a`` is greater.
 Orders are read from and written as text by :func:`parse_order` and
 :func:`format_order`, so that a written order reads back as the same order.
+Monomials and sums of terms, in polynomials and cyclotomic numbers alike, are
+written here too, in the grammar that the polynomial parser reads.
 """
 
 from __future__ import annotations
@@ -216,6 +218,34 @@ def _prefix_blocks(text: str, names, base: tuple[int, ...]) -> TermOrder:
     if len(assigned) != len(names):
         raise InputError("block prefixes must cover every variable")
     return TermOrder.block(blocks)
+
+
+def monomial_name(mono: Monomial, names=None) -> str:
+    """Text of a monomial, such as ``x1*x3^2``; ``1`` for the empty monomial.
+
+    ``names`` defaults to x1, x2, ...
+    """
+    if not any(mono):
+        return "1"
+    if names is None:
+        names = [f"x{i + 1}" for i in range(len(mono))]
+    return "*".join(
+        names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(mono) if e
+    )
+
+
+def _format_terms(terms, names) -> str:
+    """Text of a nonempty sum of (monomial, coefficient text) pairs, in the
+    order given, as polynomials and cyclotomic numbers are written: a
+    coefficient of 1 or -1 leaves the bare monomial or its negation, and terms
+    join with ``+`` unless they start with ``-``."""
+    text = ""
+    for mono, coeff in terms:
+        if any(mono):
+            name = monomial_name(mono, names)
+            coeff = {"1": name, "-1": "-" + name}.get(coeff, f"{coeff}*{name}")
+        text += coeff if not text or coeff.startswith("-") else "+" + coeff
+    return text
 
 
 def compare(order: TermOrder, a: Monomial, b: Monomial) -> int:

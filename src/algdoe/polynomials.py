@@ -19,7 +19,7 @@ from .errors import (
     InputError,
     ZeroPolynomialError,
 )
-from .orders import Monomial, TermOrder
+from .orders import Monomial, TermOrder, _format_terms
 
 # -- monomial helpers --------------------------------------------------------
 
@@ -310,8 +310,7 @@ class Polynomial:
         if not self.terms:
             return "Polynomial<0>"
         # order-free display: sort by raw exponent tuples, largest first
-        parts = _term_strings(self, sorted(self.terms, reverse=True))
-        return f"Polynomial<{_join_terms(parts)}>"
+        return f"Polynomial<{_terms_text(self, sorted(self.terms, reverse=True))}>"
 
 
 def leading_term(f: Polynomial, order: TermOrder):
@@ -399,50 +398,14 @@ def _coeff_str(c) -> str:
     return str(c)
 
 
-def monomial_name(mono: Monomial, names=None) -> str:
-    """Text of a monomial, such as ``x1*x3^2``; ``1`` for the empty monomial.
-
-    ``names`` defaults to x1, x2, ...
-    """
-    if not any(mono):
-        return "1"
-    if names is None:
-        names = [f"x{i + 1}" for i in range(len(mono))]
-    return "*".join(
-        names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(mono) if e
-    )
-
-
-def _term_strings(f: Polynomial, monomials) -> list[str]:
-    names = f.ring.names
-    out = []
-    for e in monomials:
-        cs = _coeff_str(f.terms[e])
-        if not any(e):
-            out.append(cs)
-            continue
-        mono = monomial_name(e, names)
-        if cs == "1":
-            out.append(mono)
-        elif cs == "-1":
-            out.append("-" + mono)
-        else:
-            out.append(f"{cs}*{mono}")
-    return out
-
-
-def _join_terms(parts: list[str]) -> str:
-    text = parts[0]
-    for p in parts[1:]:
-        text += p if p.startswith("-") else "+" + p
-    return text
+def _terms_text(f: Polynomial, monomials) -> str:
+    return _format_terms(((e, _coeff_str(f.terms[e])) for e in monomials), f.ring.names)
 
 
 def format_polynomial(f: Polynomial, order: TermOrder) -> str:
     if not f.terms:
         return "0"
-    monomials = sorted(f.terms, key=order.key, reverse=True)
-    return _join_terms(_term_strings(f, monomials))
+    return _terms_text(f, sorted(f.terms, key=order.key, reverse=True))
 
 
 def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:

@@ -317,6 +317,7 @@ def test_mctest_rejects_zero_thinning(workdir):
     [
         ["alias", "--design", "l8.design", "--max-degree", "-1"],
         ["doptimal", "--m", "3", "--n", "4", "--restarts", "0"],
+        ["doptimal", "--m", "3", "--n", "4", "--list-limit", "-1"],
         ["basis", "--design", "d22.design", "--model", "main2.model", "--max-pairs", "-5"],
         ["mctest", "--design", "d22.design", "--model", "main2.model",
          "--y", "counts.txt", "--seed", "1", "--max-pairs", "-1"],

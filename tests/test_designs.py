@@ -13,6 +13,8 @@ from algdoe import (
     Word,
     alias_table,
     buchberger,
+    build_covariate_matrix,
+    classify_design,
     design_ideal,
     est_monomials,
     format_design,
@@ -22,9 +24,13 @@ from algdoe import (
     parse_design,
     regular_design_from_words,
 )
+from algdoe import designs
 from algdoe.designs import (
     RUN_LEVELS,
     WORD_LEVELS,
+    _columns,
+    _product,
+    _run_indices,
     gf2_independent,
     monomial_name,
     parse_monomial,
@@ -392,6 +398,45 @@ def test_packed_columns_match_evaluation_on_the_runs():
             assert answer == _evaluation_answer(a1, a2, d), (a1, a2)
             answers.add(answer)
     assert answers == {1, -1, None}
+
+
+def test_packed_table_matches_evaluation_on_the_runs():
+    # a column's bit n-1-r is run r's value of x^a (set at -1), and run r's
+    # index is its position in itertools.product(RUN_LEVELS, repeat=m)
+    rng = random.Random(2020)
+    for d in _shuffled_designs(rng):
+        runs = list(d.runs)
+        rng.shuffle(runs)
+        d = Design(d.m, 2, tuple(runs), "pm1")
+        columns = _columns(d)
+        factors = [tuple(int(i == j) for i in range(d.m)) for j in range(d.m)]
+        monos = factors + [tuple(rng.randint(0, 1) for _ in range(d.m)) for _ in range(5)]
+        for a in monos:
+            column = _product(columns, a)
+            values = [-1 if column >> d.n - 1 - r & 1 else 1 for r in range(d.n)]
+            assert values == [math.prod(itertools.compress(run, a)) for run in d.runs], a
+        assert _run_indices(d) == [product_index(run, RUN_LEVELS) for run in d.runs]
+
+
+def test_readers_pack_the_runs_once(l8, monkeypatch):
+    # every two-level reader, in any order, reads the design's one packed table
+    calls = []
+    pack = designs._pack
+    monkeypatch.setattr(designs, "_pack", lambda runs: calls.append(runs) or pack(runs))
+    queries = [(mono(7, 1), mono(7, 2, 3)), (mono(7, 4), mono(7, 5)), (mono(7), mono(7, 1, 6, 7))]
+    readers = [
+        lambda d: [is_confounded(a1, a2, d) for a1, a2 in queries],
+        alias_table,
+        classify_design,
+        indicator_from_design,
+        lambda d: build_covariate_matrix(d, [mono(7), mono(7, 1), mono(7, 4), mono(7, 1, 4)]),
+    ]
+    for order in itertools.permutations(readers):
+        d = Design(7, 2, l8.runs[:6], "pm1")
+        for read in order:
+            read(d)
+        assert calls == [d.runs]
+        calls.clear()
 
 
 def test_random_designs_est_size_matches_runs():

@@ -22,7 +22,7 @@ from algdoe import (
     regular_design_from_words,
 )
 from algdoe import indicators
-from algdoe.designs import _value_vector, gf2_independent
+from algdoe.designs import gf2_independent
 from algdoe.indicators import FactorRelation, IndicatorFunction, extend_design, word_group
 
 from conftest import L8_WORDS, random_two_level_design
@@ -328,7 +328,9 @@ def _coefficient_route_classify(d):
             words.append((bits, sign))
     all_extreme = all(abs(c) == b0 for c in f.coeffs.values())
     contained = all(
-        v == sign for bits, sign in words for v in _value_vector(d, bits)
+        math.prod(itertools.compress(run, bits)) == sign
+        for bits, sign in words
+        for run in d.runs
     )
     if all_extreme and contained and d.n << len(words) == 1 << d.m:
         return "regular", tuple(words), None
