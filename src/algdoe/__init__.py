@@ -58,7 +58,7 @@ from .indicators import (
 )
 from .markov import MarkovBasis, enumerate_fiber, fiber_connected, markov_basis
 from .mcmc import ChainConfig, TestResult, exact_p_value, fiber_distribution, mh_sample
-from .orders import TermOrder, compare
-from .polynomials import PolyRing, Polynomial, leading_term, normal_form
+from .orders import TermOrder
+from .polynomials import PolyRing, Polynomial, normal_form
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -28,6 +28,7 @@ from .designs import (
 )
 from .doptimal import SearchSpec, d_optimal_search
 from .errors import AlgdoeError, BudgetError, InputError, ScaleError
+from .glm import STATISTICS
 from .groebner import Budget, GroebnerBasis, buchberger
 from .indicators import (
     FactorRelation,
@@ -344,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated precedence, most significant first"),
         "--model": dict(required=True),
         "--contrast": dict(choices=CONTRASTS),
-        "--stat": dict(choices=("pearson", "deviance"), default="pearson"),
+        "--stat": dict(choices=STATISTICS, default="pearson"),
         "--max-pairs": dict(type=int, default=Budget().max_pairs),
     }
 

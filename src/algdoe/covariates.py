@@ -188,41 +188,24 @@ def _sub_label(term: Term, subscripts, factors) -> str:
 
 
 def _check_rank(labels, columns):
-    """Exact rank check; on failure name a completely aliased pair if any."""
+    """Exact rank check; on failure name a completely aliased pair if any.
+
+    The kept columns are independent, so a dependent column is a multiple of
+    one earlier column exactly when its combination of them has one label.
+    """
     ech = Echelon()
     for j, col in enumerate(columns):
-        if ech.insert(col, j) is not None:
-            term, other = pair = _alias_pair(labels, columns, j)
+        combo = ech.insert(col, j)
+        if combo is not None:
+            term = labels[j]
+            other = labels[next(iter(combo))] if len(combo) == 1 else None
             if other is None:
                 message = (f"term {term} is linearly dependent on the preceding "
                            "columns; the model is not estimable on this design")
             else:
                 message = (f"term {term} is confounded with {other} on this design; "
                            "they cannot be estimated simultaneously")
-            raise EstimabilityError(message, aliased=pair)
-
-
-def _alias_pair(labels, columns, j):
-    """Find an earlier column that is a constant multiple of column j."""
-    col = columns[j]
-    for i in range(j):
-        other = columns[i]
-        ratio = None
-        ok = True
-        for a, b in zip(col, other):
-            if bool(a) != bool(b):
-                ok = False
-                break
-            if a:
-                r = a * b**-1
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    ok = False
-                    break
-        if ok:
-            return (labels[j], labels[i])
-    return (labels[j], None)
+            raise EstimabilityError(message, aliased=(term, other))
 
 
 # -- integer recoding -----------------------------------------------------------

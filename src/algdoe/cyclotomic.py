@@ -59,14 +59,6 @@ class CyclotomicNumber:
         coords[0] = Fraction(q)
         return CyclotomicNumber(order, tuple(coords))
 
-    @staticmethod
-    def root(order: int, power: int = 1) -> "CyclotomicNumber":
-        """w_order raised to ``power``, reduced to canonical coordinates."""
-        _check_order(order)
-        raw = [Fraction(0)] * (power % order + 1)
-        raw[power % order] = Fraction(1)
-        return CyclotomicNumber(order, _reduce(order, raw))
-
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coords[1:])
 
@@ -139,7 +131,7 @@ class CyclotomicNumber:
         # self is invertible; the combination giving e_0 = 1 is the inverse
         ech = Echelon()
         for j in range(s - 1):
-            ech.insert((self * CyclotomicNumber.root(s, j)).coords, j)
+            ech.insert((self * omega(s, j)).coords, j)
         combo = ech.insert([Fraction(1)] + [Fraction(0)] * (s - 2), None)
         return CyclotomicNumber(
             s, tuple(combo.get(j, Fraction(0)) for j in range(s - 1))
@@ -223,7 +215,10 @@ def _reduce(s: int, raw: list[Fraction]) -> tuple[Fraction, ...]:
 
 def omega(order: int, power: int = 1) -> CyclotomicNumber:
     """The root of unity w_order^power as an exact cyclotomic number."""
-    return CyclotomicNumber.root(order, power)
+    _check_order(order)
+    raw = [Fraction(0)] * (power % order + 1)
+    raw[power % order] = Fraction(1)
+    return CyclotomicNumber(order, _reduce(order, raw))
 
 
 class RationalField:

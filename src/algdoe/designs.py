@@ -28,7 +28,7 @@ from fractions import Fraction
 from .cyclotomic import QQ, cyclotomic_field, is_prime, omega
 from .errors import InputError, RankError, ScaleError
 from .groebner import GroebnerBasis, point_ideal_intersection, standard_monomials
-from .orders import Monomial, TermOrder, monomial_name  # monomial_name: re-exported
+from .orders import Monomial, TermOrder
 from .polynomials import PolyRing
 
 CODINGS = ("pm1", "integer", "complex")

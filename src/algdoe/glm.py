@@ -18,6 +18,7 @@ from .errors import GlmConvergenceError, InputError
 
 SCORE_TOL = 1e-10
 MAX_ITER = 100
+STATISTICS = ("pearson", "deviance")
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,6 @@ class GlmFit:
 
     beta: tuple[float, ...]
     mu: tuple[float, ...]
-    converged: bool
 
 
 def design_matrix(A: CovariateMatrix) -> tuple[tuple[float, ...], ...]:
@@ -106,7 +106,7 @@ def fit_null_glm(A: CovariateMatrix, y0) -> GlmFit:
         resid = [yi - mi for yi, mi in zip(y, mu)]
         score = [sum(row[j] * r for row, r in zip(X, resid)) for j in range(p)]
         if max(map(abs, score)) <= SCORE_TOL:
-            return GlmFit(tuple(beta), tuple(mu), True)
+            return GlmFit(tuple(beta), tuple(mu))
         WX = [[x * mi for x in row] for row, mi in zip(X, mu)]
         XtWX = [[sum(row[j] * wrow[k] for row, wrow in zip(X, WX)) for k in range(p)]
                 for j in range(p)]
@@ -128,6 +128,11 @@ def fit_null_glm(A: CovariateMatrix, y0) -> GlmFit:
     )
 
 
+def _check_statistic(kind: str) -> None:
+    if kind not in STATISTICS:
+        raise InputError(f"unknown statistic kind {kind!r}")
+
+
 def test_statistic(kind: str, y, fit: GlmFit) -> float:
     """Deviance or Pearson statistic of y against the fitted means."""
     mu = fit.mu
@@ -143,9 +148,8 @@ def test_statistic(kind: str, y, fit: GlmFit) -> float:
             d = yi - mi
             total += d * d / mi
         return total
-    if kind == "deviance":
-        return _deviance(y, mu)
-    raise InputError(f"unknown statistic kind {kind!r}")
+    _check_statistic(kind)
+    return _deviance(y, mu)
 
 
 # not a unit test, despite the name pytest would otherwise collect

@@ -57,7 +57,6 @@ MAX_STANDARD_MONOMIALS = 1_000_000
 class GroebnerBasis:
     order: TermOrder
     elements: tuple[Polynomial, ...]
-    reduced: bool = False
 
     @property
     def ring(self) -> PolyRing:
@@ -126,7 +125,7 @@ def buchberger(gens, order: TermOrder, budget: Budget = DEFAULT_BUDGET) -> Groeb
         add(r)
 
     minimal = tuple(elements[i] for i in completion.minimal())
-    return reduce_basis(GroebnerBasis(order, minimal, reduced=False))
+    return reduce_basis(GroebnerBasis(order, minimal))
 
 
 def _members(bits: int):
@@ -280,7 +279,7 @@ def reduce_basis(G: GroebnerBasis) -> GroebnerBasis:
         others = kept[:i] + kept[i + 1 :]
         kept[i] = normal_form(kept[i], others, order)[0].monic(order)
     kept.sort(key=lambda g: key(g.leading_monomial(order)))
-    return GroebnerBasis(order, tuple(kept), reduced=True)
+    return GroebnerBasis(order, tuple(kept))
 
 
 def ideal_membership(f: Polynomial, G: GroebnerBasis):
@@ -358,7 +357,7 @@ def point_ideal_intersection(
                 values[u] = [v * p[j] for v, p in zip(vec, coerced)]
                 heapq.heappush(heap, (key(u), u))
     _certify_vanishing_ideal(gens, est, coerced, x_order)
-    return GroebnerBasis(x_order, tuple(gens), reduced=True)
+    return GroebnerBasis(x_order, tuple(gens))
 
 
 def _certify_vanishing_ideal(gens, est, points, order: TermOrder):

@@ -276,16 +276,6 @@ def indicator_add_factors(
     return IndicatorFunction(m + k, zip(keys, coeffs.values()))
 
 
-def extend_design(d: Design, relations) -> Design:
-    """The design with columns appended per the factor relations."""
-    relations = list(relations)
-    runs = tuple(
-        run + tuple(rel.sign * math.prod(compress(run, rel.word)) for rel in relations)
-        for run in d.runs
-    )
-    return Design(d.m + len(relations), 2, runs, "pm1")
-
-
 # -- classification ------------------------------------------------------------
 
 
@@ -343,17 +333,3 @@ def classify_design(d: Design) -> DesignClass:
                            "contain the design; GF(2) complement and runs disagree")
     tag = "regular" if n << len(words) == 1 << m else "subset-fractional"
     return DesignClass(tag, words=words)
-
-
-def word_group(words) -> set[tuple[tuple[int, ...], int]]:
-    """All products of subsets of the words, excluding the identity."""
-    words = list(words)
-    if not words:
-        return set()
-    m = len(words[0].bits)
-    group = {0: 1}
-    for w in words:
-        idx = product_index(w.bits, WORD_LEVELS)
-        group.update({g ^ idx: sign * w.sign for g, sign in group.items()})
-    group.pop(0)
-    return {(product_element(g, m, WORD_LEVELS), sign) for g, sign in group.items()}

@@ -217,11 +217,6 @@ def _certify_kernel(recoded, vectors):
             raise AssertionError(f"{z} is not a kernel vector of the recoded matrix")
 
 
-def kernel_residual(A: CovariateMatrix, move) -> tuple[int, ...]:
-    """A~' z for a move; all zeros iff the move is a kernel vector."""
-    return _residual(recode_integer(A), move)
-
-
 def enumerate_fiber(
     A: CovariateMatrix,
     y0,

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .covariates import CovariateMatrix, _check_counts, recode_integer
 from .errors import InputError
-from .glm import GlmFit, fit_null_glm, test_statistic
+from .glm import GlmFit, _check_statistic, fit_null_glm, test_statistic
 from .markov import MarkovBasis, _residual, enumerate_fiber
 
 DEFAULT_BURN_IN = 10_000
@@ -184,17 +184,6 @@ def _chain(y0, moves, cfg: ChainConfig, seeds):
     return states, runs
 
 
-def chain_states(y0, moves, cfg: ChainConfig, seed: int | None = None):
-    """Generator of recorded fiber states, after burn-in and thinning.
-
-    The stationary law is the conditional Poisson pi(y) ~ 1/prod(y_i!).
-    Deterministic given the seed.
-    """
-    states, (recorded,) = _chain(y0, moves, cfg, [cfg.seed if seed is None else seed])
-    for sid in recorded:
-        yield states[sid]
-
-
 def _batch_means_se(indicators) -> float:
     """Batch-means standard error of the mean of 0/1 ints, from the integer
     batch counts with one final division, so no float sum sets its digits."""
@@ -222,6 +211,7 @@ def mh_sample(
     and pools their counts.  A degenerate fiber (no moves) returns p = 1.
     A move outside the kernel of A, which would leave the fiber, is refused.
     """
+    _check_statistic(kind)
     if chains < 1:
         raise InputError("need at least one chain")
     y0 = _check_counts(A.n, y0)
@@ -275,6 +265,7 @@ def exact_p_value(
     The fiber weights 1/prod(y_i!) are handled exactly, as the integers
     N!/prod(y_i!); only the test statistic itself is floating point.
     """
+    _check_statistic(kind)
     y0 = _check_counts(A.n, y0)
     fiber = enumerate_fiber(A, y0, max_total=max_total, max_runs=max_runs)
     at = bisect_left(fiber, y0)

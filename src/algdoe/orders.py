@@ -246,8 +246,3 @@ def _format_terms(terms, names) -> str:
             coeff = {"1": name, "-1": "-" + name}.get(coeff, f"{coeff}*{name}")
         text += coeff if not text or coeff.startswith("-") else "+" + coeff
     return text
-
-
-def compare(order: TermOrder, a: Monomial, b: Monomial) -> int:
-    """Compare two monomials under the given order (-1, 0, or +1)."""
-    return order.compare(a, b)

@@ -12,7 +12,7 @@ import functools
 import re
 from fractions import Fraction
 
-from .cyclotomic import QQ, CyclotomicField, CyclotomicNumber
+from .cyclotomic import QQ, CyclotomicField, CyclotomicNumber, omega
 from .errors import (
     CoefficientFieldError,
     DimensionError,
@@ -313,11 +313,6 @@ class Polynomial:
         return f"Polynomial<{_terms_text(self, sorted(self.terms, reverse=True))}>"
 
 
-def leading_term(f: Polynomial, order: TermOrder):
-    """The order-maximal monomial of f with its coefficient."""
-    return f.leading_term(order)
-
-
 # -- division ----------------------------------------------------------------
 
 
@@ -456,7 +451,7 @@ def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
         w_poly = parse_sum(PolyRing(("w",), field))
         take("rpar")
         if isinstance(field, CyclotomicField):
-            return w_poly.evaluate((CyclotomicNumber.root(field.order),))
+            return w_poly.evaluate((omega(field.order),))
         if any(k for (k,) in w_poly.terms):
             raise InputError("cyclotomic coefficient in a rational ring")
         return w_poly.constant_term()

@@ -1,3 +1,6 @@
+import math
+from itertools import compress
+
 import pytest
 
 from algdoe import Design, Word, full_factorial, regular_design_from_words
@@ -81,6 +84,16 @@ def three_level_integer():
 @pytest.fixture(scope="session")
 def three_level_complex():
     return Design(3, 3, THREE_LEVEL_RUNS, "complex")
+
+
+def extend_design(d: Design, relations) -> Design:
+    """The design with columns appended per the factor relations."""
+    relations = list(relations)
+    runs = tuple(
+        run + tuple(rel.sign * math.prod(compress(run, rel.word)) for rel in relations)
+        for run in d.runs
+    )
+    return Design(d.m + len(relations), 2, runs, "pm1")
 
 
 def random_two_level_design(rng, m, n=None):

@@ -43,9 +43,9 @@ from algdoe import (
 )
 from algdoe.cli import run as cli_run
 from algdoe.glm import design_matrix
-from algdoe.indicators import FactorRelation, extend_design
+from algdoe.indicators import FactorRelation
 
-from conftest import random_two_level_design
+from conftest import extend_design, random_two_level_design
 
 
 @contextmanager

@@ -1,9 +1,12 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from algdoe import (
     ChainConfig,
+    Design,
     EstimabilityError,
     InputError,
     build_covariate_matrix,
@@ -15,8 +18,13 @@ from algdoe import (
     mh_sample,
     recode_integer,
 )
-from algdoe.covariates import parse_model_terms
-from algdoe.cyclotomic import omega
+from algdoe.covariates import (
+    CONTRASTS,
+    _prime_level_columns,
+    _two_level_columns,
+    parse_model_terms,
+)
+from algdoe.cyclotomic import Echelon, omega
 
 
 def term(m, *idx):
@@ -63,6 +71,71 @@ def test_confounded_interactions_raise(w16):
             w16, main_effects(7) + [term(7, 1, 2), term(7, 4, 5)]
         )
     assert exc.value.aliased == ("x4*x5", "x1*x2")
+
+
+def _alias_pair(labels, columns, j):
+    """Find an earlier column that is a constant multiple of column j."""
+    col = columns[j]
+    for i in range(j):
+        other = columns[i]
+        ratio = None
+        ok = True
+        for a, b in zip(col, other):
+            if bool(a) != bool(b):
+                ok = False
+                break
+            if a:
+                r = a * b**-1
+                if ratio is None:
+                    ratio = r
+                elif r != ratio:
+                    ok = False
+                    break
+        if ok:
+            return (labels[j], labels[i])
+    return (labels[j], None)
+
+
+def test_estimability_error_names_the_pair_a_ratio_scan_finds():
+    # the error names the first dependent column, and the earlier column a
+    # brute-force ratio scan finds to be a constant multiple of it, if any
+    rng = random.Random(2110)
+    seen = set()
+    cases = [(2, None)] + [(s, c) for s in (3, 5) for c in CONTRASTS]
+    for s, contrast in cases:
+        for _ in range(40):
+            m = rng.randint(2, 3)
+            pool = list(itertools.product(range(s), repeat=m))
+            runs = tuple(sorted(rng.sample(pool, rng.randint(2, min(len(pool), 6)))))
+            if s == 2:
+                d = Design(m, 2, tuple(tuple(1 - 2 * v for v in r) for r in runs), "pm1")
+            else:
+                d = Design(m, s, runs, "integer")
+            words = [t for t in itertools.product((0, 1), repeat=m) if any(t)]
+            terms = [term(m)] + rng.sample(words, rng.randint(1, len(words)))
+            try:
+                build_covariate_matrix(d, terms, contrast)
+                continue
+            except EstimabilityError as exc:
+                error = exc
+            if s == 2:
+                labels, columns = _two_level_columns(d, terms)
+            else:
+                labels, columns = _prime_level_columns(d, terms, contrast)
+            j = labels.index(error.aliased[0])
+            ech = Echelon()
+            assert all(ech.insert(col, i) is None for i, col in enumerate(columns[:j]))
+            assert ech.insert(columns[j], j) is not None
+            name, other = pair = _alias_pair(labels, columns, j)
+            assert error.aliased == pair
+            if other is None:
+                assert str(error) == (f"term {name} is linearly dependent on the preceding "
+                                      "columns; the model is not estimable on this design")
+            else:
+                assert str(error) == (f"term {name} is confounded with {other} on this design; "
+                                      "they cannot be estimated simultaneously")
+            seen.add((s, contrast, other is None))
+    assert seen == {(s, c, dependent) for s, c in cases for dependent in (False, True)}
 
 
 def test_intercept_required(d22):

@@ -36,7 +36,6 @@ def test_intercept_only_closed_form():
     A = build_covariate_matrix(d, [term(2)])
     y = (3, 1, 4, 0)
     fit = fit_null_glm(A, y)
-    assert fit.converged
     for mu in fit.mu:
         assert mu == pytest.approx(2.0, abs=1e-9)
 
@@ -179,24 +178,24 @@ def test_solve_pivots_on_the_largest_entry():
 
 
 def test_statistics_at_fit_are_zero():
-    fit = GlmFit((0.0,), (1.0, 1.0, 1.0, 1.0), True)
+    fit = GlmFit((0.0,), (1.0, 1.0, 1.0, 1.0))
     assert test_statistic("pearson", (1, 1, 1, 1), fit) == 0.0
     assert test_statistic("deviance", (1, 1, 1, 1), fit) == 0.0
 
 
 def test_pearson_fixture_values():
-    fit = GlmFit((0.0,), (1.0, 1.0, 1.0, 1.0), True)
+    fit = GlmFit((0.0,), (1.0, 1.0, 1.0, 1.0))
     assert test_statistic("pearson", (0, 2, 2, 0), fit) == pytest.approx(4.0)
     assert test_statistic("pearson", (2, 0, 0, 2), fit) == pytest.approx(4.0)
 
 
 def test_deviance_handles_zero_counts():
-    fit = GlmFit((0.0,), (1.0, 2.0), True)
+    fit = GlmFit((0.0,), (1.0, 2.0))
     value = test_statistic("deviance", (0, 3), fit)
     assert value == pytest.approx(2 * (3 * math.log(3 / 2) - 1 + 1), abs=1e-12)
 
 
 def test_infinite_statistic_when_mean_zero():
-    fit = GlmFit((0.0,), (0.0, 1.0), True)
+    fit = GlmFit((0.0,), (0.0, 1.0))
     assert test_statistic("pearson", (1, 1), fit) == math.inf
     assert test_statistic("deviance", (1, 1), fit) == math.inf

@@ -22,10 +22,24 @@ from algdoe import (
     regular_design_from_words,
 )
 from algdoe import indicators
-from algdoe.designs import gf2_independent
-from algdoe.indicators import FactorRelation, IndicatorFunction, extend_design, word_group
+from algdoe.designs import WORD_LEVELS, gf2_independent, product_element, product_index
+from algdoe.indicators import FactorRelation, IndicatorFunction
 
-from conftest import L8_WORDS, random_two_level_design
+from conftest import L8_WORDS, extend_design, random_two_level_design
+
+
+def word_group(words) -> set[tuple[tuple[int, ...], int]]:
+    """All products of subsets of the words, excluding the identity."""
+    words = list(words)
+    if not words:
+        return set()
+    m = len(words[0].bits)
+    group = {0: 1}
+    for w in words:
+        idx = product_index(w.bits, WORD_LEVELS)
+        group.update({g ^ idx: sign * w.sign for g, sign in group.items()})
+    group.pop(0)
+    return {(product_element(g, m, WORD_LEVELS), sign) for g, sign in group.items()}
 
 
 def bits(m, *idx):

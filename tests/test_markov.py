@@ -25,7 +25,12 @@ from algdoe.groebner import (
     reduce_basis,
     spolynomials_reduce_to_zero,
 )
-from algdoe.markov import _kernel_lattice, _reduce, _saturate, kernel_residual
+from algdoe.markov import _kernel_lattice, _reduce, _residual, _saturate
+
+
+def kernel_residual(A, move) -> tuple[int, ...]:
+    """A~' z for a move; all zeros iff the move is a kernel vector."""
+    return _residual(recode_integer(A), move)
 
 
 def term(m, *idx):

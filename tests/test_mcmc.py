@@ -20,10 +20,21 @@ from algdoe.glm import fit_null_glm, test_statistic
 from algdoe.mcmc import (
     _at_least_as_extreme,
     _batch_means_se,
+    _chain,
     chain_seed,
-    chain_states,
     splitmix64,
 )
+
+
+def chain_states(y0, moves, cfg: ChainConfig, seed: int | None = None):
+    """Generator of recorded fiber states, after burn-in and thinning.
+
+    The stationary law is the conditional Poisson pi(y) ~ 1/prod(y_i!).
+    Deterministic given the seed.
+    """
+    states, (recorded,) = _chain(y0, moves, cfg, [cfg.seed if seed is None else seed])
+    for sid in recorded:
+        yield states[sid]
 
 
 def term(m, *idx):
@@ -148,9 +159,27 @@ def test_mh_sample_rejects_moves_outside_the_kernel(setup_2x2):
         mh_sample(A, (1, 1, 1, 1), MarkovBasis(3, ((1, -1, 0),)), "pearson", cfg)
 
 
-def test_chain_states_needs_a_move():
+def test_chain_needs_a_move():
     with pytest.raises(InputError, match="at least one move"):
-        list(chain_states((1, 1, 1, 1), (), ChainConfig(seed=1, samples=10)))
+        _chain((1, 1, 1, 1), (), ChainConfig(seed=1, samples=10), [1])
+
+
+def test_unknown_statistic_refused_before_any_work(monkeypatch):
+    # 2^4 main effects, y0 = (2,0,0,1)x4: a 7 830-point fiber to enumerate
+    from algdoe import mcmc
+    from algdoe.markov import MarkovBasis
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work was done before the statistic kind was checked")
+
+    monkeypatch.setattr(mcmc, "enumerate_fiber", refuse)
+    monkeypatch.setattr(mcmc, "fit_null_glm", refuse)
+    A = build_covariate_matrix(full_factorial(4), main_effects(4))
+    y0 = (2, 0, 0, 1) * 4
+    with pytest.raises(InputError, match="unknown statistic kind 'chi2'"):
+        exact_p_value(A, y0, "chi2")
+    with pytest.raises(InputError, match="unknown statistic kind 'chi2'"):
+        mh_sample(A, y0, MarkovBasis(16, ()), "chi2", ChainConfig(seed=1))
 
 
 def test_chain_pooling_and_seed_split(setup_2x2):
