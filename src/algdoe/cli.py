@@ -37,7 +37,7 @@ from .indicators import (
     indicator_add_factors,
     indicator_from_design,
 )
-from .markov import markov_basis
+from .markov import MAX_FIBER_TOTAL, markov_basis
 from .mcmc import (
     DEFAULT_BURN_IN,
     DEFAULT_SAMPLES,
@@ -88,15 +88,13 @@ def cmd_gb(args, out) -> int:
                 "--max-pairs and --max-terms apply to --gens only: "
                 "a design ideal has no pair budget"
             )
-        d = load_design(args.design)
-        order = parse_order(args.order or "grevlex", d.var_names, args.vars)
-        gb = design_ideal(d, order)
-    else:
-        header, lines = read_header(_read(args.gens), "generator", ("order", "vars"))
-        ring = PolyRing(v for v in header["vars"].split(",") if v)
-        order = parse_order(args.order or header["order"], ring.names, args.vars)
-        gens = [ring.parse(ln) for ln in lines]
-        gb = buchberger(gens, order, budget=Budget(**caps))
+        args.order = args.order or "grevlex"
+        return cmd_ideal(args, out)
+    header, lines = read_header(_read(args.gens), "generator", ("order", "vars"))
+    ring = PolyRing(v for v in header["vars"].split(",") if v)
+    order = parse_order(args.order or header["order"], ring.names, args.vars)
+    gens = [ring.parse(ln) for ln in lines]
+    gb = buchberger(gens, order, budget=Budget(**caps))
     print_basis(gb, out)
     return 0
 
@@ -414,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     with_flags(sub, "--design", "--model", "--contrast")
     sub.add_argument("--y", required=True)
     with_flags(sub, "--stat")
-    sub.add_argument("--max-total", type=int, default=30)
+    sub.add_argument("--max-total", type=int, default=MAX_FIBER_TOTAL)
     sub.set_defaults(func=cmd_exact)
 
     sub = subs.add_parser("doptimal", help="D-optimal design search")

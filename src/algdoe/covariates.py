@@ -21,7 +21,7 @@ import itertools
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isfinite
+from math import gcd, isfinite, lcm, prod
 
 from .cyclotomic import CyclotomicNumber, Echelon, omega
 from .designs import Design, _columns, _product, parse_monomial
@@ -158,26 +158,23 @@ def _prime_level_columns(d: Design, terms, contrast: str):
         factors = [i for i, e in enumerate(t) if e]
         # products of single-factor contrast columns, one per level combination
         for levels in itertools.product(range(s - 1), repeat=len(factors)):
-            col = []
-            for run in d.runs:
-                entry = Fraction(1)
-                for i, lvl in zip(factors, levels):
-                    entry *= _contrast_value(contrast, s, run[i], lvl)
-                col.append(entry)
+            col = tuple(
+                Fraction(prod(_contrast_value(contrast, s, run[i], lvl)
+                              for i, lvl in zip(factors, levels)))
+                for run in d.runs
+            )
             labels.append(_sub_label(t, levels, factors))
-            columns.append(tuple(col))
+            columns.append(col)
     return labels, columns
 
 
-def _contrast_value(contrast: str, s: int, value: int, level: int) -> Fraction:
+def _contrast_value(contrast: str, s: int, value: int, level: int) -> int:
     if contrast == "baseline":
-        return Fraction(1 if value == level else 0)
+        return int(value == level)
     # symmetric: sums to zero over a balanced factor
     if value == level:
-        return Fraction(s - 1)
-    if value == s - 1:
-        return Fraction(-1)
-    return Fraction(0)
+        return s - 1
+    return -1 if value == s - 1 else 0
 
 
 def _sub_label(term: Term, subscripts, factors) -> str:
@@ -221,33 +218,18 @@ def recode_integer(A: CovariateMatrix) -> tuple[tuple[int, ...], ...]:
     """
     if any(c != 1 for c in A.columns[0]):
         raise InputError("recoding requires the all-ones intercept column")
-    rational_cols: list[list[Fraction]] = []
+    rational_cols = []
     for col in A.columns:
         if isinstance(col[0], CyclotomicNumber):
-            order = col[0].order
-            for k in range(order - 1):
-                sub = [c.coords[k] for c in col]
-                if any(sub):
-                    rational_cols.append(sub)
+            rational_cols += zip(*(c.coords for c in col))
         else:
-            rational_cols.append([Fraction(c) for c in col])
-    out: list[tuple[int, ...]] = []
-    seen = set()
+            rational_cols.append(col)
+    out = {}  # insertion-ordered set
     for col in rational_cols:
-        denom = 1
-        for c in col:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        ints = [int(c * denom) for c in col]
-        low = min(ints)
-        if low < 0:
-            ints = [v - low for v in ints]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        tup = tuple(ints)
-        if any(tup) and tup not in seen:
-            seen.add(tup)
-            out.append(tup)
+        denom = lcm(*(c.denominator for c in col))
+        ints = [c.numerator * (denom // c.denominator) for c in col]
+        low = min(0, *ints)
+        ints = [v - low for v in ints]
+        if g := gcd(*ints):  # an all-zero column adds nothing
+            out[tuple(v // g for v in ints)] = None
     return tuple(out)

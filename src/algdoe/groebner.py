@@ -261,9 +261,8 @@ class _Completion:
 def reduce_basis(G: GroebnerBasis) -> GroebnerBasis:
     """Monic, auto-reduced, unique representative of a Groebner basis."""
     order = G.order
-    key = order.key
     elements = [g.monic(order) for g in G.elements]
-    elements.sort(key=lambda g: key(g.leading_monomial(order)))
+    elements.sort(key=lambda g: order.key(g.leading_monomial(order)))
     # minimalize: drop any element whose leading term another one divides
     kept: list[Polynomial] = []
     kept_lm: list[Monomial] = []
@@ -274,11 +273,10 @@ def reduce_basis(G: GroebnerBasis) -> GroebnerBasis:
         kept.append(g)
         kept_lm.append(lm)
     # tail-reduce each element against the others: one pass suffices, as no
-    # lead divides another and so every lead stays fixed
+    # lead divides another and so every lead stays fixed, in ascending order
     for i in range(len(kept)):
         others = kept[:i] + kept[i + 1 :]
         kept[i] = normal_form(kept[i], others, order)[0].monic(order)
-    kept.sort(key=lambda g: key(g.leading_monomial(order)))
     return GroebnerBasis(order, tuple(kept))
 
 

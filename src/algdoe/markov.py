@@ -25,6 +25,8 @@ from .groebner import Budget, DEFAULT_BUDGET, _Completion
 from .orders import TermOrder
 
 MAX_FIBER_NODES = 10_000_000  # ~40 s at ~4 us per node (2 vCPU, Python 3.11)
+MAX_FIBER_TOTAL = 30  # default caps of exhaustive enumeration
+MAX_FIBER_RUNS = 16
 
 
 @dataclass(frozen=True)
@@ -220,8 +222,8 @@ def _certify_kernel(recoded, vectors):
 def enumerate_fiber(
     A: CovariateMatrix,
     y0,
-    max_total: int = 30,
-    max_runs: int = 16,
+    max_total: int = MAX_FIBER_TOTAL,
+    max_runs: int = MAX_FIBER_RUNS,
 ):
     """The complete fiber of y0: all nonnegative integer y with A'y = A'y0.
 
@@ -288,17 +290,20 @@ def enumerate_fiber(
                 )
         y[i] = 0
 
+    # runs in order, each count ascending: the points come out sorted, as
+    # exact_p_value's bisect needs
     rec(0, total, [0] * ncon)
-    out.sort()
     return out
 
 
 def fiber_connected(A: CovariateMatrix, y0, basis: MarkovBasis, **caps) -> bool:
-    """BFS oracle: do the basis moves connect the whole fiber of y0?"""
+    """BFS oracle: do the basis moves connect the whole fiber of y0?
+
+    The walk steps only to points of the enumerated fiber: a move that
+    leaves the fiber, off the orthant or outside the kernel, adds no edge.
+    """
     start = _check_counts(A.n, y0)
     fiber = set(enumerate_fiber(A, start, **caps))
-    if not fiber:
-        return True
     seen = {start}
     frontier = [start]
     while frontier:
@@ -306,8 +311,7 @@ def fiber_connected(A: CovariateMatrix, y0, basis: MarkovBasis, **caps) -> bool:
         for z in basis.moves:
             for sign in (1, -1):
                 nxt = tuple(a + sign * b for a, b in zip(cur, z))
-                if any(v < 0 for v in nxt) or nxt in seen:
-                    continue
-                seen.add(nxt)
-                frontier.append(nxt)
+                if nxt in fiber and nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
     return seen == fiber

@@ -30,7 +30,13 @@ from fractions import Fraction
 from .covariates import CovariateMatrix, _check_counts, recode_integer
 from .errors import InputError
 from .glm import GlmFit, _check_statistic, fit_null_glm, test_statistic
-from .markov import MarkovBasis, _residual, enumerate_fiber
+from .markov import (
+    MAX_FIBER_RUNS,
+    MAX_FIBER_TOTAL,
+    MarkovBasis,
+    _residual,
+    enumerate_fiber,
+)
 
 DEFAULT_BURN_IN = 10_000
 DEFAULT_SAMPLES = 100_000
@@ -256,8 +262,8 @@ def exact_p_value(
     A: CovariateMatrix,
     y0,
     kind: str,
-    max_total: int = 30,
-    max_runs: int = 16,
+    max_total: int = MAX_FIBER_TOTAL,
+    max_runs: int = MAX_FIBER_RUNS,
     fit: GlmFit | None = None,
 ) -> TestResult:
     """Exact conditional p-value by complete fiber enumeration.

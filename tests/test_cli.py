@@ -430,6 +430,31 @@ def test_gb_design_refuses_budget_flags(workdir, capsys, flags):
     assert "apply to --gens only" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sources", [(), ("--design", "l8.design", "--gens", "g.poly")])
+def test_gb_needs_exactly_one_source(workdir, capsys, sources):
+    argv = [str(workdir / a) if "." in a else a for a in sources]
+    assert invoke("gb", *argv) == (2, "")
+    assert capsys.readouterr().err == "error: gb needs exactly one of --design or --gens\n"
+
+
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ("m=3\n", "error: indicator file needs an 'm=<int>' header and a polynomial\n"),
+        ("m=x\n1/2+1/2*x1*x2*x3\n",
+         "error: bad indicator header: invalid literal for int() with base 10: 'x'\n"),
+    ],
+    ids=["no-polynomial", "bad-m"],
+)
+def test_addfactors_rejects_bad_indicator_file(tmp_path, capsys, text, err):
+    ind = tmp_path / "f.indicator"
+    ind.write_text(text)
+    rels = tmp_path / "rels.txt"
+    rels.write_text("x1*x2\n")
+    assert invoke("addfactors", "--indicator", str(ind), "--relations", str(rels)) == (2, "")
+    assert capsys.readouterr().err == err
+
+
 @pytest.mark.parametrize("command", ["basis", "mctest"])
 def test_max_terms_rejected_on_markov_commands(workdir, command):
     # the Markov engine holds two terms per element, so only gb takes the flag

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -24,7 +25,8 @@ from algdoe.covariates import (
     _two_level_columns,
     parse_model_terms,
 )
-from algdoe.cyclotomic import Echelon, omega
+from algdoe.cyclotomic import CyclotomicNumber, Echelon, omega
+from algdoe.orders import monomial_name
 
 
 def term(m, *idx):
@@ -136,6 +138,111 @@ def test_estimability_error_names_the_pair_a_ratio_scan_finds():
                                       "they cannot be estimated simultaneously")
             seen.add((s, contrast, other is None))
     assert seen == {(s, c, dependent) for s, c in cases for dependent in (False, True)}
+
+
+def _fraction_contrast(contrast, s, value, level):
+    if contrast == "baseline":
+        return Fraction(1 if value == level else 0)
+    if value == level:
+        return Fraction(s - 1)
+    if value == s - 1:
+        return Fraction(-1)
+    return Fraction(0)
+
+
+def _fraction_columns(d, terms, contrast):
+    """Oracle: labels and columns built with a Fraction accumulator per entry."""
+    s = d.s
+    one = omega(s, 0) if contrast == "complex" else Fraction(1)
+    labels, columns = ["1"], [tuple(one for _ in d.runs)]
+    for t in terms[1:]:
+        factors = [i for i, e in enumerate(t) if e]
+        if s == 2:
+            labels.append(monomial_name(t))
+            columns.append(tuple(Fraction(math.prod(run[i] for i in factors))
+                                 for run in d.runs))
+            continue
+        if contrast == "complex":
+            subs = [(1,) + r for r in itertools.product(range(1, s), repeat=len(factors) - 1)]
+        else:
+            subs = list(itertools.product(range(s - 1), repeat=len(factors)))
+        for sub in subs:
+            labels.append(f"{monomial_name(t)}[{','.join(map(str, sub))}]")
+            col = []
+            for run in d.runs:
+                if contrast == "complex":
+                    col.append(omega(s, sum(p * run[i] for i, p in zip(factors, sub)) % s))
+                    continue
+                entry = Fraction(1)
+                for i, lvl in zip(factors, sub):
+                    entry *= _fraction_contrast(contrast, s, run[i], lvl)
+                col.append(entry)
+            columns.append(tuple(col))
+    return labels, columns
+
+
+def _fraction_recode(columns):
+    """Oracle: scale each rational column by the lcm of its denominators,
+    shift it nonnegative, divide by its gcd; drop zero and repeated columns."""
+    rational = []
+    for col in columns:
+        if isinstance(col[0], CyclotomicNumber):
+            rational += [[c.coords[k] for c in col] for k in range(col[0].order - 1)]
+        else:
+            rational.append([Fraction(c) for c in col])
+    out = []
+    for col in rational:
+        denom = 1
+        for c in col:
+            denom = denom * c.denominator // math.gcd(denom, c.denominator)
+        ints = [int(c * denom) for c in col]
+        low = min(ints)
+        if low < 0:
+            ints = [v - low for v in ints]
+        g = 0
+        for v in ints:
+            g = math.gcd(g, v)
+        if g > 1:
+            ints = [v // g for v in ints]
+        tup = tuple(ints)
+        if any(tup) and tup not in out:
+            out.append(tup)
+    return tuple(out)
+
+
+def test_covariate_matrix_and_recoding_match_fraction_oracle():
+    rng = random.Random(2210)
+    seen = set()
+    cases = [(2, None)] + [(s, c) for s in (3, 5) for c in CONTRASTS]
+    for s, contrast in cases:
+        for _ in range(30):
+            m = rng.randint(1, 4 if s == 2 else 3 if s == 3 else 2)
+            pool = list(itertools.product(range(s), repeat=m))
+            runs = tuple(rng.sample(pool, rng.randint(1, min(len(pool), 12))))
+            if s == 2:
+                d = Design(m, 2, tuple(tuple(1 - 2 * v for v in r) for r in runs), "pm1")
+            else:
+                d = Design(m, s, runs, "integer")
+            words = [t for t in itertools.product((0, 1), repeat=m) if any(t)]
+            terms = [term(m)] + rng.sample(words, rng.randint(0, min(len(words), 3)))
+            labels, columns = _fraction_columns(d, terms, contrast)
+            ech = Echelon()
+            j = next((j for j, col in enumerate(columns) if ech.insert(col, j) is not None),
+                     None)
+            seen.add((s, contrast, j is None))
+            if j is not None:
+                with pytest.raises(EstimabilityError) as exc:
+                    build_covariate_matrix(d, terms, contrast)
+                assert exc.value.aliased == _alias_pair(labels, columns, j)
+                continue
+            A = build_covariate_matrix(d, terms, contrast)
+            assert list(A.labels) == labels
+            assert A.columns == tuple(columns)
+            assert [[type(e) for e in col] for col in A.columns] == [
+                [type(e) for e in col] for col in columns
+            ]
+            assert recode_integer(A) == _fraction_recode(columns)
+    assert seen == {(s, c, ok) for s, c in cases for ok in (False, True)}
 
 
 def test_intercept_required(d22):

@@ -25,7 +25,7 @@ from algdoe.groebner import (
     reduce_basis,
     spolynomials_reduce_to_zero,
 )
-from algdoe.markov import _kernel_lattice, _reduce, _residual, _saturate
+from algdoe.markov import MarkovBasis, _kernel_lattice, _reduce, _residual, _saturate
 
 
 def kernel_residual(A, move) -> tuple[int, ...]:
@@ -126,6 +126,30 @@ def test_fiber_node_cap(monkeypatch):
         enumerate_fiber(A, (2,) * 8)
     with pytest.raises(ScaleError, match="1000 nodes"):
         fiber_connected(A, (2,) * 8, markov_basis(A))
+
+
+def test_fiber_is_emitted_in_lexicographic_order():
+    # exact_p_value bisects the list, and enumerate_fiber does not sort it
+    A = build_covariate_matrix(full_factorial(3), main_effects(3))
+    fiber = enumerate_fiber(A, (2,) * 8)
+    assert len(fiber) == 425
+    assert fiber == sorted(fiber)
+
+
+# (1, 0, 0, 0) changes the total, so from (0, 2, 2, 0) it leads out of the
+# fiber at every step; the walk stays in the fiber and stops
+STRAY = (1, 0, 0, 0)
+
+
+def test_move_outside_the_kernel_adds_no_edge(d22):
+    A = build_covariate_matrix(d22, main_effects(2))
+    assert not fiber_connected(A, (0, 2, 2, 0), MarkovBasis(4, (STRAY,)))
+
+
+def test_stray_move_beside_a_markov_basis_still_connects(d22):
+    A = build_covariate_matrix(d22, main_effects(2))
+    moves = markov_basis(A).moves + (STRAY,)
+    assert fiber_connected(A, (0, 2, 2, 0), MarkovBasis(4, moves))
 
 
 def _brute_force_fiber(A, y0, same_total):
