@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Union
 
 from .errors import CoefficientFieldError, InputError
@@ -292,21 +293,90 @@ class CyclotomicField:
 
 
 class Echelon:
-    """Incremental exact row echelon form over a field.
+    """Incremental exact row echelon form over Q or Q(w_s).
 
-    Entries are Fractions or CyclotomicNumbers.  Every stored row has a pivot
-    entry of one, is zero at the pivots of the rows stored before it, and
+    Every stored row is zero at the pivots of the rows stored before it and
     remembers which combination of the independent inserted vectors it is.
+
+    Rational vectors (entries ints or Fractions) are fraction-free.  Each is
+    cleared to integers by the lcm of its denominators, and every stored row
+    is an integer vector together with its integer combination of the cleared
+    vectors.  Elimination is by cross-multiplication, a*vec - b*row with a/b
+    the pivot ratio in lowest terms.  The vector being reduced carries its
+    combination along and, whenever a step scales it, sheds the factor that
+    its entries share with that scale.  Each new row is divided by the gcd of
+    its entries and its combination.  A dependent combination becomes
+    Fractions once, at the end.
+
+    Vectors with CyclotomicNumber entries use field division instead, and
+    each of their rows has a pivot entry of one.  One echelon holds one kind
+    of vector.
     """
 
     def __init__(self):
-        self._rows: list[tuple[int, list, dict]] = []  # (pivot, row, combo)
+        # (pivot, row, kept) per independent vector.  A rational row is an
+        # integer vector followed by its combination of the cleared vectors,
+        # one entry per row up to its own, and kept is the (label, lcm) it was
+        # inserted with; for a cyclotomic row, kept is its {label: coeff}
+        # combination.
+        self._rows: list[tuple[int, list, object]] = []
+        self._cyclotomic = False
 
     def insert(self, vec, label):
         """Add ``vec`` under ``label`` and return None when it is independent
         of the vectors kept so far; otherwise keep nothing and return the
         ``{label: coeff}`` combination of kept vectors that equals ``vec``."""
         vec = list(vec)
+        cyclotomic = any(isinstance(a, CyclotomicNumber) for a in vec)
+        if self._rows and cyclotomic != self._cyclotomic:
+            raise CoefficientFieldError(
+                "cannot mix rational and cyclotomic vectors in one echelon"
+            )
+        self._cyclotomic = cyclotomic
+        if cyclotomic:
+            return self._insert_field(vec, label)
+        n = len(vec)
+        scale = lcm(*(a.denominator for a in vec))
+        # vec is [v | c] with v = total * (the cleared input) + sum(c[i] * w_i),
+        # w_i the cleared vector of row i; a stored row [r | c] has r = sum(c[i] * w_i)
+        vec = [a.numerator * (scale // a.denominator) for a in vec] + [0] * len(self._rows)
+        total = 1
+        for k, row, _ in self._rows:
+            b = vec[k]
+            if b:
+                a = row[k]  # positive
+                g = gcd(a, b)
+                a //= g
+                b //= g
+                # row i combines the vectors 0..i only, and vec's entries past
+                # len(row) are still zero, so they need no scaling
+                if a == 1:
+                    vec[: len(row)] = [x - b * y for x, y in zip(vec, row)]
+                else:
+                    vec[: len(row)] = [a * x - b * y for x, y in zip(vec, row)]
+                    total *= a
+                    # divide out what total shares with every entry; the
+                    # gcd starts from the small total, which keeps it cheap
+                    g = gcd(total, *vec)
+                    if g > 1:
+                        vec = [x // g for x in vec]
+                        total //= g
+        k = next((i for i in range(n) if vec[i]), None)
+        if k is None:
+            return {
+                lab: Fraction(-c * lab_scale, total * scale)
+                for c, (_, _, (lab, lab_scale)) in zip(vec[n:], self._rows)
+                if c
+            }
+        vec.append(total)
+        g = gcd(*vec)
+        if vec[k] < 0:
+            g = -g
+        self._rows.append((k, [a // g for a in vec], (label, scale)))
+        return None
+
+    def _insert_field(self, vec, label):
+        """Cyclotomic insert: field division, each row's pivot scaled to one."""
         combo: dict = {}  # vec - (reduced vec) as a combination of labels
         for k, row, row_combo in self._rows:
             f = vec[k]

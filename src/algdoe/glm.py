@@ -41,7 +41,7 @@ def design_matrix(A: CovariateMatrix) -> tuple[tuple[float, ...], ...]:
     if not isinstance(columns[0][0], Fraction):
         ech = Echelon()
         columns = [col for j, col in enumerate(recode_integer(A))
-                   if ech.insert(map(Fraction, col), j) is None]
+                   if ech.insert(col, j) is None]
     return tuple(tuple(map(float, row)) for row in zip(*columns))
 
 

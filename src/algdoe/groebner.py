@@ -13,7 +13,9 @@ from __future__ import annotations
 import functools
 import heapq
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import compress
+from math import lcm
 from operator import and_, le, not_, or_
 
 from .cyclotomic import QQ, Echelon
@@ -309,6 +311,12 @@ def point_ideal_intersection(
     monomials ``s``.  The generators are monic and sorted by ascending leading
     monomial, and are certified as the reduced Groebner basis under
     ``x_order``, which is returned.
+
+    Over QQ, integer coordinates are kept as ints, so on pm1- and
+    integer-coded designs every value vector is an integer vector and the
+    fraction-free :class:`~algdoe.cyclotomic.Echelon` eliminates it by
+    cross-multiplication; coefficients become Fractions only in the
+    generators.  Over Q(w_s) the echelon divides in the field.
     """
     points = [tuple(p) for p in points]
     if not points:
@@ -326,7 +334,7 @@ def point_ideal_intersection(
         raise InputError("x_order universe does not match the points")
 
     ring = PolyRing(var_names, field)
-    coerced = [[field.coerce(a) for a in p] for p in points]
+    coerced = _integral([[field.coerce(a) for a in p] for p in points])
     key = x_order.key
     one = field.one
     ech = Echelon()
@@ -334,7 +342,8 @@ def point_ideal_intersection(
     leads: list[Monomial] = []
     gens: list[Polynomial] = []
     start = (0,) * m
-    values = {start: [one] * len(points)}  # candidate -> its values on the points
+    # candidate -> its values on the points
+    values = {start: [1 if field == QQ else one] * len(points)}
     heap = [(key(start), start)]
     while heap:
         _, t = heapq.heappop(heap)
@@ -358,6 +367,15 @@ def point_ideal_intersection(
     return GroebnerBasis(x_order, tuple(gens))
 
 
+def _integral(points):
+    """The points with each integral Fraction coordinate as an int, so that
+    the values of monomials on integer points are computed in integers."""
+    return [
+        [a.numerator if isinstance(a, Fraction) and a.denominator == 1 else a for a in p]
+        for p in points
+    ]
+
+
 def _certify_vanishing_ideal(gens, est, points, order: TermOrder):
     """Prove that ``gens`` is a Groebner basis of the vanishing ideal I.
 
@@ -366,9 +384,14 @@ def _certify_vanishing_ideal(gens, est, points, order: TermOrder):
     leading terms (a walk of that complement, stopped after n monomials,
     returns it), and it has n = dim F[x]/I elements, so the two leading-term
     ideals are equal.
+
+    A rational generator is scaled by the lcm of its denominators, a nonzero
+    integer, before it is evaluated, so on integer points the vanishing is
+    checked in integers; cyclotomic generators are evaluated in the field.
     """
     leads = [g.leading_monomial(order) for g in gens]
     values = {(0,) * len(points[0]): [1] * len(points)}
+    ints = _integral(points)
 
     def at(u):
         """The values of x^u on the points, memoized: those of x^u / x_j, x_j
@@ -376,16 +399,22 @@ def _certify_vanishing_ideal(gens, est, points, order: TermOrder):
         if u not in values:
             j = next(j for j, e in enumerate(u) if e)
             w = at(u[:j] + (u[j] - 1,) + u[j + 1 :])
-            values[u] = [v * p[j] for v, p in zip(w, points)]
+            values[u] = [v * p[j] for v, p in zip(w, ints)]
         return values[u]
 
     for g in gens:
-        terms = [(c, at(e)) for e, c in g.terms.items()]
-        for r, p in enumerate(points):
-            if sum(c * vec[r] for c, vec in terms):
-                raise AssertionError(
-                    f"generator {g!r} does not vanish on the input point {p}"
-                )
+        coeffs = g.terms.values()
+        if g.ring.field == QQ:
+            scale = lcm(*(c.denominator for c in coeffs))
+            coeffs = [c.numerator * (scale // c.denominator) for c in coeffs]
+        total = [0] * len(points)  # the values of g on the points
+        for c, e in zip(coeffs, g.terms):
+            total = [t + c * v for t, v in zip(total, at(e))]
+        r = next((r for r, t in enumerate(total) if t), None)
+        if r is not None:
+            raise AssertionError(
+                f"generator {g!r} does not vanish on the input point {points[r]}"
+            )
     if len(est) != len(points):
         raise AssertionError(
             f"{len(est)} standard monomials for {len(points)} distinct points"

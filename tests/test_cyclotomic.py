@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from algdoe import CoefficientFieldError, InputError, QQ, cyclotomic_field, embed, omega
+from algdoe.cyclotomic import Echelon
 
 rationals = st.fractions(
     min_value=-5, max_value=5, max_denominator=6
@@ -79,3 +82,89 @@ def test_field_axioms_sampled(a1, a2, b1, b2):
     assert x + y == y + x
     assert x * y == y * x
     assert x * (y + 1) == x * y + x
+
+
+class _FractionEchelon:
+    """The Fraction-division echelon that the fraction-free one replaced:
+    every row is scaled to a pivot of one, as the oracle for its answers."""
+
+    def __init__(self):
+        self._rows = []
+
+    def insert(self, vec, label):
+        vec = list(vec)
+        combo = {}
+        for k, row, row_combo in self._rows:
+            f = vec[k]
+            if f:
+                vec = [a - f * b for a, b in zip(vec, row)]
+                for lab, c in row_combo.items():
+                    combo[lab] = combo.get(lab, 0) + f * c
+        k = next((i for i, a in enumerate(vec) if a), None)
+        if k is None:
+            return {lab: c for lab, c in combo.items() if c}
+        inv = vec[k] ** -1
+        row_combo = {lab: -c * inv for lab, c in combo.items() if c}
+        row_combo[label] = inv
+        self._rows.append((k, [a * inv for a in vec], row_combo))
+        return None
+
+
+def _echelon_vectors(rng, kind, width):
+    """Seeded vectors of one kind: fresh ones, zero ones, and combinations
+    of earlier ones, so that inserts are both independent and dependent."""
+    def entry():
+        if kind == "int":
+            return rng.randint(-3, 3)
+        if kind == "rational":
+            return Fraction(rng.randint(-2**61, 2**61), rng.randint(1, 2**61))
+        w = omega(3)
+        return sum((Fraction(rng.randint(-3, 3), rng.randint(1, 4)) * w**j
+                    for j in range(2)), cyclotomic_field(3).zero)
+
+    kept = []
+    for _ in range(3 * width):
+        pick = rng.random()
+        if pick < 0.1 or not kept:
+            vec = [entry() * 0 for _ in range(width)]
+        elif pick < 0.5:
+            vec = [entry() for _ in range(width)]
+        else:
+            parts = rng.sample(kept, min(len(kept), rng.randint(1, 3)))
+            choices = (-2, -1, 1, 3) if kind == "int" else (-2, 1, Fraction(1, 7))
+            coeffs = [rng.choice(choices) for _ in parts]
+            vec = [sum((c * v[i] for c, v in zip(coeffs, parts)), entry() * 0)
+                   for i in range(width)]
+        kept.append(vec)
+        yield vec
+
+
+@pytest.mark.parametrize("kind", ["int", "rational", "cyclotomic"])
+def test_echelon_matches_fraction_division_oracle(kind):
+    rng = random.Random(f"echelon:{kind}")
+    for trial in range(12):
+        width = rng.randint(1, 7)
+        ech, oracle = Echelon(), _FractionEchelon()
+        for label, vec in enumerate(_echelon_vectors(rng, kind, width)):
+            expected = oracle.insert([a if kind == "cyclotomic" else Fraction(a)
+                                      for a in vec], label)
+            got = ech.insert(vec, label)
+            assert got == expected, (kind, trial, label)
+            if got is not None and kind != "cyclotomic":
+                assert all(type(c) is Fraction for c in got.values())
+        if kind != "cyclotomic":
+            # fraction-free rows: primitive integer vectors, positive pivots
+            for k, row, _ in ech._rows:
+                assert row[k] > 0 and gcd(*row) == 1
+
+
+def test_echelon_refuses_to_mix_rational_and_cyclotomic_rows():
+    ech = Echelon()
+    assert ech.insert([0, 0], "zero") == {}  # keeps no row
+    assert ech.insert([omega(3), 1], "w") is None
+    with pytest.raises(CoefficientFieldError, match="cannot mix"):
+        ech.insert([Fraction(1, 2), 3], "q")
+    ech = Echelon()
+    assert ech.insert([1, 2], "q") is None
+    with pytest.raises(CoefficientFieldError, match="cannot mix"):
+        ech.insert([omega(3), 1], "w")

@@ -372,11 +372,11 @@ def test_certificate_rejects_leads_without_a_pure_power(l8):
         _certify_vanishing_ideal(kept, est, points, GREV7)
 
 
-def _with_tail_coefficient_changed(g, order):
+def _with_tail_coefficient_changed(g, order, delta=1):
     lead = g.leading_monomial(order)
     tail = max((e for e in g.terms if e != lead), key=order.key)
     terms = dict(g.terms)
-    terms[tail] = terms[tail] + 1
+    terms[tail] = terms[tail] + delta
     return Polynomial(g.ring, terms)
 
 
@@ -385,6 +385,38 @@ def test_certificate_rejects_a_generator_that_does_not_vanish(l8):
     gens[0] = _with_tail_coefficient_changed(gens[0], GREV7)
     with pytest.raises(AssertionError, match="does not vanish on the input point"):
         _certify_vanishing_ideal(gens, est, points, GREV7)
+
+
+def test_certificate_rejects_a_change_of_two_to_the_minus_61(l8):
+    # the check scales each generator by the lcm of its denominators and
+    # evaluates in integers; the scale must carry the perturbation along
+    gens, est, points = _certificate_inputs(l8)
+    for i in range(len(gens)):
+        bad = list(gens)
+        bad[i] = _with_tail_coefficient_changed(gens[i], GREV7, Fraction(1, 2**61))
+        with pytest.raises(AssertionError, match="does not vanish on the input point"):
+            _certify_vanishing_ideal(bad, est, points, GREV7)
+
+
+def test_certificate_on_rational_points_with_denominators():
+    points = [
+        (Fraction(1, 3), Fraction(2)),
+        (Fraction(-1, 2), Fraction(5, 7)),
+        (Fraction(4), Fraction(-3, 11)),
+        (Fraction(2, 9), Fraction(1, 2**61)),
+        (Fraction(0), Fraction(0)),
+    ]
+    order = TermOrder.grevlex(2)
+    G = point_ideal_intersection(points, x_order=order)
+    gens, est = list(G.elements), list(standard_monomials(G))
+    assert all(max(c.denominator for c in g.terms.values()) > 1 for g in gens)
+    _certify_vanishing_ideal(gens, est, points, order)
+    for i in range(len(gens)):
+        for delta in (Fraction(1, 2**61), Fraction(-1, 3)):
+            bad = list(gens)
+            bad[i] = _with_tail_coefficient_changed(gens[i], order, delta)
+            with pytest.raises(AssertionError, match="does not vanish on the input point"):
+                _certify_vanishing_ideal(bad, est, points, order)
 
 
 def test_certificate_rejects_a_complex_generator_that_does_not_vanish(
