@@ -124,19 +124,13 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse, by solving the multiplication matrix exactly."""
+        """Multiplicative inverse: the c with 1 = c * self, from an Echelon."""
         if not self:
             raise ZeroDivisionError("cyclotomic division by zero")
-        s = self.order
-        # the coordinates of self * w^j, j = 0..s-2, span Q^(s-1) because
-        # self is invertible; the combination giving e_0 = 1 is the inverse
+        # the nonzero self spans Q(w_s), so inserting one after it returns c
         ech = Echelon()
-        for j in range(s - 1):
-            ech.insert((self * omega(s, j)).coords, j)
-        combo = ech.insert([Fraction(1)] + [Fraction(0)] * (s - 2), None)
-        return CyclotomicNumber(
-            s, tuple(combo.get(j, Fraction(0)) for j in range(s - 1))
-        )
+        ech.insert((self,), 0)
+        return ech.insert((CyclotomicNumber.from_rational(1, self.order),), 1)[0]
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -298,43 +292,61 @@ class Echelon:
     Every stored row is zero at the pivots of the rows stored before it and
     remembers which combination of the independent inserted vectors it is.
 
-    Rational vectors (entries ints or Fractions) are fraction-free.  Each is
-    cleared to integers by the lcm of its denominators, and every stored row
-    is an integer vector together with its integer combination of the cleared
-    vectors.  Elimination is by cross-multiplication, a*vec - b*row with a/b
-    the pivot ratio in lowest terms.  The vector being reduced carries its
-    combination along and, whenever a step scales it, sheds the factor that
-    its entries share with that scale.  Each new row is divided by the gcd of
-    its entries and its combination.  A dependent combination becomes
-    Fractions once, at the end.
+    Elimination is fraction-free.  Each vector is cleared to integers by the
+    lcm of its denominators, and every stored row is an integer vector
+    together with its integer combination of the cleared vectors.  A step is
+    a cross-multiplication, a*vec - b*row with a/b the pivot ratio in lowest
+    terms.  The vector being reduced carries its combination along and,
+    whenever a step scales it, sheds the factor that its entries share with
+    that scale.  Each new row is divided by the gcd of its entries and its
+    combination.  A dependent combination becomes Fractions once, at the end.
 
-    Vectors with CyclotomicNumber entries use field division instead, and
-    each of their rows has a pivot entry of one.  One echelon holds one kind
-    of vector.
+    A vector in Q(w_s)^n goes in as the rational coordinates (n(s-1) of
+    them) of its multiples by 1, w, ..., w^(s-2).  Those multiples of the
+    kept vectors span their Q(w_s)-span over Q, so a vector is dependent
+    exactly when its own coordinates are, and the Q-coefficients of the
+    multiples of a kept vector are the coordinates of its coefficient in
+    Q(w_s), so no step divides in the field.  One echelon holds one field.
     """
 
     def __init__(self):
-        # (pivot, row, kept) per independent vector.  A rational row is an
+        # (pivot, row, (label, lcm)) per independent rational vector: the
         # integer vector followed by its combination of the cleared vectors,
-        # one entry per row up to its own, and kept is the (label, lcm) it was
-        # inserted with; for a cyclotomic row, kept is its {label: coeff}
-        # combination.
-        self._rows: list[tuple[int, list, object]] = []
-        self._cyclotomic = False
+        # one entry per row up to its own.  A Q(w_s) vector's multiple by w^j
+        # is kept under the label (label, j).
+        self._rows: list[tuple[int, list[int], tuple]] = []
+        self._order = None  # s when the rows are Q(w_s) vectors
 
     def insert(self, vec, label):
         """Add ``vec`` under ``label`` and return None when it is independent
         of the vectors kept so far; otherwise keep nothing and return the
         ``{label: coeff}`` combination of kept vectors that equals ``vec``."""
         vec = list(vec)
-        cyclotomic = any(isinstance(a, CyclotomicNumber) for a in vec)
-        if self._rows and cyclotomic != self._cyclotomic:
-            raise CoefficientFieldError(
-                "cannot mix rational and cyclotomic vectors in one echelon"
-            )
-        self._cyclotomic = cyclotomic
-        if cyclotomic:
-            return self._insert_field(vec, label)
+        s = next((a.order for a in vec if isinstance(a, CyclotomicNumber)), None)
+        if self._rows and s != self._order:
+            raise CoefficientFieldError("cannot mix coefficient fields in one echelon")
+        self._order = s
+        if s is None:
+            return self._eliminate(vec, label)
+        field = cyclotomic_field(s)
+        coords = [c for a in vec for c in field.coerce(a).coords]
+        combo = self._eliminate(coords, (label, 0))
+        if combo is not None:
+            parts: dict = {}
+            for (lab, j), c in combo.items():
+                parts.setdefault(lab, [Fraction(0)] * (s - 1))[j] = c
+            return {lab: CyclotomicNumber(s, tuple(c)) for lab, c in parts.items()}
+        for j in range(1, s - 1):
+            # times w, entry by entry: w^k -> w^(k+1), and
+            # w^(s-1) = -(1 + w + ... + w^(s-2)) takes off the top coordinate
+            coords = [
+                (coords[i - 1] if i % (s - 1) else 0) - coords[i - i % (s - 1) + s - 2]
+                for i in range(len(coords))
+            ]
+            self._eliminate(coords, (label, j))
+        return None
+
+    def _eliminate(self, vec, label):
         n = len(vec)
         scale = lcm(*(a.denominator for a in vec))
         # vec is [v | c] with v = total * (the cleared input) + sum(c[i] * w_i),
@@ -373,24 +385,6 @@ class Echelon:
         if vec[k] < 0:
             g = -g
         self._rows.append((k, [a // g for a in vec], (label, scale)))
-        return None
-
-    def _insert_field(self, vec, label):
-        """Cyclotomic insert: field division, each row's pivot scaled to one."""
-        combo: dict = {}  # vec - (reduced vec) as a combination of labels
-        for k, row, row_combo in self._rows:
-            f = vec[k]
-            if f:
-                vec = [a - f * b for a, b in zip(vec, row)]
-                for lab, c in row_combo.items():
-                    combo[lab] = combo.get(lab, 0) + f * c
-        k = next((i for i, a in enumerate(vec) if a), None)
-        if k is None:
-            return {lab: c for lab, c in combo.items() if c}
-        inv = vec[k] ** -1
-        row_combo = {lab: -c * inv for lab, c in combo.items() if c}
-        row_combo[label] = inv
-        self._rows.append((k, [a * inv for a in vec], row_combo))
         return None
 
 

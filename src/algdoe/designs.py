@@ -59,10 +59,11 @@ class Design:
             raise InputError("a design needs at least one run")
         if len(set(self.runs)) != len(self.runs):
             raise InputError("replicated runs are not allowed")
-        valid = {-1, 1} if self.coding == "pm1" else set(range(self.s))
-        # whole-table set checks; the runs are walked only to name the culprit
+        # membership tests, not a set of s levels: s may be a large prime
+        valid = (-1, 1) if self.coding == "pm1" else range(self.s)
+        # whole-table checks; the runs are walked only to name the culprit
         levels = set(itertools.chain.from_iterable(self.runs))
-        if set(map(len, self.runs)) != {self.m} or not levels <= valid:
+        if set(map(len, self.runs)) != {self.m} or not all(v in valid for v in levels):
             for run in self.runs:
                 if len(run) != self.m:
                     raise InputError(f"run {run} has wrong length")

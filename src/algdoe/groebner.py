@@ -316,7 +316,8 @@ def point_ideal_intersection(
     integer-coded designs every value vector is an integer vector and the
     fraction-free :class:`~algdoe.cyclotomic.Echelon` eliminates it by
     cross-multiplication; coefficients become Fractions only in the
-    generators.  Over Q(w_s) the echelon divides in the field.
+    generators.  Over Q(w_s) the echelon eliminates the rational coordinates
+    of each value vector's multiples by powers of w, with no field division.
     """
     points = [tuple(p) for p in points]
     if not points:

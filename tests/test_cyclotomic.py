@@ -5,7 +5,9 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from algdoe import CoefficientFieldError, InputError, QQ, cyclotomic_field, embed, omega
+from algdoe import (
+    CoefficientFieldError, CyclotomicNumber, InputError, QQ, cyclotomic_field, embed, omega,
+)
 from algdoe.cyclotomic import Echelon
 
 rationals = st.fractions(
@@ -42,7 +44,7 @@ def test_three_coords_zero_iff_equal(q1, q2, q3):
     assert (not value) == (q1 == q2 == q3)
 
 
-@given(rationals, rationals, st.sampled_from([2, 3, 5]))
+@given(rationals, rationals, st.sampled_from([2, 3, 5, 7]))
 def test_inverse(a, b, s):
     z = cyclotomic_field(s).coerce(a) + b * omega(s)
     if not z:
@@ -84,8 +86,20 @@ def test_field_axioms_sampled(a1, a2, b1, b2):
     assert x * (y + 1) == x * y + x
 
 
+def _field_inverse(a):
+    """1/a without Echelon: over Q(w_s), the product of the other Galois
+    conjugates of a divided by the rational norm of a."""
+    if not isinstance(a, CyclotomicNumber):
+        return 1 / a
+    s, F = a.order, cyclotomic_field(a.order)
+    rest = F.one
+    for k in range(2, s):  # w -> w^k
+        rest *= sum((c * omega(s, j * k) for j, c in enumerate(a.coords)), F.zero)
+    return rest * (1 / (a * rest).rational_part())
+
+
 class _FractionEchelon:
-    """The Fraction-division echelon that the fraction-free one replaced:
+    """The field-division echelon that the fraction-free one replaced:
     every row is scaled to a pivot of one, as the oracle for its answers."""
 
     def __init__(self):
@@ -103,25 +117,31 @@ class _FractionEchelon:
         k = next((i for i, a in enumerate(vec) if a), None)
         if k is None:
             return {lab: c for lab, c in combo.items() if c}
-        inv = vec[k] ** -1
+        inv = _field_inverse(vec[k])
         row_combo = {lab: -c * inv for lab, c in combo.items() if c}
         row_combo[label] = inv
         self._rows.append((k, [a * inv for a in vec], row_combo))
         return None
 
 
-def _echelon_vectors(rng, kind, width):
+def _echelon_vectors(rng, kind, width, s=3):
     """Seeded vectors of one kind: fresh ones, zero ones, and combinations
-    of earlier ones, so that inserts are both independent and dependent."""
+    of earlier ones, so that inserts are both independent and dependent.
+    Cyclotomic combinations also take coefficients outside Q."""
+
     def entry():
         if kind == "int":
             return rng.randint(-3, 3)
         if kind == "rational":
             return Fraction(rng.randint(-2**61, 2**61), rng.randint(1, 2**61))
-        w = omega(3)
-        return sum((Fraction(rng.randint(-3, 3), rng.randint(1, 4)) * w**j
-                    for j in range(2)), cyclotomic_field(3).zero)
+        return sum((Fraction(rng.randint(-3, 3), rng.randint(1, 4)) * omega(s, j)
+                    for j in range(s - 1)), cyclotomic_field(s).zero)
 
+    if kind == "cyclotomic":
+        w = omega(s)
+        choices = (-2, Fraction(1, 7), w, 1 - w**2, w**(s - 1) * Fraction(1, 3))
+    else:
+        choices = (-2, -1, 1, 3) if kind == "int" else (-2, 1, Fraction(1, 7))
     kept = []
     for _ in range(3 * width):
         pick = rng.random()
@@ -131,7 +151,6 @@ def _echelon_vectors(rng, kind, width):
             vec = [entry() for _ in range(width)]
         else:
             parts = rng.sample(kept, min(len(kept), rng.randint(1, 3)))
-            choices = (-2, -1, 1, 3) if kind == "int" else (-2, 1, Fraction(1, 7))
             coeffs = [rng.choice(choices) for _ in parts]
             vec = [sum((c * v[i] for c, v in zip(coeffs, parts)), entry() * 0)
                    for i in range(width)]
@@ -139,23 +158,28 @@ def _echelon_vectors(rng, kind, width):
         yield vec
 
 
-@pytest.mark.parametrize("kind", ["int", "rational", "cyclotomic"])
-def test_echelon_matches_fraction_division_oracle(kind):
-    rng = random.Random(f"echelon:{kind}")
+@pytest.mark.parametrize("kind, s", [
+    pytest.param("int", None, id="int"),
+    pytest.param("rational", None, id="rational"),
+    pytest.param("cyclotomic", 3, id="cyclotomic"),
+    pytest.param("cyclotomic", 5, id="cyclotomic5"),
+    pytest.param("cyclotomic", 7, id="cyclotomic7"),
+])
+def test_echelon_matches_fraction_division_oracle(kind, s):
+    rng = random.Random(f"echelon:{kind}:{s}")
     for trial in range(12):
         width = rng.randint(1, 7)
         ech, oracle = Echelon(), _FractionEchelon()
-        for label, vec in enumerate(_echelon_vectors(rng, kind, width)):
-            expected = oracle.insert([a if kind == "cyclotomic" else Fraction(a)
-                                      for a in vec], label)
+        for label, vec in enumerate(_echelon_vectors(rng, kind, width, s)):
+            expected = oracle.insert([a if s else Fraction(a) for a in vec], label)
             got = ech.insert(vec, label)
-            assert got == expected, (kind, trial, label)
-            if got is not None and kind != "cyclotomic":
-                assert all(type(c) is Fraction for c in got.values())
-        if kind != "cyclotomic":
-            # fraction-free rows: primitive integer vectors, positive pivots
-            for k, row, _ in ech._rows:
-                assert row[k] > 0 and gcd(*row) == 1
+            assert got == expected, (kind, s, trial, label)
+            if got is not None:
+                field_type = CyclotomicNumber if s else Fraction
+                assert all(type(c) is field_type for c in got.values())
+        # fraction-free rows: primitive integer vectors, positive pivots
+        for k, row, _ in ech._rows:
+            assert row[k] > 0 and gcd(*row) == 1
 
 
 def test_echelon_refuses_to_mix_rational_and_cyclotomic_rows():
@@ -168,3 +192,10 @@ def test_echelon_refuses_to_mix_rational_and_cyclotomic_rows():
     assert ech.insert([1, 2], "q") is None
     with pytest.raises(CoefficientFieldError, match="cannot mix"):
         ech.insert([omega(3), 1], "w")
+    # two cyclotomic orders, in one vector or in two
+    with pytest.raises(CoefficientFieldError, match="cannot mix"):
+        Echelon().insert([omega(3), omega(5)], "w")
+    ech = Echelon()
+    assert ech.insert([omega(3), 1], "w3") is None
+    with pytest.raises(CoefficientFieldError, match="cannot mix"):
+        ech.insert([omega(5), 1], "w5")

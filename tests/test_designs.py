@@ -1,9 +1,14 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import algdoe
 from algdoe import (
     Design,
     InputError,
@@ -138,6 +143,44 @@ def test_design_validation():
         Design(2, 4, ((0, 0),), "integer")  # composite level count
     with pytest.raises(InputError):
         Design(2, 3, ((1, 1),), "pm1")  # coding mismatch
+
+
+LARGE_PRIME_LEVELS_PROBE = """
+import sys
+from algdoe import Design, InputError
+from algdoe.cli import run
+s = 1000000000039
+assert Design(1, s, ((0,), (5,)), "integer").s == s
+try:
+    Design(1, s, ((s,),), "integer")
+except InputError:
+    pass
+else:
+    raise AssertionError("a level equal to s was accepted")
+sys.exit(run(["classify", "--design", sys.argv[1]]))
+"""
+
+
+def test_large_prime_level_count_checks_levels_one_by_one(tmp_path):
+    # a set of all s levels would not fit in memory; the probe runs in a child
+    # process under a 1 GB address-space limit, so such a set fails fast there
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "large-s.design"
+    path.write_text("m=1 s=1000000000039 coding=integer\n0\n")
+    env = dict(os.environ)
+    src = str(Path(algdoe.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    proc = subprocess.run(
+        [sys.executable, "-c", LARGE_PRIME_LEVELS_PROBE, str(path)], env=env,
+        capture_output=True, text=True, preexec_fn=limit_memory, timeout=120,
+    )
+    # classify refuses the design as an input error (exit 2), not by dying
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: "), proc.stderr
 
 
 def test_design_file_round_trip(l8, three_level_integer):
@@ -533,14 +576,16 @@ def test_design_ideal_matches_indicator_presentation():
 
 
 def test_complex_design_ideals_certify():
+    # over Q(w3), Q(w5) and Q(w7); the checks do not go through the echelon
     rng = random.Random(1004)
-    for _ in range(4):
-        m = rng.randint(2, 3)
-        pool = list(full_factorial(m, 3).runs)
-        runs = tuple(sorted(rng.sample(pool, rng.randint(2, len(pool) - 1))))
-        d = Design(m, 3, runs, "complex")
-        for order in _random_orders(rng, m):
-            gb = design_ideal(d, order)
-            assert all(not g.evaluate(p) for g in gb.elements for p in d.points())
-            assert len(est_monomials(d, order)) == d.n
-            assert spolynomials_reduce_to_zero(gb)
+    for s, designs, max_m, max_n in ((3, 4, 3, 26), (5, 2, 2, 10), (7, 1, 2, 8)):
+        for _ in range(designs):
+            m = rng.randint(2, max_m)
+            pool = list(full_factorial(m, s).runs)
+            runs = tuple(sorted(rng.sample(pool, rng.randint(2, min(len(pool) - 1, max_n)))))
+            d = Design(m, s, runs, "complex")
+            for order in _random_orders(rng, m):
+                gb = design_ideal(d, order)
+                assert all(not g.evaluate(p) for g in gb.elements for p in d.points())
+                assert len(est_monomials(d, order)) == d.n
+                assert spolynomials_reduce_to_zero(gb)
