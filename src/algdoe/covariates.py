@@ -21,9 +21,9 @@ import itertools
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isfinite, lcm, prod
+from math import gcd, isfinite, prod
 
-from .cyclotomic import CyclotomicNumber, Echelon, omega
+from .cyclotomic import CyclotomicNumber, Echelon, _cleared, omega
 from .designs import Design, _columns, _product, parse_monomial
 from .errors import EstimabilityError, InputError
 from .orders import monomial_name
@@ -226,8 +226,7 @@ def recode_integer(A: CovariateMatrix) -> tuple[tuple[int, ...], ...]:
             rational_cols.append(col)
     out = {}  # insertion-ordered set
     for col in rational_cols:
-        denom = lcm(*(c.denominator for c in col))
-        ints = [c.numerator * (denom // c.denominator) for c in col]
+        ints, _ = _cleared(col)
         low = min(0, *ints)
         ints = [v - low for v in ints]
         if g := gcd(*ints):  # an all-zero column adds nothing

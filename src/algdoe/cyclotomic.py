@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd, lcm
 from typing import Union
 
@@ -21,14 +21,37 @@ from .orders import _format_terms
 Rational = Union[int, Fraction]
 
 
+# Miller-Rabin on these bases is exact below _PRIME_BOUND (Sorenson and
+# Webster, Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
+@cache
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; an InputError at or above _PRIME_BOUND.
+    Memoized, since every cyclotomic number checks its order when made."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _PRIME_BOUND:
+        raise InputError(f"primality of {n} is only decided below {_PRIME_BOUND}")
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -55,10 +78,7 @@ class CyclotomicNumber:
 
     @staticmethod
     def from_rational(q: Rational, order: int) -> "CyclotomicNumber":
-        _check_order(order)
-        coords = [Fraction(0)] * (order - 1)
-        coords[0] = Fraction(q)
-        return CyclotomicNumber(order, tuple(coords))
+        return CyclotomicNumber(order, (Fraction(q),) + (Fraction(0),) * (order - 2))
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coords[1:])
@@ -69,17 +89,10 @@ class CyclotomicNumber:
         return self.coords[0]
 
     def _coerce(self, other):
-        if isinstance(other, CyclotomicNumber):
-            if other.order != self.order:
-                if other.is_rational():
-                    return CyclotomicNumber.from_rational(other.coords[0], self.order)
-                raise CoefficientFieldError(
-                    f"cannot mix cyclotomic orders {self.order} and {other.order}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CyclotomicNumber.from_rational(other, self.order)
-        return None
+        """``other`` in this number's field, or None when it is no number."""
+        if not isinstance(other, (int, Fraction, CyclotomicNumber)):
+            return None
+        return cyclotomic_field(self.order).coerce(other)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -112,14 +125,13 @@ class CyclotomicNumber:
         if o is None:
             return NotImplemented
         s = self.order
-        raw = [Fraction(0)] * (2 * s - 3)
+        powers = [Fraction(0)] * s
         for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coords):
-                if b:
-                    raw[i + j] += a * b
-        return CyclotomicNumber(s, _reduce(s, raw))
+            if a:
+                for j, b in enumerate(o.coords):
+                    if b:
+                        powers[(i + j) % s] += a * b
+        return CyclotomicNumber(s, _fold(powers))
 
     __rmul__ = __mul__
 
@@ -190,30 +202,21 @@ class CyclotomicNumber:
         return f"CyclotomicNumber({self.order}, {self})"
 
 
-def _reduce(s: int, raw: list[Fraction]) -> tuple[Fraction, ...]:
-    """Fold arbitrary w-powers onto the canonical basis 1, w, ..., w^(s-2)."""
-    out = [Fraction(0)] * (s - 1)
-    carry = Fraction(0)
-    for e, c in enumerate(raw):
-        if c == 0:
-            continue
-        e %= s
-        if e == s - 1:
-            carry += c
-        else:
-            out[e] += c
-    if carry:
-        for i in range(s - 1):
-            out[i] -= carry
-    return tuple(out)
+def _fold(powers) -> tuple:
+    """The coordinates of sum(powers[k] * w^k), k < s, on 1, w, ..., w^(s-2):
+    w^(s-1) = -(1 + w + ... + w^(s-2)) takes the top coefficient off the others."""
+    top = powers[-1]
+    if top:
+        return tuple(c - top for c in powers[:-1])
+    return tuple(powers[:-1])
 
 
 def omega(order: int, power: int = 1) -> CyclotomicNumber:
     """The root of unity w_order^power as an exact cyclotomic number."""
     _check_order(order)
-    raw = [Fraction(0)] * (power % order + 1)
-    raw[power % order] = Fraction(1)
-    return CyclotomicNumber(order, _reduce(order, raw))
+    powers = [Fraction(0)] * order
+    powers[power % order] = Fraction(1)
+    return CyclotomicNumber(order, _fold(powers))
 
 
 class RationalField:
@@ -268,22 +271,29 @@ class CyclotomicField:
         return CyclotomicNumber.from_rational(1, self.order)
 
     def coerce(self, value):
-        if isinstance(value, bool):
-            raise CoefficientFieldError("booleans are not field elements")
-        if isinstance(value, (int, Fraction)):
-            return CyclotomicNumber.from_rational(value, self.order)
         if isinstance(value, CyclotomicNumber):
             if value.order == self.order:
                 return value
             if value.is_rational():
                 return CyclotomicNumber.from_rational(value.coords[0], self.order)
             raise CoefficientFieldError(
-                f"cannot mix cyclotomic orders {value.order} and {self.order}"
+                f"cannot mix cyclotomic orders {self.order} and {value.order}"
             )
+        if isinstance(value, bool):
+            raise CoefficientFieldError("booleans are not field elements")
+        if isinstance(value, (int, Fraction)):
+            return CyclotomicNumber.from_rational(value, self.order)
         raise CoefficientFieldError(f"cannot coerce {value!r} into {self.name}")
 
     def __repr__(self):
         return self.name
+
+
+def _cleared(values) -> tuple[list[int], int]:
+    """The rationals ``values`` times the lcm of their denominators, as ints,
+    and that lcm."""
+    scale = lcm(*(a.denominator for a in values))
+    return [a.numerator * (scale // a.denominator) for a in values], scale
 
 
 class Echelon:
@@ -306,7 +316,10 @@ class Echelon:
     kept vectors span their Q(w_s)-span over Q, so a vector is dependent
     exactly when its own coordinates are, and the Q-coefficients of the
     multiples of a kept vector are the coordinates of its coefficient in
-    Q(w_s), so no step divides in the field.  One echelon holds one field.
+    Q(w_s), so no step divides in the field.  Each multiple by w is the
+    previous one with every entry's coordinates moved up one power and folded
+    by ``_fold``, the fold that products and :func:`omega` use.  One echelon
+    holds one field.
     """
 
     def __init__(self):
@@ -328,30 +341,25 @@ class Echelon:
         self._order = s
         if s is None:
             return self._eliminate(vec, label)
-        field = cyclotomic_field(s)
-        coords = [c for a in vec for c in field.coerce(a).coords]
-        combo = self._eliminate(coords, (label, 0))
+        entries = [cyclotomic_field(s).coerce(a).coords for a in vec]
+        combo = self._eliminate([c for e in entries for c in e], (label, 0))
         if combo is not None:
             parts: dict = {}
             for (lab, j), c in combo.items():
                 parts.setdefault(lab, [Fraction(0)] * (s - 1))[j] = c
             return {lab: CyclotomicNumber(s, tuple(c)) for lab, c in parts.items()}
         for j in range(1, s - 1):
-            # times w, entry by entry: w^k -> w^(k+1), and
-            # w^(s-1) = -(1 + w + ... + w^(s-2)) takes off the top coordinate
-            coords = [
-                (coords[i - 1] if i % (s - 1) else 0) - coords[i - i % (s - 1) + s - 2]
-                for i in range(len(coords))
-            ]
-            self._eliminate(coords, (label, j))
+            # times w, entry by entry: each coordinate moves up one power
+            entries = [_fold((0, *e)) for e in entries]
+            self._eliminate([c for e in entries for c in e], (label, j))
         return None
 
     def _eliminate(self, vec, label):
         n = len(vec)
-        scale = lcm(*(a.denominator for a in vec))
+        vec, scale = _cleared(vec)
         # vec is [v | c] with v = total * (the cleared input) + sum(c[i] * w_i),
         # w_i the cleared vector of row i; a stored row [r | c] has r = sum(c[i] * w_i)
-        vec = [a.numerator * (scale // a.denominator) for a in vec] + [0] * len(self._rows)
+        vec += [0] * len(self._rows)
         total = 1
         for k, row, _ in self._rows:
             b = vec[k]

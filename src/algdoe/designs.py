@@ -59,15 +59,18 @@ class Design:
             raise InputError("a design needs at least one run")
         if len(set(self.runs)) != len(self.runs):
             raise InputError("replicated runs are not allowed")
-        # membership tests, not a set of s levels: s may be a large prime
-        valid = (-1, 1) if self.coding == "pm1" else range(self.s)
+        # a test per level, not a set of s levels: s may be a large prime
+        if self.coding == "pm1":
+            valid = (-1, 1).__contains__
+        else:
+            valid = functools.partial(_in_range, s=self.s)
         # whole-table checks; the runs are walked only to name the culprit
         levels = set(itertools.chain.from_iterable(self.runs))
-        if set(map(len, self.runs)) != {self.m} or not all(v in valid for v in levels):
+        if set(map(len, self.runs)) != {self.m} or not all(map(valid, levels)):
             for run in self.runs:
                 if len(run) != self.m:
                     raise InputError(f"run {run} has wrong length")
-                if any(v not in valid for v in run):
+                if not all(map(valid, run)):
                     raise InputError(f"run {run} has an invalid coded level")
 
     @property
@@ -94,6 +97,18 @@ class Design:
     def _digits(self) -> bytes:
         """The two-level run table, packed once per design."""
         return _pack(self.runs)
+
+
+def _in_range(v, s: int) -> bool:
+    """``v in range(s)`` in O(1).  range scans its items for any v that is not
+    an int, but of them only int(v.real) can equal v."""
+    try:
+        r = v.real
+        if not 0 <= r < s:
+            return False
+    except (AttributeError, TypeError, ArithmeticError):
+        return False
+    return int(r) == v
 
 
 def full_factorial(m: int, s: int = 2) -> Design:

@@ -15,10 +15,9 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import lcm
 from operator import and_, le, not_, or_
 
-from .cyclotomic import QQ, Echelon
+from .cyclotomic import QQ, Echelon, _cleared
 from .errors import (
     BudgetError,
     InputError,
@@ -387,12 +386,12 @@ def _certify_vanishing_ideal(gens, est, points, order: TermOrder):
     ideals are equal.
 
     A rational generator is scaled by the lcm of its denominators, a nonzero
-    integer, before it is evaluated, so on integer points the vanishing is
-    checked in integers; cyclotomic generators are evaluated in the field.
+    integer, before it is evaluated, so on points with int coordinates (as
+    :func:`_integral` makes them) the vanishing is checked in integers;
+    cyclotomic generators are evaluated in the field.
     """
     leads = [g.leading_monomial(order) for g in gens]
     values = {(0,) * len(points[0]): [1] * len(points)}
-    ints = _integral(points)
 
     def at(u):
         """The values of x^u on the points, memoized: those of x^u / x_j, x_j
@@ -400,14 +399,13 @@ def _certify_vanishing_ideal(gens, est, points, order: TermOrder):
         if u not in values:
             j = next(j for j, e in enumerate(u) if e)
             w = at(u[:j] + (u[j] - 1,) + u[j + 1 :])
-            values[u] = [v * p[j] for v, p in zip(w, ints)]
+            values[u] = [v * p[j] for v, p in zip(w, points)]
         return values[u]
 
     for g in gens:
         coeffs = g.terms.values()
         if g.ring.field == QQ:
-            scale = lcm(*(c.denominator for c in coeffs))
-            coeffs = [c.numerator * (scale // c.denominator) for c in coeffs]
+            coeffs, _ = _cleared(coeffs)
         total = [0] * len(points)  # the values of g on the points
         for c, e in zip(coeffs, g.terms):
             total = [t + c * v for t, v in zip(total, at(e))]

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from algdoe import (
     CoefficientFieldError, CyclotomicNumber, InputError, QQ, cyclotomic_field, embed, omega,
 )
-from algdoe.cyclotomic import Echelon
+from algdoe.cyclotomic import Echelon, is_prime
 
 rationals = st.fractions(
     min_value=-5, max_value=5, max_denominator=6
@@ -199,3 +199,143 @@ def test_echelon_refuses_to_mix_rational_and_cyclotomic_rows():
     assert ech.insert([omega(3), 1], "w3") is None
     with pytest.raises(CoefficientFieldError, match="cannot mix"):
         ech.insert([omega(5), 1], "w5")
+
+
+# -- primality ----------------------------------------------------------------
+
+
+def test_is_prime_matches_a_sieve():
+    limit = 10**5
+    sieve = [False, False] + [True] * (limit - 2)
+    for p in range(2, int(limit**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(range(p * p, limit, p))
+    assert [is_prime(n) for n in range(-3, limit)] == [False] * 3 + sieve
+
+
+@pytest.mark.parametrize("n", [
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+])
+def test_is_prime_refuses_strong_pseudoprimes(n):
+    # each is a strong pseudoprime to every prime base below some bound
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [10**12 + 39, 10**14 + 31, 2**61 - 1, 18446744073709551557])
+def test_is_prime_on_large_primes(n):
+    assert is_prime(n)
+
+
+def test_is_prime_refuses_to_guess_past_its_bound():
+    bound = 3317044064679887385961981
+    assert not is_prime(bound - 2)  # an odd composite just below
+    with pytest.raises(InputError, match=f"only decided below {bound}"):
+        is_prime(bound)
+
+
+# -- arithmetic paths ---------------------------------------------------------
+
+
+def test_division():
+    F = cyclotomic_field(5)
+    x = 2 + omega(5) - Fraction(1, 3) * omega(5, 3)
+    y = omega(5, 2) - 1
+    assert (x / y) * y == x
+    assert x / 2 == x * Fraction(1, 2)
+    assert 1 / y == y.inverse()
+    assert Fraction(3, 4) / y == y.inverse() * Fraction(3, 4)
+    assert F.zero / y == 0
+    with pytest.raises(ZeroDivisionError, match="cyclotomic division by zero"):
+        F.zero.inverse()
+    with pytest.raises(ZeroDivisionError):
+        x / F.zero
+    with pytest.raises(TypeError):
+        x / "2"
+    with pytest.raises(TypeError):
+        "2" / x
+
+
+def test_coercion_in_arithmetic():
+    w = omega(3)
+    half5 = cyclotomic_field(5).coerce(Fraction(1, 2))
+    # a rational number of another order joins this one's field
+    assert w + half5 == w + Fraction(1, 2)
+    assert (w * half5).order == 3
+    # anything that is no number is left to the other operand
+    assert w.__add__("1") is NotImplemented
+    assert w.__mul__(1.0) is NotImplemented
+    with pytest.raises(TypeError):
+        w + None
+    # booleans are refused as the field refuses them
+    with pytest.raises(CoefficientFieldError, match="booleans are not field elements"):
+        w + True
+    with pytest.raises(CoefficientFieldError, match="booleans are not field elements"):
+        cyclotomic_field(3).coerce(False)
+    # mixing orders names this field's order first, on either route
+    with pytest.raises(CoefficientFieldError, match="orders 3 and 5"):
+        w * omega(5)
+    with pytest.raises(CoefficientFieldError, match="orders 3 and 5"):
+        cyclotomic_field(3).coerce(omega(5))
+
+
+def test_construction_and_text_errors():
+    with pytest.raises(CoefficientFieldError, match="expected 2 coordinates, got 1"):
+        CyclotomicNumber(3, (Fraction(1),))
+    with pytest.raises(InputError, match="prime"):
+        CyclotomicNumber.from_rational(1, 4)
+    with pytest.raises(InputError, match="prime"):
+        CyclotomicNumber.from_rational(1, 1)
+    with pytest.raises(CoefficientFieldError, match="is not rational"):
+        omega(3).rational_part()
+    assert str(cyclotomic_field(3).zero) == "0"
+    assert str(1 - omega(5, 2)) == "1-w^2"
+
+
+def test_rational_field_coercion():
+    value = QQ.coerce(cyclotomic_field(7).coerce(Fraction(-2, 3)))
+    assert value == Fraction(-2, 3) and type(value) is Fraction
+    for bad, match in ((True, "booleans"), ("1", "cannot coerce '1' into QQ")):
+        with pytest.raises(CoefficientFieldError, match=match):
+            QQ.coerce(bad)
+
+
+def _reference_reduce(s, raw):
+    """Fold any list of w-power coefficients onto 1, w, ..., w^(s-2): the
+    general fold that _fold replaced, kept as the oracle for products."""
+    out = [Fraction(0)] * (s - 1)
+    carry = Fraction(0)
+    for e, c in enumerate(raw):
+        e %= s
+        if e == s - 1:
+            carry += c
+        else:
+            out[e] += c
+    return tuple(c - carry for c in out)
+
+
+def _reference_product(x, y):
+    s = x.order
+    raw = [Fraction(0)] * (2 * s - 3)
+    for i, a in enumerate(x.coords):
+        for j, b in enumerate(y.coords):
+            raw[i + j] += a * b
+    return _reference_reduce(s, raw)
+
+
+coordinates = st.one_of(st.just(Fraction(0)), rationals)
+
+
+@given(st.sampled_from([3, 5, 7, 11]), st.data())
+def test_product_and_omega_match_the_general_fold(s, data):
+    x, y = (
+        CyclotomicNumber(s, tuple(data.draw(st.lists(coordinates, min_size=s - 1, max_size=s - 1))))
+        for _ in range(2)
+    )
+    product = x * y
+    assert product.coords == _reference_product(x, y)
+    assert all(type(c) is Fraction for c in product.coords)
+    for k in range(-s, 2 * s + 1):
+        unit = [Fraction(0)] * (k % s) + [Fraction(1)]
+        assert omega(s, k).coords == _reference_reduce(s, unit)
+        assert all(type(c) is Fraction for c in omega(s, k).coords)

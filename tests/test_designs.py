@@ -4,6 +4,8 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -143,6 +145,86 @@ def test_design_validation():
         Design(2, 4, ((0, 0),), "integer")  # composite level count
     with pytest.raises(InputError):
         Design(2, 3, ((1, 1),), "pm1")  # coding mismatch
+
+
+@pytest.mark.parametrize("args, match", [
+    ((0, 2, ((),), "pm1"), "at least one factor"),
+    ((1, 3, ((0,),), "binary"), "unknown coding 'binary'"),
+    ((1, 2, ((0,), (1,)), "integer"), "two-level designs use plus-minus-one coding"),
+    ((1, 2, (), "pm1"), "at least one run"),
+    ((2, 2, ((1, 1), (1,)), "pm1"), r"run \(1,\) has wrong length"),
+])
+def test_design_input_errors(args, match):
+    with pytest.raises(InputError, match=match):
+        Design(*args)
+
+
+@pytest.mark.parametrize("bits, sign, match", [
+    ((1, 0), 0, "sign must be"),
+    ((1, 2), 1, "exponents must be 0/1"),
+    ((0, 0), 1, "empty word"),
+])
+def test_word_input_errors(bits, sign, match):
+    with pytest.raises(InputError, match=match):
+        Word(bits, sign)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda d: is_confounded((1, 0), (0, 1), d), "confounding analysis is defined for two-level"),
+    (lambda d: alias_table(d), "alias tables are defined for two-level"),
+    (lambda d: design_ideal(d, TermOrder.grevlex(2)), "need coding=complex for ideals"),
+    (lambda d: design_ideal(Design(2, 3, d.runs, "complex"), TermOrder.lex(3)),
+     "term order universe does not match"),
+])
+def test_three_level_operation_errors(call, match):
+    with pytest.raises(InputError, match=match):
+        call(Design(2, 3, ((0, 0), (1, 2)), "integer"))
+
+
+LEVEL_SAMPLE = [
+    0, 1, 2, -1, 3, 4, True, False, 2.0, 4.0, -0.0, Fraction(2), Fraction(1, 2),
+    Decimal(1), Decimal("1.5"), Decimal("NaN"), Decimal("Infinity"), 0.5, "1", None,
+    float("nan"), float("inf"), -float("inf"), complex(1, 0), complex(1, 1), b"1", (1,),
+]
+
+
+@pytest.mark.parametrize("s", [3, 5])
+def test_integer_levels_are_what_range_contains(s):
+    for v in LEVEL_SAMPLE:
+        try:
+            Design(1, s, ((v,),), "integer")
+            accepted = True
+        except InputError:
+            accepted = False
+        assert accepted == (v in range(s)), v
+
+
+class _CountingFloat(float):
+    """A float that counts the equality tests made on it."""
+
+    calls = 0
+
+    def __eq__(self, other):
+        _CountingFloat.calls += 1
+        return float.__eq__(self, other)
+
+    __hash__ = float.__hash__
+
+
+def test_level_test_is_not_a_scan_of_range():
+    # range(s) would compare a non-int level with each of its s items
+    s = 10000019
+    _CountingFloat.calls = 0
+    with pytest.raises(InputError, match="invalid coded level"):
+        Design(1, s, ((_CountingFloat(0.5),),), "integer")
+    assert _CountingFloat.calls <= 2  # the table check, then naming the run
+    _CountingFloat.calls = 0
+    assert Design(1, s, ((0,), (_CountingFloat(s - 1),)), "integer").n == 2
+    assert _CountingFloat.calls <= 1
+
+
+def test_fifteen_digit_prime_level_count():
+    assert Design(1, 100000000000031, ((0,), (5,)), "integer").s == 100000000000031
 
 
 LARGE_PRIME_LEVELS_PROBE = """

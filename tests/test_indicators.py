@@ -134,6 +134,25 @@ def test_invalid_indicator_rejected():
         design_from_indicator(g)
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: FactorRelation(1, 0, (1, 0)), InputError, "relation sign must be"),
+    (lambda: FactorRelation(1, 1, (2, 0)), InputError, "must be square-free"),
+    (lambda: FactorRelation(1, 1, (0, 0)), InputError, "must be nonzero"),
+    (lambda: FactorRelation(0, 1, (1, 0)), InputError, "index is 1-based"),
+    (lambda: indicator_add_factors(IndicatorFunction(2, {(0, 0): 1}),
+                                   [FactorRelation(1, 1, (1, 1, 0))]),
+     InputError, "does not match the base factor count"),
+    (lambda: indicator_add_factors(IndicatorFunction(2, {(0, 0): 1}),
+                                   [FactorRelation(2, 1, (1, 1))]),
+     InputError, "relation at position 1 carries index 2"),
+    (lambda: design_from_indicator(IndicatorFunction(2, {})),
+     InvalidIndicatorError, "identically zero"),
+])
+def test_indicator_input_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 @pytest.mark.parametrize(
     "c", [10**30, -(10**30), Fraction(3, 2), Fraction(-3, 2), Fraction(5, 3)]
 )
