@@ -27,7 +27,12 @@ from fractions import Fraction
 
 from .cyclotomic import QQ, cyclotomic_field, is_prime, omega
 from .errors import InputError, RankError, ScaleError
-from .groebner import GroebnerBasis, point_ideal_intersection, standard_monomials
+from .groebner import (
+    GroebnerBasis,
+    _check_width,
+    point_ideal_intersection,
+    standard_monomials,
+)
 from .orders import Monomial, TermOrder
 from .polynomials import PolyRing
 
@@ -276,7 +281,9 @@ def design_ideal(d: Design, order: TermOrder) -> GroebnerBasis:
     """Reduced Groebner basis of the vanishing ideal of the design.
 
     Prime-level designs with more than two levels must use complex coding so
-    that the coefficient field is the cyclotomic extension.
+    that the coefficient field is the cyclotomic extension.  A complex-coded
+    design with n(s-1) above ``groebner.MAX_ECHELON_WIDTH`` is a ScaleError,
+    raised before any point is built.
     """
     if d.s > 2 and d.coding != "complex":
         raise InputError(
@@ -284,6 +291,8 @@ def design_ideal(d: Design, order: TermOrder) -> GroebnerBasis:
         )
     if order.nvars != d.m:
         raise InputError("term order universe does not match the design")
+    if d.coding == "complex":
+        _check_width(d.n, d.s)
     return _design_ideal(d, order)
 
 

@@ -15,9 +15,9 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import and_, le, not_, or_
+from operator import add, and_, le, mul, not_, or_
 
-from .cyclotomic import QQ, Echelon, _cleared
+from .cyclotomic import QQ, Echelon, _cleared, omega
 from .errors import (
     BudgetError,
     InputError,
@@ -52,6 +52,7 @@ class Budget:
 
 DEFAULT_BUDGET = Budget()
 MAX_STANDARD_MONOMIALS = 1_000_000
+MAX_ECHELON_WIDTH = 512
 
 
 @dataclass(frozen=True)
@@ -315,8 +316,13 @@ def point_ideal_intersection(
     integer-coded designs every value vector is an integer vector and the
     fraction-free :class:`~algdoe.cyclotomic.Echelon` eliminates it by
     cross-multiplication; coefficients become Fractions only in the
-    generators.  Over Q(w_s) the echelon eliminates the rational coordinates
-    of each value vector's multiples by powers of w, with no field division.
+    generators.  Over Q(w_s) every coordinate must be a power w^k of w (an
+    InputError otherwise), as on complex-coded designs.  Each point is read
+    once as its level vector k, the value of x^u there is w^(u.k mod s), and
+    the walk carries these exponents; only the echelon, which eliminates the
+    rational coordinates of each value vector's multiples by powers of w,
+    sees the roots of unity.  Rows n(s-1) coordinates wide for n points are
+    refused above MAX_ECHELON_WIDTH with a ScaleError.
     """
     points = [tuple(p) for p in points]
     if not points:
@@ -334,26 +340,32 @@ def point_ideal_intersection(
         raise InputError("x_order universe does not match the points")
 
     ring = PolyRing(var_names, field)
-    coerced = _integral([[field.coerce(a) for a in p] for p in points])
+    root = None  # over Q(w_s), the root of unity w^k of a level k
+    if field == QQ:
+        coords = _integral([[field.coerce(a) for a in p] for p in points])
+    else:
+        _check_width(len(points), field.order)
+        coords = [_levels(p, field) for p in points]
+        root = functools.cache(functools.partial(omega, field.order))
+    one, times = _value_rule(field, coords)
     key = x_order.key
-    one = field.one
     ech = Echelon()
     est: list[Monomial] = []
     leads: list[Monomial] = []
     gens: list[Polynomial] = []
     start = (0,) * m
     # candidate -> its values on the points
-    values = {start: [1 if field == QQ else one] * len(points)}
+    values = {start: [one] * len(points)}
     heap = [(key(start), start)]
     while heap:
         _, t = heapq.heappop(heap)
         vec = values.pop(t)
         if any(mono_divides(lm, t) for lm in leads):
             continue
-        combo = ech.insert(vec, t)
+        combo = ech.insert(vec if root is None else map(root, vec), t)
         if combo is not None:
             terms = {s: -c for s, c in combo.items()}
-            terms[t] = one
+            terms[t] = field.one
             leads.append(t)
             gens.append(Polynomial(ring, terms))
             continue
@@ -361,10 +373,20 @@ def point_ideal_intersection(
         for j in range(m):
             u = t[:j] + (t[j] + 1,) + t[j + 1 :]
             if u not in values:
-                values[u] = [v * p[j] for v, p in zip(vec, coerced)]
+                values[u] = times(vec, j)
                 heapq.heappush(heap, (key(u), u))
-    _certify_vanishing_ideal(gens, est, coerced, x_order)
+    _certify_vanishing_ideal(gens, est, coords, x_order)
     return GroebnerBasis(x_order, tuple(gens))
+
+
+def _check_width(n: int, s: int) -> None:
+    """Refuse Buchberger-Moeller on n points over Q(w_s) when its echelon
+    rows, n(s-1) rational coordinates wide, would pass MAX_ECHELON_WIDTH."""
+    if n * (s - 1) > MAX_ECHELON_WIDTH:
+        raise ScaleError(
+            f"{n} points over Q(w{s}) need echelon rows of n(s-1) = {n * (s - 1)} "
+            f"coordinates, more than {MAX_ECHELON_WIDTH}"
+        )
 
 
 def _integral(points):
@@ -376,6 +398,36 @@ def _integral(points):
     ]
 
 
+def _levels(point, field) -> tuple[int, ...]:
+    """The level vector k of a Q(w_s) point (w^k1, ..., w^km), read from the
+    coordinates on 1, w, ..., w^(s-2): w^k is the k-th unit vector for
+    k < s - 1, and w^(s-1) is all -1."""
+    s = field.order
+    levels = []
+    for a in point:
+        c = field.coerce(a).coords
+        if c.count(0) == s - 2 and 1 in c:
+            levels.append(c.index(1))
+        elif c.count(-1) == s - 1:
+            levels.append(s - 1)
+        else:
+            shown = ", ".join(map(str, point))
+            raise InputError(f"point ({shown}) has a coordinate that is not a power of w{s}")
+    return tuple(levels)
+
+
+def _value_rule(field, points):
+    """The values of 1 on ``points`` and the map from the values of x^u and j
+    to those of x^u * x_j.  Over QQ the values are products of coordinates.
+    Over Q(w_s) the points are level vectors and a value is the exponent e
+    of w^e: x_j adds the level k_j mod s."""
+    columns = list(zip(*points))
+    if field == QQ:
+        return 1, lambda vec, j: list(map(mul, vec, columns[j]))
+    s = field.order
+    return 0, lambda vec, j: [e % s for e in map(add, vec, columns[j])]
+
+
 def _certify_vanishing_ideal(gens, est, points, order: TermOrder):
     """Prove that ``gens`` is a Groebner basis of the vanishing ideal I.
 
@@ -385,38 +437,56 @@ def _certify_vanishing_ideal(gens, est, points, order: TermOrder):
     returns it), and it has n = dim F[x]/I elements, so the two leading-term
     ideals are equal.
 
-    A rational generator is scaled by the lcm of its denominators, a nonzero
-    integer, before it is evaluated, so on points with int coordinates (as
-    :func:`_integral` makes them) the vanishing is checked in integers;
-    cyclotomic generators are evaluated in the field.
+    Each generator's coefficients are scaled by the lcm of their
+    denominators, a nonzero integer, and the vanishing is checked in
+    integers.  Over QQ, ``points`` are the coordinates, and on int
+    coordinates (as :func:`_integral` makes them) a generator is evaluated
+    directly.  Over Q(w_s), the generators' field, ``points`` are level
+    vectors k, the point being w^k.  There a term c x^u, c = sum c_j w^j,
+    is sum c_j w^(j + u.k), so each term adds its cleared coordinates into
+    s sums, one per power of w, shifted by u.k mod s.  The generator
+    vanishes at the point exactly when all s sums are equal, since
+    1 + w + ... + w^(s-1) = 0 is the only rational relation among the
+    powers of w for prime s.
     """
     leads = [g.leading_monomial(order) for g in gens]
-    values = {(0,) * len(points[0]): [1] * len(points)}
+    n = len(points)
+    field = gens[0].ring.field if gens else QQ
+    one, times = _value_rule(field, points)
+    values = {(0,) * len(points[0]): [one] * n}
 
     def at(u):
         """The values of x^u on the points, memoized: those of x^u / x_j, x_j
         the first variable of u, times x_j."""
         if u not in values:
             j = next(j for j, e in enumerate(u) if e)
-            w = at(u[:j] + (u[j] - 1,) + u[j + 1 :])
-            values[u] = [v * p[j] for v, p in zip(w, points)]
+            values[u] = times(at(u[:j] + (u[j] - 1,) + u[j + 1 :]), j)
         return values[u]
 
     for g in gens:
-        coeffs = g.terms.values()
-        if g.ring.field == QQ:
-            coeffs, _ = _cleared(coeffs)
-        total = [0] * len(points)  # the values of g on the points
-        for c, e in zip(coeffs, g.terms):
-            total = [t + c * v for t, v in zip(total, at(e))]
-        r = next((r for r, t in enumerate(total) if t), None)
+        if field == QQ:
+            coeffs, _ = _cleared(g.terms.values())
+            total = [0] * n  # the values of g on the points
+            for c, e in zip(coeffs, g.terms):
+                total = [t + c * v for t, v in zip(total, at(e))]
+            r = next((r for r, t in enumerate(total) if t), None)
+        else:
+            s = field.order
+            flat, _ = _cleared([c for a in g.terms.values() for c in a.coords])
+            sums = [[0] * s for _ in range(n)]  # per point, per power of w
+            for i, e in enumerate(g.terms):
+                c = flat[i * (s - 1) : (i + 1) * (s - 1)] + [0]
+                for r, k in enumerate(at(e)):
+                    # c[j] w^j times w^k lands on w^((j + k) mod s)
+                    sums[r] = list(map(add, sums[r], c[-k:] + c[:-k]))
+            r = next((r for r, t in enumerate(sums) if len(set(t)) > 1), None)
         if r is not None:
             raise AssertionError(
                 f"generator {g!r} does not vanish on the input point {points[r]}"
             )
-    if len(est) != len(points):
+    if len(est) != n:
         raise AssertionError(
-            f"{len(est)} standard monomials for {len(points)} distinct points"
+            f"{len(est)} standard monomials for {n} distinct points"
         )
     walk = _staircase(leads, len(points[0]), len(est))
     if walk is None or set(walk) != set(est):

@@ -12,7 +12,7 @@ from algdoe import (
     format_design,
     full_factorial,
 )
-from algdoe.cli import run
+from algdoe.cli import main, run
 
 
 @pytest.fixture()
@@ -481,3 +481,52 @@ def test_bad_counts_exit_code(workdir, counts):
         "--y", str(workdir / "bad.txt"),
     )
     assert code == 2
+
+
+# the Q(w3) and Q(w5) ideals and Est that the stdlib-install CI job pins, byte
+# for byte; the est lines are what its test "$(algdoe est ...)" compares
+L9_COMPLEX = "m=3 s=3 coding=complex\n0 0 0\n0 1 2\n0 2 1\n1 0 2\n1 1 1\n1 2 0\n2 0 1\n2 1 0\n2 2 2\n"
+Q5_COMPLEX = "m=2 s=5 coding=complex\n0 0\n1 1\n2 3\n4 2\n"
+PINNED_COMPLEX_OUTPUTS = [
+    (L9_COMPLEX, "ideal", "grevlex", """\
+order=grevlex vars=x1,x2,x3
+x2^2-x1*x3
+x1*x2-x3^2
+x1^2-x2*x3
+x3^3-1
+"""),
+    (L9_COMPLEX, "ideal", "lex", """\
+order=lex vars=x1,x2,x3
+x3^3-1
+x2^3-1
+x1-x2^2*x3^2
+"""),
+    (L9_COMPLEX, "est", "grevlex", "1, x1, x2, x3, x1*x3, x2*x3, x3^2, x1*x3^2, x2*x3^2\n"),
+    (L9_COMPLEX, "est", "lex", "1, x2, x3, x2^2, x2*x3, x3^2, x2^2*x3, x2*x3^2, x2^2*x3^2\n"),
+    (Q5_COMPLEX, "ideal", "grevlex", """\
+order=grevlex vars=x1,x2
+x1*x2+(-6/11+6/11*w+4/11*w^2+8/11*w^3)*x2^2+(-4/11-7/11*w-12/11*w^2-13/11*w^3)*x1+(7/11+4/11*w+10/11*w^2+9/11*w^3)*x2+(-8/11-3/11*w-2/11*w^2-4/11*w^3)
+x1^2+(-3/11+3/11*w+2/11*w^2+4/11*w^3)*x2^2+(-2/11+2/11*w-6/11*w^2-1/11*w^3)*x1+(-2/11-9/11*w+5/11*w^2-1/11*w^3)*x2+(-4/11+4/11*w-1/11*w^2-2/11*w^3)
+x2^3+(-7/11-4/11*w+1/11*w^2+2/11*w^3)*x2^2+(-1/11+1/11*w-14/11*w^2-6/11*w^3)*x1+(-1/11+1/11*w+8/11*w^2+5/11*w^3)*x2+(-2/11+2/11*w+5/11*w^2-1/11*w^3)
+"""),
+    (Q5_COMPLEX, "ideal", "lex", """\
+order=lex vars=x1,x2
+x2^4+(-1-w-w^2-w^3)*x2^3+(w^3)*x2^2+(w^2)*x2+(w)
+x1+(-2/5-1/5*w-2/5*w^2-w^3)*x2^3+(-1/5-1/5*w+2/5*w^3)*x2^2+(-2/5+1/5*w^2+1/5*w^3)*x2+(2/5*w+1/5*w^2+2/5*w^3)
+"""),
+    (Q5_COMPLEX, "est", "grevlex", "1, x1, x2, x2^2\n"),
+    (Q5_COMPLEX, "est", "lex", "1, x2, x2^2, x2^3\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "design, command, order, expected",
+    PINNED_COMPLEX_OUTPUTS,
+    ids=[f"{'l9' if d == L9_COMPLEX else 'q5'}-{c}-{o}" for d, c, o, _ in PINNED_COMPLEX_OUTPUTS],
+)
+def test_pinned_complex_outputs(tmp_path, capsys, design, command, order, expected):
+    path = tmp_path / "complex.design"
+    path.write_text(design)
+    assert main([command, "--design", str(path), "--order", order]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (expected, "")

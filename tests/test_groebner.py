@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -17,19 +18,25 @@ from algdoe import (
     ScaleError,
     TermOrder,
     buchberger,
+    cyclotomic_field,
     design_ideal,
+    est_monomials,
     ideal_membership,
+    omega,
     point_ideal_intersection,
     reduce_basis,
     s_polynomial,
     standard_monomials,
 )
+from algdoe import cyclotomic, groebner
+from algdoe.cyclotomic import CyclotomicNumber
 from algdoe.groebner import (
     GroebnerBasis,
     _certify_vanishing_ideal,
     spolynomials_reduce_to_zero,
 )
 from algdoe.polynomials import mono_divides, normal_form
+from conftest import THREE_LEVEL_RUNS
 
 R7 = PolyRing([f"x{i}" for i in range(1, 8)])
 LEX7 = TermOrder.lex(7)
@@ -423,13 +430,156 @@ def test_certificate_rejects_a_complex_generator_that_does_not_vanish(
     three_level_complex,
 ):
     order = TermOrder.grevlex(3)
-    points = three_level_complex.points()
+    points = three_level_complex.runs  # over Q(w_s) the certificate reads levels
     G = design_ideal(three_level_complex, order)
     gens, est = list(G.elements), list(standard_monomials(G))
     _certify_vanishing_ideal(gens, est, points, order)
     gens[-1] = _with_tail_coefficient_changed(gens[-1], order)
     with pytest.raises(AssertionError, match="does not vanish on the input point"):
         _certify_vanishing_ideal(gens, est, points, order)
+
+
+# the L9 over Q(w3), the Q(w5) design of the CI workflow, and a Q(w7) design
+COMPLEX_DESIGNS = [
+    Design(3, 3, THREE_LEVEL_RUNS, "complex"),
+    Design(2, 5, ((0, 0), (1, 1), (2, 3), (4, 2)), "complex"),
+    Design(2, 7, ((0, 0), (0, 3), (1, 5), (2, 2), (4, 6), (6, 1)), "complex"),
+]
+COMPLEX_CASES = [
+    (d, order(d.m)) for d in COMPLEX_DESIGNS for order in (TermOrder.lex, TermOrder.grevlex)
+]
+
+
+def _complex_certificate_inputs(d, order):
+    G = design_ideal(d, order)
+    return list(G.elements), list(standard_monomials(G)), d.runs
+
+
+@pytest.mark.parametrize("d, order", COMPLEX_CASES)
+def test_complex_certificate_rejects_every_perturbed_coordinate(d, order):
+    # each w-coordinate of each coefficient, the leading one included, moved by
+    # a tiny and by a plain fraction: the cleared integer sums must see both
+    gens, est, points = _complex_certificate_inputs(d, order)
+    _certify_vanishing_ideal(gens, est, points, order)
+    cases = 0
+    for i, g in enumerate(gens):
+        for e, c in g.terms.items():
+            for j in range(d.s - 1):
+                for delta in (Fraction(1, 2**61), Fraction(-1, 3)):
+                    coords = list(c.coords)
+                    coords[j] += delta
+                    bad = list(gens)
+                    changed = CyclotomicNumber(d.s, tuple(coords))
+                    bad[i] = Polynomial(g.ring, {**g.terms, e: changed})
+                    with pytest.raises(AssertionError, match="does not vanish on the input point"):
+                        _certify_vanishing_ideal(bad, est, points, order)
+                    cases += 1
+    assert cases >= 2 * (d.s - 1) * len(gens)
+
+
+@pytest.mark.parametrize("d, order", COMPLEX_CASES)
+def test_complex_certificate_names_the_point_where_a_generator_fails(d, order):
+    # the generators of the design's ideal vanish on its runs and on no other
+    # point, so appended last, an outside point is the one the check names
+    gens, est, points = _complex_certificate_inputs(d, order)
+    outside = next(p for p in itertools.product(range(d.s), repeat=d.m) if p not in points)
+    with pytest.raises(AssertionError, match=re.escape(f"input point {outside}")):
+        _certify_vanishing_ideal(gens, est, points + (outside,), order)
+
+
+@pytest.mark.parametrize("d, order", COMPLEX_CASES)
+def test_complex_certificate_rejects_est_with_a_border_monomial(d, order):
+    gens, est, points = _complex_certificate_inputs(d, order)
+    est[-1] = gens[0].leading_monomial(order)
+    with pytest.raises(AssertionError, match="staircase"):
+        _certify_vanishing_ideal(gens, est, points, order)
+
+
+@pytest.mark.parametrize(
+    "s, coordinate",
+    [(3, 0), (3, -1), (3, Fraction(1, 2)), (3, omega(3, 1) + 1), (5, omega(5, 2) * 2), (7, 2)],
+)
+def test_complex_points_must_be_powers_of_omega(s, coordinate):
+    points = [(omega(s, 0), omega(s, 1)), (omega(s, 1), coordinate)]
+    shown = f"point (w, {coordinate}) has a coordinate that is not a power of w{s}"
+    with pytest.raises(InputError, match=re.escape(shown)):
+        point_ideal_intersection(points, field=cyclotomic_field(s))
+
+
+def test_complex_points_may_be_given_as_rationals_or_any_power():
+    # 1 = w^0, w^(s+1) = w; over Q(w2), -1 = w
+    G = point_ideal_intersection(
+        [(1, omega(5, 6)), (omega(5, 4), omega(5, 0))], field=cyclotomic_field(5)
+    )
+    assert G == point_ideal_intersection(
+        [(omega(5, 0), omega(5, 1)), (omega(5, 4), omega(5, 0))], field=cyclotomic_field(5)
+    )
+    G = point_ideal_intersection([(1,), (-1,)], field=cyclotomic_field(2))
+    assert [g.text(G.order) for g in G.elements] == ["x1^2-1"]
+
+
+def test_wide_complex_echelon_is_refused_before_any_point(monkeypatch):
+    def called(*args):
+        raise AssertionError("a point was built")
+
+    monkeypatch.setattr(Design, "points", called)
+    monkeypatch.setattr(cyclotomic, "omega", called)
+    monkeypatch.setattr(groebner, "omega", called)
+    d = Design(1, 10000019, ((0,), (1,)), "complex")
+    with pytest.raises(
+        ScaleError, match=r"^2 points over Q\(w10000019\) .* n\(s-1\) = 20000036 .* more than 512$"
+    ):
+        design_ideal(d, TermOrder.grevlex(1))
+
+
+def test_echelon_width_bound_is_inclusive(monkeypatch):
+    # the CI's Q(w5) design has n(s-1) = 16, on the direct route too
+    d = COMPLEX_DESIGNS[1]
+    monkeypatch.setattr(groebner, "MAX_ECHELON_WIDTH", 16)
+    assert len(point_ideal_intersection(d.points(), field=d.field()).elements) == 3
+    monkeypatch.setattr(groebner, "MAX_ECHELON_WIDTH", 15)
+    with pytest.raises(ScaleError, match="n\\(s-1\\) = 16 coordinates, more than 15"):
+        point_ideal_intersection(d.points(), field=d.field())
+    with pytest.raises(ScaleError, match="more than 15"):
+        design_ideal(Design(2, 5, d.runs[:3] + ((3, 3),), "complex"), TermOrder.lex(2))
+
+
+def _complex_corpus():
+    """300 seeded complex-coded designs over Q(w3), Q(w5) and Q(w7), each
+    under lex, grevlex or a two-block order."""
+    rng = random.Random(2026)
+    sizes = {3: ((2, 3), 20), 5: ((2, 2), 12), 7: ((2, 2), 10)}
+    for i in range(300):
+        s = (3, 5, 7)[i % 3]
+        (lo, hi), most = sizes[s]
+        m = rng.randint(lo, hi)
+        pool = list(itertools.product(range(s), repeat=m))
+        runs = tuple(sorted(rng.sample(pool, rng.randint(1, min(len(pool), most)))))
+        h = m // 2
+        order = (
+            TermOrder.lex(m),
+            TermOrder.grevlex(m),
+            TermOrder.block([(range(h), "grevlex"), (range(h, m), "grevlex")]),
+        )[i // 3 % 3]
+        yield Design(m, s, runs, "complex"), order
+
+
+def test_complex_design_ideal_corpus_is_unchanged():
+    # the digest was taken with the generators computed and certified in the
+    # field; every tenth ideal is also checked here by field evaluation
+    digest = hashlib.sha256()
+    for i, (d, order) in enumerate(_complex_corpus()):
+        G = design_ideal(d, order)
+        for g in G.elements:
+            digest.update(f"{g!r}\n{g.text(order)}\n".encode())
+        est = est_monomials(d, order)
+        digest.update(f"{est!r}\n".encode())
+        if i % 10 == 0:
+            assert all(not g.evaluate(p) for g in G.elements for p in d.points())
+            assert len(est) == d.n
+    assert digest.hexdigest() == (
+        "b21fb6fa1d056f38734191198d8153817417034471ab5bd04299375742a2a89a"
+    )
 
 
 def test_certifying_self_check():
