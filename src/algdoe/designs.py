@@ -336,7 +336,11 @@ def _columns(d: Design) -> list[int]:
 
 def _run_indices(d: Design) -> list[int]:
     """Each run's ``product_index(run, RUN_LEVELS)``, read off the packed table."""
-    digits, m = d._digits, d.m
+    return _base2_reads(d._digits, d.m)
+
+
+def _base2_reads(digits: bytes, m: int) -> list[int]:
+    """The value of each m-digit row of ``digits`` (ASCII 0/1) in base 2."""
     return [int(digits[i : i + m], 2) for i in range(0, len(digits), m)]
 
 

@@ -36,13 +36,15 @@ from functools import cache
 from itertools import chain, compress, product
 
 from .designs import (RUN_LEVELS, WORD_LEVELS, Design, Word, _columns, _gf2_insert,
-                      _product, _run_indices, product_element, product_index)
+                      _base2_reads, _product, _run_indices, product_element,
+                      product_index)
 from .errors import InputError, InvalidIndicatorError, ScaleError
 from .orders import Monomial, monomial_name
 from .polynomials import PolyRing, Polynomial
 
 MAX_EXPANSION_FACTORS = 20
 LANE_CHUNK_BYTES = 4096  # bytes of packed lanes per chunk of the transform
+_BINARY = bytes.maketrans(b"\0\1", b"01")  # exponent bytes to ASCII digits
 
 
 class IndicatorFunction:
@@ -53,14 +55,19 @@ class IndicatorFunction:
     def __init__(self, m: int, coeffs):
         self.m = m
         coeffs = dict(coeffs)
-        keys = list(map(tuple, coeffs))
+        if not set(map(type, coeffs)) <= {tuple}:
+            coeffs = dict(zip(map(tuple, coeffs), coeffs.values()))
+        keys = coeffs.keys()
         # the exponents are checked once over the whole table, as sets
         if not (set(map(len, keys)) <= {m} and set(chain.from_iterable(keys)) <= {0, 1}):
             raise InputError(f"indicator exponents must lie in {{0,1}}^{m}")
-        values = coeffs.values()
-        if not set(map(type, values)) <= {Fraction}:
-            values = map(Fraction, values)
-        self.coeffs = {bits: c for bits, c in zip(keys, values) if c}
+        if not set(map(type, coeffs.values())) <= {Fraction}:
+            coeffs = dict(zip(keys, map(Fraction, coeffs.values())))
+        # the zero test runs in C, and a table with no zero, such as the
+        # forward transform's, is kept as built
+        if not all(coeffs.values()):
+            coeffs = {bits: c for bits, c in coeffs.items() if c}
+        self.coeffs = coeffs
 
     def __eq__(self, other):
         return (
@@ -186,12 +193,17 @@ def design_from_indicator(f: IndicatorFunction) -> Design:
     if m > MAX_EXPANSION_FACTORS:
         raise ScaleError(f"indicator expansion capped at m <= {MAX_EXPANSION_FACTORS}")
     denom = 1 << m
-    scaled = [0] * denom
-    for bits, c in f.coeffs.items():
+    # each distinct value object is checked and scaled once: the forward
+    # transform shares one Fraction per value of its spectrum, and the first
+    # object to fail is the value of the first coefficient to fail
+    coefficients = f.coeffs.values()
+    scale = {}
+    for key, c in dict(zip(map(id, coefficients), coefficients)).items():
         num, den = c.numerator, c.denominator
         # |b_a| <= b_0 <= 1 on an indicator, so the transform's input sums to
         # at most 2^(2m) in absolute value
         if abs(num) > den:
+            bits = next(bits for bits, v in f.coeffs.items() if v is c)
             raise InvalidIndicatorError(
                 f"coefficient {c} of {monomial_name(bits)} exceeds 1 in absolute "
                 "value, so it cannot belong to a 0/1-valued indicator"
@@ -200,7 +212,17 @@ def design_from_indicator(f: IndicatorFunction) -> Design:
             raise InvalidIndicatorError(
                 f"coefficient {c} cannot belong to a 0/1-valued indicator"
             )
-        scaled[product_index(bits, WORD_LEVELS)] = num * (denom // den)
+        scale[key] = num * (denom // den)
+    # each exponent tuple's position is the base-2 read of its digits
+    try:
+        digits = bytes(chain.from_iterable(f.coeffs))
+    except TypeError:  # exponents that equal 0 or 1 but are not ints
+        digits = bytes(map(int, chain.from_iterable(f.coeffs)))
+    # (m = 0 has the one exponent tuple (), at position 0)
+    at = _base2_reads(digits.translate(_BINARY), m) if m else [0] * len(f.coeffs)
+    scaled = [0] * denom
+    for idx, v in zip(at, map(scale.__getitem__, map(id, coefficients))):
+        scaled[idx] = v
     values = _walsh_hadamard(scaled)
     if not set(values) <= {0, denom}:
         v = next(v for v in values if v not in (0, denom))

@@ -11,11 +11,15 @@ binomials x^lead - x^trail held as pairs of exponent tuples: a monomial u is
 reduced by an element whose lead divides it to u - lead + trail, and the
 leads and S-pairs are kept by the Gebauer-Moeller bookkeeping of the generic
 engine, :class:`algdoe.groebner._Completion`.  The binomials of the
-resulting reduced basis are moves that connect every fiber.
+resulting reduced basis are moves that connect every fiber.  A basis is
+computed once per kernel lattice basis and budget and kept in a memo; each
+new one is certified to generate the whole kernel lattice, not a sublattice,
+by comparing Hermite normal forms.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from operator import add, sub
 
@@ -53,17 +57,34 @@ def markov_basis(A: CovariateMatrix, budget: Budget = DEFAULT_BUDGET) -> MarkovB
     because the intercept makes every binomial homogeneous) and reduces the
     quotients; the last step, p_n, leaves the reduced basis under
     grevlex(p1..pn).  Variables on which the lattice basis is a unit vector
-    need no step.  The moves are its binomials, lead minus trail, sorted,
-    and each is certified to be a kernel vector.  ``budget.max_pairs`` bounds
-    the S-pairs made by each completion; exceeding it raises BudgetError
-    saying how far the saturation got and what the completion did, with a
-    hint to use exhaustive enumeration.  ``budget.max_terms`` does not apply:
-    every element has two terms.
+    need no step.  The moves are its binomials, lead minus trail, sorted.
+
+    The basis depends on the kernel lattice alone, so the saturation is
+    memoized on its inputs (:func:`_lattice_basis`): matrices with the same
+    lattice basis, such as one model under different contrast schemes, share
+    one computation.  Every call certifies the lattice basis and the moves
+    to be kernel vectors of its own recoded matrix.  ``budget.max_pairs``
+    bounds the S-pairs made by each completion; exceeding it raises
+    BudgetError saying how far the saturation got and what the completion
+    did, with a hint to use exhaustive enumeration.  ``budget.max_terms``
+    does not apply: every element has two terms.
     """
     recoded = recode_integer(A)
     n = A.n
     lattice, unit = _kernel_lattice(recoded, n)
     _certify_kernel(recoded, lattice)
+    basis = _lattice_basis(n, tuple(lattice), frozenset(unit), budget.max_pairs)
+    _certify_kernel(recoded, basis.moves)
+    return basis
+
+
+@functools.lru_cache(maxsize=256)
+def _lattice_basis(n: int, lattice, unit, max_pairs: int) -> MarkovBasis:
+    """The reduced Markov basis of the lattice spanned by ``lattice``, with
+    ``unit`` the coordinates on which that basis is the identity, certified
+    to generate the same lattice.  Its arguments are every input of the
+    saturation, so a budget error is raised alike on every call, and errors
+    are not cached."""
     if not lattice:
         # trivial kernel: every fiber is a singleton
         return MarkovBasis(n, ())
@@ -76,7 +97,7 @@ def markov_basis(A: CovariateMatrix, budget: Budget = DEFAULT_BUDGET) -> MarkovB
     saturate = [k for k in range(n - 1) if k not in unit] + [n - 1]
     for done, k in enumerate(saturate):
         try:
-            gens = _saturate(gens, k, budget.max_pairs)
+            gens = _saturate(gens, k, max_pairs)
         except BudgetError as exc:
             raise BudgetError(
                 f"{exc}, while saturating p{k + 1} ({done} of {len(saturate)} "
@@ -85,7 +106,8 @@ def markov_basis(A: CovariateMatrix, budget: Budget = DEFAULT_BUDGET) -> MarkovB
             ) from exc
 
     moves = sorted(tuple(map(sub, lead, trail)) for lead, trail in gens)
-    _certify_kernel(recoded, moves)
+    if _hermite(moves) != _hermite(lattice):
+        raise AssertionError("the moves generate a proper sublattice of the kernel")
     return MarkovBasis(n, tuple(moves))
 
 
@@ -207,6 +229,27 @@ def _gcd_pivot(rows, start: int, c: int) -> int:
             if i != p:
                 q = rows[i][c] // rows[p][c]
                 rows[i] = [a - q * b for a, b in zip(rows[i], rows[p])]
+
+
+def _hermite(vectors) -> list[list[int]]:
+    """The Hermite normal form of the lattice the integer vectors span: its
+    nonzero rows, each pivot positive and every entry above a pivot in
+    [0, pivot).  Equal forms mean equal lattices."""
+    rows = [list(z) for z in vectors]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = _gcd_pivot(rows, rank, c)
+        if not pivot:
+            continue
+        row = rows[rank]
+        if pivot < 0:
+            row[:] = [-v for v in row]
+            pivot = -pivot
+        for i in range(rank):
+            if q := rows[i][c] // pivot:
+                rows[i] = [a - q * b for a, b in zip(rows[i], row)]
+        rank += 1
+    return rows[:rank]
 
 
 def _residual(recoded, move) -> tuple[int, ...]:

@@ -190,6 +190,19 @@ def _chain(y0, moves, cfg: ChainConfig, seeds):
     return states, runs
 
 
+def _check_fit(recoded, y0, fit: GlmFit) -> None:
+    """Refuse a fit of another fiber.  A'y is an integer vector in the
+    recoded coordinates, so two fibers differ by at least 1 there, while the
+    fit of y0 meets A'mu = A'y0 to within the score tolerance."""
+    for col in recoded:
+        gap = sum(c * (y - mu) for c, y, mu in zip(col, y0, fit.mu))
+        if abs(gap) >= 0.5:
+            raise InputError(
+                f"the fit is not of the fiber of y0: A'mu misses A'y0 by {gap:.6g} "
+                "in a recoded coordinate"
+            )
+
+
 def _batch_means_se(indicators) -> float:
     """Batch-means standard error of the mean of 0/1 ints, from the integer
     batch counts with one final division, so no float sum sets its digits."""
@@ -215,7 +228,8 @@ def mh_sample(
 
     Runs ``chains`` independent chains with seeds split from the master seed
     and pools their counts.  A degenerate fiber (no moves) returns p = 1.
-    A move outside the kernel of A, which would leave the fiber, is refused.
+    A move outside the kernel of A, which would leave the fiber, is refused,
+    and so is a ``fit`` of another fiber than y0's.
     """
     _check_statistic(kind)
     if chains < 1:
@@ -228,6 +242,7 @@ def mh_sample(
     if fit is None:
         fit = fit_null_glm(A, y0)
     t_obs = test_statistic(kind, y0, fit)
+    _check_fit(recoded, y0, fit)
     if not basis.moves:
         return TestResult(t_obs, 1.0, 0.0, 0, "mcmc")
     seeds = [chain_seed(cfg.seed, c) for c in range(chains)]
@@ -269,7 +284,8 @@ def exact_p_value(
     """Exact conditional p-value by complete fiber enumeration.
 
     The fiber weights 1/prod(y_i!) are handled exactly, as the integers
-    N!/prod(y_i!); only the test statistic itself is floating point.
+    N!/prod(y_i!); only the test statistic itself is floating point.  A
+    ``fit`` of another fiber than y0's is refused.
     """
     _check_statistic(kind)
     y0 = _check_counts(A.n, y0)
@@ -280,6 +296,7 @@ def exact_p_value(
     if fit is None:
         fit = fit_null_glm(A, y0)
     t_obs = test_statistic(kind, y0, fit)
+    _check_fit(recode_integer(A), y0, fit)
     weights = _multinomial_weights(fiber)
     num = sum(
         w

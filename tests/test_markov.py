@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -25,6 +26,7 @@ from algdoe.groebner import (
     reduce_basis,
     spolynomials_reduce_to_zero,
 )
+from algdoe import markov
 from algdoe.markov import MarkovBasis, _kernel_lattice, _reduce, _residual, _saturate
 
 
@@ -519,13 +521,7 @@ def test_buchberger_binomial_ideals_certify():
 
 
 def test_moves_match_generic_engine_resolution_iii_fraction():
-    # the 16-run 2^(7-3) fraction x5 = x1x2, x6 = x1x3, x7 = x2x3
-    words = (
-        Word((1, 1, 0, 0, 1, 0, 0), 1),
-        Word((1, 0, 1, 0, 0, 1, 0), 1),
-        Word((0, 1, 1, 0, 0, 0, 1), 1),
-    )
-    A = build_covariate_matrix(regular_design_from_words(7, words), main_effects(7))
+    A = _resolution_iii_fraction()
     moves = markov_basis(A, CAP).moves
     assert len(moves) == 33
     assert moves == _reference_moves(A)
@@ -544,3 +540,150 @@ def test_reduce_tail_reduces_trails():
     # (coprime leads); the reduced one replaces the trail x1x2 by x1x3
     basis = [((2, 0, 0), (1, 1, 0)), ((0, 1, 0), (0, 0, 1))]
     assert sorted(_reduce(basis, TermOrder.grevlex(3).key)) == [((0, 1, 0), (0, 0, 1)), ((2, 0, 0), (1, 0, 1))]
+
+
+# -- the memo of Markov bases per kernel lattice ----------------------------
+
+NO_THREE_WAY = [term(3, 1, 2), term(3, 1, 3), term(3, 2, 3)]
+
+
+def _conditional_models():
+    """The models of the conditional benchmark workload
+    (perfbench/conditional.py), in its order."""
+    ff3, ff33 = full_factorial(3), full_factorial(2, 3)
+    return [
+        build_covariate_matrix(ff3, main_effects(3)),
+        build_covariate_matrix(ff3, main_effects(3) + [term(3, 1, 2)]),
+        *(build_covariate_matrix(ff33, main_effects(2), c) for c in CONTRASTS),
+        build_covariate_matrix(full_factorial(4), main_effects(4)),
+        build_covariate_matrix(ff3, main_effects(3) + NO_THREE_WAY),
+    ]
+
+
+def _resolution_iii_fraction():
+    # the 16-run 2^(7-3) fraction x5 = x1x2, x6 = x1x3, x7 = x2x3
+    words = (
+        Word((1, 1, 0, 0, 1, 0, 0), 1),
+        Word((1, 0, 1, 0, 0, 1, 0), 1),
+        Word((0, 1, 1, 0, 0, 0, 1), 1),
+    )
+    return build_covariate_matrix(regular_design_from_words(7, words), main_effects(7))
+
+
+def test_warm_basis_equals_cold_basis(d22, w16):
+    models = _conditional_models() + [
+        build_covariate_matrix(d22, main_effects(2)),
+        build_covariate_matrix(d22, main_effects(2) + [term(2, 1, 2)]),
+        build_covariate_matrix(full_factorial(2), [term(2)]),
+        build_covariate_matrix(w16, main_effects(7)),
+        _resolution_iii_fraction(),
+    ]
+    for A in models:
+        warm = markov_basis(A, CAP)
+        # a hit returns the very basis that the miss computed
+        assert markov_basis(A, CAP) is warm
+        markov._lattice_basis.cache_clear()
+        assert markov_basis(A, CAP) == warm
+
+
+def test_three_contrasts_share_one_entry():
+    markov._lattice_basis.cache_clear()
+    d = full_factorial(2, 3)
+    bases = [markov_basis(build_covariate_matrix(d, main_effects(2), c), CAP)
+             for c in CONTRASTS]
+    info = markov._lattice_basis.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+    assert bases[0] is bases[1] is bases[2]
+
+
+def test_smaller_budget_after_success_still_raises():
+    A = build_covariate_matrix(full_factorial(3), main_effects(3))
+    assert markov_basis(A, CAP).moves == GOLDEN_2_3_MAIN
+    with pytest.raises(BudgetError, match=r"saturating p\d+ \(\d+ of \d+ variables done\)"):
+        markov_basis(A, Budget(max_pairs=2))
+
+
+def test_raised_error_leaves_no_entry():
+    markov._lattice_basis.cache_clear()
+    A = build_covariate_matrix(full_factorial(3), main_effects(3))
+    with pytest.raises(BudgetError):
+        markov_basis(A, Budget(max_pairs=2))
+    assert markov._lattice_basis.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("terms", [main_effects(2), main_effects(3) + NO_THREE_WAY])
+def test_moves_spanning_a_sublattice_are_caught(terms, monkeypatch):
+    # both models have a single move; doubled, it spans a sublattice of index 2
+    # that still lies in the kernel, so only the lattice certificate sees it
+    A = build_covariate_matrix(full_factorial(len(terms[0])), terms)
+    saturate = markov._saturate
+
+    def doubled(binomials, k, max_pairs):
+        out = saturate(binomials, k, max_pairs)
+        if k == A.n - 1:
+            (lead, trail), *rest = out
+            out = [(tuple(2 * v for v in lead), tuple(2 * v for v in trail)), *rest]
+        return out
+
+    markov._lattice_basis.cache_clear()
+    monkeypatch.setattr(markov, "_saturate", doubled)
+    with pytest.raises(AssertionError, match="sublattice"):
+        markov_basis(A, CAP)
+    assert markov._lattice_basis.cache_info().currsize == 0
+
+
+def test_hermite_form_is_the_lattice_invariant():
+    rng = random.Random(41)
+    for _ in range(50):
+        n, r = rng.randint(2, 6), rng.randint(2, 4)
+        basis = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(r)]
+        # elementary changes of a spanning set keep its lattice, and its form
+        mixed = [list(z) for z in basis]
+        for _ in range(10):
+            i, j = rng.sample(range(r), 2)
+            q = rng.randint(-2, 2)
+            mixed[i] = [a + q * b for a, b in zip(mixed[i], mixed[j])]
+        form = markov._hermite(basis)
+        assert markov._hermite(mixed[::-1] + [[0] * n]) == form
+        for k, row in enumerate(form):
+            c = next(j for j, v in enumerate(row) if v)
+            assert row[c] > 0
+            assert all(0 <= above[c] < row[c] for above in form[:k])
+            assert all(below[c] == 0 for below in form[k + 1:])
+    assert markov._hermite([(2, 0), (0, 1)]) != markov._hermite([(1, 0), (0, 1)])
+
+
+def _markov_corpus():
+    """The conditional workload's models, which include the golden ones, and
+    the resolution III fraction, then 200 models drawn the way _random_model
+    draws them."""
+    models = _conditional_models() + [_resolution_iii_fraction()]
+    rng = random.Random(2027)
+    drawn = 0
+    while drawn < 200:
+        A = _random_model(rng)
+        if A is not None:
+            models.append(A)
+            drawn += 1
+    return models
+
+
+# sha256 of the corpus's moves as the saturation computed them before the
+# memo existed
+MARKOV_CORPUS_SHA256 = (
+    "8cd50e3b4dffd06c228e21099fa749703ef81aae7451c58624e37b78d78a93d4"
+)
+
+
+def test_markov_corpus_is_unchanged():
+    models = _markov_corpus()
+    markov._lattice_basis.cache_clear()
+    for _ in ("cold", "warm"):
+        digest = hashlib.sha256()
+        for A in models:
+            digest.update(f"{A.n} {markov_basis(A, CAP).moves!r}\n".encode())
+        assert digest.hexdigest() == MARKOV_CORPUS_SHA256
+    # every model of the warm pass was a hit
+    info = markov._lattice_basis.cache_info()
+    assert info.hits >= len(models)
+    assert info.currsize == info.misses

@@ -10,6 +10,7 @@ from algdoe import (
     Design,
     InputError,
     build_covariate_matrix,
+    enumerate_fiber,
     exact_p_value,
     full_factorial,
     fiber_distribution,
@@ -157,6 +158,38 @@ def test_mh_sample_rejects_moves_outside_the_kernel(setup_2x2):
     # a move for three runs against a four-run matrix
     with pytest.raises(InputError, match=r"move \(1, -1, 0\)"):
         mh_sample(A, (1, 1, 1, 1), MarkovBasis(3, ((1, -1, 0),)), "pearson", cfg)
+
+
+# 2^3 main effects: the fit of FIT_POINT belongs to another fiber than
+# OBSERVED's (totals 12 and 6); with it, Pearson's p_exact would read 7/25
+# where the observed point's own fit gives 4/25
+FIT_POINT = (3, 1, 0, 2, 2, 0, 1, 3)
+OBSERVED = (1, 2, 0, 0, 0, 1, 2, 0)
+
+
+def test_fit_of_another_fiber_is_refused():
+    A = build_covariate_matrix(full_factorial(3), main_effects(3))
+    other = fit_null_glm(A, FIT_POINT)
+    assert exact_p_value(A, OBSERVED, "pearson").p_exact == Fraction(4, 25)
+    with pytest.raises(InputError, match="not of the fiber of y0"):
+        exact_p_value(A, OBSERVED, "pearson", fit=other)
+    cfg = ChainConfig(seed=1, burn_in=10, samples=100)
+    with pytest.raises(InputError, match="not of the fiber of y0"):
+        mh_sample(A, OBSERVED, markov_basis(A), "pearson", cfg, fit=other)
+
+
+def test_fit_of_another_point_of_the_fiber_is_accepted():
+    A = build_covariate_matrix(full_factorial(3), main_effects(3))
+    fiber = enumerate_fiber(A, OBSERVED)
+    point = next(y for y in fiber if y != OBSERVED)
+    fit = fit_null_glm(A, point)
+    for kind in ("pearson", "deviance"):
+        own = exact_p_value(A, OBSERVED, kind)
+        assert exact_p_value(A, OBSERVED, kind, fit=fit).p_exact == own.p_exact
+    cfg = ChainConfig(seed=1, burn_in=10, samples=100)
+    basis = markov_basis(A)
+    assert (mh_sample(A, OBSERVED, basis, "pearson", cfg, fit=fit).p_value
+            == mh_sample(A, OBSERVED, basis, "pearson", cfg).p_value)
 
 
 def test_chain_needs_a_move():
