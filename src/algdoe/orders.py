@@ -108,15 +108,6 @@ class TermOrder:
             self._cache[a] = k
         return k
 
-    def compare(self, a: Monomial, b: Monomial) -> int:
-        """-1, 0, or +1 as ``a`` is less than, equal to, or greater than ``b``."""
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return -1
-        if ka > kb:
-            return 1
-        return 0
-
 
 def _prec(nvars: int, precedence):
     if precedence is None:

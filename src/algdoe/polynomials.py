@@ -443,6 +443,8 @@ def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
         if peek() == ("op", "/"):
             take()
             den = int(take("num")[1])
+            if not den:
+                raise InputError(f"zero denominator in {num}/0")
             return Fraction(num, den)
         return Fraction(num)
 

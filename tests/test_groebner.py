@@ -439,7 +439,7 @@ def test_certificate_rejects_a_complex_generator_that_does_not_vanish(
         _certify_vanishing_ideal(gens, est, points, order)
 
 
-# the L9 over Q(w3), the Q(w5) design of the CI workflow, and a Q(w7) design
+# the L9 over Q(w3), the Q(w5) design of the golden CLI cases, and a Q(w7) design
 COMPLEX_DESIGNS = [
     Design(3, 3, THREE_LEVEL_RUNS, "complex"),
     Design(2, 5, ((0, 0), (1, 1), (2, 3), (4, 2)), "complex"),

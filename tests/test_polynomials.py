@@ -131,7 +131,9 @@ def test_parenthesised_coefficients():
 
 
 @pytest.mark.parametrize(
-    "text", ["(w)", "(w)*x1", "(1+w)", "(x1)", "(2", "2)", "()", "x1+", "x8", "2 x1"]
+    "text",
+    ["(w)", "(w)*x1", "(1+w)", "(x1)", "(2", "2)", "()", "x1+", "x8", "2 x1", "1/0*x1",
+     "1/4+(1/0)*x1"],
 )
 def test_rational_ring_rejects(text):
     with pytest.raises(InputError):
