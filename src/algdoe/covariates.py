@@ -108,8 +108,15 @@ def build_covariate_matrix(
     if not terms or any(terms[0]):
         raise InputError("the model must start with the intercept term '1'")
     for t in terms[1:]:
-        if len(t) != d.m or any(e not in (0, 1) for e in t) or not any(t):
-            raise InputError(f"bad model term {t}")
+        name = monomial_name(t)
+        if len(t) != d.m:
+            raise InputError(
+                f"bad model term {name}: {len(t)} exponents for {d.m} factors"
+            )
+        if not any(t):
+            raise InputError(f"bad model term {name}: the intercept may only come first")
+        if any(e not in (0, 1) for e in t):
+            raise InputError(f"bad model term {name}: not square-free")
     if len(set(terms)) != len(terms):
         raise InputError("duplicate model terms")
     if d.s == 2:

@@ -235,7 +235,7 @@ class RationalField:
             if value.is_rational():
                 return value.rational_part()
             raise CoefficientFieldError(
-                f"cannot coerce non-rational cyclotomic {value} into QQ; use embed()"
+                f"cannot coerce {value} into QQ: it has no rational value"
             )
         raise CoefficientFieldError(f"cannot coerce {value!r} into QQ")
 

@@ -5,16 +5,19 @@ The toric ideal of the recoded nonnegative covariate matrix is computed in
 the run variables p1..pn alone (Sturmfels, *Groebner Bases and Convex
 Polytopes*, 1996, Alg. 12.3): a Z-basis of its integer kernel gives the
 lattice ideal J = <p^z+ - p^z->, which is saturated by one variable at a
-time.  Each step is a Buchberger completion under the package's grevlex
-:class:`~algdoe.orders.TermOrder` with that variable last, done directly on
-binomials x^lead - x^trail held as pairs of exponent tuples: a monomial u is
-reduced by an element whose lead divides it to u - lead + trail, and the
-leads and S-pairs are kept by the Gebauer-Moeller bookkeeping of the generic
-engine, :class:`algdoe.groebner._Completion`.  The binomials of the
-resulting reduced basis are moves that connect every fiber.  A basis is
-computed once per kernel lattice basis and budget and kept in a memo; each
-new one is certified to generate the whole kernel lattice, not a sublattice,
-by comparing Hermite normal forms.
+time.  The basis is the kernel's Hermite normal form taken last coordinate
+first, and its coordinates with pivot 1 are unit vectors that need no
+saturation.  Each step is a Buchberger completion under the package's
+grevlex :class:`~algdoe.orders.TermOrder` with that variable last, done
+directly on binomials x^lead - x^trail held as pairs of exponent tuples: a
+monomial u is reduced by an element whose lead divides it to
+u - lead + trail, and the leads and S-pairs are kept by the Gebauer-Moeller
+bookkeeping of the generic engine, :class:`algdoe.groebner._Completion`.
+The binomials of the resulting reduced basis are moves that connect every
+fiber.  A basis is computed once per run count, Hermite normal form and pair
+budget and kept in a memo; each new one is certified to generate the whole
+kernel lattice, not a sublattice, by comparing the Hermite normal form of
+its moves with the lattice's.
 """
 
 from __future__ import annotations
@@ -49,21 +52,24 @@ class MarkovBasis:
 def markov_basis(A: CovariateMatrix, budget: Budget = DEFAULT_BUDGET) -> MarkovBasis:
     """Markov basis of the fibers {y >= 0 : A'y = A'y0}.
 
-    Kernel lattice plus saturation: the lattice ideal of a Z-basis of the
-    kernel of the recoded matrix is saturated by one run variable at a time.
+    Kernel lattice plus saturation: the lattice ideal of the Hermite normal
+    form of the kernel of the recoded matrix, last coordinate first, is
+    saturated by one run variable at a time.
     Each step completes the binomials to a Groebner basis under grevlex with
     that variable last, on integer exponent vectors, divides every element by
     the power of the variable common to its two terms (Bayer-Stillman; valid
     because the intercept makes every binomial homogeneous) and reduces the
     quotients; the last step, p_n, leaves the reduced basis under
-    grevlex(p1..pn).  Variables on which the lattice basis is a unit vector
-    need no step.  The moves are its binomials, lead minus trail, sorted.
+    grevlex(p1..pn).  Variables whose pivot in the form is 1 are unit
+    vectors and need no step.  The moves are its binomials, lead minus trail,
+    sorted.
 
     The basis depends on the kernel lattice alone, so the saturation is
-    memoized on its inputs (:func:`_lattice_basis`): matrices with the same
-    lattice basis, such as one model under different contrast schemes, share
-    one computation.  Every call certifies the lattice basis and the moves
-    to be kernel vectors of its own recoded matrix.  ``budget.max_pairs``
+    memoized on the run count, that form and ``budget.max_pairs``
+    (:func:`_lattice_basis`): matrices with the same kernel lattice, such as
+    one model under different contrast schemes, share one computation.
+    Every call certifies the lattice basis and the moves to be kernel
+    vectors of its own recoded matrix.  ``budget.max_pairs``
     bounds the S-pairs made by each completion; exceeding it raises
     BudgetError saying how far the saturation got and what the completion
     did, with a hint to use exhaustive enumeration.  ``budget.max_terms``
@@ -71,20 +77,19 @@ def markov_basis(A: CovariateMatrix, budget: Budget = DEFAULT_BUDGET) -> MarkovB
     """
     recoded = recode_integer(A)
     n = A.n
-    lattice, unit = _kernel_lattice(recoded, n)
+    lattice = _kernel_lattice(recoded, n)
     _certify_kernel(recoded, lattice)
-    basis = _lattice_basis(n, tuple(lattice), frozenset(unit), budget.max_pairs)
+    basis = _lattice_basis(n, lattice, budget.max_pairs)
     _certify_kernel(recoded, basis.moves)
     return basis
 
 
 @functools.lru_cache(maxsize=256)
-def _lattice_basis(n: int, lattice, unit, max_pairs: int) -> MarkovBasis:
-    """The reduced Markov basis of the lattice spanned by ``lattice``, with
-    ``unit`` the coordinates on which that basis is the identity, certified
-    to generate the same lattice.  Its arguments are every input of the
-    saturation, so a budget error is raised alike on every call, and errors
-    are not cached."""
+def _lattice_basis(n: int, lattice, max_pairs: int) -> MarkovBasis:
+    """The reduced Markov basis of the lattice whose Hermite normal form, last
+    coordinate first, is ``lattice``, certified to generate that lattice.
+    Its arguments are every input of the saturation, so a budget error is
+    raised alike on every call, and errors are not cached."""
     if not lattice:
         # trivial kernel: every fiber is a singleton
         return MarkovBasis(n, ())
@@ -94,7 +99,7 @@ def _lattice_basis(n: int, lattice, unit, max_pairs: int) -> MarkovBasis:
     ]
     # p_n comes last, so that the final quotients are a basis under
     # grevlex(p1..pn) itself
-    saturate = [k for k in range(n - 1) if k not in unit] + [n - 1]
+    saturate = _saturation_sequence(n, lattice)
     for done, k in enumerate(saturate):
         try:
             gens = _saturate(gens, k, max_pairs)
@@ -106,7 +111,8 @@ def _lattice_basis(n: int, lattice, unit, max_pairs: int) -> MarkovBasis:
             ) from exc
 
     moves = sorted(tuple(map(sub, lead, trail)) for lead, trail in gens)
-    if _hermite(moves) != _hermite(lattice):
+    # the moves' form in the lattice's coordinate order, last coordinate first
+    if tuple(row[::-1] for row in _hermite(z[::-1] for z in moves)) != lattice:
         raise AssertionError("the moves generate a proper sublattice of the kernel")
     return MarkovBasis(n, tuple(moves))
 
@@ -174,82 +180,64 @@ def _saturate(binomials, k: int, max_pairs: int):
     return _reduce(divided, key)
 
 
-def _kernel_lattice(recoded, n: int):
-    """A Z-basis of {z in Z^n : col . z = 0 for every column of ``recoded``},
-    and the coordinates on which it is the identity.
+def _kernel_lattice(recoded, n: int) -> tuple[tuple[int, ...], ...]:
+    """The Hermite normal form of {z in Z^n : col . z = 0 for every column
+    of ``recoded``}, taken last coordinate first: each vector's pivot is its
+    last nonzero coordinate.
 
-    Unimodular integer row operations on [A | I] (A = the recoded matrix with
-    one row per run) bring A to echelon form; the identity part of the rows
-    whose A part became zero is a basis.  More row operations on that basis
-    then make as many coordinates as possible unit vectors (1 in one basis
-    vector, 0 in the others).  Such a coordinate moves monotonically along
-    the path of basis steps from 0 to any lattice vector z, so p^z+ - p^z-
-    times a monomial free of its variable lies in the lattice ideal: the
-    ideal needs no saturation by that variable.
+    Each row [A_i | e_(n-1-i)] (A = the recoded matrix with one row per run,
+    the identity's columns reversed) pairs a vector of Z^n with its image
+    under A, and row operations keep that pairing; so in the Hermite normal
+    form of the rows, those whose A part is zero are the kernel's form, read
+    back in run order.  Taking the last coordinates first
+    leaves the early ones to saturate: on 2^4 main effects the first bases
+    then hold 60 binomials, not 132 and 143.
     """
     ncon = len(recoded)
-    rows = [[col[i] for col in recoded] + [int(i == j) for j in range(n)]
+    rows = [[col[i] for col in recoded] + [int(j == n - 1 - i) for j in range(n)]
             for i in range(n)]
-    rank = 0
-    for c in range(ncon):
-        if _gcd_pivot(rows, rank, c):
-            rank += 1
-    basis = [row[ncon:] for row in rows[rank:]]
-    unit = set()
-    done = 0
-    # last coordinates first, leaving the early ones to saturate: on 2^4 main
-    # effects the first bases then hold 60 binomials, not 132 and 143
-    for c in reversed(range(n)):
-        if abs(_gcd_pivot(basis, done, c)) != 1:
-            continue
-        piv = basis[done]
-        if piv[c] < 0:
-            piv[:] = [-v for v in piv]
-        for i, row in enumerate(basis):
-            if i != done and row[c]:
-                basis[i] = [a - row[c] * b for a, b in zip(row, piv)]
-        unit.add(c)
-        done += 1
-    return [tuple(z) for z in basis], unit
+    return tuple(row[ncon:][::-1] for row in _hermite(rows) if not any(row[:ncon]))
 
 
-def _gcd_pivot(rows, start: int, c: int) -> int:
-    """Euclid on column ``c`` of ``rows[start:]`` by unimodular row
-    operations, in place: afterwards only ``rows[start]`` may be nonzero in
-    that column.  Returns its entry there, the gcd up to sign (0 if none)."""
-    while True:
-        live = [i for i in range(start, len(rows)) if rows[i][c]]
-        if not live:
-            return 0
-        p = min(live, key=lambda i: abs(rows[i][c]))
-        if len(live) == 1:
-            rows[start], rows[p] = rows[p], rows[start]
-            return rows[start][c]
-        for i in live:
-            if i != p:
-                q = rows[i][c] // rows[p][c]
-                rows[i] = [a - q * b for a, b in zip(rows[i], rows[p])]
+def _saturation_sequence(n: int, lattice) -> list[int]:
+    """The run coordinates to saturate by, in order, p_n last: all but the
+    pivots equal to 1 of the lattice basis.  Such a pivot is a unit
+    coordinate, as the Hermite normal form makes every other entry of its
+    column 0, and a unit coordinate moves monotonically along the path of
+    basis steps from 0 to any lattice vector z, so p^z+ - p^z- times a
+    monomial free of its variable lies in the lattice ideal: the ideal needs
+    no saturation by that variable."""
+    pivots = [max(k for k, v in enumerate(z) if v) for z in lattice]
+    unit = {k for z, k in zip(lattice, pivots) if z[k] == 1}
+    return [k for k in range(n - 1) if k not in unit] + [n - 1]
 
 
-def _hermite(vectors) -> list[list[int]]:
+def _hermite(vectors) -> tuple[tuple[int, ...], ...]:
     """The Hermite normal form of the lattice the integer vectors span: its
     nonzero rows, each pivot positive and every entry above a pivot in
     [0, pivot).  Equal forms mean equal lattices."""
     rows = [list(z) for z in vectors]
     rank = 0
     for c in range(len(rows[0]) if rows else 0):
-        pivot = _gcd_pivot(rows, rank, c)
-        if not pivot:
+        # Euclid on column c of rows[rank:] by unimodular row operations,
+        # until at most one of them is nonzero there
+        while len(live := [i for i in range(rank, len(rows)) if rows[i][c]]) > 1:
+            p = min(live, key=lambda i: abs(rows[i][c]))
+            for i in live:
+                if i != p:
+                    q = rows[i][c] // rows[p][c]
+                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[p])]
+        if not live:
             continue
+        rows[rank], rows[live[0]] = rows[live[0]], rows[rank]
         row = rows[rank]
-        if pivot < 0:
+        if row[c] < 0:
             row[:] = [-v for v in row]
-            pivot = -pivot
         for i in range(rank):
-            if q := rows[i][c] // pivot:
+            if q := rows[i][c] // row[c]:
                 rows[i] = [a - q * b for a, b in zip(rows[i], row)]
         rank += 1
-    return rows[:rank]
+    return tuple(map(tuple, rows[:rank]))
 
 
 def _residual(recoded, move) -> tuple[int, ...]:

@@ -194,8 +194,7 @@ def _check_fit(recoded, y0, fit: GlmFit) -> None:
     """Refuse a fit of another fiber.  A'y is an integer vector in the
     recoded coordinates, so two fibers differ by at least 1 there, while the
     fit of y0 meets A'mu = A'y0 to within the score tolerance."""
-    for col in recoded:
-        gap = sum(c * (y - mu) for c, y, mu in zip(col, y0, fit.mu))
+    for gap in _residual(recoded, [y - mu for y, mu in zip(y0, fit.mu)]):
         if abs(gap) >= 0.5:
             raise InputError(
                 f"the fit is not of the fiber of y0: A'mu misses A'y0 by {gap:.6g} "

@@ -314,6 +314,25 @@ def test_parse_model_terms():
         parse_model_terms("contrast=weird\n", 3)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1\nx1^2\n", "bad model term x1^2: not square-free"),
+        ("1\nx1^0\n", "bad model term 1: the intercept may only come first"),
+    ],
+)
+def test_bad_model_term_named_as_written(d22, text, message):
+    terms, _ = parse_model_terms(text, 2)
+    with pytest.raises(InputError) as err:
+        build_covariate_matrix(d22, terms)
+    assert str(err.value) == message
+
+
+def test_model_term_of_another_length_rejected(d22):
+    with pytest.raises(InputError, match="^bad model term x1: 3 exponents for 2 factors$"):
+        build_covariate_matrix(d22, [term(2), (1, 0, 0)])
+
+
 def test_duplicate_terms_rejected(d22):
     with pytest.raises(InputError):
         build_covariate_matrix(d22, [term(2), term(2, 1), term(2, 1)])

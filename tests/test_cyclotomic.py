@@ -65,8 +65,9 @@ def test_embed_and_mixing():
     e = embed(Fraction(2, 3), f3)
     assert e == Fraction(2, 3)
     assert e.is_rational()
-    with pytest.raises(CoefficientFieldError):
+    with pytest.raises(CoefficientFieldError) as err:
         QQ.coerce(omega(3))
+    assert str(err.value) == "cannot coerce w into QQ: it has no rational value"
     with pytest.raises(CoefficientFieldError):
         omega(3) + omega(5)
 

@@ -27,7 +27,14 @@ from algdoe.groebner import (
     spolynomials_reduce_to_zero,
 )
 from algdoe import markov
-from algdoe.markov import MarkovBasis, _kernel_lattice, _reduce, _residual, _saturate
+from algdoe.markov import (
+    MarkovBasis,
+    _kernel_lattice,
+    _reduce,
+    _residual,
+    _saturate,
+    _saturation_sequence,
+)
 
 
 def kernel_residual(A, move) -> tuple[int, ...]:
@@ -314,7 +321,7 @@ def test_non_kernel_lattice_vector_is_caught(d22, monkeypatch):
 
     A = build_covariate_matrix(d22, main_effects(2))
     monkeypatch.setattr(
-        markov, "_kernel_lattice", lambda recoded, n: ([(1, -1, 0, 0)], set())
+        markov, "_kernel_lattice", lambda recoded, n: ((1, -1, 0, 0),)
     )
     with pytest.raises(AssertionError):
         markov_basis(A)
@@ -386,14 +393,14 @@ def test_random_fibers_connected():
 
 def _lattice_ideal(A):
     """Generators p^z+ - p^z- of the lattice ideal of the kernel basis, their
-    ring, and the coordinates that need no saturation."""
-    lattice, unit = _kernel_lattice(recode_integer(A), A.n)
+    ring, and the saturation sequence."""
+    lattice = _kernel_lattice(recode_integer(A), A.n)
     ring = PolyRing(tuple(f"p{i + 1}" for i in range(A.n)))
     gens = [
         ring.poly({tuple(max(v, 0) for v in z): 1, tuple(max(-v, 0) for v in z): -1})
         for z in lattice
     ]
-    return ring, gens, unit
+    return ring, gens, _saturation_sequence(A.n, lattice)
 
 
 def _reference_moves(A, budget=CAP):
@@ -402,10 +409,10 @@ def _reference_moves(A, budget=CAP):
     divided by the power of that variable common to its two terms, and
     reduce_basis under grevlex(p1..pn) at the end."""
     n = A.n
-    ring, gens, unit = _lattice_ideal(A)
+    ring, gens, saturate = _lattice_ideal(A)
     if not gens:
         return ()
-    for k in [k for k in range(n - 1) if k not in unit] + [n - 1]:
+    for k in saturate:
         prec = tuple(i for i in range(n) if i != k) + (k,)
         gb = buchberger(gens, TermOrder.grevlex(n, prec), budget=budget)
         gens = []
@@ -491,13 +498,13 @@ def test_saturation_steps_match_generic_engine_random_models():
             continue
         checked += 1
         n = A.n
-        lattice, unit = _kernel_lattice(recode_integer(A), n)
+        lattice = _kernel_lattice(recode_integer(A), n)
         ring = PolyRing(tuple(f"p{i + 1}" for i in range(n)))
         gens = [
             (tuple(max(v, 0) for v in z), tuple(max(-v, 0) for v in z))
             for z in lattice
         ]
-        for k in [k for k in range(n - 1) if k not in unit] + [n - 1]:
+        for k in _saturation_sequence(n, lattice):
             if not gens:
                 break
             step = _saturate(gens, k, CAP.max_pairs)
@@ -687,3 +694,83 @@ def test_markov_corpus_is_unchanged():
     info = markov._lattice_basis.cache_info()
     assert info.hits >= len(models)
     assert info.currsize == info.misses
+
+
+def _greedy_lattice(recoded, n):
+    """A second route to the kernel basis and its saturation sequence: bring
+    [A | I] to echelon form by Euclid on each column, keep the identity part
+    of the rows whose A part became zero, then, last coordinate first, make
+    every coordinate that can be one a unit vector by more row operations."""
+
+    def gcd_pivot(rows, start, c):
+        while live := [i for i in range(start, len(rows)) if rows[i][c]]:
+            p = min(live, key=lambda i: abs(rows[i][c]))
+            if len(live) == 1:
+                rows[start], rows[p] = rows[p], rows[start]
+                return rows[start][c]
+            for i in live:
+                if i != p:
+                    q = rows[i][c] // rows[p][c]
+                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[p])]
+        return 0
+
+    ncon = len(recoded)
+    rows = [[col[i] for col in recoded] + [int(i == j) for j in range(n)]
+            for i in range(n)]
+    rank = 0
+    for c in range(ncon):
+        if gcd_pivot(rows, rank, c):
+            rank += 1
+    basis = [row[ncon:] for row in rows[rank:]]
+    unit = set()
+    for c in reversed(range(n)):
+        done = len(unit)
+        if abs(gcd_pivot(basis, done, c)) != 1:
+            continue
+        piv = basis[done]
+        if piv[c] < 0:
+            piv[:] = [-v for v in piv]
+        for i, row in enumerate(basis):
+            if i != done and row[c]:
+                basis[i] = [a - row[c] * b for a, b in zip(row, piv)]
+        unit.add(c)
+    return [tuple(z) for z in basis], [k for k in range(n - 1) if k not in unit] + [n - 1]
+
+
+def test_kernel_lattice_matches_greedy_unit_reduction():
+    for A in _markov_corpus():
+        lattice = _kernel_lattice(recode_integer(A), A.n)
+        basis, saturate = _greedy_lattice(recode_integer(A), A.n)
+        assert set(lattice) == set(basis)
+        assert _saturation_sequence(A.n, lattice) == saturate
+
+
+def test_kernel_lattice_is_its_own_hermite_form():
+    # last coordinate first: a vector's pivot is its last nonzero coordinate
+    for A in _markov_corpus():
+        recoded = recode_integer(A)
+        lattice = _kernel_lattice(recoded, A.n)
+        pivots = [max(k for k, v in enumerate(z) if v) for z in lattice]
+        assert pivots == sorted(pivots, reverse=True)
+        assert len(set(pivots)) == len(pivots)
+        for i, (z, c) in enumerate(zip(lattice, pivots)):
+            assert z[c] > 0
+            assert all(0 <= above[c] < z[c] for above in lattice[:i])
+            assert not any(_residual(recoded, z))
+            if z[c] == 1:
+                # a unit coordinate: 0 in every other basis vector
+                assert [w[c] for w in lattice] == [int(w is z) for w in lattice]
+        flipped = tuple(row[::-1] for row in markov._hermite(z[::-1] for z in lattice))
+        assert flipped == lattice
+
+
+def test_pivots_above_one_are_saturated():
+    # 1, x1 and x1*x2 on the 3x3 under the symmetric contrast: the form has
+    # pivots of 2 on p9 and p8, which are no unit coordinates
+    A = build_covariate_matrix(
+        full_factorial(2, 3), [term(2), term(2, 1), term(2, 1, 2)], "symmetric"
+    )
+    lattice = _kernel_lattice(recode_integer(A), A.n)
+    assert lattice == ((-1, 0, 1, -1, 0, 1, -2, 0, 2), (-1, 1, 0, -1, 1, 0, -2, 2, 0))
+    assert _saturation_sequence(A.n, lattice) == list(range(9))
+    assert markov_basis(A, CAP).moves == _reference_moves(A)
