@@ -31,7 +31,7 @@ from .errors import BudgetError, InputError, ScaleError
 from .groebner import Budget, DEFAULT_BUDGET, _Completion
 from .orders import TermOrder
 
-MAX_FIBER_NODES = 10_000_000  # ~40 s at ~4 us per node (2 vCPU, Python 3.11)
+MAX_FIBER_NODES = 10_000_000  # ~50 s at ~5 us per node (2 vCPU, Python 3.11)
 MAX_FIBER_TOTAL = 30  # default caps of exhaustive enumeration
 MAX_FIBER_RUNS = 16
 
@@ -250,17 +250,42 @@ def _certify_kernel(recoded, vectors):
             raise AssertionError(f"{z} is not a kernel vector of the recoded matrix")
 
 
+def _forced_runs(recoded, targets) -> dict[int, tuple[int, int, list]]:
+    """The runs whose count the earlier runs force: run p maps to
+    (t, h_p, [(k, h_k) for each earlier run k with h_k != 0]), and
+    y_p = (t - sum of h_k y_k) / h_p.
+
+    Each is the pivot of one row of the Hermite normal form of the rows
+    [reversed(col) | target], one per column of ``recoded``: with the runs
+    reversed, a row's pivot sits at its last nonzero run.  Row operations
+    keep the solutions, so the form's rows hold for y exactly when
+    A'y = A'y0 does.  The intercept makes the last run a pivot."""
+    n = len(recoded[0])
+    forced = {}
+    for *h, t in _hermite([*col[::-1], t] for col, t in zip(recoded, targets)):
+        c = next(c for c, v in enumerate(h) if v)
+        earlier = [(n - 1 - k, v) for k, v in enumerate(h) if k > c and v]
+        forced[n - 1 - c] = (t, h[c], earlier)
+    return forced
+
+
 def enumerate_fiber(
     A: CovariateMatrix,
     y0,
     max_total: int = MAX_FIBER_TOTAL,
     max_runs: int = MAX_FIBER_RUNS,
 ):
-    """The complete fiber of y0: all nonnegative integer y with A'y = A'y0.
+    """The complete fiber of y0: all nonnegative integer y with A'y = A'y0,
+    sorted.
 
-    Bounded depth-first search over the recoded nonnegative matrix; requires
-    the total of y0 and the run count to stay within the caps, and stops with
-    :class:`ScaleError` after MAX_FIBER_NODES search nodes.
+    Depth-first search over the runs in order.  The Hermite normal form of
+    the constraint rows, runs taken last first, gives each of its rows a
+    pivot at its last nonzero run, whose count the earlier runs then force;
+    every other run tries, in ascending order, the counts that the suffix
+    bounds leave it, and the trailing block of forced runs is solved at
+    once.  Requires the total of y0 and the run count to stay within the
+    caps, and stops with :class:`ScaleError` after MAX_FIBER_NODES search
+    nodes.
     """
     if max_total < 0:
         raise InputError(f"max_total must be nonnegative, got {max_total}")
@@ -276,20 +301,32 @@ def enumerate_fiber(
     recoded = recode_integer(A)
     targets = [sum(c * v for c, v in zip(col, y0)) for col in recoded]
     n = A.n
-    ncon = len(recoded)
-    # suffix minima and maxima over the runs not yet assigned bound what
-    # they can add to each constraint: the unassigned counts are nonnegative
-    # and sum to what remains of the total, so a branch whose constraint
-    # would overshoot even at the minimum, or fall short even at the
-    # maximum, holds no fiber point
-    suffix_min = [[min(col[i:], default=0) for i in range(n + 1)] for col in recoded]
-    suffix_max = [[max(col[i:], default=0) for i in range(n + 1)] for col in recoded]
+    forced = _forced_runs(recoded, targets)
+    first = n  # runs first..n-1 are all forced
+    while first - 1 in forced:
+        first -= 1
+    # the runs after i add to a constraint between the least and the most of
+    # their entries times the count still to place, r - v once run i takes
+    # v.  So the gap g of the constraint (its target minus what the runs
+    # before i add) needs least (r - v) <= g - a_i v <= most (r - v), which
+    # holds v to (a_i - least) v <= g - least r and (a_i - most) v >= g - most r
+    bounds = []
+    for i in range(first):
+        suffixes = [(col[i], min(col[i + 1:]), max(col[i + 1:])) for col in recoded]
+        bounds.append([(a - least, least, a - most, most)
+                       for a, least, most in suffixes])
 
+    rows = list(zip(*recoded))  # run i's entries of the constraints
     out = []
     y = [0] * n
     nodes = 0
 
-    def rec(i: int, remaining: int, partial: list[int]):
+    def solve(t, pivot, earlier):
+        """The count a forced run takes, or None when it is no integer."""
+        q, r = divmod(t - sum(y[k] * h for k, h in earlier), pivot)
+        return None if r else q
+
+    def rec(i: int, remaining: int, gaps: list[int]):
         nonlocal nodes
         nodes += 1
         if nodes > MAX_FIBER_NODES:
@@ -297,38 +334,49 @@ def enumerate_fiber(
                 f"fiber search stopped after {MAX_FIBER_NODES} nodes "
                 f"with {len(out)} points found"
             )
-        if i == n:
-            if remaining == 0 and partial == targets:
-                out.append(tuple(y))
+        if i == first:
+            # the forced runs fix the rest, total included
+            for p in range(first, n):
+                v = solve(*forced[p])
+                if v is None or v < 0:
+                    return
+                y[p] = v
+            out.append(tuple(y))
             return
-        for v in range(remaining + 1):
+        lo, hi = 0, remaining
+        for g, (c_least, least, c_most, most) in zip(gaps, bounds[i]):
+            u = g - least * remaining  # c_least v <= u
+            if c_least > 0:
+                hi = min(hi, u // c_least)
+            elif c_least < 0:
+                lo = max(lo, -(-u // c_least))
+            elif u < 0:
+                return
+            w = g - most * remaining  # c_most v >= w
+            if c_most > 0:
+                lo = max(lo, -(-w // c_most))
+            elif c_most < 0:
+                hi = min(hi, w // c_most)
+            elif w > 0:
+                return
+        if i in forced:
+            v = solve(*forced[i])
+            counts = (v,) if v is not None and lo <= v <= hi else ()
+        else:
+            counts = range(lo, hi + 1)
+        for v in counts:
             y[i] = v
-            ok = True
-            rest = remaining - v
-            for j in range(ncon):
-                acc = partial[j] + recoded[j][i] * v
-                if acc + suffix_min[j][i + 1] * rest > targets[j]:
-                    ok = False
-                    break
-                if acc + suffix_max[j][i + 1] * rest < targets[j]:
-                    ok = False
-                    break
-            if ok:
-                rec(
-                    i + 1,
-                    remaining - v,
-                    [partial[j] + recoded[j][i] * v for j in range(ncon)],
-                )
-        y[i] = 0
+            rec(i + 1, remaining - v, [g - a * v for g, a in zip(gaps, rows[i])])
 
     # runs in order, each count ascending: the points come out sorted, as
     # exact_p_value's bisect needs
-    rec(0, total, [0] * ncon)
+    rec(0, total, targets)
     return out
 
 
 def fiber_connected(A: CovariateMatrix, y0, basis: MarkovBasis, **caps) -> bool:
-    """BFS oracle: do the basis moves connect the whole fiber of y0?
+    """Oracle by a depth-first walk: do the basis moves connect the whole
+    fiber of y0?
 
     The walk steps only to points of the enumerated fiber: a move that
     leaves the fiber, off the orthant or outside the kernel, adds no edge.

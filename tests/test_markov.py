@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -12,6 +13,7 @@ from algdoe import (
     ScaleError,
     build_covariate_matrix,
     enumerate_fiber,
+    exact_p_value,
     fiber_connected,
     full_factorial,
     markov_basis,
@@ -126,7 +128,8 @@ def test_negative_caps_are_input_errors(d22):
 
 
 def test_fiber_node_cap(monkeypatch):
-    # 2^3 main effects at total 16 takes 2 285 search nodes
+    # 2^3 main effects at total 16 takes 1 010 search nodes (2 285 when every
+    # run tried every count)
     from algdoe import markov
 
     A = build_covariate_matrix(full_factorial(3), main_effects(3))
@@ -168,6 +171,20 @@ def _brute_force_fiber(A, y0, same_total):
     return [y for y in same_total if A.sufficient_statistic(y) == target]
 
 
+@functools.lru_cache(maxsize=None)
+def _same_total(n, total):
+    # itertools.product lists the points in sorted order
+    space = itertools.product(range(total + 1), repeat=n)
+    return tuple(y for y in space if sum(y) == total)
+
+
+def _random_counts(rng, n, total):
+    y0 = [0] * n
+    for _ in range(total):
+        y0[rng.randrange(n)] += 1
+    return tuple(y0)
+
+
 def test_fiber_matches_brute_force(three_level_integer):
     ff3 = full_factorial(3)
     ff33 = full_factorial(2, 3)
@@ -183,24 +200,69 @@ def test_fiber_matches_brute_force(three_level_integer):
             (build_covariate_matrix(three_level_integer, main_effects(3), contrast), 3)
         )
     rng = random.Random(12)
-    spaces = {}
     for A, total in cases:
-        if (A.n, total) not in spaces:
-            # itertools.product lists the points in sorted order
-            space = itertools.product(range(total + 1), repeat=A.n)
-            spaces[A.n, total] = [y for y in space if sum(y) == total]
-        same_total = spaces[A.n, total]
+        same_total = _same_total(A.n, total)
         for _ in range(3):
-            y0 = [0] * A.n
-            for _ in range(total):
-                y0[rng.randrange(A.n)] += 1
-            y0 = tuple(y0)
+            y0 = _random_counts(rng, A.n, total)
             assert enumerate_fiber(A, y0) == _brute_force_fiber(A, y0, same_total)
 
 
+def _pivots_above_one(A):
+    """The forced runs of the fiber search whose pivot is above 1, with it."""
+    recoded = recode_integer(A)
+    forced = markov._forced_runs(recoded, [0] * len(recoded))
+    return {p: pivot for p, (_, pivot, _) in forced.items() if pivot > 1}
+
+
+def test_forced_runs_with_pivots_above_one(three_level_integer):
+    ff33 = full_factorial(2, 3)
+    cases = [
+        # runs counted from 0: run 1, with pivot 2, lies between the free
+        # runs 0 and 2
+        (build_covariate_matrix(full_factorial(3), main_effects(3) + [term(3, 1, 2)]),
+         {1: 2}, 5),
+        (build_covariate_matrix(ff33, main_effects(2), "symmetric"), {2: 8, 6: 8}, 3),
+        (build_covariate_matrix(ff33, main_effects(2), "complex"), {2: 3, 6: 3}, 3),
+        (build_covariate_matrix(three_level_integer, main_effects(3), "symmetric"),
+         {2: 8, 3: 24, 6: 8}, 3),
+        (build_covariate_matrix(three_level_integer, main_effects(3), "complex"),
+         {2: 3, 3: 3, 4: 3, 6: 3}, 3),
+    ]
+    rng = random.Random(30)
+    for A, pivots, total in cases:
+        assert _pivots_above_one(A) == pivots
+        same_total = _same_total(A.n, total)
+        for _ in range(2):
+            y0 = _random_counts(rng, A.n, total)
+            assert enumerate_fiber(A, y0) == _brute_force_fiber(A, y0, same_total)
+
+
+def test_forced_count_with_a_remainder_ends_its_branch(monkeypatch):
+    # 1, x1, x3 and x1*x2 on five runs of 2^3: the form's row (1, 2, 0, 0, 0)
+    # forces y[1] = (t - y[0]) / 2, which is no integer when t - y[0] is odd
+    runs = ((-1, -1, -1), (-1, -1, 1), (-1, 1, -1), (1, -1, 1), (1, 1, -1))
+    terms = [term(3), term(3, 1), term(3, 3), term(3, 1, 2)]
+    A = build_covariate_matrix(Design(3, 2, runs, "pm1"), terms)
+    assert _pivots_above_one(A) == {1: 2}
+    remainders = []
+
+    def divmod_spy(a, b):
+        q, r = divmod(a, b)
+        if r:
+            remainders.append((a, b))
+        return q, r
+
+    monkeypatch.setattr(markov, "divmod", divmod_spy, raising=False)
+    y0 = (0, 2, 1, 0, 1)
+    fiber = enumerate_fiber(A, y0)
+    assert (3, 2) in remainders  # t = 4 and y[0] = 1
+    assert fiber == _brute_force_fiber(A, y0, _same_total(5, 4))
+    assert len(fiber) == 2
+
+
 def test_fiber_2_4_main_effects_within_node_budget(monkeypatch):
-    # round-robin counts, total 12: 82 590 search nodes once a branch is
-    # dropped as soon as the unassigned runs must overshoot a constraint
+    # round-robin counts, total 12: 59 100 search nodes with the forced runs
+    # solved (82 590 when every run tried every count)
     from algdoe import markov
 
     A = build_covariate_matrix(full_factorial(4), main_effects(4))
@@ -694,6 +756,35 @@ def test_markov_corpus_is_unchanged():
     info = markov._lattice_basis.cache_info()
     assert info.hits >= len(models)
     assert info.currsize == info.misses
+
+
+def _fiber_corpus():
+    """Every corpus model with at most 16 runs, each with a seeded y0: a
+    total of n/2 to n + 4 on up to 9 runs, 4 to 8 on more."""
+    rng = random.Random(77)
+    cases = []
+    for A in _markov_corpus():
+        if A.n > 16:
+            continue
+        total = rng.randint(A.n // 2, A.n + 4) if A.n <= 9 else rng.randint(4, 8)
+        cases.append((A, _random_counts(rng, A.n, total)))
+    return cases
+
+
+# sha256 of the corpus's fibers and exact p-values as the search computed
+# them when it tried every count of every run
+FIBER_CORPUS_SHA256 = (
+    "1e9b6aa382786463a8ef9049d1a4e89bae0a07805f17968635f7c1cb49dd3e99"
+)
+
+
+def test_fiber_corpus_is_unchanged():
+    digest = hashlib.sha256()
+    for A, y0 in _fiber_corpus():
+        fiber = enumerate_fiber(A, y0)
+        p = [exact_p_value(A, y0, kind).p_exact for kind in ("deviance", "pearson")]
+        digest.update(f"{A.n} {y0} {fiber!r} {p!r}\n".encode())
+    assert digest.hexdigest() == FIBER_CORPUS_SHA256
 
 
 def _greedy_lattice(recoded, n):
