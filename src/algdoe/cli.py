@@ -14,7 +14,7 @@ import sys
 
 from . import __version__
 from .covariates import (
-    CONTRASTS, _check_counts, build_covariate_matrix, parse_model_terms, recode_integer,
+    CONTRASTS, _check_counts, build_covariate_matrix, parse_model_terms,
 )
 from .designs import (
     Design,
@@ -210,7 +210,6 @@ def _load_model(args):
 
 def cmd_model(args, out) -> int:
     A = _load_model(args)
-    recoded = recode_integer(A)
     payload = {
         "schema": SCHEMA,
         "n": A.n,
@@ -218,7 +217,7 @@ def cmd_model(args, out) -> int:
         "labels": list(A.labels),
         "contrast": A.contrast,
         "entries": [[str(v) for v in row] for row in A.rows()],
-        "recoded": [list(col) for col in recoded],
+        "recoded": [list(col) for col in A.recoded],
     }
     _emit_json(payload, out)
     return 0

@@ -17,6 +17,7 @@ of them to a nonnegative integer matrix with an identical fiber.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
 from dataclasses import dataclass
@@ -54,6 +55,11 @@ class CovariateMatrix:
     @property
     def ncols(self) -> int:
         return len(self.columns)
+
+    @functools.cached_property
+    def recoded(self) -> tuple[tuple[int, ...], ...]:
+        """The integer recoding of the matrix, computed once per matrix."""
+        return recode_integer(self)
 
     def rows(self):
         return [

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covariates import CovariateMatrix, _check_counts, recode_integer
+from .covariates import CovariateMatrix, _check_counts
 from .cyclotomic import Echelon
 from .errors import GlmConvergenceError, InputError
 
@@ -40,9 +40,18 @@ def design_matrix(A: CovariateMatrix) -> tuple[tuple[float, ...], ...]:
     columns = A.columns
     if not isinstance(columns[0][0], Fraction):
         ech = Echelon()
-        columns = [col for j, col in enumerate(recode_integer(A))
+        columns = [col for j, col in enumerate(A.recoded)
                    if ech.insert(col, j) is None]
     return tuple(tuple(map(float, row)) for row in zip(*columns))
+
+
+def _total(values) -> float:
+    """Left-to-right float sum: built-in sum() rounds floats differently
+    since Python 3.12, which would change the printed statistics."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def _solve(M, b):
@@ -61,7 +70,7 @@ def _solve(M, b):
                 a[i][k] -= f * a[c][k]
     x = [0.0] * p
     for i in reversed(range(p)):
-        x[i] = (a[i][p] - sum(a[i][k] * x[k] for k in range(i + 1, p))) / a[i][i]
+        x[i] = (a[i][p] - _total(a[i][k] * x[k] for k in range(i + 1, p))) / a[i][i]
     return x
 
 
@@ -94,7 +103,7 @@ def fit_null_glm(A: CovariateMatrix, y0) -> GlmFit:
         # a mean that overflows, or vanishes under a positive count, gives an
         # infinite deviance so that the step is halved
         try:
-            mu_ = [math.exp(sum(x * b for x, b in zip(row, beta_))) for row in X]
+            mu_ = [math.exp(_total(x * b for x, b in zip(row, beta_))) for row in X]
         except OverflowError:
             return None, math.inf
         return mu_, _deviance(y, mu_)
@@ -104,11 +113,11 @@ def fit_null_glm(A: CovariateMatrix, y0) -> GlmFit:
     mu, dev = means_and_deviance(beta)
     for _ in range(MAX_ITER):
         resid = [yi - mi for yi, mi in zip(y, mu)]
-        score = [sum(row[j] * r for row, r in zip(X, resid)) for j in range(p)]
+        score = [_total(row[j] * r for row, r in zip(X, resid)) for j in range(p)]
         if max(map(abs, score)) <= SCORE_TOL:
             return GlmFit(tuple(beta), tuple(mu))
         WX = [[x * mi for x in row] for row, mi in zip(X, mu)]
-        XtWX = [[sum(row[j] * wrow[k] for row, wrow in zip(X, WX)) for k in range(p)]
+        XtWX = [[_total(row[j] * wrow[k] for row, wrow in zip(X, WX)) for k in range(p)]
                 for j in range(p)]
         step = _solve(XtWX, score)
         # step halving keeps the deviance from increasing or diverging

@@ -26,7 +26,7 @@ import functools
 from dataclasses import dataclass
 from operator import add, sub
 
-from .covariates import CovariateMatrix, _check_counts, recode_integer
+from .covariates import CovariateMatrix, _check_counts
 from .errors import BudgetError, InputError, ScaleError
 from .groebner import Budget, DEFAULT_BUDGET, _Completion
 from .orders import TermOrder
@@ -75,7 +75,7 @@ def markov_basis(A: CovariateMatrix, budget: Budget = DEFAULT_BUDGET) -> MarkovB
     did, with a hint to use exhaustive enumeration.  ``budget.max_terms``
     does not apply: every element has two terms.
     """
-    recoded = recode_integer(A)
+    recoded = A.recoded
     n = A.n
     lattice = _kernel_lattice(recoded, n)
     _certify_kernel(recoded, lattice)
@@ -298,8 +298,8 @@ def enumerate_fiber(
     if A.n > max_runs:
         raise ScaleError(f"run count {A.n} exceeds the cap {max_runs}")
 
-    recoded = recode_integer(A)
-    targets = [sum(c * v for c, v in zip(col, y0)) for col in recoded]
+    recoded = A.recoded
+    targets = _residual(recoded, y0)
     n = A.n
     forced = _forced_runs(recoded, targets)
     first = n  # runs first..n-1 are all forced

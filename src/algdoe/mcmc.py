@@ -27,7 +27,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covariates import CovariateMatrix, _check_counts, recode_integer
+from .covariates import CovariateMatrix, _check_counts
 from .errors import InputError
 from .glm import GlmFit, _check_statistic, fit_null_glm, test_statistic
 from .markov import (
@@ -234,7 +234,7 @@ def mh_sample(
     if chains < 1:
         raise InputError("need at least one chain")
     y0 = _check_counts(A.n, y0)
-    recoded = recode_integer(A)
+    recoded = A.recoded
     for z in basis.moves:
         if len(z) != A.n or any(_residual(recoded, z)):
             raise InputError(f"move {z} is not a kernel vector of A")
@@ -295,7 +295,7 @@ def exact_p_value(
     if fit is None:
         fit = fit_null_glm(A, y0)
     t_obs = test_statistic(kind, y0, fit)
-    _check_fit(recode_integer(A), y0, fit)
+    _check_fit(A.recoded, y0, fit)
     weights = _multinomial_weights(fiber)
     num = sum(
         w

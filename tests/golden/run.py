@@ -9,14 +9,15 @@ working directory, so it reads its files by bare name.
     python tests/golden/run.py
 
 needs only the standard library and an importable ``algdoe`` (installed, or
-on ``PYTHONPATH``). It prints a diff for every failing case, names each one,
-and exits 1 if any case fails.
+on ``PYTHONPATH``). It names the Python it runs under, prints a diff for every
+failing case, names each one, and exits 1 if any case fails.
 """
 
 from __future__ import annotations
 
 import difflib
 import os
+import platform
 import shlex
 import subprocess
 import sys
@@ -80,6 +81,7 @@ def run(root: Path = ROOT) -> tuple[int, list[str]]:
 
 
 def main(root: Path = ROOT) -> int:
+    print(f"golden cases under Python {platform.python_version()}")
     count, failures = run(root)
     for report in failures:
         print(report)

@@ -9,6 +9,7 @@ from algdoe import (
     ChainConfig,
     Design,
     EstimabilityError,
+    full_factorial,
     InputError,
     build_covariate_matrix,
     enumerate_fiber,
@@ -19,6 +20,7 @@ from algdoe import (
     mh_sample,
     recode_integer,
 )
+from algdoe import covariates
 from algdoe.covariates import (
     CONTRASTS,
     _prime_level_columns,
@@ -241,7 +243,7 @@ def test_covariate_matrix_and_recoding_match_fraction_oracle():
             assert [[type(e) for e in col] for col in A.columns] == [
                 [type(e) for e in col] for col in columns
             ]
-            assert recode_integer(A) == _fraction_recode(columns)
+            assert A.recoded == recode_integer(A) == _fraction_recode(columns)
     assert seen == {(s, c, ok) for s, c in cases for ok in (False, True)}
 
 
@@ -285,6 +287,31 @@ def test_recode_pm1_column_becomes_binary(d22):
     # (1 + x)/2 scaling of the plus-minus-one columns
     assert recoded[1] == tuple((1 + run[0]) // 2 for run in d22.runs)
     assert recoded[2] == tuple((1 + run[1]) // 2 for run in d22.runs)
+
+
+@pytest.mark.parametrize(
+    "m, s, contrast, y0",
+    [(3, 2, None, (1, 2, 0, 3, 1, 1, 2, 1)),
+     (2, 3, "complex", (1, 1, 1, 3, 1, 1, 0, 2, 2))],
+    ids=["2^3-pm1", "3x3-complex"],
+)
+def test_one_recoding_per_matrix(monkeypatch, m, s, contrast, y0):
+    # a conditional test of one matrix, as algdoe mctest and exact run it,
+    # recodes it once; under the complex contrast the GLM fit reads it too
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return recode_integer(A)
+
+    monkeypatch.setattr(covariates, "recode_integer", counted)
+    A = build_covariate_matrix(full_factorial(m, s), main_effects(m), contrast)
+    basis = markov_basis(A)
+    fit = fit_null_glm(A, y0)
+    mh_sample(A, y0, basis, "pearson", ChainConfig(seed=1, burn_in=10, samples=50),
+              fit=fit)
+    exact_p_value(A, y0, "pearson")
+    assert calls == [A]
 
 
 def test_recode_preserves_sufficient_statistic_kernel(three_level_integer):

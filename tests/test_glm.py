@@ -18,7 +18,7 @@ from algdoe import (
     full_factorial,
     test_statistic,
 )
-from algdoe.glm import GlmFit
+from algdoe.glm import GlmFit, _total
 
 from conftest import random_two_level_design
 
@@ -29,6 +29,11 @@ def term(m, *idx):
 
 def main_effects(m):
     return [term(m)] + [term(m, j) for j in range(1, m + 1)]
+
+
+def test_total_sums_left_to_right():
+    # the built-in sum() of floats compensates since Python 3.12 and gives 1.0
+    assert _total([1e16, 1.0, -1e16]) == 0.0
 
 
 def test_intercept_only_closed_form():

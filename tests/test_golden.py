@@ -37,6 +37,7 @@ def test_runner_fails_and_names_a_changed_case(tmp_path, capsys, name, edit):
     capsys.readouterr()
     assert golden.main(root) == 1
     report = capsys.readouterr().out
+    assert report.startswith("golden cases under Python ")
     assert "FAIL est-l8-lex\n" in report
     assert "FAIL est-l8-grevlex" not in report
     assert f"expected {name}" in report

@@ -41,7 +41,7 @@ from algdoe.markov import (
 
 def kernel_residual(A, move) -> tuple[int, ...]:
     """A~' z for a move; all zeros iff the move is a kernel vector."""
-    return _residual(recode_integer(A), move)
+    return _residual(A.recoded, move)
 
 
 def term(m, *idx):
