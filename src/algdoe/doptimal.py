@@ -5,13 +5,19 @@ and the factor columns, is evaluated exactly over the integers by
 fraction-free elimination.
 
 Exhaustive search returns the true optimum with every maximizer; it needs
-n >= m+1 runs, since with fewer every subset has det(X'X) = 0.  Flipping
-the sign of a factor leaves det(X'X) unchanged, and the 2^m sign flips map
-the candidate runs onto each other simply transitively, so every subset has a
-flip image that contains the first candidate.  The search therefore scores
-only the C(2^m - 1, n - 1) subsets that contain it, accumulating the Gram
-matrix X'X along the enumeration, and returns the sign-flip orbits of the
-maximizers it finds, in the order of ``itertools.combinations``.
+n >= m+1 runs, since with fewer every subset has det(X'X) = 0.  Permuting
+the factors or flipping the sign of one leaves det(X'X) unchanged.  The 2^m
+sign flips map the candidate runs onto each other simply transitively, so
+every subset has a flip image that contains the first candidate, the
+all-minus run; factor permutations fix that run, so the image can also be
+taken with non-decreasing factor column sums.  The search therefore walks
+only the C(2^m - 1, n - 1) subsets that contain the first candidate,
+accumulating the Gram matrix X'X along the enumeration, cuts a branch once
+its column sums can no longer end up sorted, and computes the determinant
+of the sorted leaves only.  The maximizers found are closed under the m
+single-factor flips and the m - 1 adjacent factor transpositions, and all
+of them are returned in the order of ``itertools.combinations``.  The cap
+still counts all C(2^m, n) subsets.
 
 Greedy exchange is a seeded hill climb with restarts and makes no optimality
 claim.  Each sweep scores every swap of a design run v for a candidate u
@@ -21,7 +27,11 @@ Experiments*, 1972)
 
     det(G - vv' + uu') = ((D + u'Au)(D - v'Av) + (u'Av)^2) / D,
 
-whose division is exact.  While D = 0 the trials are evaluated directly.
+whose division is exact.  While D = 0 the rank of X decides.  One swap
+changes the rank by at most one, so below p - 1, p = m + 1, no swap makes
+det > 0 and the climb stops.  At rank p - 1, with z the primitive integer
+null vector of X, every swap at position i scores kappa_i (u.z)^2, where
+kappa_i = det(G - vv' + zz') / (z.z)^2 is computed once per position.
 Both modes list the 2^m candidate runs, so each checks its cap first.
 
 Every returned optimum is checked against ``d_criterion`` before it is
@@ -34,7 +44,9 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass
+from math import gcd
 
+from .cyclotomic import Echelon, _cleared
 from .designs import Design
 from .errors import InputError, ScaleError
 from .indicators import DesignClass, classify_design
@@ -230,13 +242,15 @@ def _exhaustive(candidates, n: int) -> tuple[int, list[tuple[int, ...]]]:
     """The optimum and every maximizing n-subset of candidate indices, in
     ``itertools.combinations`` order.
 
-    The candidates are the full factorial in product order, so XOR-ing an
-    index with a mask f flips the factors in f, and only subsets containing
-    candidate 0 are scored.  A depth-first walk, on an explicit stack so that
-    n is not bounded by the recursion limit, visits them in combinations
-    order and sums the packed upper triangle of X'X along the way; with
-    n = m + 1 runs it uses det(X'X) = det(X)^2 instead, whose elimination is
-    cheaper.
+    The candidates are the full factorial in product order, so a factor is a
+    bit of the index: XOR-ing an index with a bit flips that factor, and
+    swapping two adjacent bits swaps two adjacent factors.  Only subsets
+    containing candidate 0 are walked, and only those whose factor column
+    sums are non-decreasing are scored.  A depth-first walk, on an explicit
+    stack so that n is not bounded by the recursion limit, visits them in
+    combinations order and sums the packed upper triangle of X'X, whose
+    entries 1..m are the column sums, along the way; with n = m + 1 runs it
+    scores det(X'X) = det(X)^2 instead, whose elimination is cheaper.
     """
     size = len(candidates)
     rows = _model_rows(candidates)
@@ -259,8 +273,12 @@ def _exhaustive(candidates, n: int) -> tuple[int, list[tuple[int, ...]]]:
             continue
         stack.append((depth, c + 1, gram))
         chosen[depth] = c
-        if not square:
-            gram = [g + o for g, o in zip(gram, outer[c])]
+        # each run still to come moves a difference of adjacent sums by at
+        # most 2, and the scored leaves have every difference <= 0
+        sums = list(map(operator.add, gram[1:p], outer[c][1:p]))
+        if max(map(operator.sub, sums, sums[1:]), default=0) > 2 * (n - 1 - depth):
+            continue
+        gram = [g + o for g, o in zip(gram, outer[c])]
         if depth < n - 1:
             stack.append((depth + 1, c + 1, gram))
             continue
@@ -274,14 +292,37 @@ def _exhaustive(candidates, n: int) -> tuple[int, list[tuple[int, ...]]]:
             found.clear()
         if det == best:
             found.append(tuple(chosen))
+    return best, _closure(found, p - 1)
 
-    # sign-flip orbits partition the subsets, so a found subset already in
-    # the set brings nothing new
-    orbits: set[tuple[int, ...]] = set()
-    for subset in found:
-        if subset not in orbits:
-            orbits.update(tuple(sorted(c ^ f for c in subset)) for f in range(size))
-    return best, sorted(orbits)
+
+def _closure(subsets, m: int) -> list[tuple[int, ...]]:
+    """Every image of the sorted index tuples ``subsets`` under factor
+    permutations and sign flips, sorted.
+
+    det(X'X) is invariant under both, so the images of the scored maximizers
+    are every maximizer: sign flips take any subset to one containing
+    candidate 0, and a factor permutation then sorts its column sums without
+    moving candidate 0.  The orbits are closed under the m single-factor
+    flips and the m - 1 adjacent transpositions, which generate the group;
+    each generator is a table of candidate indices, since factor j is bit
+    m - 1 - j of an index.
+    """
+    size = 1 << m
+    generators = [[c ^ (1 << j) for c in range(size)] for j in range(m)]
+    generators += [
+        [c ^ (3 << j) if (c >> j ^ c >> j + 1) & 1 else c for c in range(size)]
+        for j in range(m - 1)
+    ]
+    orbit = set(subsets)
+    todo = list(subsets)
+    while todo:
+        subset = todo.pop()
+        for table in generators:
+            image = tuple(sorted(map(table.__getitem__, subset)))
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return sorted(orbit)
 
 
 def _greedy_exchange(spec: SearchSpec, candidates) -> tuple[int, tuple]:
@@ -300,11 +341,18 @@ def _greedy_exchange(spec: SearchSpec, candidates) -> tuple[int, tuple]:
     for _ in range(spec.restarts):
         current = rng.sample(range(len(candidates)), spec.n)
         while True:
-            base, adj = _adjugate(_gram([rows[k] for k in current]))
+            gram = _gram([rows[k] for k in current])
+            base, adj = _adjugate(gram)
+            det = base
             if adj is not None:
                 adj_rows = [[_dot(a, r) for a in adj] for r in rows]
                 quad = [_dot(ar, r) for ar, r in zip(adj_rows, rows)]
-            det = base
+            else:
+                z = _null_vector([rows[k] for k in current])
+                if z is None:  # rank <= p - 2: every swap leaves det 0
+                    break
+                shadow = [_dot(z, r) ** 2 for r in rows]
+                kappa = [_null_cofactor(gram, rows[out], z) for out in current]
             swap = None
             selected = set(current)
             for i, out in enumerate(current):
@@ -315,9 +363,7 @@ def _greedy_exchange(spec: SearchSpec, candidates) -> tuple[int, tuple]:
                     if k in selected:
                         continue
                     if adj is None:
-                        trial = list(current)
-                        trial[i] = k
-                        trial_det = _gram_det([rows[t] for t in trial])
+                        trial_det = kappa[i] * shadow[k]
                     else:
                         cross = _dot(adj_out, row)
                         trial_det = ((base + quad[k]) * kept + cross * cross) // base
@@ -332,6 +378,37 @@ def _greedy_exchange(spec: SearchSpec, candidates) -> tuple[int, tuple]:
             best = det
             best_runs = tuple(candidates[k] for k in sorted(current))
     return best, best_runs
+
+
+def _null_vector(rows) -> list[int] | None:
+    """The primitive integer z with Xz = 0 when the rows X have rank p - 1,
+    p their length; None when the rank is lower."""
+    echelon = Echelon()
+    z = None
+    for j, column in enumerate(zip(*rows)):
+        combo = echelon.insert(column, j)
+        if combo is None:
+            continue
+        if z is not None:
+            return None
+        z = [-combo.get(a, 0) for a in range(j)] + [1] + [0] * (len(rows[0]) - j - 1)
+    z, _ = _cleared(z)
+    g = gcd(*z)
+    return [a // g for a in z]
+
+
+def _null_cofactor(gram, out, z) -> int:
+    """kappa with det(G - vv' + uu') = kappa * (u.z)^2 for every run u, where
+    G = X'X has rank p - 1 with null vector z and v = ``out`` is a run of X.
+
+    M = G - vv' is singular with Mz = 0, so adj M = kappa zz' and
+    det(M + uu') = u' adj(M) u; kappa is det(M + zz') / (z.z)^2, an integer
+    because adj M is integral and z is primitive.
+    """
+    p = len(z)
+    det = _det([[gram[a][b] - out[a] * out[b] + z[a] * z[b] for b in range(p)]
+                for a in range(p)])
+    return det // _dot(z, z) ** 2
 
 
 def _dot(a, b) -> int:

@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +15,7 @@ from algdoe import (
     d_optimal_search,
     full_factorial,
 )
-from algdoe.doptimal import int_det
+from algdoe.doptimal import _null_cofactor, _null_vector, int_det
 
 from conftest import random_two_level_design
 
@@ -126,7 +128,7 @@ def _direct_det(runs) -> int:
 
 
 @pytest.mark.parametrize(
-    "m,n", [(3, 4), (3, 5), (3, 6), (3, 7), (3, 8), (4, 5), (4, 8)]
+    "m,n", [(3, 4), (3, 5), (3, 6), (3, 7), (3, 8), (4, 5), (4, 6), (4, 7), (4, 8)]
 )
 def test_exhaustive_matches_brute_force_filter(m, n):
     candidates = list(itertools.product((-1, 1), repeat=m))
@@ -137,16 +139,53 @@ def test_exhaustive_matches_brute_force_filter(m, n):
     assert [d.runs for d in res.optima] == [s for s, v in dets.items() if v == best]
 
 
+@pytest.mark.parametrize("m,n", [(3, 5), (4, 6), (4, 7)])
+def test_exhaustive_optima_are_closed_under_the_symmetry_group(m, n):
+    # the search scores one sorted member per orbit and rebuilds the rest,
+    # so every factor transposition and sign flip must map optima to optima
+    optima = {d.runs for d in d_optimal_search(SearchSpec(m=m, n=n)).optima}
+    images = []
+    for t in range(m - 1):
+        swap = list(range(m))
+        swap[t], swap[t + 1] = t + 1, t
+        images.append(lambda run, swap=swap: tuple(run[j] for j in swap))
+    for t in range(m):
+        images.append(
+            lambda run, t=t: tuple(-v if j == t else v for j, v in enumerate(run))
+        )
+    for runs in optima:
+        for image in images:
+            assert tuple(sorted(map(image, runs))) in optima
+
+
+def _rank(rows) -> int:
+    """Rank over Q, by Gauss-Jordan elimination on Fractions."""
+    matrix = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(matrix[0])):
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        for r in range(len(matrix)):
+            if r != rank and matrix[r][col]:
+                ratio = matrix[r][col] / matrix[rank][col]
+                matrix[r] = [a - ratio * b for a, b in zip(matrix[r], matrix[rank])]
+        rank += 1
+    return rank
+
+
 def _direct_hill_climb(spec):
     """The greedy exchange with every trial evaluated from scratch; returns
-    (best det, sorted runs, number of restarts that began singular)."""
+    (best det, sorted runs, (start rank, final det) of every restart that
+    began singular)."""
     candidates = list(itertools.product((-1, 1), repeat=spec.m))
     rng = random.Random(spec.seed)
-    best, best_runs, singular_starts = -1, None, 0
+    best, best_runs, singular_starts = -1, None, []
     for _ in range(max(1, spec.restarts)):
         current = rng.sample(candidates, spec.n)
         det = _direct_det(current)
-        singular_starts += det == 0
+        start_rank = _rank([(1,) + run for run in current]) if det == 0 else None
         improved = True
         while improved:
             improved = False
@@ -166,6 +205,8 @@ def _direct_hill_climb(spec):
                 i, in_pt = swap
                 current[i] = in_pt
                 improved = True
+        if start_rank is not None:
+            singular_starts.append((start_rank, det))
         if det > best:
             best = det
             best_runs = tuple(sorted(current))
@@ -174,22 +215,51 @@ def _direct_hill_climb(spec):
 
 def test_greedy_matches_direct_hill_climb():
     rng = random.Random(29)
-    singular_starts = 0
-    for _ in range(24):
-        m = rng.randint(3, 6)
-        spec = SearchSpec(
-            m=m,
-            n=rng.randint(m + 1, m + 3),
-            mode="greedy-exchange",
-            seed=rng.randrange(2**31),
-            restarts=rng.randint(1, 2),
-        )
+    singular_starts = []
+    specs = [
+        SearchSpec(m=m, n=rng.randint(m + 1, m + 3), mode="greedy-exchange",
+                   seed=rng.randrange(2**31), restarts=rng.randint(1, 2))
+        for m in (rng.randint(3, 6) for _ in range(24))
+    ]
+    # 4 runs cannot span the 6 parameters of m = 5 with rank above p - 2
+    specs.append(SearchSpec(m=5, n=4, mode="greedy-exchange", seed=3, restarts=2))
+    for spec in specs:
         best, runs, singular = _direct_hill_climb(spec)
-        singular_starts += singular
+        singular_starts += [(spec.m + 1 - rank, det) for rank, det in singular]
         res = d_optimal_search(spec)
         assert res.best_det == best, spec
         assert res.optima[0].runs == runs, spec
-    assert singular_starts > 0  # the climb out of det 0 is exercised
+    # both singular cases are exercised: a start of rank p - 1 that climbs
+    # out through the null-vector scores, and a start of rank <= p - 2 that
+    # stops at det 0
+    assert any(deficit == 1 and det > 0 for deficit, det in singular_starts)
+    assert any(deficit >= 2 for deficit, _ in singular_starts)
+    assert all(det == 0 for deficit, det in singular_starts if deficit >= 2)
+
+
+def test_null_vector_scores_equal_direct_determinants():
+    # at rank p - 1 every swap's det(X'X) is kappa_i (u.z)^2
+    rng = random.Random(41)
+    candidates = list(itertools.product((-1, 1), repeat=4))
+    tried = 0
+    while tried < 6:
+        runs = rng.sample(candidates, rng.randint(5, 7))
+        rows = [(1,) + run for run in runs]
+        if _rank(rows) != 4:
+            continue
+        tried += 1
+        z = _null_vector(rows)
+        assert math.gcd(*z) == 1
+        assert all(sum(a * b for a, b in zip(row, z)) == 0 for row in rows)
+        gram = [[sum(r[a] * r[b] for r in rows) for b in range(5)] for a in range(5)]
+        for i, out in enumerate(rows):
+            kappa = _null_cofactor(gram, out, z)
+            for u in candidates:
+                swapped = runs[:i] + [u] + runs[i + 1:]
+                shadow = sum(a * b for a, b in zip((1,) + u, z)) ** 2
+                assert kappa * shadow == _direct_det(swapped)
+    # four runs of m = 5 have rank at most p - 2
+    assert _null_vector([(1,) + run for run in full_factorial(5).runs[:4]]) is None
 
 
 def test_scale_cap():
