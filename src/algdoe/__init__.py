@@ -42,6 +42,7 @@ from .groebner import (
     GroebnerBasis,
     buchberger,
     ideal_membership,
+    normal_form,
     point_ideal_intersection,
     reduce_basis,
     s_polynomial,
@@ -59,6 +60,6 @@ from .indicators import (
 from .markov import MarkovBasis, enumerate_fiber, fiber_connected, markov_basis
 from .mcmc import ChainConfig, TestResult, exact_p_value, fiber_distribution, mh_sample
 from .orders import TermOrder
-from .polynomials import PolyRing, Polynomial, normal_form
+from .polynomials import PolyRing, Polynomial
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -30,8 +30,9 @@ Experiments*, 1972)
 whose division is exact.  While D = 0 the rank of X decides.  One swap
 changes the rank by at most one, so below p - 1, p = m + 1, no swap makes
 det > 0 and the climb stops.  At rank p - 1, with z the primitive integer
-null vector of X, every swap at position i scores kappa_i (u.z)^2, where
-kappa_i = det(G - vv' + zz') / (z.z)^2 is computed once per position.
+null vector of X, the one vector of its kernel lattice, every swap at
+position i scores kappa_i (u.z)^2, where kappa_i = det(G - vv' + zz') /
+(z.z)^2 is computed once per position.
 Both modes list the 2^m candidate runs, so each checks its cap first.
 
 Every returned optimum is checked against ``d_criterion`` before it is
@@ -44,12 +45,11 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass
-from math import gcd
 
-from .cyclotomic import Echelon, _cleared
 from .designs import Design
 from .errors import InputError, ScaleError
 from .indicators import DesignClass, classify_design
+from .markov import _kernel_lattice
 
 EXHAUSTIVE_CAP = 10_000_000
 MAX_CANDIDATES = 2**20
@@ -169,23 +169,12 @@ def d_criterion(d: Design) -> int:
     """det(X'X) of the main effect model matrix, exactly."""
     if d.s != 2:
         raise InputError("the D criterion is defined for two-level designs")
-    return _gram_det(_model_rows(d.runs))
+    return int_det(_gram(_model_rows(d.runs)))
 
 
 def _gram(rows) -> list[list[int]]:
     cols = list(zip(*rows))
     return [[_dot(a, b) for b in cols] for a in cols]
-
-
-def _gram_det(rows) -> int:
-    n = len(rows)
-    p = len(rows[0])
-    if n < p:
-        return 0
-    if n == p:
-        det = int_det(rows)
-        return det * det
-    return int_det(_gram(rows))
 
 
 def d_optimal_search(spec: SearchSpec) -> SearchResult:
@@ -249,8 +238,7 @@ def _exhaustive(candidates, n: int) -> tuple[int, list[tuple[int, ...]]]:
     sums are non-decreasing are scored.  A depth-first walk, on an explicit
     stack so that n is not bounded by the recursion limit, visits them in
     combinations order and sums the packed upper triangle of X'X, whose
-    entries 1..m are the column sums, along the way; with n = m + 1 runs it
-    scores det(X'X) = det(X)^2 instead, whose elimination is cheaper.
+    entries 1..m are the column sums, along the way.
     """
     size = len(candidates)
     rows = _model_rows(candidates)
@@ -259,7 +247,6 @@ def _exhaustive(candidates, n: int) -> tuple[int, list[tuple[int, ...]]]:
     outer = [[r[a] * r[b] for a, b in pairs] for r in rows]
     slot = {pair: k for k, pair in enumerate(pairs)}
     unpack = [[slot[min(a, b), max(a, b)] for b in range(p)] for a in range(p)]
-    square = n == p
 
     best = -1
     found: list[tuple[int, ...]] = []
@@ -282,11 +269,7 @@ def _exhaustive(candidates, n: int) -> tuple[int, list[tuple[int, ...]]]:
         if depth < n - 1:
             stack.append((depth + 1, c + 1, gram))
             continue
-        if square:
-            det = _det([list(rows[k]) for k in chosen])
-            det *= det
-        else:
-            det = _det([[gram[k] for k in row] for row in unpack])
+        det = _det([[gram[k] for k in row] for row in unpack])
         if det > best:
             best = det
             found.clear()
@@ -348,9 +331,10 @@ def _greedy_exchange(spec: SearchSpec, candidates) -> tuple[int, tuple]:
                 adj_rows = [[_dot(a, r) for a in adj] for r in rows]
                 quad = [_dot(ar, r) for ar, r in zip(adj_rows, rows)]
             else:
-                z = _null_vector([rows[k] for k in current])
-                if z is None:  # rank <= p - 2: every swap leaves det 0
+                lattice = _kernel_lattice([rows[k] for k in current], len(gram))
+                if len(lattice) != 1:  # rank <= p - 2: every swap leaves det 0
                     break
+                z = lattice[0]
                 shadow = [_dot(z, r) ** 2 for r in rows]
                 kappa = [_null_cofactor(gram, rows[out], z) for out in current]
             swap = None
@@ -378,23 +362,6 @@ def _greedy_exchange(spec: SearchSpec, candidates) -> tuple[int, tuple]:
             best = det
             best_runs = tuple(candidates[k] for k in sorted(current))
     return best, best_runs
-
-
-def _null_vector(rows) -> list[int] | None:
-    """The primitive integer z with Xz = 0 when the rows X have rank p - 1,
-    p their length; None when the rank is lower."""
-    echelon = Echelon()
-    z = None
-    for j, column in enumerate(zip(*rows)):
-        combo = echelon.insert(column, j)
-        if combo is None:
-            continue
-        if z is not None:
-            return None
-        z = [-combo.get(a, 0) for a in range(j)] + [1] + [0] * (len(rows[0]) - j - 1)
-    z, _ = _cleared(z)
-    g = gcd(*z)
-    return [a // g for a in z]
 
 
 def _null_cofactor(gram, out, z) -> int:

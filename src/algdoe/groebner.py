@@ -1,11 +1,15 @@
-"""Buchberger's algorithm, reduced Groebner bases, ideal membership, vanishing
-ideals of points by Buchberger-Moeller, and standard monomials.
+"""Multivariate division, Buchberger's algorithm, reduced Groebner bases, ideal
+membership, vanishing ideals of points by Buchberger-Moeller, and standard
+monomials.
 
 Buchberger's algorithm and the binomial completions of the Markov engine keep
 their S-pairs in one :class:`_Completion`, by the criteria of Gebauer and
 Moeller, and take them smallest lcm under the active order first.  Exceeding
 the budget raises a structured :class:`~algdoe.errors.BudgetError` instead of
-hanging.
+hanging.  A :class:`_Completion` with no pairs is the package's one lead
+index: division, minimalization, the Buchberger-Moeller walk, the staircase
+of standard monomials and the Markov reductions all ask it which leading
+term divides a monomial.
 """
 
 from __future__ import annotations
@@ -26,15 +30,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .orders import Monomial, TermOrder
-from .polynomials import (
-    PolyRing,
-    Polynomial,
-    _division,
-    mono_divides,
-    mono_lcm,
-    mono_quot,
-    normal_form,
-)
+from .polynomials import PolyRing, Polynomial, mono_lcm, mono_mul, mono_quot
 
 
 @dataclass(frozen=True)
@@ -104,8 +100,7 @@ def buchberger(gens, order: TermOrder, budget: Budget = DEFAULT_BUDGET) -> Groeb
     div_data: list = []
 
     def remainder(f: Polynomial) -> dict:
-        minimal = [div_data[i] for i in completion.minimal()]
-        return _division(f.terms, minimal, order)[0]
+        return _division(f.terms, div_data, completion, order)[0]
 
     def add(terms: dict):
         g = Polynomial(ring, terms).monic(order)
@@ -139,7 +134,9 @@ def _members(bits: int):
 
 
 class _Completion:
-    """The leading monomials and S-pairs of one Buchberger completion.
+    """The leading monomials and S-pairs of one Buchberger completion, and
+    the package's one lead index: every "which leading term divides this
+    monomial?" is a call to :meth:`divisor`.
 
     Leads are exponent tuples numbered in the order they were added.  Their
     support bitmasks are stored transposed: ``using[v]`` has bit i set when
@@ -167,7 +164,8 @@ class _Completion:
         self.made = self.coprime = self.chain = self.peak = 0
 
     def divisor(self, u):
-        """The number of a lead of the minimal basis dividing x^u, or None."""
+        """The lowest number of a lead of the minimal basis dividing x^u, or
+        None."""
         outside = functools.reduce(or_, compress(self.using, map(not_, u)), 0)
         for i in _members(self.active & ~outside):
             if all(map(le, self.lead[i], u)):
@@ -260,20 +258,85 @@ class _Completion:
         return None
 
 
+def normal_form(f: Polynomial, divisors, order: TermOrder):
+    """Multivariate division of f by an ordered list of divisors.
+
+    Returns ``(remainder, cofactors)`` with
+    ``f == sum(cofactors[i] * divisors[i]) + remainder`` holding exactly, and no
+    remainder term divisible by any divisor's leading term.  When several
+    leading terms divide the current term, the earliest divisor in the list is
+    used, which makes the cofactors deterministic.
+    """
+    divisors = list(divisors)
+    for g in divisors:
+        if g.is_zero():
+            raise ZeroPolynomialError("division by a zero polynomial")
+        if g.ring != f.ring:
+            f._compatible(g)
+    div_data = [(g.terms, *g.leading_term(order)) for g in divisors]
+    leads = _Completion(f.ring.nvars)
+    for _, lm, _ in div_data:
+        leads.index(lm)
+    remainder, cofactors = _division(f.terms, div_data, leads, order)
+    ring = f.ring
+    return Polynomial(ring, remainder), [Polynomial(ring, c) for c in cofactors]
+
+
+def _division(fterms: dict, div_data, leads: _Completion, order: TermOrder):
+    """Division core over raw term dicts.
+
+    ``div_data`` holds ``(terms, leading_monomial, leading_coeff)`` per
+    divisor, numbered as in ``leads``, so repeated callers can precompute
+    leading data once.  Each term is divided by the active lead of lowest
+    number that divides it.
+    """
+    key = order.key
+    p = dict(fterms)
+    remainder: dict = {}
+    cofactors = [dict() for _ in div_data]
+    while p:
+        m = max(p, key=key)
+        c = p[m]
+        i = leads.divisor(m)
+        if i is None:
+            remainder[m] = c
+            del p[m]
+            continue
+        gterms, gm, gc = div_data[i]
+        q = mono_quot(m, gm)
+        qc = c * gc**-1
+        cof = cofactors[i]
+        v = cof.get(q)
+        v = qc if v is None else v + qc
+        if v:
+            cof[q] = v
+        else:
+            cof.pop(q, None)
+        for te, tc in gterms.items():
+            e = mono_mul(q, te)
+            v = p.get(e)
+            d = qc * tc
+            v = -d if v is None else v - d
+            if v:
+                p[e] = v
+            else:
+                p.pop(e, None)
+    return remainder, cofactors
+
+
 def reduce_basis(G: GroebnerBasis) -> GroebnerBasis:
     """Monic, auto-reduced, unique representative of a Groebner basis."""
     order = G.order
     elements = [g.monic(order) for g in G.elements]
     elements.sort(key=lambda g: order.key(g.leading_monomial(order)))
     # minimalize: drop any element whose leading term another one divides
+    leads = _Completion(G.ring.nvars)
     kept: list[Polynomial] = []
-    kept_lm: list[Monomial] = []
     for g in elements:
         lm = g.leading_monomial(order)
-        if any(mono_divides(m, lm) for m in kept_lm):
-            continue
-        kept.append(g)
-        kept_lm.append(lm)
+        if leads.divisor(lm) is None:
+            leads.index(lm)
+            kept.append(g)
     # tail-reduce each element against the others: one pass suffices, as no
     # lead divides another and so every lead stays fixed, in ascending order
     for i in range(len(kept)):
@@ -303,7 +366,8 @@ def point_ideal_intersection(
     """Vanishing ideal of a finite point set, by the Buchberger-Moeller algorithm.
 
     ``points`` is a sequence of distinct tuples of field elements.  Monomials
-    are visited in increasing ``x_order`` (grevlex by default), skipping
+    are visited in increasing ``x_order`` (grevlex by default), each made
+    once, from its parent, by the rule of :func:`_staircase`, skipping
     multiples of the leading terms already found, and the vector of each
     one's values on the points is reduced against an exact echelon of the
     values of the standard monomials.  An independent monomial is standard; a
@@ -351,30 +415,28 @@ def point_ideal_intersection(
     key = x_order.key
     ech = Echelon()
     est: list[Monomial] = []
-    leads: list[Monomial] = []
+    leads = _Completion(m)
     gens: list[Polynomial] = []
     start = (0,) * m
-    # candidate -> its values on the points
-    values = {start: [one] * len(points)}
-    heap = [(key(start), start)]
+    # (key, candidate, its last variable, its values on the points); keys of
+    # distinct monomials never tie, so the values are never compared
+    heap = [(key(start), start, 0, [one] * len(points))]
     while heap:
-        _, t = heapq.heappop(heap)
-        vec = values.pop(t)
-        if any(mono_divides(lm, t) for lm in leads):
+        _, t, last, vec = heapq.heappop(heap)
+        if leads.divisor(t) is not None:
             continue
         combo = ech.insert(vec if root is None else map(root, vec), t)
         if combo is not None:
             terms = {s: -c for s, c in combo.items()}
             terms[t] = field.one
-            leads.append(t)
+            leads.index(t)
             gens.append(Polynomial(ring, terms))
             continue
         est.append(t)
-        for j in range(m):
+        # as in _staircase, each candidate is pushed once, by its parent
+        for j in range(last, m):
             u = t[:j] + (t[j] + 1,) + t[j + 1 :]
-            if u not in values:
-                values[u] = times(vec, j)
-                heapq.heappush(heap, (key(u), u))
+            heapq.heappush(heap, (key(u), u, j, times(vec, j)))
     _certify_vanishing_ideal(gens, est, coords, x_order)
     return GroebnerBasis(x_order, tuple(gens))
 
@@ -499,20 +561,18 @@ def _staircase(leads, nvars: int, limit: int):
     """The monomials that no lead divides, or None if more than ``limit``.
 
     Canonical generation from 1: a standard s whose last variable is x_l yields
-    u = s * x_j for j >= l, so each monomial is reached once.  A lead dividing
-    u but not s has exponent u_j at x_j, so only those leads are tested.
+    u = s * x_j for j >= l, so each monomial is reached once, and is kept
+    when no lead in the index divides it.
     """
-    tested: dict[tuple[int, int], list[Monomial]] = {}
+    index = _Completion(nvars)
     for lm in leads:
-        for j, e in enumerate(lm):
-            if e:
-                tested.setdefault((j, e), []).append(lm)
+        index.index(lm)
     one = (0,) * nvars
     walk = [] if one in leads else [(one, 0)]
     for s, last in walk:  # the loop also visits what it appends
         for j in range(last, nvars):
             u = s[:j] + (s[j] + 1,) + s[j + 1 :]
-            if not any(mono_divides(lm, u) for lm in tested.get((j, u[j]), ())):
+            if index.divisor(u) is None:
                 walk.append((u, j))
         if len(walk) > limit:
             return None

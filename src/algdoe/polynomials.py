@@ -3,7 +3,8 @@
 A polynomial is a sparse map from exponent tuples to nonzero coefficients,
 attached to a :class:`PolyRing` that fixes the indeterminate names and the
 coefficient field.  All arithmetic is exact; there is no floating point
-anywhere in this module.
+anywhere in this module.  Division lives in :mod:`algdoe.groebner`, next to
+the lead index that decides which leading term divides a monomial.
 """
 
 from __future__ import annotations
@@ -26,11 +27,6 @@ from .orders import Monomial, TermOrder, _format_terms
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True if a divides b."""
-    return all(x <= y for x, y in zip(a, b))
 
 
 def mono_quot(a: Monomial, b: Monomial) -> Monomial:
@@ -311,70 +307,6 @@ class Polynomial:
             return "Polynomial<0>"
         # order-free display: sort by raw exponent tuples, largest first
         return f"Polynomial<{_terms_text(self, sorted(self.terms, reverse=True))}>"
-
-
-# -- division ----------------------------------------------------------------
-
-
-def normal_form(f: Polynomial, divisors, order: TermOrder):
-    """Multivariate division of f by an ordered list of divisors.
-
-    Returns ``(remainder, cofactors)`` with
-    ``f == sum(cofactors[i] * divisors[i]) + remainder`` holding exactly, and no
-    remainder term divisible by any divisor's leading term.  When several
-    leading terms divide the current term, the earliest divisor in the list is
-    used, which makes the cofactors deterministic.
-    """
-    divisors = list(divisors)
-    for g in divisors:
-        if g.is_zero():
-            raise ZeroPolynomialError("division by a zero polynomial")
-        if g.ring != f.ring:
-            f._compatible(g)
-    div_data = [(g.terms, *g.leading_term(order)) for g in divisors]
-    remainder, cofactors = _division(f.terms, div_data, order)
-    ring = f.ring
-    return Polynomial(ring, remainder), [Polynomial(ring, c) for c in cofactors]
-
-
-def _division(fterms: dict, div_data, order: TermOrder):
-    """Division core over raw term dicts.
-
-    ``div_data`` holds ``(terms, leading_monomial, leading_coeff)`` per divisor
-    so repeated callers can precompute leading data once.
-    """
-    key = order.key
-    p = dict(fterms)
-    remainder: dict = {}
-    cofactors = [dict() for _ in div_data]
-    while p:
-        m = max(p, key=key)
-        c = p[m]
-        for i, (gterms, gm, gc) in enumerate(div_data):
-            if mono_divides(gm, m):
-                q = mono_quot(m, gm)
-                qc = c * gc**-1
-                cof = cofactors[i]
-                v = cof.get(q)
-                v = qc if v is None else v + qc
-                if v:
-                    cof[q] = v
-                else:
-                    cof.pop(q, None)
-                for te, tc in gterms.items():
-                    e = mono_mul(q, te)
-                    v = p.get(e)
-                    d = qc * tc
-                    v = -d if v is None else v - d
-                    if v:
-                        p[e] = v
-                    else:
-                        p.pop(e, None)
-                break
-        else:
-            remainder[m] = c
-            del p[m]
-    return remainder, cofactors
 
 
 # -- text format ---------------------------------------------------------------

@@ -45,9 +45,8 @@ from algdoe.designs import (
     product_index,
     read_header,
 )
-from algdoe.groebner import reduce_basis, spolynomials_reduce_to_zero
+from algdoe.groebner import normal_form, reduce_basis, spolynomials_reduce_to_zero
 from algdoe.orders import monomial_name
-from algdoe.polynomials import normal_form
 
 from conftest import L8_WORDS, extend_design, random_two_level_design
 

@@ -15,7 +15,8 @@ from algdoe import (
     d_optimal_search,
     full_factorial,
 )
-from algdoe.doptimal import _null_cofactor, _null_vector, int_det
+from algdoe.doptimal import _null_cofactor, int_det
+from algdoe.markov import _kernel_lattice
 
 from conftest import random_two_level_design
 
@@ -235,6 +236,12 @@ def test_greedy_matches_direct_hill_climb():
     assert any(deficit == 1 and det > 0 for deficit, det in singular_starts)
     assert any(deficit >= 2 for deficit, _ in singular_starts)
     assert all(det == 0 for deficit, det in singular_starts if deficit >= 2)
+
+
+def _null_vector(rows):
+    """The kernel lattice's one vector when it has rank one, else None."""
+    lattice = _kernel_lattice(rows, len(rows[0]))
+    return lattice[0] if len(lattice) == 1 else None
 
 
 def test_null_vector_scores_equal_direct_determinants():

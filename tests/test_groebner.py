@@ -33,9 +33,9 @@ from algdoe.cyclotomic import CyclotomicNumber
 from algdoe.groebner import (
     GroebnerBasis,
     _certify_vanishing_ideal,
+    normal_form,
     spolynomials_reduce_to_zero,
 )
-from algdoe.polynomials import mono_divides, normal_form
 from conftest import THREE_LEVEL_RUNS
 
 R7 = PolyRing([f"x{i}" for i in range(1, 8)])
@@ -175,6 +175,15 @@ def test_membership_certificate_matches_worked_cofactors():
     }
 
 
+def test_normal_form_divides_by_the_earliest_divisor():
+    # divisor 2 repeats the lead of divisor 0, and that lead divides the lead
+    # of divisor 1: every step must take divisor 0
+    divisors = parse_gens(["x1-1", "x1*x2-5", "x1-2"])
+    r, cofs = normal_form(R7.parse("x1*x2+x1"), divisors, LEX7)
+    assert r == R7.parse("x2+1")
+    assert cofs == [R7.parse("x2+1"), R7.zero(), R7.zero()]
+
+
 def test_eliminate_single_point():
     pres = point_ideal_intersection(
         [(Fraction(1), Fraction(-1), Fraction(1))],
@@ -238,6 +247,10 @@ def test_standard_monomials_requires_zero_dimensional():
         standard_monomials(gb)
 
 
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
 def _box_standard_monomials(G):
     """Standard monomials listed from the box of the pure-power leads, every
     monomial of the box tested against every lead: the walk's reference."""
@@ -249,7 +262,7 @@ def _box_standard_monomials(G):
     out = [
         e
         for e in itertools.product(*(range(b) for b in bounds))
-        if not any(mono_divides(lm, e) for lm in leads)
+        if not any(_divides(lm, e) for lm in leads)
     ]
     return tuple(sorted(out, key=G.order.key))
 

@@ -1,0 +1,78 @@
+"""Static checks on the package source, with the standard library's ``ast``:
+no module imports a name it does not use, and no private module-level def
+or class is left that nothing else in the package refers to."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "algdoe"
+MODULES = {
+    path.stem: ast.parse(path.read_text(encoding="utf-8"))
+    for path in sorted(PACKAGE.glob("*.py"))
+}
+
+
+def _names(tree):
+    """Every name, attribute and imported name in ``tree``, names inside
+    string annotations included."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[0])
+        for annotation in _annotations(node):
+            for part in ast.walk(annotation):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    found |= _names(ast.parse(part.value, mode="eval"))
+    return found
+
+
+def _annotations(node):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+        yield node.returns
+    elif isinstance(node, ast.arg) and node.annotation:
+        yield node.annotation
+    elif isinstance(node, ast.AnnAssign):
+        yield node.annotation
+
+
+# per module, each top-level statement with the names it uses
+STATEMENTS = {
+    module: [(node, _names(node)) for node in tree.body]
+    for module, tree in MODULES.items()
+}
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "__init__"])
+def test_every_imported_name_is_used(module):
+    imported, used = set(), set()
+    for node, names in STATEMENTS[module]:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        else:
+            used |= names
+    assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("module", list(MODULES))
+def test_every_private_definition_is_referenced(module):
+    unused = [
+        node.name
+        for node, _ in STATEMENTS[module]
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not any(
+            node.name in names
+            for statements in STATEMENTS.values()
+            for other, names in statements
+            if other is not node
+        )
+    ]
+    assert unused == []
