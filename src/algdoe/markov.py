@@ -6,9 +6,10 @@ the run variables p1..pn alone (Sturmfels, *Groebner Bases and Convex
 Polytopes*, 1996, Alg. 12.3): a Z-basis of its integer kernel gives the
 lattice ideal J = <p^z+ - p^z->, which is saturated by one variable at a
 time.  The basis is the kernel's Hermite normal form taken last coordinate
-first, and its coordinates with pivot 1 are unit vectors that need no
-saturation.  Each step is a Buchberger completion under the package's
-grevlex :class:`~algdoe.orders.TermOrder` with that variable last, done
+first, and only its shared columns with a positive entry, or only those with
+a negative entry, need saturation, whichever are fewer.  Each step is a
+Buchberger completion under the package's grevlex
+:class:`~algdoe.orders.TermOrder` with that variable last, done
 directly on binomials x^lead - x^trail held as pairs of exponent tuples: a
 monomial u is reduced by an element whose lead divides it to
 u - lead + trail, and the leads and S-pairs are kept by the Gebauer-Moeller
@@ -60,9 +61,10 @@ def markov_basis(A: CovariateMatrix, budget: Budget = DEFAULT_BUDGET) -> MarkovB
     the power of the variable common to its two terms (Bayer-Stillman; valid
     because the intercept makes every binomial homogeneous) and reduces the
     quotients; the last step, p_n, leaves the reduced basis under
-    grevlex(p1..pn).  Variables whose pivot in the form is 1 are unit
-    vectors and need no step.  The moves are its binomials, lead minus trail,
-    sorted.
+    grevlex(p1..pn).  Only the columns of the form that two or more vectors
+    share need a step, and only the rising ones (with a positive entry) or
+    only the falling ones, whichever are fewer (:func:`_saturation_sequence`).
+    The moves are its binomials, lead minus trail, sorted.
 
     The basis depends on the kernel lattice alone, so the saturation is
     memoized on the run count, that form and ``budget.max_pairs``
@@ -200,16 +202,22 @@ def _kernel_lattice(recoded, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _saturation_sequence(n: int, lattice) -> list[int]:
-    """The run coordinates to saturate by, in order, p_n last: all but the
-    pivots equal to 1 of the lattice basis.  Such a pivot is a unit
-    coordinate, as the Hermite normal form makes every other entry of its
-    column 0, and a unit coordinate moves monotonically along the path of
-    basis steps from 0 to any lattice vector z, so p^z+ - p^z- times a
-    monomial free of its variable lies in the lattice ideal: the ideal needs
-    no saturation by that variable."""
-    pivots = [max(k for k, v in enumerate(z) if v) for z in lattice]
-    unit = {k for z, k in zip(lattice, pivots) if z[k] == 1}
-    return [k for k in range(n - 1) if k not in unit] + [n - 1]
+    """The run coordinates to saturate by, in order, p_n last: of the columns
+    that two or more basis vectors share, those with a positive entry
+    (rising) or those with a negative one (falling), whichever are fewer.
+
+    For z = sum of c_i b_i, walk from 0 to z by the steps -b_i with c_i < 0,
+    then by the steps b_i with c_i > 0.  A coordinate with no positive entry
+    rises and then falls, and one that a single vector touches is monotone,
+    so the walk keeps both at or above min(0, z_k): p^w (p^z+ - p^z-) lies in
+    J for some w on the rising coordinates, and the toric ideal is J : (their
+    product)^infinity.  The reverse walk gives the falling ones.  A pivot 1
+    and p_n are never shared, and the reduced basis is unique, so the moves
+    do not depend on which variables are skipped."""
+    shared = [(k, c) for k, c in enumerate(zip(*lattice)) if sum(map(bool, c)) > 1]
+    rising = [k for k, c in shared if max(c) > 0]
+    falling = [k for k, c in shared if min(c) < 0]
+    return min(rising, falling, key=len) + [n - 1]
 
 
 def _hermite(vectors) -> tuple[tuple[int, ...], ...]:

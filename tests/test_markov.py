@@ -454,27 +454,28 @@ def test_random_fibers_connected():
 
 
 def _lattice_ideal(A):
-    """Generators p^z+ - p^z- of the lattice ideal of the kernel basis, their
-    ring, and the saturation sequence."""
+    """Generators p^z+ - p^z- of the lattice ideal of the kernel basis, and
+    their ring."""
     lattice = _kernel_lattice(recode_integer(A), A.n)
     ring = PolyRing(tuple(f"p{i + 1}" for i in range(A.n)))
     gens = [
         ring.poly({tuple(max(v, 0) for v in z): 1, tuple(max(-v, 0) for v in z): -1})
         for z in lattice
     ]
-    return ring, gens, _saturation_sequence(A.n, lattice)
+    return ring, gens
 
 
 def _reference_moves(A, budget=CAP):
-    """The same saturation sequence through the generic polynomial engine:
-    one groebner.buchberger call per saturated variable, each element then
-    divided by the power of that variable common to its two terms, and
-    reduce_basis under grevlex(p1..pn) at the end."""
+    """Alg. 12.3 of Sturmfels (1996) through the generic polynomial engine,
+    sharing no skip rule with markov: one groebner.buchberger call per run
+    variable p1..pn, each element then divided by the power of that variable
+    common to its two terms, and reduce_basis under grevlex(p1..pn) at the
+    end."""
     n = A.n
-    ring, gens, saturate = _lattice_ideal(A)
+    ring, gens = _lattice_ideal(A)
     if not gens:
         return ()
-    for k in saturate:
+    for k in range(n):
         prec = tuple(i for i in range(n) if i != k) + (k,)
         gb = buchberger(gens, TermOrder.grevlex(n, prec), budget=budget)
         gens = []
@@ -583,7 +584,7 @@ def test_buchberger_binomial_ideals_certify():
             A = _random_cross_route_model(rng, checked)
         except EstimabilityError:
             continue
-        _, gens, _ = _lattice_ideal(A)
+        _, gens = _lattice_ideal(A)
         order = TermOrder.grevlex(A.n, tuple(rng.sample(range(A.n), A.n)))
         assert spolynomials_reduce_to_zero(buchberger(gens, order, budget=CAP))
         checked += 1
@@ -828,12 +829,24 @@ def _greedy_lattice(recoded, n):
     return [tuple(z) for z in basis], [k for k in range(n - 1) if k not in unit] + [n - 1]
 
 
+def _moves_along(lattice, saturate):
+    """The moves of saturating the lattice ideal by ``saturate`` in order."""
+    gens = [
+        (tuple(max(v, 0) for v in z), tuple(max(-v, 0) for v in z)) for z in lattice
+    ]
+    for k in saturate if gens else ():
+        gens = _saturate(gens, k, CAP.max_pairs)
+    return tuple(sorted(tuple(a - b for a, b in zip(lead, trail)) for lead, trail in gens))
+
+
 def test_kernel_lattice_matches_greedy_unit_reduction():
+    # the greedy pass's sequence skips only unit coordinates, a subset of the
+    # coordinates that _saturation_sequence skips; both give one reduced basis
     for A in _markov_corpus():
         lattice = _kernel_lattice(recode_integer(A), A.n)
         basis, saturate = _greedy_lattice(recode_integer(A), A.n)
         assert set(lattice) == set(basis)
-        assert _saturation_sequence(A.n, lattice) == saturate
+        assert _moves_along(lattice, saturate) == markov_basis(A, CAP).moves
 
 
 def test_kernel_lattice_is_its_own_hermite_form():
@@ -855,13 +868,34 @@ def test_kernel_lattice_is_its_own_hermite_form():
         assert flipped == lattice
 
 
-def test_pivots_above_one_are_saturated():
+def test_shared_columns_without_a_positive_entry_need_no_saturation():
     # 1, x1 and x1*x2 on the 3x3 under the symmetric contrast: the form has
-    # pivots of 2 on p9 and p8, which are no unit coordinates
+    # pivots of 2 on p9 and p8, which are no unit coordinates, and its shared
+    # columns p1, p4 and p7 are negative in both vectors, so no column rises
     A = build_covariate_matrix(
         full_factorial(2, 3), [term(2), term(2, 1), term(2, 1, 2)], "symmetric"
     )
     lattice = _kernel_lattice(recode_integer(A), A.n)
     assert lattice == ((-1, 0, 1, -1, 0, 1, -2, 0, 2), (-1, 1, 0, -1, 1, 0, -2, 2, 0))
-    assert _saturation_sequence(A.n, lattice) == list(range(9))
+    assert _saturation_sequence(A.n, lattice) == [8]
     assert markov_basis(A, CAP).moves == _reference_moves(A)
+
+
+def test_cold_bases_of_the_workload_saturate_by_few_variables(monkeypatch):
+    # one completion per saturated variable: at most two on each conditional
+    # model, where skipping only the unit coordinates takes six on 2^4 main
+    # effects (p1, p2, p3, p5, p9 and p16)
+    saturated = []
+
+    def counted(binomials, k, max_pairs):
+        saturated.append(k + 1)
+        return saturate(binomials, k, max_pairs)
+
+    saturate = markov._saturate
+    monkeypatch.setattr(markov, "_saturate", counted)
+    expected = [[1, 8], [1, 8], [1, 9], [1, 9], [1, 9], [1, 16], [8]]
+    for A, variables in zip(_conditional_models(), expected, strict=True):
+        markov._lattice_basis.cache_clear()
+        saturated.clear()
+        markov_basis(A, CAP)
+        assert saturated == variables
