@@ -25,14 +25,16 @@ exactly from G = X'X, D = det G and the integer adjugate A = adj G, taken
 once per sweep, by the rank-one update identity (Fedorov, *Theory of Optimal
 Experiments*, 1972)
 
-    det(G - vv' + uu') = ((D + u'Au)(D - v'Av) + (u'Av)^2) / D,
+    D det(G - vv' + uu') = (D + u'Au)(D - v'Av) + (u'Av)^2,
 
-whose division is exact.  While D = 0 the rank of X decides.  One swap
-changes the rank by at most one, so below p - 1, p = m + 1, no swap makes
-det > 0 and the climb stops.  At rank p - 1, with z the primitive integer
-null vector of X, the one vector of its kernel lattice, every swap at
-position i scores kappa_i (u.z)^2, where kappa_i = det(G - vv' + zz') /
-(z.z)^2 is computed once per position.
+and ranks the swaps by its right side, whose terms are listed for all 2^m
+runs u at once as signed sums (Yates' doubling, 1937): one list per row of A
+gives every Au and u'Au, one per design run v every u'Av.  While D = 0 the
+rank of X decides: one swap changes it by at most one, so below p - 1,
+p = m + 1, no swap makes det > 0 and the climb stops.  At rank p - 1, with
+z the primitive integer null vector of X, the one vector of its kernel
+lattice, every swap at position i scores kappa_i (u.z)^2, where kappa_i =
+det(G - vv' + zz') / (z.z)^2 is computed once per position.
 Both modes list the 2^m candidate runs, so each checks its cap first.
 
 Every returned optimum is checked against ``d_criterion`` before it is
@@ -138,26 +140,25 @@ def _bareiss(m) -> int:
 
 
 def _adjugate(gram) -> tuple[int, list[list[int]] | None]:
-    """det G of a square integer matrix and, when det G != 0, its integer
+    """det G of a symmetric integer matrix and, when det G != 0, its integer
     adjugate adj G = det G * G^-1 (None otherwise).
 
     Bareiss elimination of [G | I] leaves [U | R] with U upper triangular
-    and U G^-1 = R, so U adj G = det G * R is solved by back substitution;
-    each division is exact because adj G is integral.
+    and U G^-1 = R, so U adj G = det G * R is solved by back substitution
+    up to the diagonal, the rest following by symmetry; each division is
+    exact because adj G is integral.
     """
     p = len(gram)
     m = [list(row) + [int(i == j) for j in range(p)] for i, row in enumerate(gram)]
     det = _bareiss(m) * m[p - 1][p - 1]
     if det == 0:
         return 0, None
-    adj: list[list[int]] = [[]] * p
+    adj = [[0] * p for _ in range(p)]
     for i in range(p - 1, -1, -1):
         row = m[i]
-        adj[i] = [
-            (det * row[p + c] - sum(row[j] * adj[j][c] for j in range(i + 1, p)))
-            // row[i]
-            for c in range(p)
-        ]
+        for c in range(i + 1):
+            adj[i][c] = adj[c][i] = (
+                det * row[p + c] - _dot(row[i + 1:p], adj[c][i + 1:])) // row[i]
     return det, adj
 
 
@@ -311,13 +312,14 @@ def _closure(subsets, m: int) -> list[tuple[int, ...]]:
 def _greedy_exchange(spec: SearchSpec, candidates) -> tuple[int, tuple]:
     """Best det(X'X) and sorted runs over the seeded restarts of the climb.
 
-    Each sweep tries every (design position, unused candidate) swap in order
-    and applies the first one with the largest det, if it beats the current
-    design; the climb stops at the first sweep without an improving swap.
-    Designs are held as candidate indices: sampling indices draws the same
-    runs from the rng as sampling the candidates.
+    Each sweep lists the scores of all candidates at each design position,
+    masks the used ones, and applies the first swap with the largest det if
+    it beats the current design; the climb stops at the first sweep without
+    an improving swap.  Designs are held as candidate indices, which draw the
+    same runs from the rng as the candidates do and index every score list.
     """
     rows = _model_rows(candidates)
+    columns = list(zip(*candidates))
     rng = random.Random(spec.seed)
     best = -1
     best_runs: tuple[tuple[int, ...], ...] = ()
@@ -325,35 +327,32 @@ def _greedy_exchange(spec: SearchSpec, candidates) -> tuple[int, tuple]:
         current = rng.sample(range(len(candidates)), spec.n)
         while True:
             gram = _gram([rows[k] for k in current])
-            base, adj = _adjugate(gram)
-            det = base
+            det, adj = _adjugate(gram)
             if adj is not None:
-                adj_rows = [[_dot(a, r) for a in adj] for r in rows]
-                quad = [_dot(ar, r) for ar, r in zip(adj_rows, rows)]
+                sums = [_signed_sums(row) for row in adj]  # (Au)_c for every u
+                grown = [det + q for q in sums[0]]  # D + u'Au for every u
+                for signs, au in zip(columns, sums[1:]):
+                    grown = [g + a if s > 0 else g - a for g, a, s in zip(grown, au, signs)]
             else:
                 lattice = _kernel_lattice([rows[k] for k in current], len(gram))
                 if len(lattice) != 1:  # rank <= p - 2: every swap leaves det 0
                     break
                 z = lattice[0]
-                shadow = [_dot(z, r) ** 2 for r in rows]
-                kappa = [_null_cofactor(gram, rows[out], z) for out in current]
-            swap = None
-            selected = set(current)
+                shadow = [s * s for s in _signed_sums(z)]
+            top, swap = det * det, None  # D times the det to beat; 0 if singular
             for i, out in enumerate(current):
-                if adj is not None:
-                    adj_out = adj_rows[out]
-                    kept = base - quad[out]
-                for k, row in enumerate(rows):
-                    if k in selected:
-                        continue
-                    if adj is None:
-                        trial_det = kappa[i] * shadow[k]
-                    else:
-                        cross = _dot(adj_out, row)
-                        trial_det = ((base + quad[k]) * kept + cross * cross) // base
-                    if trial_det > det:
-                        det = trial_det
-                        swap = (i, k)
+                if adj is None:
+                    kappa = _null_cofactor(gram, rows[out], z)
+                    trial = [kappa * s for s in shadow]
+                else:  # Av is read off sums at v, and u'Av is its signed sum
+                    kept = 2 * det - grown[out]
+                    cross = _signed_sums([au[out] for au in sums])
+                    trial = [g * kept + c * c for g, c in zip(grown, cross)]
+                for k in current:
+                    trial[k] = -1
+                value = max(trial)
+                if value > top:
+                    top, swap = value, (i, trial.index(value))
             if swap is None:
                 break
             i, k = swap
@@ -380,3 +379,11 @@ def _null_cofactor(gram, out, z) -> int:
 
 def _dot(a, b) -> int:
     return sum(map(operator.mul, a, b))
+
+
+def _signed_sums(w) -> list[int]:
+    """w.r for every candidate row r = (1, +-1, ..., +-1), in product order."""
+    sums = [w[0]]
+    for wj in reversed(w[1:]):
+        sums = [v - wj for v in sums] + [v + wj for v in sums]
+    return sums

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -15,7 +16,13 @@ from algdoe import (
     d_optimal_search,
     full_factorial,
 )
-from algdoe.doptimal import _null_cofactor, int_det
+from algdoe.doptimal import (
+    _adjugate,
+    _greedy_exchange,
+    _null_cofactor,
+    _signed_sums,
+    int_det,
+)
 from algdoe.markov import _kernel_lattice
 
 from conftest import random_two_level_design
@@ -236,6 +243,117 @@ def test_greedy_matches_direct_hill_climb():
     assert any(deficit == 1 and det > 0 for deficit, det in singular_starts)
     assert any(deficit >= 2 for deficit, _ in singular_starts)
     assert all(det == 0 for deficit, det in singular_starts if deficit >= 2)
+
+
+def test_adjugate_of_symmetric_matrices():
+    # adj G G = det G I; the back substitution fills only up to the diagonal
+    rng = random.Random(12)
+    for _ in range(40):
+        p = rng.randint(1, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(p)] for _ in range(rng.randint(1, 8))]
+        gram = [[sum(r[a] * r[b] for r in rows) for b in range(p)] for a in range(p)]
+        det, adj = _adjugate(gram)
+        assert det == int_det(gram)
+        if det == 0:
+            assert adj is None
+            continue
+        product = [[sum(adj[a][k] * gram[k][b] for k in range(p)) for b in range(p)]
+                   for a in range(p)]
+        assert product == [[det * (a == b) for b in range(p)] for a in range(p)]
+
+
+def _reference_greedy(spec):
+    """The greedy exchange scored one (position, candidate) pair at a time by
+    the rank-one identity; returns (best det, sorted runs, the rank deficit
+    p - rank of every restart's start)."""
+    candidates = list(itertools.product((-1, 1), repeat=spec.m))
+    rows = [(1,) + run for run in candidates]
+    p = spec.m + 1
+
+    def dot(a, b):
+        return sum(map(operator.mul, a, b))
+
+    rng = random.Random(spec.seed)
+    best, best_runs, deficits = -1, (), []
+    for _ in range(spec.restarts):
+        current = rng.sample(range(len(candidates)), spec.n)
+        deficits.append(p - _rank([rows[k] for k in current]))
+        while True:
+            chosen = [rows[k] for k in current]
+            gram = [[dot(a, b) for b in zip(*chosen)] for a in zip(*chosen)]
+            base, adj = _adjugate(gram)
+            det = base
+            if adj is not None:
+                adj_rows = [[dot(a, r) for a in adj] for r in rows]
+                quad = [dot(ar, r) for ar, r in zip(adj_rows, rows)]
+            else:
+                lattice = _kernel_lattice(chosen, p)
+                if len(lattice) != 1:  # rank <= p - 2: every swap leaves det 0
+                    break
+                z = lattice[0]
+                shadow = [dot(z, r) ** 2 for r in rows]
+                kappa = [_null_cofactor(gram, rows[out], z) for out in current]
+            swap = None
+            selected = set(current)
+            for i, out in enumerate(current):
+                if adj is not None:
+                    adj_out = adj_rows[out]
+                    kept = base - quad[out]
+                for k, row in enumerate(rows):
+                    if k in selected:
+                        continue
+                    if adj is None:
+                        trial_det = kappa[i] * shadow[k]
+                    else:
+                        cross = dot(adj_out, row)
+                        trial_det = ((base + quad[k]) * kept + cross * cross) // base
+                    if trial_det > det:
+                        det = trial_det
+                        swap = (i, k)
+            if swap is None:
+                break
+            i, k = swap
+            current[i] = k
+        if det > best:
+            best = det
+            best_runs = tuple(candidates[k] for k in sorted(current))
+    return best, best_runs, deficits
+
+
+def test_greedy_sweeps_match_pairwise_reference():
+    rng = random.Random(35)
+    specs = []
+    for m in range(1, 9):
+        size = 2**m
+        sizes = [1, size] + [rng.randint(1, min(size, m + 4)) for _ in range(38)]
+        specs += [
+            SearchSpec(m=m, n=n, mode="greedy-exchange",
+                       seed=rng.randrange(2**31), restarts=rng.randint(1, 2))
+            for n in sizes
+        ]
+    deficits = set()
+    for spec in specs:
+        best, runs, starts = _reference_greedy(spec)
+        candidates = list(itertools.product((-1, 1), repeat=spec.m))
+        assert _greedy_exchange(spec, candidates) == (best, runs), spec
+        deficits.update(starts)
+    assert len(specs) >= 300
+    # starts of full rank, of rank p - 1 and of rank <= p - 2 all occur
+    assert {0, 1} <= deficits and max(deficits) >= 2
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_signed_sums_are_dot_products_with_every_candidate(m):
+    rng = random.Random(m)
+    for _ in range(3):
+        w = [rng.randint(-2**70, 2**70) for _ in range(m + 1)]
+        big, negative = rng.sample(range(m + 1), 2)
+        w[big], w[negative] = 2**64 + rng.randrange(2**64), -rng.randrange(1, 2**64)
+        expected = [
+            sum(a * b for a, b in zip((1,) + run, w))
+            for run in itertools.product((-1, 1), repeat=m)
+        ]
+        assert _signed_sums(w) == expected
 
 
 def _null_vector(rows):
