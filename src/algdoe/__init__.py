@@ -62,4 +62,5 @@ from .mcmc import ChainConfig, TestResult, exact_p_value, fiber_distribution, mh
 from .orders import TermOrder
 from .polynomials import PolyRing, Polynomial
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# linalg, imported by the modules above, is internal: no part of the API
+__all__ = [name for name in dir() if not name.startswith("_") and name != "linalg"]

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isfinite, prod
 
-from .cyclotomic import CyclotomicNumber, Echelon, _cleared, omega
+from .cyclotomic import CyclotomicNumber, Echelon, omega
 from .designs import Design, _columns, _product, parse_monomial
 from .errors import EstimabilityError, InputError
+from .linalg import cleared, column_dots
 from .orders import monomial_name
 
 CONTRASTS = ("baseline", "symmetric", "complex")
@@ -67,8 +68,7 @@ class CovariateMatrix:
         ]
 
     def sufficient_statistic(self, y) -> tuple:
-        y = _check_counts(self.n, y)
-        return tuple(sum(c * v for c, v in zip(col, y)) for col in self.columns)
+        return column_dots(self.columns, _check_counts(self.n, y))
 
 
 def _check_counts(n: int, y) -> tuple[int, ...]:
@@ -239,7 +239,7 @@ def recode_integer(A: CovariateMatrix) -> tuple[tuple[int, ...], ...]:
             rational_cols.append(col)
     out = {}  # insertion-ordered set
     for col in rational_cols:
-        ints, _ = _cleared(col)
+        ints, _ = cleared(col)
         low = min(0, *ints)
         ints = [v - low for v in ints]
         if g := gcd(*ints):  # an all-zero column adds nothing

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import gcd, lcm
 from typing import Union
 
+from . import linalg
 from .errors import CoefficientFieldError, InputError
 from .orders import _format_terms
 
@@ -289,60 +289,33 @@ class CyclotomicField:
         return self.name
 
 
-def _cleared(values) -> tuple[list[int], int]:
-    """The rationals ``values`` times the lcm of their denominators, as ints,
-    and that lcm."""
-    scale = lcm(*(a.denominator for a in values))
-    return [a.numerator * (scale // a.denominator) for a in values], scale
-
-
-class Echelon:
+class Echelon(linalg.Echelon):
     """Incremental exact row echelon form over Q or Q(w_s).
 
-    Every stored row is zero at the pivots of the rows stored before it and
-    remembers which combination of the independent inserted vectors it is.
-
-    Elimination is fraction-free.  Each vector is cleared to integers by the
-    lcm of its denominators, and every stored row is an integer vector
-    together with its integer combination of the cleared vectors.  A step is
-    a cross-multiplication, a*vec - b*row with a/b the pivot ratio in lowest
-    terms.  The vector being reduced carries its combination along and,
-    whenever a step scales it, sheds the factor that its entries share with
-    that scale.  Each new row is divided by the gcd of its entries and its
-    combination.  A dependent combination becomes Fractions once, at the end.
-
-    A vector in Q(w_s)^n goes in as the rational coordinates (n(s-1) of
-    them) of its multiples by 1, w, ..., w^(s-2).  Those multiples of the
-    kept vectors span their Q(w_s)-span over Q, so a vector is dependent
-    exactly when its own coordinates are, and the Q-coefficients of the
-    multiples of a kept vector are the coordinates of its coefficient in
-    Q(w_s), so no step divides in the field.  Each multiple by w is the
-    previous one with every entry's coordinates moved up one power and folded
-    by ``_fold``, the fold that products and :func:`omega` use.  One echelon
-    holds one field.
+    A vector in Q(w_s)^n enters the rational :class:`algdoe.linalg.Echelon`
+    as the coordinates (n(s-1) of them) of its multiples by 1, w, ...,
+    w^(s-2), the multiple by w^j under the label (label, j).  Those
+    multiples of the kept vectors span their Q(w_s)-span over Q, so a vector
+    is dependent exactly when its own coordinates are, and the Q-coefficients
+    of the multiples of a kept vector are the coordinates of its coefficient
+    in Q(w_s), so no step divides in the field.  Each multiple by w is the
+    previous one with every entry's coordinates moved up one power and
+    folded by ``_fold``, the fold that products and :func:`omega` use.  One
+    echelon holds one field.
     """
 
-    def __init__(self):
-        # (pivot, row, (label, lcm)) per independent rational vector: the
-        # integer vector followed by its combination of the cleared vectors,
-        # one entry per row up to its own.  A Q(w_s) vector's multiple by w^j
-        # is kept under the label (label, j).
-        self._rows: list[tuple[int, list[int], tuple]] = []
-        self._order = None  # s when the rows are Q(w_s) vectors
+    _order = None  # s when the rows are Q(w_s) vectors
 
     def insert(self, vec, label):
-        """Add ``vec`` under ``label`` and return None when it is independent
-        of the vectors kept so far; otherwise keep nothing and return the
-        ``{label: coeff}`` combination of kept vectors that equals ``vec``."""
         vec = list(vec)
         s = next((a.order for a in vec if isinstance(a, CyclotomicNumber)), None)
         if self._rows and s != self._order:
             raise CoefficientFieldError("cannot mix coefficient fields in one echelon")
         self._order = s
         if s is None:
-            return self._eliminate(vec, label)
+            return super().insert(vec, label)
         entries = [cyclotomic_field(s).coerce(a).coords for a in vec]
-        combo = self._eliminate([c for e in entries for c in e], (label, 0))
+        combo = super().insert([c for e in entries for c in e], (label, 0))
         if combo is not None:
             parts: dict = {}
             for (lab, j), c in combo.items():
@@ -351,48 +324,7 @@ class Echelon:
         for j in range(1, s - 1):
             # times w, entry by entry: each coordinate moves up one power
             entries = [_fold((0, *e)) for e in entries]
-            self._eliminate([c for e in entries for c in e], (label, j))
-        return None
-
-    def _eliminate(self, vec, label):
-        n = len(vec)
-        vec, scale = _cleared(vec)
-        # vec is [v | c] with v = total * (the cleared input) + sum(c[i] * w_i),
-        # w_i the cleared vector of row i; a stored row [r | c] has r = sum(c[i] * w_i)
-        vec += [0] * len(self._rows)
-        total = 1
-        for k, row, _ in self._rows:
-            b = vec[k]
-            if b:
-                a = row[k]  # positive
-                g = gcd(a, b)
-                a //= g
-                b //= g
-                # row i combines the vectors 0..i only, and vec's entries past
-                # len(row) are still zero, so they need no scaling
-                if a == 1:
-                    vec[: len(row)] = [x - b * y for x, y in zip(vec, row)]
-                else:
-                    vec[: len(row)] = [a * x - b * y for x, y in zip(vec, row)]
-                    total *= a
-                    # divide out what total shares with every entry; the
-                    # gcd starts from the small total, which keeps it cheap
-                    g = gcd(total, *vec)
-                    if g > 1:
-                        vec = [x // g for x in vec]
-                        total //= g
-        k = next((i for i in range(n) if vec[i]), None)
-        if k is None:
-            return {
-                lab: Fraction(-c * lab_scale, total * scale)
-                for c, (_, _, (lab, lab_scale)) in zip(vec[n:], self._rows)
-                if c
-            }
-        vec.append(total)
-        g = gcd(*vec)
-        if vec[k] < 0:
-            g = -g
-        self._rows.append((k, [a // g for a in vec], (label, scale)))
+            super().insert([c for e in entries for c in e], (label, j))
         return None
 
 

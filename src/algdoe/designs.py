@@ -33,6 +33,7 @@ from .groebner import (
     point_ideal_intersection,
     standard_monomials,
 )
+from .linalg import gf2_insert
 from .orders import Monomial, TermOrder
 from .polynomials import PolyRing
 
@@ -207,26 +208,6 @@ class Word:
             raise InputError("the empty word is not allowed")
 
 
-def _gf2_insert(rows: dict[int, int], v: int, data: int = -1) -> int:
-    """Reduce v by ``rows``, a fully reduced GF(2) echelon keyed by lowest set
-    bit; the remainder, returned, joins it if nonzero under the low ``data`` bits."""
-    for lead, row in rows.items():
-        if v >> lead & 1:
-            v ^= row
-    if v & data:
-        lead = (v & -v).bit_length() - 1
-        for other, row in rows.items():
-            if row >> lead & 1:
-                rows[other] = row ^ v
-        rows[lead] = v
-    return v
-
-
-def gf2_independent(vectors) -> bool:
-    rows: dict[int, int] = {}
-    return all(_gf2_insert(rows, product_index(v, WORD_LEVELS)) for v in vectors)
-
-
 def regular_design_from_words(m: int, words) -> Design:
     """The regular two-level fraction satisfying every word x^a = c.
 
@@ -244,17 +225,19 @@ def regular_design_from_words(m: int, words) -> Design:
     for w in words:
         if len(w.bits) != m:
             raise InputError(f"word {w} does not match {m} factors")
-    if not gf2_independent([w.bits for w in words]):
-        raise RankError("defining words are dependent over GF(2)")
+    # sign -1 is bit m, first of m+1 places: adding words multiplies signs, and
+    # a word left with no factor bit depends on the earlier ones, whatever its sign
+    data = (1 << m) - 1
+    pivots: dict[int, int] = {}
+    for w in words:
+        v = (w.sign < 0) << m | product_index(w.bits, WORD_LEVELS)
+        if not gf2_insert(pivots, v, data) & data:
+            raise RankError("defining words are dependent over GF(2)")
     if m - len(words) >= MAX_REGULAR_RUNS.bit_length():  # 2^(m-k) > the cap
         raise ScaleError(
             f"a fraction of 2^{m - len(words)} runs exceeds the cap of "
             f"{MAX_REGULAR_RUNS}"
         )
-    # sign -1 is bit m, first of m+1 places: adding words multiplies signs
-    pivots: dict[int, int] = {}
-    for w in words:
-        _gf2_insert(pivots, (w.sign < 0) << m | product_index(w.bits, WORD_LEVELS))
     free = [j for j in range(m) if m - 1 - j not in pivots]
     rules = []
     for lead, row in pivots.items():

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from .designs import Design
 from .errors import InputError, ScaleError
 from .indicators import DesignClass, classify_design
-from .markov import _kernel_lattice
+from .linalg import adjugate, bareiss, dot, int_det, kernel_lattice
 
 EXHAUSTIVE_CAP = 10_000_000
 MAX_CANDIDATES = 2**20
@@ -92,76 +92,6 @@ class SearchResult:
         return dict(sorted(hist.items()))
 
 
-def int_det(matrix) -> int:
-    """Exact integer determinant by Bareiss fraction-free elimination."""
-    m = [list(map(int, row)) for row in matrix]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise InputError("determinant of a non-square matrix")
-    return _det(m)
-
-
-def _det(m) -> int:
-    """Determinant of a square list of integer rows, which it overwrites."""
-    return _bareiss(m) * m[-1][-1]
-
-
-def _bareiss(m) -> int:
-    """Bareiss elimination, in place, below the diagonal of the leading
-    square block of the integer rows ``m``; columns past the block are
-    carried along.
-
-    Afterwards ``m[k][k]`` is the (k+1)-th leading minor of the block with
-    its rows swapped as returned, and the block's determinant is the sign
-    times ``m[-1][-1]``.  Returns the sign of the row swaps, or 0 when the
-    block is singular.
-    """
-    n = len(m)
-    width = len(m[0])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        row_k = m[k]
-        pivot_value = row_k[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            lead = row_i[k]
-            for j in range(k + 1, width):
-                row_i[j] = (row_i[j] * pivot_value - lead * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot_value
-    return sign
-
-
-def _adjugate(gram) -> tuple[int, list[list[int]] | None]:
-    """det G of a symmetric integer matrix and, when det G != 0, its integer
-    adjugate adj G = det G * G^-1 (None otherwise).
-
-    Bareiss elimination of [G | I] leaves [U | R] with U upper triangular
-    and U G^-1 = R, so U adj G = det G * R is solved by back substitution
-    up to the diagonal, the rest following by symmetry; each division is
-    exact because adj G is integral.
-    """
-    p = len(gram)
-    m = [list(row) + [int(i == j) for j in range(p)] for i, row in enumerate(gram)]
-    det = _bareiss(m) * m[p - 1][p - 1]
-    if det == 0:
-        return 0, None
-    adj = [[0] * p for _ in range(p)]
-    for i in range(p - 1, -1, -1):
-        row = m[i]
-        for c in range(i + 1):
-            adj[i][c] = adj[c][i] = (
-                det * row[p + c] - _dot(row[i + 1:p], adj[c][i + 1:])) // row[i]
-    return det, adj
-
-
 def _model_rows(runs) -> list[tuple[int, ...]]:
     return [(1,) + tuple(run) for run in runs]
 
@@ -175,7 +105,7 @@ def d_criterion(d: Design) -> int:
 
 def _gram(rows) -> list[list[int]]:
     cols = list(zip(*rows))
-    return [[_dot(a, b) for b in cols] for a in cols]
+    return [[dot(a, b) for b in cols] for a in cols]
 
 
 def d_optimal_search(spec: SearchSpec) -> SearchResult:
@@ -270,7 +200,7 @@ def _exhaustive(candidates, n: int) -> tuple[int, list[tuple[int, ...]]]:
         if depth < n - 1:
             stack.append((depth + 1, c + 1, gram))
             continue
-        det = _det([[gram[k] for k in row] for row in unpack])
+        det = bareiss([[gram[k] for k in row] for row in unpack])
         if det > best:
             best = det
             found.clear()
@@ -327,14 +257,14 @@ def _greedy_exchange(spec: SearchSpec, candidates) -> tuple[int, tuple]:
         current = rng.sample(range(len(candidates)), spec.n)
         while True:
             gram = _gram([rows[k] for k in current])
-            det, adj = _adjugate(gram)
+            det, adj = adjugate(gram)
             if adj is not None:
                 sums = [_signed_sums(row) for row in adj]  # (Au)_c for every u
                 grown = [det + q for q in sums[0]]  # D + u'Au for every u
                 for signs, au in zip(columns, sums[1:]):
                     grown = [g + a if s > 0 else g - a for g, a, s in zip(grown, au, signs)]
             else:
-                lattice = _kernel_lattice([rows[k] for k in current], len(gram))
+                lattice = kernel_lattice([rows[k] for k in current], len(gram))
                 if len(lattice) != 1:  # rank <= p - 2: every swap leaves det 0
                     break
                 z = lattice[0]
@@ -372,13 +302,9 @@ def _null_cofactor(gram, out, z) -> int:
     because adj M is integral and z is primitive.
     """
     p = len(z)
-    det = _det([[gram[a][b] - out[a] * out[b] + z[a] * z[b] for b in range(p)]
-                for a in range(p)])
-    return det // _dot(z, z) ** 2
-
-
-def _dot(a, b) -> int:
-    return sum(map(operator.mul, a, b))
+    det = bareiss([[gram[a][b] - out[a] * out[b] + z[a] * z[b] for b in range(p)]
+                   for a in range(p)])
+    return det // dot(z, z) ** 2
 
 
 def _signed_sums(w) -> list[int]:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import compress
 from operator import add, and_, le, mul, not_, or_
 
-from .cyclotomic import QQ, Echelon, _cleared, omega
+from .cyclotomic import QQ, Echelon, omega
 from .errors import (
     BudgetError,
     InputError,
@@ -29,6 +29,7 @@ from .errors import (
     ScaleError,
     ZeroPolynomialError,
 )
+from .linalg import cleared, column_dots
 from .orders import Monomial, TermOrder
 from .polynomials import PolyRing, Polynomial, mono_lcm, mono_mul, mono_quot
 
@@ -527,14 +528,12 @@ def _certify_vanishing_ideal(gens, est, points, order: TermOrder):
 
     for g in gens:
         if field == QQ:
-            coeffs, _ = _cleared(g.terms.values())
-            total = [0] * n  # the values of g on the points
-            for c, e in zip(coeffs, g.terms):
-                total = [t + c * v for t, v in zip(total, at(e))]
+            coeffs, _ = cleared(g.terms.values())
+            total = column_dots(zip(*map(at, g.terms)), coeffs)  # g on the points
             r = next((r for r, t in enumerate(total) if t), None)
         else:
             s = field.order
-            flat, _ = _cleared([c for a in g.terms.values() for c in a.coords])
+            flat, _ = cleared([c for a in g.terms.values() for c in a.coords])
             sums = [[0] * s for _ in range(n)]  # per point, per power of w
             for i, e in enumerate(g.terms):
                 c = flat[i * (s - 1) : (i + 1) * (s - 1)] + [0]

@@ -35,10 +35,10 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, compress, product
 
-from .designs import (RUN_LEVELS, WORD_LEVELS, Design, Word, _columns, _gf2_insert,
-                      _base2_reads, _product, _run_indices, product_element,
-                      product_index)
+from .designs import (RUN_LEVELS, WORD_LEVELS, Design, Word, _columns, _base2_reads,
+                      _product, _run_indices, product_element, product_index)
 from .errors import InputError, InvalidIndicatorError, ScaleError
+from .linalg import gf2_insert
 from .orders import Monomial, monomial_name
 from .polynomials import PolyRing, Polynomial
 
@@ -342,7 +342,7 @@ def classify_design(d: Design) -> DesignClass:
     for j in reversed(range(m)):
         col = columns[j]
         relative = col ^ data if col >> n - 1 else col
-        rest = _gf2_insert(span, 1 << n + m - 1 - j | relative, data)
+        rest = gf2_insert(span, 1 << n + m - 1 - j | relative, data)
         if not rest & data:
             bits = product_element(rest >> n, m, WORD_LEVELS)
             found.append((bits, _product(columns, bits)))

@@ -30,6 +30,7 @@ from operator import add, sub
 from .covariates import CovariateMatrix, _check_counts
 from .errors import BudgetError, InputError, ScaleError
 from .groebner import Budget, DEFAULT_BUDGET, _Completion
+from .linalg import column_dots, hermite, kernel_lattice
 from .orders import TermOrder
 
 MAX_FIBER_NODES = 10_000_000  # ~50 s at ~5 us per node (2 vCPU, Python 3.11)
@@ -79,7 +80,7 @@ def markov_basis(A: CovariateMatrix, budget: Budget = DEFAULT_BUDGET) -> MarkovB
     """
     recoded = A.recoded
     n = A.n
-    lattice = _kernel_lattice(recoded, n)
+    lattice = kernel_lattice(recoded, n)
     _certify_kernel(recoded, lattice)
     basis = _lattice_basis(n, lattice, budget.max_pairs)
     _certify_kernel(recoded, basis.moves)
@@ -113,8 +114,7 @@ def _lattice_basis(n: int, lattice, max_pairs: int) -> MarkovBasis:
             ) from exc
 
     moves = sorted(tuple(map(sub, lead, trail)) for lead, trail in gens)
-    # the moves' form in the lattice's coordinate order, last coordinate first
-    if tuple(row[::-1] for row in _hermite(z[::-1] for z in moves)) != lattice:
+    if hermite(moves) != lattice:
         raise AssertionError("the moves generate a proper sublattice of the kernel")
     return MarkovBasis(n, tuple(moves))
 
@@ -182,25 +182,6 @@ def _saturate(binomials, k: int, max_pairs: int):
     return _reduce(divided, key)
 
 
-def _kernel_lattice(recoded, n: int) -> tuple[tuple[int, ...], ...]:
-    """The Hermite normal form of {z in Z^n : col . z = 0 for every column
-    of ``recoded``}, taken last coordinate first: each vector's pivot is its
-    last nonzero coordinate.
-
-    Each row [A_i | e_(n-1-i)] (A = the recoded matrix with one row per run,
-    the identity's columns reversed) pairs a vector of Z^n with its image
-    under A, and row operations keep that pairing; so in the Hermite normal
-    form of the rows, those whose A part is zero are the kernel's form, read
-    back in run order.  Taking the last coordinates first
-    leaves the early ones to saturate: on 2^4 main effects the first bases
-    then hold 60 binomials, not 132 and 143.
-    """
-    ncon = len(recoded)
-    rows = [[col[i] for col in recoded] + [int(j == n - 1 - i) for j in range(n)]
-            for i in range(n)]
-    return tuple(row[ncon:][::-1] for row in _hermite(rows) if not any(row[:ncon]))
-
-
 def _saturation_sequence(n: int, lattice) -> list[int]:
     """The run coordinates to saturate by, in order, p_n last: of the columns
     that two or more basis vectors share, those with a positive entry
@@ -220,41 +201,9 @@ def _saturation_sequence(n: int, lattice) -> list[int]:
     return min(rising, falling, key=len) + [n - 1]
 
 
-def _hermite(vectors) -> tuple[tuple[int, ...], ...]:
-    """The Hermite normal form of the lattice the integer vectors span: its
-    nonzero rows, each pivot positive and every entry above a pivot in
-    [0, pivot).  Equal forms mean equal lattices."""
-    rows = [list(z) for z in vectors]
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        # Euclid on column c of rows[rank:] by unimodular row operations,
-        # until at most one of them is nonzero there
-        while len(live := [i for i in range(rank, len(rows)) if rows[i][c]]) > 1:
-            p = min(live, key=lambda i: abs(rows[i][c]))
-            for i in live:
-                if i != p:
-                    q = rows[i][c] // rows[p][c]
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[p])]
-        if not live:
-            continue
-        rows[rank], rows[live[0]] = rows[live[0]], rows[rank]
-        row = rows[rank]
-        if row[c] < 0:
-            row[:] = [-v for v in row]
-        for i in range(rank):
-            if q := rows[i][c] // row[c]:
-                rows[i] = [a - q * b for a, b in zip(rows[i], row)]
-        rank += 1
-    return tuple(map(tuple, rows[:rank]))
-
-
-def _residual(recoded, move) -> tuple[int, ...]:
-    return tuple(sum(c * z for c, z in zip(col, move)) for col in recoded)
-
-
 def _certify_kernel(recoded, vectors):
     for z in vectors:
-        if any(_residual(recoded, z)):
+        if any(column_dots(recoded, z)):
             raise AssertionError(f"{z} is not a kernel vector of the recoded matrix")
 
 
@@ -264,16 +213,14 @@ def _forced_runs(recoded, targets) -> dict[int, tuple[int, int, list]]:
     y_p = (t - sum of h_k y_k) / h_p.
 
     Each is the pivot of one row of the Hermite normal form of the rows
-    [reversed(col) | target], one per column of ``recoded``: with the runs
-    reversed, a row's pivot sits at its last nonzero run.  Row operations
-    keep the solutions, so the form's rows hold for y exactly when
-    A'y = A'y0 does.  The intercept makes the last run a pivot."""
-    n = len(recoded[0])
+    [target | col], one per column of ``recoded``, a row's pivot sitting at
+    its last nonzero run.  Row operations keep the solutions, so the form's
+    rows hold for y exactly when A'y = A'y0 does.  The intercept makes the
+    last run a pivot."""
     forced = {}
-    for *h, t in _hermite([*col[::-1], t] for col, t in zip(recoded, targets)):
-        c = next(c for c, v in enumerate(h) if v)
-        earlier = [(n - 1 - k, v) for k, v in enumerate(h) if k > c and v]
-        forced[n - 1 - c] = (t, h[c], earlier)
+    for t, *h in hermite([t, *col] for col, t in zip(recoded, targets)):
+        p = max(k for k, v in enumerate(h) if v)
+        forced[p] = (t, h[p], [(k, v) for k, v in enumerate(h[:p]) if v])
     return forced
 
 
@@ -307,7 +254,7 @@ def enumerate_fiber(
         raise ScaleError(f"run count {A.n} exceeds the cap {max_runs}")
 
     recoded = A.recoded
-    targets = _residual(recoded, y0)
+    targets = column_dots(recoded, y0)
     n = A.n
     forced = _forced_runs(recoded, targets)
     first = n  # runs first..n-1 are all forced

@@ -30,13 +30,8 @@ from fractions import Fraction
 from .covariates import CovariateMatrix, _check_counts
 from .errors import InputError
 from .glm import GlmFit, _check_statistic, fit_null_glm, test_statistic
-from .markov import (
-    MAX_FIBER_RUNS,
-    MAX_FIBER_TOTAL,
-    MarkovBasis,
-    _residual,
-    enumerate_fiber,
-)
+from .linalg import column_dots
+from .markov import MAX_FIBER_RUNS, MAX_FIBER_TOTAL, MarkovBasis, enumerate_fiber
 
 DEFAULT_BURN_IN = 10_000
 DEFAULT_SAMPLES = 100_000
@@ -194,7 +189,7 @@ def _check_fit(recoded, y0, fit: GlmFit) -> None:
     """Refuse a fit of another fiber.  A'y is an integer vector in the
     recoded coordinates, so two fibers differ by at least 1 there, while the
     fit of y0 meets A'mu = A'y0 to within the score tolerance."""
-    for gap in _residual(recoded, [y - mu for y, mu in zip(y0, fit.mu)]):
+    for gap in column_dots(recoded, [y - mu for y, mu in zip(y0, fit.mu)]):
         if abs(gap) >= 0.5:
             raise InputError(
                 f"the fit is not of the fiber of y0: A'mu misses A'y0 by {gap:.6g} "
@@ -236,7 +231,7 @@ def mh_sample(
     y0 = _check_counts(A.n, y0)
     recoded = A.recoded
     for z in basis.moves:
-        if len(z) != A.n or any(_residual(recoded, z)):
+        if len(z) != A.n or any(column_dots(recoded, z)):
             raise InputError(f"move {z} is not a kernel vector of A")
     if fit is None:
         fit = fit_null_glm(A, y0)

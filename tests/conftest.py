@@ -4,6 +4,8 @@ from itertools import compress
 import pytest
 
 from algdoe import Design, Word, full_factorial, regular_design_from_words
+from algdoe.designs import WORD_LEVELS, product_index
+from algdoe.linalg import gf2_insert
 
 L8_WORDS = (
     Word((1, 1, 1, 0, 0, 0, 0), -1),
@@ -94,6 +96,12 @@ def extend_design(d: Design, relations) -> Design:
         for run in d.runs
     )
     return Design(d.m + len(relations), 2, runs, "pm1")
+
+
+def gf2_independent(vectors) -> bool:
+    """Whether the 0/1 exponent vectors are independent over GF(2)."""
+    rows: dict[int, int] = {}
+    return all(gf2_insert(rows, product_index(v, WORD_LEVELS)) for v in vectors)
 
 
 def random_two_level_design(rng, m, n=None):

@@ -38,7 +38,6 @@ from algdoe.designs import (
     _columns,
     _product,
     _run_indices,
-    gf2_independent,
     parse_monomial,
     parse_signed_monomial,
     product_element,
@@ -48,7 +47,7 @@ from algdoe.designs import (
 from algdoe.groebner import normal_form, reduce_basis, spolynomials_reduce_to_zero
 from algdoe.orders import monomial_name
 
-from conftest import L8_WORDS, extend_design, random_two_level_design
+from conftest import L8_WORDS, extend_design, gf2_independent, random_two_level_design
 
 
 def mono(m, *idx):
@@ -129,10 +128,16 @@ def test_run_cap_names_the_count_symbolically():
 
 
 def test_dependent_words_rejected():
+    # x1x3 = x1x2 * x2x3: dependent with the sign that follows, and with the other
+    for sign in (1, -1):
+        with pytest.raises(RankError):
+            regular_design_from_words(
+                3, [Word((1, 1, 0), 1), Word((0, 1, 1), 1), Word((1, 0, 1), sign)]
+            )
+    # dependence is refused before the run cap, which 2^28 runs also exceed
+    word = Word((1, 1) + (0,) * 28, 1)
     with pytest.raises(RankError):
-        regular_design_from_words(
-            3, [Word((1, 1, 0), 1), Word((0, 1, 1), 1), Word((1, 0, 1), 1)]
-        )
+        regular_design_from_words(30, [word, word])
 
 
 def test_design_validation():

@@ -16,14 +16,8 @@ from algdoe import (
     d_optimal_search,
     full_factorial,
 )
-from algdoe.doptimal import (
-    _adjugate,
-    _greedy_exchange,
-    _null_cofactor,
-    _signed_sums,
-    int_det,
-)
-from algdoe.markov import _kernel_lattice
+from algdoe.doptimal import _greedy_exchange, _null_cofactor, _signed_sums
+from algdoe.linalg import adjugate, int_det, kernel_lattice
 
 from conftest import random_two_level_design
 
@@ -252,7 +246,7 @@ def test_adjugate_of_symmetric_matrices():
         p = rng.randint(1, 6)
         rows = [[rng.randint(-3, 3) for _ in range(p)] for _ in range(rng.randint(1, 8))]
         gram = [[sum(r[a] * r[b] for r in rows) for b in range(p)] for a in range(p)]
-        det, adj = _adjugate(gram)
+        det, adj = adjugate(gram)
         assert det == int_det(gram)
         if det == 0:
             assert adj is None
@@ -281,13 +275,13 @@ def _reference_greedy(spec):
         while True:
             chosen = [rows[k] for k in current]
             gram = [[dot(a, b) for b in zip(*chosen)] for a in zip(*chosen)]
-            base, adj = _adjugate(gram)
+            base, adj = adjugate(gram)
             det = base
             if adj is not None:
                 adj_rows = [[dot(a, r) for a in adj] for r in rows]
                 quad = [dot(ar, r) for ar, r in zip(adj_rows, rows)]
             else:
-                lattice = _kernel_lattice(chosen, p)
+                lattice = kernel_lattice(chosen, p)
                 if len(lattice) != 1:  # rank <= p - 2: every swap leaves det 0
                     break
                 z = lattice[0]
@@ -358,7 +352,7 @@ def test_signed_sums_are_dot_products_with_every_candidate(m):
 
 def _null_vector(rows):
     """The kernel lattice's one vector when it has rank one, else None."""
-    lattice = _kernel_lattice(rows, len(rows[0]))
+    lattice = kernel_lattice(rows, len(rows[0]))
     return lattice[0] if len(lattice) == 1 else None
 
 

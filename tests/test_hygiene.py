@@ -76,3 +76,15 @@ def test_every_private_definition_is_referenced(module):
         )
     ]
     assert unused == []
+
+
+def test_linalg_imports_nothing_from_the_package_but_errors():
+    # the modules that eliminate import linalg, so an import back could make
+    # a cycle
+    for node in ast.walk(MODULES["linalg"]):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert node.module == "errors"
+        elif isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "algdoe" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module.split(".")[0] != "algdoe"

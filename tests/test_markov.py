@@ -29,19 +29,13 @@ from algdoe.groebner import (
     spolynomials_reduce_to_zero,
 )
 from algdoe import markov
-from algdoe.markov import (
-    MarkovBasis,
-    _kernel_lattice,
-    _reduce,
-    _residual,
-    _saturate,
-    _saturation_sequence,
-)
+from algdoe.linalg import column_dots, hermite, kernel_lattice
+from algdoe.markov import MarkovBasis, _reduce, _saturate, _saturation_sequence
 
 
 def kernel_residual(A, move) -> tuple[int, ...]:
     """A~' z for a move; all zeros iff the move is a kernel vector."""
-    return _residual(A.recoded, move)
+    return column_dots(A.recoded, move)
 
 
 def term(m, *idx):
@@ -383,7 +377,7 @@ def test_non_kernel_lattice_vector_is_caught(d22, monkeypatch):
 
     A = build_covariate_matrix(d22, main_effects(2))
     monkeypatch.setattr(
-        markov, "_kernel_lattice", lambda recoded, n: ((1, -1, 0, 0),)
+        markov, "kernel_lattice", lambda recoded, n: ((1, -1, 0, 0),)
     )
     with pytest.raises(AssertionError):
         markov_basis(A)
@@ -456,7 +450,7 @@ def test_random_fibers_connected():
 def _lattice_ideal(A):
     """Generators p^z+ - p^z- of the lattice ideal of the kernel basis, and
     their ring."""
-    lattice = _kernel_lattice(recode_integer(A), A.n)
+    lattice = kernel_lattice(recode_integer(A), A.n)
     ring = PolyRing(tuple(f"p{i + 1}" for i in range(A.n)))
     gens = [
         ring.poly({tuple(max(v, 0) for v in z): 1, tuple(max(-v, 0) for v in z): -1})
@@ -561,7 +555,7 @@ def test_saturation_steps_match_generic_engine_random_models():
             continue
         checked += 1
         n = A.n
-        lattice = _kernel_lattice(recode_integer(A), n)
+        lattice = kernel_lattice(recode_integer(A), n)
         ring = PolyRing(tuple(f"p{i + 1}" for i in range(n)))
         gens = [
             (tuple(max(v, 0) for v in z), tuple(max(-v, 0) for v in z))
@@ -713,14 +707,14 @@ def test_hermite_form_is_the_lattice_invariant():
             i, j = rng.sample(range(r), 2)
             q = rng.randint(-2, 2)
             mixed[i] = [a + q * b for a, b in zip(mixed[i], mixed[j])]
-        form = markov._hermite(basis)
-        assert markov._hermite(mixed[::-1] + [[0] * n]) == form
+        form = hermite(basis)
+        assert hermite(mixed[::-1] + [[0] * n]) == form
         for k, row in enumerate(form):
-            c = next(j for j, v in enumerate(row) if v)
+            c = max(j for j, v in enumerate(row) if v)
             assert row[c] > 0
             assert all(0 <= above[c] < row[c] for above in form[:k])
             assert all(below[c] == 0 for below in form[k + 1:])
-    assert markov._hermite([(2, 0), (0, 1)]) != markov._hermite([(1, 0), (0, 1)])
+    assert hermite([(2, 0), (0, 1)]) != hermite([(1, 0), (0, 1)])
 
 
 def _markov_corpus():
@@ -843,7 +837,7 @@ def test_kernel_lattice_matches_greedy_unit_reduction():
     # the greedy pass's sequence skips only unit coordinates, a subset of the
     # coordinates that _saturation_sequence skips; both give one reduced basis
     for A in _markov_corpus():
-        lattice = _kernel_lattice(recode_integer(A), A.n)
+        lattice = kernel_lattice(recode_integer(A), A.n)
         basis, saturate = _greedy_lattice(recode_integer(A), A.n)
         assert set(lattice) == set(basis)
         assert _moves_along(lattice, saturate) == markov_basis(A, CAP).moves
@@ -853,19 +847,18 @@ def test_kernel_lattice_is_its_own_hermite_form():
     # last coordinate first: a vector's pivot is its last nonzero coordinate
     for A in _markov_corpus():
         recoded = recode_integer(A)
-        lattice = _kernel_lattice(recoded, A.n)
+        lattice = kernel_lattice(recoded, A.n)
         pivots = [max(k for k, v in enumerate(z) if v) for z in lattice]
         assert pivots == sorted(pivots, reverse=True)
         assert len(set(pivots)) == len(pivots)
         for i, (z, c) in enumerate(zip(lattice, pivots)):
             assert z[c] > 0
             assert all(0 <= above[c] < z[c] for above in lattice[:i])
-            assert not any(_residual(recoded, z))
+            assert not any(column_dots(recoded, z))
             if z[c] == 1:
                 # a unit coordinate: 0 in every other basis vector
                 assert [w[c] for w in lattice] == [int(w is z) for w in lattice]
-        flipped = tuple(row[::-1] for row in markov._hermite(z[::-1] for z in lattice))
-        assert flipped == lattice
+        assert hermite(lattice) == lattice
 
 
 def test_shared_columns_without_a_positive_entry_need_no_saturation():
@@ -875,7 +868,7 @@ def test_shared_columns_without_a_positive_entry_need_no_saturation():
     A = build_covariate_matrix(
         full_factorial(2, 3), [term(2), term(2, 1), term(2, 1, 2)], "symmetric"
     )
-    lattice = _kernel_lattice(recode_integer(A), A.n)
+    lattice = kernel_lattice(recode_integer(A), A.n)
     assert lattice == ((-1, 0, 1, -1, 0, 1, -2, 0, 2), (-1, 1, 0, -1, 1, 0, -2, 2, 0))
     assert _saturation_sequence(A.n, lattice) == [8]
     assert markov_basis(A, CAP).moves == _reference_moves(A)
