@@ -62,5 +62,12 @@ from .mcmc import ChainConfig, TestResult, exact_p_value, fiber_distribution, mh
 from .orders import TermOrder
 from .polynomials import PolyRing, Polynomial
 
-# linalg, imported by the modules above, is internal: no part of the API
-__all__ = [name for name in dir() if not name.startswith("_") and name != "linalg"]
+from types import ModuleType as _ModuleType
+
+# the imports above also bind each submodule here; the submodules are no part
+# of the API
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -78,6 +78,10 @@ class Design:
                     raise InputError(f"run {run} has wrong length")
                 if not all(map(valid, run)):
                     raise InputError(f"run {run} has an invalid coded level")
+        # a valid level equals an int (1.0, True, Fraction(2), ...): store that
+        if not {int}.issuperset(map(type, itertools.chain.from_iterable(self.runs))):
+            runs = tuple(tuple(int(v.real) for v in run) for run in self.runs)
+            object.__setattr__(self, "runs", runs)
 
     @property
     def n(self) -> int:

@@ -18,7 +18,7 @@ import functools
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import combinations, compress
 from operator import add, and_, le, mul, not_, or_
 
 from .cyclotomic import QQ, Echelon, omega
@@ -268,23 +268,34 @@ def normal_form(f: Polynomial, divisors, order: TermOrder):
     leading terms divide the current term, the earliest divisor in the list is
     used, which makes the cofactors deterministic.
     """
-    divisors = list(divisors)
-    for g in divisors:
-        if g.is_zero():
-            raise ZeroPolynomialError("division by a zero polynomial")
-        if g.ring != f.ring:
-            f._compatible(g)
-    div_data = [(g.terms, *g.leading_term(order)) for g in divisors]
-    leads = _Completion(f.ring.nvars)
-    for _, lm, _ in div_data:
-        leads.index(lm)
-    remainder, cofactors = _division(f.terms, div_data, leads, order)
+    div_data, leads = _indexed(f, divisors, order)
+    remainder, steps = _division(f.terms, div_data, leads, order)
+    # the divided term falls at every step, so no (i, q) comes twice
+    cofactors = [{} for _ in div_data]
+    for i, q, qc in steps:
+        cofactors[i][q] = qc
     ring = f.ring
     return Polynomial(ring, remainder), [Polynomial(ring, c) for c in cofactors]
 
 
+def _indexed(f: Polynomial, divisors, order: TermOrder):
+    """The division data of ``divisors`` and their lead index, after checking
+    that each is nonzero and over a ring compatible with f's."""
+    divisors = list(divisors)
+    for g in divisors:
+        if g.is_zero():
+            raise ZeroPolynomialError("division by a zero polynomial")
+        f._compatible(g)
+    div_data = [(g.terms, *g.leading_term(order)) for g in divisors]
+    leads = _Completion(f.ring.nvars)
+    for _, lm, _ in div_data:
+        leads.index(lm)
+    return div_data, leads
+
+
 def _division(fterms: dict, div_data, leads: _Completion, order: TermOrder):
-    """Division core over raw term dicts.
+    """Division core over raw term dicts: the remainder and the steps
+    ``(i, q, qc)``, each subtracting qc * x^q times divisor i.
 
     ``div_data`` holds ``(terms, leading_monomial, leading_coeff)`` per
     divisor, numbered as in ``leads``, so repeated callers can precompute
@@ -294,7 +305,7 @@ def _division(fterms: dict, div_data, leads: _Completion, order: TermOrder):
     key = order.key
     p = dict(fterms)
     remainder: dict = {}
-    cofactors = [dict() for _ in div_data]
+    steps = []
     while p:
         m = max(p, key=key)
         c = p[m]
@@ -306,13 +317,7 @@ def _division(fterms: dict, div_data, leads: _Completion, order: TermOrder):
         gterms, gm, gc = div_data[i]
         q = mono_quot(m, gm)
         qc = c * gc**-1
-        cof = cofactors[i]
-        v = cof.get(q)
-        v = qc if v is None else v + qc
-        if v:
-            cof[q] = v
-        else:
-            cof.pop(q, None)
+        steps.append((i, q, qc))
         for te, tc in gterms.items():
             e = mono_mul(q, te)
             v = p.get(e)
@@ -322,7 +327,7 @@ def _division(fterms: dict, div_data, leads: _Completion, order: TermOrder):
                 p[e] = v
             else:
                 p.pop(e, None)
-    return remainder, cofactors
+    return remainder, steps
 
 
 def reduce_basis(G: GroebnerBasis) -> GroebnerBasis:
@@ -338,11 +343,17 @@ def reduce_basis(G: GroebnerBasis) -> GroebnerBasis:
         if leads.divisor(lm) is None:
             leads.index(lm)
             kept.append(g)
-    # tail-reduce each element against the others: one pass suffices, as no
-    # lead divides another and so every lead stays fixed, in ascending order
-    for i in range(len(kept)):
-        others = kept[:i] + kept[i + 1 :]
-        kept[i] = normal_form(kept[i], others, order)[0].monic(order)
+    for g in kept:
+        kept[0]._compatible(g)
+    # tail-reduce each element on the same index, in ascending order, the
+    # earlier ones already reduced: a lead divides no monomial below itself,
+    # so an element's own lead never divides its tail, and as no lead divides
+    # another, one pass leaves every lead fixed
+    div_data = [(g.terms, lm, g.terms[lm]) for g, lm in zip(kept, leads.lead)]
+    for i, (terms, lm, lc) in enumerate(div_data):
+        tail = {e: c for e, c in terms.items() if e != lm}
+        div_data[i] = ({lm: lc, **_division(tail, div_data, leads, order)[0]}, lm, lc)
+        kept[i] = Polynomial(kept[i].ring, div_data[i][0])
     return GroebnerBasis(order, tuple(kept))
 
 
@@ -609,13 +620,11 @@ def standard_monomials(G: GroebnerBasis):
 
 def spolynomials_reduce_to_zero(G: GroebnerBasis) -> bool:
     """Certifying self-check: every S-polynomial of the basis reduces to zero."""
-    elems = G.elements
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            s = s_polynomial(elems[i], elems[j], G.order)
-            if s.is_zero():
-                continue
-            r, _ = normal_form(s, elems, G.order)
-            if not r.is_zero():
+    indexed = None  # built at the first nonzero S-polynomial, checked against it
+    for f, g in combinations(G.elements, 2):
+        s = s_polynomial(f, g, G.order)
+        if s:
+            indexed = indexed or _indexed(s, G.elements, G.order)
+            if _division(s.terms, *indexed, G.order)[0]:
                 return False
     return True

@@ -38,10 +38,20 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def _add_term(terms: dict, e: Monomial, c) -> None:
+    """Add c * x^e to ``terms``, dropping the term if it cancels."""
+    v = terms.get(e)
+    v = c if v is None else v + c
+    if v:
+        terms[e] = v
+    else:
+        terms.pop(e, None)
+
+
 class PolyRing:
     """Polynomial ring context: indeterminate names plus a coefficient field."""
 
-    __slots__ = ("names", "field", "_index", "_zero", "_one")
+    __slots__ = ("names", "field", "_index")
 
     def __init__(self, names, field=QQ):
         names = tuple(names)
@@ -52,8 +62,6 @@ class PolyRing:
         self.names = names
         self.field = field
         self._index = {n: i for i, n in enumerate(names)}
-        self._zero = None
-        self._one = None
 
     @property
     def nvars(self) -> int:
@@ -72,23 +80,16 @@ class PolyRing:
     def __repr__(self):
         return f"PolyRing({','.join(self.names)}; {self.field!r})"
 
-    # -- element constructors -------------------------------------------
+    # -- element constructors: all through poly ---------------------------
 
     def zero(self) -> "Polynomial":
-        if self._zero is None:
-            self._zero = Polynomial(self, {})
-        return self._zero
+        return self.poly({})
 
     def one(self) -> "Polynomial":
-        if self._one is None:
-            self._one = self.const(1)
-        return self._one
+        return self.const(1)
 
     def const(self, c) -> "Polynomial":
-        c = self.field.coerce(c)
-        if not c:
-            return self.zero()
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return self.poly({(0,) * self.nvars: c})
 
     def var(self, name_or_index) -> "Polynomial":
         if isinstance(name_or_index, int):
@@ -99,30 +100,21 @@ class PolyRing:
             except KeyError:
                 raise InputError(f"unknown indeterminate {name_or_index!r}") from None
         e = [0] * self.nvars
-        e[i] = 1
-        return Polynomial(self, {tuple(e): self.field.coerce(1)})
+        e[i] = 1  # as for a list: negative counts from the end, past it is an IndexError
+        return self.poly({tuple(e): 1})
 
     def monomial(self, expts: Monomial, coeff=1) -> "Polynomial":
-        expts = tuple(expts)
-        if len(expts) != self.nvars or any(e < 0 for e in expts):
-            raise DimensionError(f"bad exponent vector {expts} for {self!r}")
-        c = self.field.coerce(coeff)
-        if not c:
-            return self.zero()
-        return Polynomial(self, {expts: c})
+        return self.poly({tuple(expts): coeff})
 
     def poly(self, terms) -> "Polynomial":
-        """Build a polynomial from an exponent-to-coefficient mapping."""
-        clean = {}
+        """Build a polynomial from an exponent-to-coefficient mapping: the one
+        place that checks exponent vectors and coerces coefficients."""
+        clean: dict = {}
         for e, c in dict(terms).items():
             e = tuple(e)
             if len(e) != self.nvars or any(x < 0 for x in e):
                 raise DimensionError(f"bad exponent vector {e} for {self!r}")
-            c = self.field.coerce(c)
-            if c:
-                clean[e] = clean.get(e, self.field.zero) + c
-                if not clean[e]:
-                    del clean[e]
+            _add_term(clean, e, self.field.coerce(c))
         return Polynomial(self, clean)
 
     # -- conversions ------------------------------------------------------
@@ -131,9 +123,7 @@ class PolyRing:
         """Embed a polynomial from a rational ring with the same names."""
         if f.ring.names != self.names:
             raise DimensionError("cannot embed between different universes")
-        return Polynomial(
-            self, {e: self.field.coerce(c) for e, c in f.terms.items()}
-        )
+        return self.poly(f.terms)
 
     def parse(self, text: str) -> "Polynomial":
         return _parse_polynomial(self, text)
@@ -186,12 +176,7 @@ class Polynomial:
             return NotImplemented
         out = dict(self.terms)
         for e, c in o.terms.items():
-            v = out.get(e)
-            v = c if v is None else v + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
+            _add_term(out, e, c)
         return Polynomial(self.ring, out)
 
     __radd__ = __add__
@@ -218,14 +203,7 @@ class Polynomial:
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = mono_mul(e1, e2)
-                v = out.get(e)
-                p = c1 * c2
-                v = p if v is None else v + p
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
+                _add_term(out, mono_mul(e1, e2), c1 * c2)
         return Polynomial(self.ring, out)
 
     __rmul__ = __mul__
@@ -300,7 +278,9 @@ class Polynomial:
 
     def text(self, order: TermOrder) -> str:
         """Canonical text form: terms in descending order under ``order``."""
-        return format_polynomial(self, order)
+        if not self.terms:
+            return "0"
+        return _terms_text(self, sorted(self.terms, key=order.key, reverse=True))
 
     def __repr__(self):
         if not self.terms:
@@ -327,12 +307,6 @@ def _coeff_str(c) -> str:
 
 def _terms_text(f: Polynomial, monomials) -> str:
     return _format_terms(((e, _coeff_str(f.terms[e])) for e in monomials), f.ring.names)
-
-
-def format_polynomial(f: Polynomial, order: TermOrder) -> str:
-    if not f.terms:
-        return "0"
-    return _terms_text(f, sorted(f.terms, key=order.key, reverse=True))
 
 
 def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
@@ -423,14 +397,7 @@ def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
             sign = -1 if val == "-" else 1
         while True:
             e, c = parse_term(ring)
-            c = -c if sign < 0 else c
-            if c:
-                prev = terms.get(e)
-                v = c if prev is None else prev + c
-                if v:
-                    terms[e] = v
-                else:
-                    terms.pop(e, None)
+            _add_term(terms, e, -c if sign < 0 else c)
             kind, val = peek()
             if kind != "op" or val not in "+-":
                 return Polynomial(ring, terms)

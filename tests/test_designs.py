@@ -203,6 +203,31 @@ def test_integer_levels_are_what_range_contains(s):
         assert accepted == (v in range(s)), v
 
 
+@pytest.mark.parametrize("s", [2, 3, 5])
+def test_accepted_levels_are_stored_as_ints(s):
+    valid = (-1, 1) if s == 2 else range(s)
+    coding = "pm1" if s == 2 else "integer"
+    for v in LEVEL_SAMPLE:
+        if v in valid:
+            other = next(w for w in valid if w != v)
+            d = Design(2, s, ((v, other), (other, v)), coding)
+            assert all(type(a) is int for run in d.runs for a in run), v
+            assert d.runs == ((v, other), (other, v))
+            assert parse_design(format_design(d)) == d
+    # True equals the int level 1 that comes before it in the table
+    low = valid[0]
+    assert type(Design(2, s, ((1, low), (low, True)), coding).runs[1][1]) is int
+
+
+def test_complex_ideal_of_non_int_levels_is_that_of_their_ints():
+    order = TermOrder.lex(1)
+    # the ideal is cached per design, and equal designs share an entry
+    designs._design_ideal.cache_clear()
+    got = design_ideal(Design(1, 3, ((Fraction(1),), (2.0,), (0,)), "complex"), order)
+    designs._design_ideal.cache_clear()
+    assert got == design_ideal(Design(1, 3, ((1,), (2,), (0,)), "complex"), order)
+
+
 class _CountingFloat(float):
     """A float that counts the equality tests made on it."""
 

@@ -18,6 +18,7 @@ from algdoe import (
     full_factorial,
     test_statistic,
 )
+from algdoe import glm
 from algdoe.glm import GlmFit, _total
 
 from conftest import random_two_level_design
@@ -100,6 +101,18 @@ def test_all_zero_observations_raise(d22):
     A = build_covariate_matrix(d22, main_effects(2))
     with pytest.raises(GlmConvergenceError):
         fit_null_glm(A, (0, 0, 0, 0))
+
+
+def test_iteration_cap_raises(d22, monkeypatch):
+    # one Newton step from the intercept-only start does not reach the score
+    # tolerance on these counts
+    A = build_covariate_matrix(d22, main_effects(2))
+    monkeypatch.setattr(glm, "MAX_ITER", 1)
+    with pytest.raises(GlmConvergenceError) as exc:
+        fit_null_glm(A, (3, 1, 0, 2))
+    assert str(exc.value) == (
+        "no convergence in 1 iterations; the sufficient statistic may sit on the boundary"
+    )
 
 
 def test_boundary_statistic_converges_to_face(d22):

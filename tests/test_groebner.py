@@ -598,11 +598,21 @@ def test_complex_design_ideal_corpus_is_unchanged():
 def test_certifying_self_check():
     gb = buchberger(parse_gens(BASIS_2_7_4), GREV7)
     assert spolynomials_reduce_to_zero(gb)
+    # the S-polynomial x1*x2*x3 - x2 of these two does not reduce to zero
+    not_groebner = GroebnerBasis(LEX7, tuple(parse_gens(["x1^2-1", "x1*x2*x3+x2"])))
+    assert not spolynomials_reduce_to_zero(not_groebner)
 
 
 def test_budget_error():
     with pytest.raises(BudgetError):
         buchberger(parse_gens(BASIS_2_7_4), LEX7, budget=Budget(max_pairs=3))
+
+
+def test_term_budget_error():
+    # the S-polynomial of x1^2-1 and x1*x2-1 has the remainder x2-x1, two terms
+    with pytest.raises(BudgetError, match=re.escape("term budget exceeded (2 > 1)")):
+        buchberger(parse_gens(["x1^2-1", "x1*x2-1"]), LEX7, budget=Budget(max_terms=1))
+    assert len(buchberger(parse_gens(["x1^2-1", "x1*x2-1"]), LEX7, Budget(max_terms=2)).elements) == 2
 
 
 def test_budget_error_reports_pair_counts():
@@ -622,3 +632,188 @@ def test_rejects_zero_generator():
         point_ideal_intersection(
             [(Fraction(1),), (Fraction(1),)], var_names=("x1",)
         )
+
+
+# -- the reduction and division of the earlier release, kept as references ----
+
+
+def _reference_division(f, divisors, order):
+    """Divide f by ``divisors``, each term by the earliest divisor whose lead
+    divides it, adding each quotient term into the cofactors as it goes."""
+    leads = [g.leading_term(order) for g in divisors]
+    p = dict(f.terms)
+    remainder = {}
+    cofactors = [{} for _ in divisors]
+    while p:
+        m = max(p, key=order.key)
+        c = p[m]
+        i = next((i for i, (lm, _) in enumerate(leads) if _divides(lm, m)), None)
+        if i is None:
+            remainder[m] = c
+            del p[m]
+            continue
+        gm, gc = leads[i]
+        q = tuple(a - b for a, b in zip(m, gm))
+        qc = c * gc**-1
+        cof = cofactors[i]
+        v = cof.get(q)
+        v = qc if v is None else v + qc
+        if v:
+            cof[q] = v
+        else:
+            cof.pop(q, None)
+        for te, tc in divisors[i].terms.items():
+            e = tuple(a + b for a, b in zip(q, te))
+            v = p.get(e, 0) - qc * tc
+            if v:
+                p[e] = v
+            else:
+                p.pop(e, None)
+    ring = f.ring
+    return Polynomial(ring, remainder), [Polynomial(ring, c) for c in cofactors]
+
+
+def _reference_reduce_basis(G):
+    """Minimalize, then divide each kept element, in ascending order, by all
+    the others, the earlier ones already reduced."""
+    order = G.order
+    elements = sorted(
+        (g.monic(order) for g in G.elements),
+        key=lambda g: order.key(g.leading_monomial(order)),
+    )
+    kept = []
+    for g in elements:
+        lm = g.leading_monomial(order)
+        if not any(_divides(k.leading_monomial(order), lm) for k in kept):
+            kept.append(g)
+    for i in range(len(kept)):
+        others = kept[:i] + kept[i + 1 :]
+        kept[i] = _reference_division(kept[i], others, order)[0].monic(order)
+    return GroebnerBasis(order, tuple(kept))
+
+
+REFERENCE_ORDERS = {
+    "lex": TermOrder.lex(3),
+    "grevlex": TermOrder.grevlex(3),
+    "block": TermOrder.block([((2,), "grevlex"), ((0, 1), "lex")]),
+}
+
+
+def _random_coefficient(rng, field):
+    if field is None:
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return CyclotomicNumber(field.order, (rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 2)))
+
+
+def _random_nonzero(rng, field):
+    while not (c := _random_coefficient(rng, field)):
+        pass
+    return c
+
+
+def _random_polynomial(rng, ring, terms):
+    field = None if ring.field == cyclotomic.QQ else ring.field
+    return ring.poly(
+        {
+            tuple(rng.randint(0, 2) for _ in range(ring.nvars)): _random_coefficient(rng, field)
+            for _ in range(terms)
+        }
+    )
+
+
+def _perturbed(rng, G):
+    """G scaled, with multiples of earlier elements added to later tails,
+    with redundant elements added, and shuffled: a basis of the same ideal
+    whose reduced basis is G's."""
+    order = G.order
+    field = None if G.ring.field == cyclotomic.QQ else G.ring.field
+    elements = [g * _random_nonzero(rng, field) for g in G.elements]
+    for j in range(1, len(elements)):
+        lead = order.key(elements[j].leading_monomial(order))
+        i = rng.randrange(j)
+        u = tuple(rng.randint(0, 1) for _ in range(G.ring.nvars))
+        h = elements[i].mul_term(u, _random_nonzero(rng, field))
+        if order.key(h.leading_monomial(order)) < lead:
+            elements[j] = elements[j] + h
+    for _ in range(rng.randint(1, 3)):
+        u = tuple(rng.randint(0, 1) for _ in range(G.ring.nvars))
+        extra = rng.choice(elements).mul_term(u, _random_nonzero(rng, field))
+        extra += rng.choice(elements) * _random_nonzero(rng, field)
+        if extra:
+            elements.append(extra)
+    rng.shuffle(elements)
+    return GroebnerBasis(order, tuple(elements))
+
+
+def _loose_basis(rng, ring, order):
+    """Up to seven polynomials whose leads divide no other lead, their tails
+    mostly multiples of lower leads: in general no Groebner basis, so what a
+    tail reduces to depends on which divisors reduce it."""
+    field = None if ring.field == cyclotomic.QQ else ring.field
+    box = list(itertools.product(range(4), repeat=3))
+    leads = []
+    for e in rng.sample(box, len(box)):
+        if 0 < sum(e) <= 4 and len(leads) < 7:
+            if not any(_divides(lead, e) or _divides(e, lead) for lead in leads):
+                leads.append(e)
+    elements = []
+    for lead in leads:
+        below = [e for e in box if order.key(e) < order.key(lead)]
+        multiples = [e for e in below if any(_divides(other, e) for other in leads)]
+        terms = {lead: _random_nonzero(rng, field)}
+        for _ in range(rng.randint(2, 4)):
+            pool = multiples if multiples and rng.random() < 0.7 else below
+            if pool:
+                terms[rng.choice(pool)] = _random_nonzero(rng, field)
+        elements.append(ring.poly(terms))
+    rng.shuffle(elements)
+    return GroebnerBasis(order, tuple(elements))
+
+
+def _reference_cases(field, order, seed):
+    """A design ideal on random points, perturbed, and a loose basis."""
+    rng = random.Random(seed)
+    if field is None:
+        cells = rng.sample(list(itertools.product((-1, 1), repeat=3)), rng.randint(2, 7))
+        G = point_ideal_intersection([tuple(map(Fraction, c)) for c in cells], x_order=order)
+    else:
+        cells = rng.sample(list(itertools.product(range(3), repeat=3)), rng.randint(2, 12))
+        points = [tuple(omega(3, k) for k in c) for c in cells]
+        G = point_ideal_intersection(points, field=field, x_order=order)
+    return G, _perturbed(rng, G), _loose_basis(rng, G.ring, order)
+
+
+@pytest.mark.parametrize("field", [None, cyclotomic_field(3)], ids=["QQ", "QQw3"])
+@pytest.mark.parametrize("order", list(REFERENCE_ORDERS.values()), ids=list(REFERENCE_ORDERS))
+def test_reduce_basis_matches_the_per_element_reference(field, order):
+    # 6 x 20 seeds x 2 bases: 240 bases, half of them loose; on a Groebner
+    # basis the reduced basis is unique, so only the loose ones tell which
+    # divisors each tail was reduced by
+    for seed in range(20):
+        G, perturbed, loose = _reference_cases(field, order, seed)
+        for basis in (perturbed, loose):
+            got = reduce_basis(basis)
+            want = _reference_reduce_basis(basis)
+            assert [g.terms for g in got.elements] == [g.terms for g in want.elements], seed
+        assert reduce_basis(perturbed).elements == G.elements
+
+
+@pytest.mark.parametrize("field", [None, cyclotomic_field(3)], ids=["QQ", "QQw3"])
+def test_normal_form_matches_the_cofactor_accumulating_reference(field):
+    rng = random.Random(37)
+    ring = PolyRing(("x1", "x2", "x3"), *([field] if field else []))
+    for _ in range(150):
+        divisors = [
+            g for g in (_random_polynomial(rng, ring, rng.randint(1, 3)) for _ in range(4)) if g
+        ]
+        if not divisors:
+            continue
+        # a repeated lead: of the two divisors, only the earlier one divides
+        g = rng.choice(divisors)
+        divisors.insert(rng.randrange(len(divisors) + 1), g * _random_nonzero(rng, field) + 1)
+        f = _random_polynomial(rng, ring, rng.randint(1, 6)) * _random_polynomial(rng, ring, 2)
+        order = rng.choice(list(REFERENCE_ORDERS.values()))
+        r, cofactors = normal_form(f, divisors, order)
+        want_r, want_cofactors = _reference_division(f, divisors, order)
+        assert r.terms == want_r.terms
+        assert [c.terms for c in cofactors] == [c.terms for c in want_cofactors]

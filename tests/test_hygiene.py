@@ -1,9 +1,11 @@
 """Static checks on the package source, with the standard library's ``ast``:
 no module imports a name it does not use, and no private module-level def
-or class is left that nothing else in the package refers to."""
+or class is left that nothing else in the package refers to; and the
+package's public names are its API, not its submodules."""
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -88,3 +90,17 @@ def test_linalg_imports_nothing_from_the_package_but_errors():
             assert all(a.name.split(".")[0] != "algdoe" for a in node.names)
         elif isinstance(node, ast.ImportFrom):
             assert node.module.split(".")[0] != "algdoe"
+
+
+def test_public_names_are_the_api_and_no_module():
+    import algdoe
+
+    for name in algdoe.__all__:
+        value = getattr(algdoe, name)
+        assert not isinstance(value, ModuleType), name
+        # a function or class names its module; an object such as QQ, its class's
+        owner = getattr(value, "__module__", None) or type(value).__module__
+        assert owner.startswith("algdoe."), (name, owner)
+    namespace = {}
+    exec("from algdoe import *", namespace)
+    assert not [k for k, v in namespace.items() if isinstance(v, ModuleType)]

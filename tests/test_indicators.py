@@ -2,6 +2,7 @@ import itertools
 import math
 import operator
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -259,6 +260,21 @@ def test_add_factors_identity_and_derived_case(f2):
     combined = indicator_add_factors(base, rels)
     direct = indicator_from_design(extend_design(f2, rels))
     assert combined == direct
+
+
+def test_expansions_capped_before_building_the_table():
+    # a table of 2^21 entries takes some 16 MB; the refusals take none of it
+    d = Design(21, 2, ((1,) * 21, (-1,) * 21), "pm1")
+    f = IndicatorFunction(21, {(0,) * 21: Fraction(1, 2)})
+    tracemalloc.start()
+    try:
+        for expand, arg in ((indicator_from_design, d), (design_from_indicator, f)):
+            with pytest.raises(ScaleError, match=r"^indicator expansion capped at m <= 20$"):
+                expand(arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_add_factors_capped_before_expanding():

@@ -106,6 +106,8 @@ def test_fiber_caps():
     A = build_covariate_matrix(d, [term(2)])
     with pytest.raises(ScaleError):
         enumerate_fiber(A, (40, 0, 0, 0))
+    with pytest.raises(ScaleError, match="^run count 4 exceeds the cap 3$"):
+        enumerate_fiber(A, (1, 1, 1, 1), max_runs=3)
 
 
 def test_negative_caps_are_input_errors(d22):
