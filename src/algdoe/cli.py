@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: gb, ideal, est, alias, indicator, classify, addfactors, model,
-basis, mctest, exact, doptimal.  Text outputs use the polynomial text format;
-structured reports are JSON with a top-level ``"schema": 1`` field.  Exit
-codes: 0 success, 2 input error, 3 budget or scale error.
+basis, mctest, exact, doptimal.  Each subcommand returns its output: text in
+the polynomial text format, or a structured report as a dict.  :func:`run`
+alone writes every report: it adds the top-level ``"schema": 1`` field to a
+dict and prints it as JSON.  Exit codes: 0 success, 2 input error, 3 budget or
+scale error.
 """
 
 from __future__ import annotations
@@ -63,21 +65,16 @@ def load_design(path: str) -> Design:
     return parse_design(_read(path))
 
 
-def print_basis(gb: GroebnerBasis, out) -> None:
+def _basis_text(gb: GroebnerBasis) -> str:
     names = gb.ring.names
-    print(f"order={format_order(gb.order, names)} vars={','.join(names)}", file=out)
-    for g in gb.elements:
-        print(g.text(gb.order), file=out)
-
-
-def _emit_json(payload: dict, out) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True), file=out)
+    header = f"order={format_order(gb.order, names)} vars={','.join(names)}"
+    return "\n".join([header, *(g.text(gb.order) for g in gb.elements)])
 
 
 # -- subcommand implementations -------------------------------------------------
 
 
-def cmd_gb(args, out) -> int:
+def cmd_gb(args) -> str:
     if bool(args.design) == bool(args.gens):
         raise InputError("gb needs exactly one of --design or --gens")
     caps = {"max_pairs": args.max_pairs, "max_terms": args.max_terms}
@@ -89,39 +86,33 @@ def cmd_gb(args, out) -> int:
                 "a design ideal has no pair budget"
             )
         args.order = args.order or "grevlex"
-        return cmd_ideal(args, out)
+        return cmd_ideal(args)
     header, lines = read_header(_read(args.gens), "generator", ("order", "vars"))
     ring = PolyRing(v for v in header["vars"].split(",") if v)
     order = parse_order(args.order or header["order"], ring.names, args.vars)
     gens = [ring.parse(ln) for ln in lines]
-    gb = buchberger(gens, order, budget=Budget(**caps))
-    print_basis(gb, out)
-    return 0
+    return _basis_text(buchberger(gens, order, budget=Budget(**caps)))
 
 
-def cmd_ideal(args, out) -> int:
+def cmd_ideal(args) -> str:
     d = load_design(args.design)
     order = parse_order(args.order, d.var_names, args.vars)
-    gb = design_ideal(d, order)
-    print_basis(gb, out)
-    return 0
+    return _basis_text(design_ideal(d, order))
 
 
-def cmd_est(args, out) -> int:
+def cmd_est(args) -> str:
     d = load_design(args.design)
     order = parse_order(args.order, d.var_names, args.vars)
     monos = list(est_monomials(d, order))
     # display in reading order: by degree, then by the natural variable order
     monos.sort(key=lambda mo: (sum(mo), tuple(-e for e in mo)))
-    print(", ".join(monomial_name(mo, d.var_names) for mo in monos), file=out)
-    return 0
+    return ", ".join(monomial_name(mo, d.var_names) for mo in monos)
 
 
-def cmd_alias(args, out) -> int:
+def cmd_alias(args) -> dict:
     d = load_design(args.design)
     classes = alias_table(d, args.max_degree)
-    payload = {
-        "schema": SCHEMA,
+    return {
         "m": d.m,
         "n": d.n,
         "max_degree": args.max_degree,
@@ -133,25 +124,16 @@ def cmd_alias(args, out) -> int:
             for cls in classes
         ],
     }
-    _emit_json(payload, out)
-    return 0
 
 
-def cmd_indicator(args, out) -> int:
-    d = load_design(args.design)
-    f = indicator_from_design(d)
-    ring = PolyRing(d.var_names)
-    order = TermOrder.grevlex(d.m)
-    print(f"m={d.m}", file=out)
-    print(f.to_polynomial(ring).text(order), file=out)
-    return 0
+def cmd_indicator(args) -> str:
+    return _indicator_text(indicator_from_design(load_design(args.design)))
 
 
-def cmd_classify(args, out) -> int:
+def cmd_classify(args) -> dict:
     d = load_design(args.design)
     cls = classify_design(d)
-    payload = {
-        "schema": SCHEMA,
+    report = {
         "m": d.m,
         "n": d.n,
         "class": cls.tag,
@@ -161,9 +143,8 @@ def cmd_classify(args, out) -> int:
         ],
     }
     if cls.diagnostic:
-        payload["diagnostic"] = cls.diagnostic
-    _emit_json(payload, out)
-    return 0
+        report["diagnostic"] = cls.diagnostic
+    return report
 
 
 def parse_indicator_file(text: str) -> IndicatorFunction:
@@ -178,7 +159,13 @@ def parse_indicator_file(text: str) -> IndicatorFunction:
     return IndicatorFunction.from_polynomial(poly)
 
 
-def cmd_addfactors(args, out) -> int:
+def _indicator_text(f: IndicatorFunction) -> str:
+    """``f`` in the indicator file format that :func:`parse_indicator_file` reads."""
+    poly = f.to_polynomial(factor_ring(f.m))
+    return f"m={f.m}\n{poly.text(TermOrder.grevlex(f.m))}"
+
+
+def cmd_addfactors(args) -> str:
     f1 = parse_indicator_file(_read(args.indicator))
     rel_lines = [
         ln.strip()
@@ -189,15 +176,9 @@ def cmd_addfactors(args, out) -> int:
     for pos, line in enumerate(rel_lines, start=1):
         word, sign = parse_signed_monomial(line, f1.m)
         relations.append(FactorRelation(pos, sign, word))
-    f2 = indicator_add_factors(f1, relations)
-    total = f2.m
     # added factors continue the x numbering so the output re-parses as an
     # indicator file
-    ring = factor_ring(total)
-    order = TermOrder.grevlex(total)
-    print(f"m={total}", file=out)
-    print(f2.to_polynomial(ring).text(order), file=out)
-    return 0
+    return _indicator_text(indicator_add_factors(f1, relations))
 
 
 def _load_model(args):
@@ -208,10 +189,9 @@ def _load_model(args):
     return build_covariate_matrix(d, terms, contrast)
 
 
-def cmd_model(args, out) -> int:
+def cmd_model(args) -> dict:
     A = _load_model(args)
-    payload = {
-        "schema": SCHEMA,
+    return {
         "n": A.n,
         "columns": A.ncols,
         "labels": list(A.labels),
@@ -219,21 +199,16 @@ def cmd_model(args, out) -> int:
         "entries": [[str(v) for v in row] for row in A.rows()],
         "recoded": [list(col) for col in A.recoded],
     }
-    _emit_json(payload, out)
-    return 0
 
 
-def cmd_basis(args, out) -> int:
+def cmd_basis(args) -> dict:
     A = _load_model(args)
     basis = markov_basis(A, budget=Budget(max_pairs=args.max_pairs))
-    payload = {
-        "schema": SCHEMA,
+    return {
         "n": A.n,
         "moves": [list(z) for z in basis.moves],
         "count": len(basis.moves),
     }
-    _emit_json(payload, out)
-    return 0
 
 
 def _load_counts(path: str, n: int):
@@ -245,7 +220,18 @@ def _load_counts(path: str, n: int):
     return _check_counts(n, y)
 
 
-def cmd_mctest(args, out) -> int:
+def _test_report(result, stat: str) -> dict:
+    """The fields that the mctest and exact reports share."""
+    return {
+        "method": result.method,
+        "stat_kind": stat,
+        "statistic": result.statistic,
+        "p_value": result.p_value,
+        "std_error": result.std_error,
+    }
+
+
+def cmd_mctest(args) -> dict:
     A = _load_model(args)
     y0 = _load_counts(args.y, A.n)
     cfg = ChainConfig(
@@ -256,13 +242,8 @@ def cmd_mctest(args, out) -> int:
     )
     basis = markov_basis(A, budget=Budget(max_pairs=args.max_pairs))
     result = mh_sample(A, y0, basis, args.stat, cfg, chains=args.chains)
-    payload = {
-        "schema": SCHEMA,
-        "method": result.method,
-        "stat_kind": args.stat,
-        "statistic": result.statistic,
-        "p_value": result.p_value,
-        "std_error": result.std_error,
+    return {
+        **_test_report(result, args.stat),
         "samples_used": result.samples_used,
         "basis_size": len(basis.moves),
         "chain": {
@@ -273,29 +254,20 @@ def cmd_mctest(args, out) -> int:
             "chains": args.chains,
         },
     }
-    _emit_json(payload, out)
-    return 0
 
 
-def cmd_exact(args, out) -> int:
+def cmd_exact(args) -> dict:
     A = _load_model(args)
     y0 = _load_counts(args.y, A.n)
     result = exact_p_value(A, y0, args.stat, max_total=args.max_total)
-    payload = {
-        "schema": SCHEMA,
-        "method": result.method,
-        "stat_kind": args.stat,
-        "statistic": result.statistic,
-        "p_value": result.p_value,
+    return {
+        **_test_report(result, args.stat),
         "p_exact": str(result.p_exact),
-        "std_error": 0.0,
         "fiber_size": result.samples_used,
     }
-    _emit_json(payload, out)
-    return 0
 
 
-def cmd_doptimal(args, out) -> int:
+def cmd_doptimal(args) -> dict:
     if args.list_limit < 0:
         raise InputError(f"--list-limit must be nonnegative, got {args.list_limit}")
     spec = SearchSpec(
@@ -306,8 +278,7 @@ def cmd_doptimal(args, out) -> int:
         restarts=args.restarts,
     )
     result = d_optimal_search(spec)
-    payload = {
-        "schema": SCHEMA,
+    report = {
         "m": spec.m,
         "n": spec.n,
         "mode": spec.mode,
@@ -317,11 +288,8 @@ def cmd_doptimal(args, out) -> int:
         "class_histogram": result.class_histogram(),
     }
     if len(result.optima) <= args.list_limit:
-        payload["optima"] = [
-            [list(run) for run in d.runs] for d in result.optima
-        ]
-    _emit_json(payload, out)
-    return 0
+        report["optima"] = [[list(run) for run in d.runs] for d in result.optima]
+    return report
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -429,16 +397,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, out)
+        output = args.func(args)
     except (BudgetError, ScaleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except AlgdoeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if isinstance(output, dict):
+        output = json.dumps({**output, "schema": SCHEMA}, indent=2, sort_keys=True)
+    print(output, file=out)
+    return 0
 
 
 def main(argv=None) -> int:

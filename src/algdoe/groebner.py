@@ -421,8 +421,8 @@ def point_ideal_intersection(
         coords = _integral([[field.coerce(a) for a in p] for p in points])
     else:
         _check_width(len(points), field.order)
-        coords = [_levels(p, field) for p in points]
         root = functools.cache(functools.partial(omega, field.order))
+        coords = [_levels(p, field, root) for p in points]
     one, times = _value_rule(field, coords)
     key = x_order.key
     ech = Echelon()
@@ -472,19 +472,15 @@ def _integral(points):
     ]
 
 
-def _levels(point, field) -> tuple[int, ...]:
-    """The level vector k of a Q(w_s) point (w^k1, ..., w^km), read from the
-    coordinates on 1, w, ..., w^(s-2): w^k is the k-th unit vector for
-    k < s - 1, and w^(s-1) is all -1."""
+def _levels(point, field, root) -> tuple[int, ...]:
+    """The level vector k of a Q(w_s) point (w^k1, ..., w^km): each k is the
+    position of the 1 among an element's coordinates on 1, w, ..., w^(s-2),
+    or s - 1 when there is none, and the element must equal ``root(k)``."""
     s = field.order
     levels = []
-    for a in point:
-        c = field.coerce(a).coords
-        if c.count(0) == s - 2 and 1 in c:
-            levels.append(c.index(1))
-        elif c.count(-1) == s - 1:
-            levels.append(s - 1)
-        else:
+    for a in map(field.coerce, point):
+        levels.append(a.coords.index(1) if 1 in a.coords else s - 1)
+        if a != root(levels[-1]):
             shown = ", ".join(map(str, point))
             raise InputError(f"point ({shown}) has a coordinate that is not a power of w{s}")
     return tuple(levels)

@@ -104,6 +104,16 @@ def gf2_independent(vectors) -> bool:
     return all(gf2_insert(rows, product_index(v, WORD_LEVELS)) for v in vectors)
 
 
+def term(m, *idx):
+    """The exponent vector over x1..xm of the product of the x_i, i in idx."""
+    return tuple(1 if i + 1 in idx else 0 for i in range(m))
+
+
+def main_effects(m):
+    """The intercept and the m main effects, as exponent vectors."""
+    return [term(m)] + [term(m, j) for j in range(1, m + 1)]
+
+
 def random_two_level_design(rng, m, n=None):
     pool = list(full_factorial(m).runs)
     if n is None:

@@ -45,7 +45,7 @@ from algdoe.cli import run as cli_run
 from algdoe.glm import design_matrix
 from algdoe.indicators import FactorRelation
 
-from conftest import extend_design, random_two_level_design
+from conftest import extend_design, main_effects, random_two_level_design, term
 
 
 @contextmanager
@@ -80,14 +80,6 @@ GB_GREVLEX = {f"x{i}^2-1" for i in range(1, 8)} | {
 }
 
 
-def bits(m, *idx):
-    return tuple(1 if i + 1 in idx else 0 for i in range(m))
-
-
-def main_effects(m):
-    return [bits(m)] + [bits(m, j) for j in range(1, m + 1)]
-
-
 def test_criterion_1_groebner_golden_fixtures(l8, tmp_path):
     with criterion(1, "gb CLI reproduces both published reduced bases in < 5 s each"):
         design_file = tmp_path / "l8.design"
@@ -119,12 +111,12 @@ def test_criterion_2_standard_monomials(l8):
     with criterion(2, "published Est sets; |Est| = 8 under 20 random orders"):
         lex_est = est_monomials(l8, TermOrder.lex(7))
         expected_lex = {
-            bits(7), bits(7, 5), bits(7, 6), bits(7, 7),
-            bits(7, 5, 6), bits(7, 5, 7), bits(7, 6, 7), bits(7, 5, 6, 7),
+            term(7), term(7, 5), term(7, 6), term(7, 7),
+            term(7, 5, 6), term(7, 5, 7), term(7, 6, 7), term(7, 5, 6, 7),
         }
         assert set(lex_est) == expected_lex
         grev_est = est_monomials(l8, TermOrder.grevlex(7))
-        assert set(grev_est) == {bits(7)} | {bits(7, j) for j in range(1, 8)}
+        assert set(grev_est) == {term(7)} | {term(7, j) for j in range(1, 8)}
 
         rng = random.Random(20240809)
         for _ in range(20):
@@ -136,11 +128,11 @@ def test_criterion_2_standard_monomials(l8):
 
 def test_criterion_3_confounding(l8):
     with criterion(3, "x3 = -x1x2 with certificate; membership == evaluation, all pairs deg <= 3"):
-        assert is_confounded(bits(7, 3), bits(7, 1, 2), l8) == -1
+        assert is_confounded(term(7, 3), term(7, 1, 2), l8) == -1
 
         gb = design_ideal(l8, TermOrder.grevlex(7))
         ring = gb.ring
-        f = ring.monomial(bits(7, 3)) + ring.monomial(bits(7, 1, 2))
+        f = ring.monomial(term(7, 3)) + ring.monomial(term(7, 1, 2))
         member, cofactors = ideal_membership(f, gb)
         assert member
         total = ring.zero()
@@ -176,20 +168,20 @@ def test_criterion_4_indicators(l8, f1, f2, f3):
     with criterion(4, "F1/F2/F3 and product-form L8 indicators; b0 = n/2^m on 100 random designs"):
         half, quarter, eighth = Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)
         assert indicator_from_design(f1).coeffs == {
-            bits(3): half, bits(3, 1, 2, 3): half,
+            term(3): half, term(3, 1, 2, 3): half,
         }
         # note: the x3 coefficient is forced to -1/8 by the 0/1 interpolation
         # (x3 takes values 1, -1, -1 on the three runs)
         assert indicator_from_design(f2).coeffs == {
-            bits(3): Fraction(3, 8),
-            bits(3, 1): eighth, bits(3, 2): eighth, bits(3, 3): -eighth,
-            bits(3, 1, 2): -eighth, bits(3, 1, 3): eighth, bits(3, 2, 3): eighth,
-            bits(3, 1, 2, 3): Fraction(3, 8),
+            term(3): Fraction(3, 8),
+            term(3, 1): eighth, term(3, 2): eighth, term(3, 3): -eighth,
+            term(3, 1, 2): -eighth, term(3, 1, 3): eighth, term(3, 2, 3): eighth,
+            term(3, 1, 2, 3): Fraction(3, 8),
         }
         assert indicator_from_design(f3).coeffs == {
-            bits(3): half,
-            bits(3, 1): quarter, bits(3, 2): quarter, bits(3, 3): quarter,
-            bits(3, 1, 2, 3): -quarter,
+            term(3): half,
+            term(3, 1): quarter, term(3, 2): quarter, term(3, 3): quarter,
+            term(3, 1, 2, 3): -quarter,
         }
 
         R = PolyRing(l8.var_names)
@@ -227,7 +219,7 @@ def test_criterion_5_adding_factors():
             for i in range(k):
                 word = tuple(rng.randint(0, 1) for _ in range(m))
                 if not any(word):
-                    word = bits(m, 1)
+                    word = term(m, 1)
                 rels.append(FactorRelation(i + 1, rng.choice((-1, 1)), word))
             composed = indicator_add_factors(indicator_from_design(d), rels)
             direct = indicator_from_design(extend_design(d, rels))
@@ -270,14 +262,14 @@ def test_criterion_7_covariate_matrices(w16):
         for col_idx, expected in PUBLISHED_W16_ROWS.items():
             assert [int(v) for v in A.columns[col_idx]] == expected
 
-        A2 = build_covariate_matrix(w16, main_effects(7) + [bits(7, 1, 2)])
+        A2 = build_covariate_matrix(w16, main_effects(7) + [term(7, 1, 2)])
         assert [int(v) for v in A2.columns[8]] == [
             1, 1, 1, 1, -1, -1, -1, -1, -1, -1, -1, -1, 1, 1, 1, 1,
         ]
 
         with pytest.raises(EstimabilityError) as exc:
             build_covariate_matrix(
-                w16, main_effects(7) + [bits(7, 1, 2), bits(7, 4, 5)]
+                w16, main_effects(7) + [term(7, 1, 2), term(7, 4, 5)]
             )
         assert exc.value.aliased == ("x4*x5", "x1*x2")
 
@@ -309,8 +301,8 @@ def test_criterion_9_fiber_properties(three_level_integer):
             pool = list(full_factorial(m).runs)
             n = rng.randint(2, min(8, len(pool)))
             d = Design(m, 2, tuple(sorted(rng.sample(pool, n))), "pm1")
-            terms = [bits(m)] + [
-                bits(m, j) for j in range(1, m + 1) if rng.random() < 0.6
+            terms = [term(m)] + [
+                term(m, j) for j in range(1, m + 1) if rng.random() < 0.6
             ]
             try:
                 A = build_covariate_matrix(d, terms)
@@ -344,8 +336,8 @@ def test_criterion_10_glm(d22):
         while checked < 50:
             m = rng.randint(1, 4)
             d = random_two_level_design(rng, m, n=rng.randint(2, 2**m))
-            terms = [bits(m)] + [
-                bits(m, j) for j in range(1, m + 1) if rng.random() < 0.5
+            terms = [term(m)] + [
+                term(m, j) for j in range(1, m + 1) if rng.random() < 0.5
             ]
             try:
                 A = build_covariate_matrix(d, terms)
@@ -361,12 +353,12 @@ def test_criterion_10_glm(d22):
             assert residual <= 1e-8
             checked += 1
 
-        intercept_only = build_covariate_matrix(d22, [bits(2)])
+        intercept_only = build_covariate_matrix(d22, [term(2)])
         fit = fit_null_glm(intercept_only, (3, 1, 4, 0))
         assert all(abs(mu - 2.0) <= 1e-9 for mu in fit.mu)
 
         saturated = build_covariate_matrix(
-            d22, main_effects(2) + [bits(2, 1, 2)]
+            d22, main_effects(2) + [term(2, 1, 2)]
         )
         fit = fit_null_glm(saturated, (3, 1, 4, 2))
         for mu, yi in zip(fit.mu, (3, 1, 4, 2)):

@@ -30,13 +30,7 @@ from algdoe.covariates import (
 from algdoe.cyclotomic import CyclotomicNumber, Echelon, omega
 from algdoe.orders import monomial_name
 
-
-def term(m, *idx):
-    return tuple(1 if i + 1 in idx else 0 for i in range(m))
-
-
-def main_effects(m):
-    return [term(m)] + [term(m, j) for j in range(1, m + 1)]
+from conftest import main_effects, term
 
 
 PUBLISHED_COLUMNS = {

@@ -47,11 +47,7 @@ from algdoe.designs import (
 from algdoe.groebner import normal_form, reduce_basis, spolynomials_reduce_to_zero
 from algdoe.orders import monomial_name
 
-from conftest import L8_WORDS, extend_design, gf2_independent, random_two_level_design
-
-
-def mono(m, *idx):
-    return tuple(1 if i + 1 in idx else 0 for i in range(m))
+from conftest import L8_WORDS, extend_design, gf2_independent, random_two_level_design, term
 
 
 def test_index_map_is_the_product_position():
@@ -384,9 +380,9 @@ def test_est_block_order_matches_base_design(f1):
 
 
 def test_is_confounded_fixtures(l8, d22):
-    assert is_confounded(mono(7, 3), mono(7, 1, 2), l8) == -1
-    assert is_confounded(mono(7, 1), mono(7, 1), l8) == 1
-    assert is_confounded(mono(2, 1), mono(2, 2), d22) is None
+    assert is_confounded(term(7, 3), term(7, 1, 2), l8) == -1
+    assert is_confounded(term(7, 1), term(7, 1), l8) == 1
+    assert is_confounded(term(2, 1), term(2, 2), d22) is None
 
 
 def _membership_answer(a1, a2, gb):
@@ -442,8 +438,8 @@ def test_is_confounded_equals_membership_random_designs():
 def test_alias_table_l8(l8):
     classes = alias_table(l8, 2)
     by_rep = {cls[0][0]: cls for cls in classes}
-    x3_class = by_rep[mono(7, 3)]
-    assert (mono(7, 1, 2), -1) in x3_class
+    x3_class = by_rep[term(7, 3)]
+    assert (term(7, 1, 2), -1) in x3_class
 
 
 def test_alias_table_full_factorial_all_singletons():
@@ -453,10 +449,10 @@ def test_alias_table_full_factorial_all_singletons():
 
 def test_alias_table_w16_interactions_share_class(w16):
     classes = alias_table(w16, 2)
-    cls = next(c for c in classes if (mono(7, 1, 2), 1) in c or
-               any(m == mono(7, 1, 2) for m, _ in c))
+    cls = next(c for c in classes if (term(7, 1, 2), 1) in c or
+               any(m == term(7, 1, 2) for m, _ in c))
     members = {m for m, _ in cls}
-    assert mono(7, 4, 5) in members
+    assert term(7, 4, 5) in members
 
 
 def test_alias_table_generates_only_low_degree_monomials():
@@ -466,7 +462,7 @@ def test_alias_table_generates_only_low_degree_monomials():
     classes = alias_table(d, 2)
     assert sum(len(cls) for cls in classes) == 821
     assert len(classes) == 2
-    assert [cls[0] for cls in classes] == [((0,) * 40, 1), (mono(40, 1), 1)]
+    assert [cls[0] for cls in classes] == [((0,) * 40, 1), (term(40, 1), 1)]
 
 
 def _reading_key(mono):
@@ -504,7 +500,7 @@ def _alias_classes_by_evaluation(d, max_degree):
         for factors in itertools.combinations(range(d.m), degree):
             values = [math.prod(run[j] for j in factors) for run in d.runs]
             canon = tuple(v * values[0] for v in values)
-            a = mono(d.m, *(j + 1 for j in factors))
+            a = term(d.m, *(j + 1 for j in factors))
             groups.setdefault(canon, []).append((a, values[0]))
     return [[(a, s * members[0][1]) for a, s in members] for members in groups.values()]
 
@@ -577,13 +573,13 @@ def test_readers_pack_the_runs_once(l8, monkeypatch):
     calls = []
     pack = designs._pack
     monkeypatch.setattr(designs, "_pack", lambda runs: calls.append(runs) or pack(runs))
-    queries = [(mono(7, 1), mono(7, 2, 3)), (mono(7, 4), mono(7, 5)), (mono(7), mono(7, 1, 6, 7))]
+    queries = [(term(7, 1), term(7, 2, 3)), (term(7, 4), term(7, 5)), (term(7), term(7, 1, 6, 7))]
     readers = [
         lambda d: [is_confounded(a1, a2, d) for a1, a2 in queries],
         alias_table,
         classify_design,
         indicator_from_design,
-        lambda d: build_covariate_matrix(d, [mono(7), mono(7, 1), mono(7, 4), mono(7, 1, 4)]),
+        lambda d: build_covariate_matrix(d, [term(7), term(7, 1), term(7, 4), term(7, 1, 4)]),
     ]
     for order in itertools.permutations(readers):
         d = Design(7, 2, l8.runs[:6], "pm1")

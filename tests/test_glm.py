@@ -21,15 +21,7 @@ from algdoe import (
 from algdoe import glm
 from algdoe.glm import GlmFit, _total
 
-from conftest import random_two_level_design
-
-
-def term(m, *idx):
-    return tuple(1 if i + 1 in idx else 0 for i in range(m))
-
-
-def main_effects(m):
-    return [term(m)] + [term(m, j) for j in range(1, m + 1)]
+from conftest import main_effects, random_two_level_design, term
 
 
 def test_total_sums_left_to_right():

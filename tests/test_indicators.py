@@ -26,7 +26,7 @@ from algdoe import indicators
 from algdoe.designs import WORD_LEVELS, product_element, product_index
 from algdoe.indicators import FactorRelation, IndicatorFunction
 
-from conftest import L8_WORDS, extend_design, gf2_independent, random_two_level_design
+from conftest import L8_WORDS, extend_design, gf2_independent, random_two_level_design, term
 
 
 def word_group(words) -> set[tuple[tuple[int, ...], int]]:
@@ -43,15 +43,11 @@ def word_group(words) -> set[tuple[tuple[int, ...], int]]:
     return {(product_element(g, m, WORD_LEVELS), sign) for g, sign in group.items()}
 
 
-def bits(m, *idx):
-    return tuple(1 if i + 1 in idx else 0 for i in range(m))
-
-
 def test_f1_indicator(f1):
     f = indicator_from_design(f1)
     assert f.coeffs == {
-        bits(3): Fraction(1, 2),
-        bits(3, 1, 2, 3): Fraction(1, 2),
+        term(3): Fraction(1, 2),
+        term(3, 1, 2, 3): Fraction(1, 2),
     }
 
 
@@ -61,14 +57,14 @@ def test_f2_indicator(f2):
     f = indicator_from_design(f2)
     eighth = Fraction(1, 8)
     assert f.coeffs == {
-        bits(3): Fraction(3, 8),
-        bits(3, 1): eighth,
-        bits(3, 2): eighth,
-        bits(3, 3): -eighth,
-        bits(3, 1, 2): -eighth,
-        bits(3, 1, 3): eighth,
-        bits(3, 2, 3): eighth,
-        bits(3, 1, 2, 3): Fraction(3, 8),
+        term(3): Fraction(3, 8),
+        term(3, 1): eighth,
+        term(3, 2): eighth,
+        term(3, 3): -eighth,
+        term(3, 1, 2): -eighth,
+        term(3, 1, 3): eighth,
+        term(3, 2, 3): eighth,
+        term(3, 1, 2, 3): Fraction(3, 8),
     }
 
 
@@ -76,17 +72,17 @@ def test_f3_indicator(f3):
     quarter = Fraction(1, 4)
     f = indicator_from_design(f3)
     assert f.coeffs == {
-        bits(3): Fraction(1, 2),
-        bits(3, 1): quarter,
-        bits(3, 2): quarter,
-        bits(3, 3): quarter,
-        bits(3, 1, 2, 3): -quarter,
+        term(3): Fraction(1, 2),
+        term(3, 1): quarter,
+        term(3, 2): quarter,
+        term(3, 3): quarter,
+        term(3, 1, 2, 3): -quarter,
     }
 
 
 def test_full_factorial_indicator_is_one():
     f = indicator_from_design(full_factorial(3))
-    assert f.coeffs == {bits(3): Fraction(1)}
+    assert f.coeffs == {term(3): Fraction(1)}
 
 
 def test_l8_indicator_equals_product_form(l8):
@@ -119,18 +115,27 @@ def test_round_trip_fixtures(f1, f2, f3, l8):
 
 def test_design_from_indicator_fixtures(f1):
     f = IndicatorFunction(
-        3, {bits(3): Fraction(1, 2), bits(3, 1, 2, 3): Fraction(1, 2)}
+        3, {term(3): Fraction(1, 2), term(3, 1, 2, 3): Fraction(1, 2)}
     )
     assert design_from_indicator(f).runs == tuple(sorted(f1.runs))
-    const_one = IndicatorFunction(3, {bits(3): 1})
+    const_one = IndicatorFunction(3, {term(3): 1})
     assert design_from_indicator(const_one).runs == full_factorial(3).runs
 
 
+def test_design_from_indicator_reads_exponents_that_equal_but_are_not_ints(f1):
+    # 1.0 and Fraction(1) pass the {0,1} exponent check but are no byte values
+    half = Fraction(1, 2)
+    f = IndicatorFunction(3, {(0.0, Fraction(0), 0): half, (1.0, Fraction(1), 1): half})
+    expected = design_from_indicator(IndicatorFunction(3, {term(3): half, term(3, 1, 2, 3): half}))
+    assert design_from_indicator(f) == expected
+    assert expected.runs == tuple(sorted(f1.runs))
+
+
 def test_invalid_indicator_rejected():
-    f = IndicatorFunction(2, {bits(2): Fraction(1, 3)})
+    f = IndicatorFunction(2, {term(2): Fraction(1, 3)})
     with pytest.raises(InvalidIndicatorError):
         design_from_indicator(f)
-    g = IndicatorFunction(2, {bits(2, 1): Fraction(1)})
+    g = IndicatorFunction(2, {term(2, 1): Fraction(1)})
     with pytest.raises(InvalidIndicatorError):
         design_from_indicator(g)
 
@@ -160,11 +165,11 @@ def test_indicator_input_errors(call, error, match):
 def test_inverse_refuses_coefficients_above_one(c):
     # |b_a| <= b_0 <= 1 on every indicator; the refusal names the term, and
     # comes before the check of the denominator
-    f = IndicatorFunction(3, {bits(3): Fraction(1, 2), bits(3, 1, 3): c})
+    f = IndicatorFunction(3, {term(3): Fraction(1, 2), term(3, 1, 3): c})
     with pytest.raises(InvalidIndicatorError, match=rf"^coefficient {c} of x1\*x3 exceeds 1"):
         design_from_indicator(f)
     # |c| = 1 passes this check and fails on the values
-    g = IndicatorFunction(3, {bits(3): 1, bits(3, 1, 3): -1})
+    g = IndicatorFunction(3, {term(3): 1, term(3, 1, 3): -1})
     with pytest.raises(InvalidIndicatorError, match="not 0/1-valued"):
         design_from_indicator(g)
 

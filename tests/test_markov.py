@@ -32,18 +32,12 @@ from algdoe import markov
 from algdoe.linalg import column_dots, hermite, kernel_lattice
 from algdoe.markov import MarkovBasis, _reduce, _saturate, _saturation_sequence
 
+from conftest import main_effects, term
+
 
 def kernel_residual(A, move) -> tuple[int, ...]:
     """A~' z for a move; all zeros iff the move is a kernel vector."""
     return column_dots(A.recoded, move)
-
-
-def term(m, *idx):
-    return tuple(1 if i + 1 in idx else 0 for i in range(m))
-
-
-def main_effects(m):
-    return [term(m)] + [term(m, j) for j in range(1, m + 1)]
 
 
 def test_markov_basis_2x2_fixture(d22):

@@ -26,6 +26,8 @@ from algdoe.mcmc import (
     splitmix64,
 )
 
+from conftest import main_effects, term
+
 
 def chain_states(y0, moves, cfg: ChainConfig, seed: int | None = None):
     """Generator of recorded fiber states, after burn-in and thinning.
@@ -36,14 +38,6 @@ def chain_states(y0, moves, cfg: ChainConfig, seed: int | None = None):
     states, (recorded,) = _chain(y0, moves, cfg, [cfg.seed if seed is None else seed])
     for sid in recorded:
         yield states[sid]
-
-
-def term(m, *idx):
-    return tuple(1 if i + 1 in idx else 0 for i in range(m))
-
-
-def main_effects(m):
-    return [term(m)] + [term(m, j) for j in range(1, m + 1)]
 
 
 @pytest.fixture(scope="module")
