@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -321,13 +322,26 @@ def _columns(d: Design) -> list[int]:
     return [_column(d, j) for j in range(d.m)]
 
 
-def _run_indices(d: Design) -> list[int]:
-    """Each run's ``product_index(run, RUN_LEVELS)``, read off the packed table."""
-    return _base2_reads(d._digits, d.m)
+def _run_indices(d: Design, factors: Sequence[int]) -> list[int]:
+    """Each run's ``product_index`` over the ascending ``factors`` alone
+    (``product_index(run, RUN_LEVELS)`` when they are all m), read off the
+    packed table."""
+    return _base2_reads(d._digits, d.m, factors)
 
 
-def _base2_reads(digits: bytes, m: int) -> list[int]:
-    """The value of each m-digit row of ``digits`` (ASCII 0/1) in base 2."""
+def _base2_reads(digits: bytes, m: int, columns: Sequence[int]) -> list[int]:
+    """The value in base 2 of each m-digit row of ``digits`` (ASCII 0/1), read
+    at the ascending ``columns`` alone; a read of no column is 0."""
+    r = len(columns)
+    if r < m:
+        # the kept columns, interleaved back into rows of r digits
+        rows = len(digits) // m
+        if not r:
+            return [0] * rows
+        kept = bytearray(rows * r)
+        for t, j in enumerate(columns):
+            kept[t::r] = digits[j::m]
+        digits, m = kept, r
     return [int(digits[i : i + m], 2) for i in range(0, len(digits), m)]
 
 

@@ -6,12 +6,28 @@ are computed by the orthogonality expansion
 
     b_a = 2^(-m) * sum_{x in F} x^a,
 
-realized as an exact integer Walsh-Hadamard transform of the 0/1 run table,
-indexed by the map of :mod:`algdoe.designs` and read back off itertools.product;
-the run indices are read off the design's packed table, as every two-level
-reader reads it, so the runs are packed once per design.
-The inverse, :func:`design_from_indicator`, applies the same transform to the
-scaled coefficients, evaluating the indicator at all 2^m points in O(m*2^m).
+realized as an exact integer Walsh-Hadamard transform of the 0/1 run table
+over the span of the runs.  :func:`algdoe.linalg.gf2_dependencies` finds, on
+the design's packed columns, the k words x^w constant on F, one dependent
+factor each, and the r = m - k independent factors, on which the runs are
+distinct.  The transform takes the 2^r table of the runs projected onto
+those factors, and b_(a XOR w) = x^w(first run) * b_a spreads each of its
+coefficients over the 2^k products of the words.  The inverse,
+:func:`design_from_indicator`, takes the span of the exponents and the zero
+tuple, of dimension s: the indicator's value at a run depends on the run only
+through a . x for a in that span, so one transform of the 2^s projected,
+scaled coefficients evaluates it on each class of 2^(m-s) runs, a coset of
+the words orthogonal to the exponents, whose least run is the class's
+position spread onto the independent factors.  More runs, or exponent
+tuples, than a hyperplane holds span all m factors, and then no span is
+computed.  Either way one transform runs over 2^r (2^s) entries, with Python
+work per run and per nonzero coefficient, and the coefficients (the runs)
+are read at C level off itertools.product over all 2^m entries, indexed by
+the map of :mod:`algdoe.designs`, in the order a full 2^m transform gives.
+On the 2^(16-3) fraction of the golden case indicator-r16 the forward call
+takes 7-11 ms (14-26 ms over 2^16 entries) and the inverse 12-19 ms (24-41
+ms); on a design with m = 20 and 40 runs, whose span is all 20 factors,
+they take 1.4-1.5 s and 1.0-1.2 s, as before; 2 vCPU, Python 3.11.7.
 The transform packs the table into 32-bit lanes (64-bit once the absolute
 values sum to 2^29 or more) of 4 KB whole ints and runs each butterfly pass
 as a few whole-int additions, shifts and masks, with no Python int per entry;
@@ -20,9 +36,9 @@ and the inverse refuses any coefficient above 1 in absolute value, which
 bounds its input by 2^(2m).
 As the two share the transform and the index map, neither checks the other
 at run time.  Classification needs neither transform nor cap on m: as
-x^a = +-1, |b_a| = b_0 holds exactly when x^a is constant on F, a GF(2)
-dependency among the factor columns of that table, which
-:func:`classify_design` finds and checks word by word on those columns.
+x^a = +-1, |b_a| = b_0 holds exactly when x^a is constant on F, one of the
+words above, which :func:`classify_design` reads off the same routine and
+checks word by word on the columns.
 """
 
 from __future__ import annotations
@@ -38,7 +54,7 @@ from itertools import chain, compress, product
 from .designs import (RUN_LEVELS, WORD_LEVELS, Design, Word, _columns, _base2_reads,
                       _product, _run_indices, product_element, product_index)
 from .errors import InputError, InvalidIndicatorError, ScaleError
-from .linalg import gf2_insert
+from .linalg import gf2_dependencies
 from .orders import Monomial, monomial_name
 from .polynomials import PolyRing, Polynomial
 
@@ -172,10 +188,15 @@ def indicator_from_design(d: Design) -> IndicatorFunction:
     if d.m > MAX_EXPANSION_FACTORS:
         raise ScaleError(f"indicator expansion capped at m <= {MAX_EXPANSION_FACTORS}")
     m = d.m
-    table = [0] * (1 << m)
-    for idx in _run_indices(d):
+    # more runs than an affine hyperplane holds span all m factors
+    words, free = gf2_dependencies(_columns(d), d.n) if d.n <= 1 << m - 1 else ([], range(m))
+    # the runs are distinct on their independent factors
+    table = [0] * (1 << len(free))
+    for idx in _run_indices(d, free):
         table[idx] = 1
     spectrum = _walsh_hadamard(table)
+    if words:
+        spectrum = _spread(spectrum, m, free, words, product_index(d.runs[0], RUN_LEVELS))
     denom = 1 << m
     # the spectrum of n runs takes integer values in [-n, n], so each Fraction
     # is made once, on first use, and shared by the coefficients it equals
@@ -213,27 +234,63 @@ def design_from_indicator(f: IndicatorFunction) -> Design:
                 f"coefficient {c} cannot belong to a 0/1-valued indicator"
             )
         scale[key] = num * (denom // den)
-    # each exponent tuple's position is the base-2 read of its digits
     try:
         digits = bytes(chain.from_iterable(f.coeffs))
     except TypeError:  # exponents that equal 0 or 1 but are not ints
         digits = bytes(map(int, chain.from_iterable(f.coeffs)))
-    # (m = 0 has the one exponent tuple (), at position 0)
-    at = _base2_reads(digits.translate(_BINARY), m) if m else [0] * len(f.coeffs)
-    scaled = [0] * denom
+    digits = digits.translate(_BINARY)
+    # x^a on a run depends on the run only through a . x for a in the span
+    # of the exponents, which the zero tuple, put first, joins; more exponent
+    # tuples than a hyperplane holds span all m factors
+    if len(f.coeffs) <= denom >> 1:
+        columns = [int(b"0" + digits[j::m], 2) for j in range(m)]
+        words, free = gf2_dependencies(columns, len(f.coeffs) + 1)
+    else:
+        words, free = [], range(m)
+    # each exponent tuple's position is the base-2 read of its independent
+    # digits, which are distinct (m = 0 has the one exponent tuple (), at 0)
+    at = _base2_reads(digits, m, free) if m else [0] * len(f.coeffs)
+    scaled = [0] * (1 << len(free))
     for idx, v in zip(at, map(scale.__getitem__, map(id, coefficients))):
         scaled[idx] = v
     values = _walsh_hadamard(scaled)
     if not set(values) <= {0, denom}:
+        # a class's least run is its position spread onto the independent
+        # factors, so the first class to fail holds the first run to fail
         v = next(v for v in values if v not in (0, denom))
         raise InvalidIndicatorError(
             f"polynomial is not 0/1-valued on the full factorial (value {Fraction(v, denom)})"
         )
+    if words:
+        values = _spread(values, m, free, words, 0)
     # read backwards, the table lists the runs in ascending order
     runs = tuple(compress(product(RUN_LEVELS[::-1], repeat=m), reversed(values)))
     if not runs:
         raise InvalidIndicatorError("indicator is identically zero")
     return Design(m, 2, runs, "pm1")
+
+
+def _spread(values: list[int], m: int, free: list[int], words: list[int], first: int) -> list[int]:
+    """The 2^m table that holds values[c] at the index that puts c's digits on
+    the ascending ``free`` factors, and at that index XOR each product w of
+    ``words`` the same value times x^w at the run of index ``first``.
+
+    A run of index u makes b_(a XOR w) = x^w(u) * b_a on a design on which
+    x^w is constant; the evaluation of an indicator is the same on u and
+    u XOR w when w is orthogonal to its exponents (``first`` = 0).
+    """
+    at = [0]
+    for j in reversed(free):
+        at += [a | 1 << m - 1 - j for a in at]
+    idxs = list(compress(at, values))
+    vals = list(filter(None, values))
+    for w in words:
+        idxs += [i ^ w for i in idxs]
+        vals += [-v for v in vals] if (w & first).bit_count() & 1 else vals
+    table = [0] * (1 << m)
+    for idx, v in zip(idxs, vals):
+        table[idx] = v
+    return table
 
 
 # -- adding factors -----------------------------------------------------------
@@ -332,25 +389,15 @@ def classify_design(d: Design) -> DesignClass:
         return DesignClass("full-factorial")
     n, m = d.n, d.m
     columns = _columns(d)
-    data = (1 << n) - 1
-    # Each column, relative to the first run, carries its factor's index bit
-    # above the n data bits.  Inserted last factor first, a column that
-    # reduces to zero data leaves a word's bits: its own over later factors'
-    # bits and no other word's, so the words ascend in reduced echelon form.
-    span: dict[int, int] = {}
     found = []
-    for j in reversed(range(m)):
-        col = columns[j]
-        relative = col ^ data if col >> n - 1 else col
-        rest = gf2_insert(span, 1 << n + m - 1 - j | relative, data)
-        if not rest & data:
-            bits = product_element(rest >> n, m, WORD_LEVELS)
-            found.append((bits, _product(columns, bits)))
+    for w in gf2_dependencies(columns, n)[0]:
+        bits = product_element(w, m, WORD_LEVELS)
+        found.append((bits, _product(columns, bits)))
     if not found:
         return DesignClass("affinely-full-dimensional")
     # the witness: each word is constant on the runs, its sign the first run's
     words = tuple(Word(bits, -1 if column >> n - 1 else 1) for bits, column in found)
-    if not all(column in (0, data) for _, column in found):
+    if not all(column in (0, (1 << n) - 1) for _, column in found):
         return DesignClass("subset-fractional", words, "witness words do not "
                            "contain the design; GF(2) complement and runs disagree")
     tag = "regular" if n << len(words) == 1 << m else "subset-fractional"

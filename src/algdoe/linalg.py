@@ -1,6 +1,7 @@
 """Exact linear algebra, one elimination per job: the fraction-free
-:class:`Echelon` over Q, the GF(2) echelon of bitmasks (:func:`gf2_insert`),
-the integer Hermite normal form (:func:`hermite`) and Bareiss determinants
+:class:`Echelon` over Q, the GF(2) echelon of bitmasks (:func:`gf2_insert`)
+and the column dependencies it finds (:func:`gf2_dependencies`), the integer
+Hermite normal form (:func:`hermite`) and Bareiss determinants
 (:func:`int_det`).  It imports nothing from algdoe but its errors, so that
 every other module can import it.
 """
@@ -110,6 +111,34 @@ def gf2_insert(rows: dict[int, int], v: int, data: int = -1) -> int:
                 rows[other] = row ^ v
         rows[lead] = v
     return v
+
+
+def gf2_dependencies(columns: list[int], n: int) -> tuple[list[int], list[int]]:
+    """The GF(2) dependencies among the m packed ``columns`` of n points,
+    point i at bit n-1-i, each column taken relative to the first point.
+
+    Returns the words and the independent columns.  A word is an m-bit mask,
+    bit m-1-j standing for column j, whose columns sum to a constant over the
+    points; the words are a reduced basis of all such masks, in ascending
+    order, and each holds one dependent column, its highest bit, beside
+    independent ones below it.  The r independent columns, in ascending
+    order, are m minus the number of words: the dimension of the points'
+    affine span.  Columns go in last first, each tagged with its bit above
+    the n data bits, so a column that reduces to zero data leaves its word.
+    """
+    m = len(columns)
+    data = (1 << n) - 1
+    span: dict[int, int] = {}
+    words, free = [], []
+    for j in reversed(range(m)):
+        col = columns[j]
+        relative = col ^ data if col >> n - 1 else col
+        rest = gf2_insert(span, 1 << n + m - 1 - j | relative, data)
+        if rest & data:
+            free.append(j)
+        else:
+            words.append(rest >> n)
+    return words, free[::-1]
 
 
 def hermite(vectors) -> tuple[tuple[int, ...], ...]:

@@ -565,7 +565,11 @@ def test_packed_table_matches_evaluation_on_the_runs():
             column = _product(columns, a)
             values = [-1 if column >> d.n - 1 - r & 1 else 1 for r in range(d.n)]
             assert values == [math.prod(itertools.compress(run, a)) for run in d.runs], a
-        assert _run_indices(d) == [product_index(run, RUN_LEVELS) for run in d.runs]
+        assert _run_indices(d, range(d.m)) == [product_index(run, RUN_LEVELS) for run in d.runs]
+        # read at some factors alone, a run's index is that of its levels there
+        kept = sorted(rng.sample(range(d.m), rng.randint(0, d.m)))
+        assert _run_indices(d, kept) == [
+            product_index([run[j] for j in kept], RUN_LEVELS) for run in d.runs]
 
 
 def test_readers_pack_the_runs_once(l8, monkeypatch):

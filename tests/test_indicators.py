@@ -23,7 +23,7 @@ from algdoe import (
     regular_design_from_words,
 )
 from algdoe import indicators
-from algdoe.designs import WORD_LEVELS, product_element, product_index
+from algdoe.designs import RUN_LEVELS, WORD_LEVELS, product_element, product_index
 from algdoe.indicators import FactorRelation, IndicatorFunction
 
 from conftest import L8_WORDS, extend_design, gf2_independent, random_two_level_design, term
@@ -41,6 +41,17 @@ def word_group(words) -> set[tuple[tuple[int, ...], int]]:
         group.update({g ^ idx: sign * w.sign for g, sign in group.items()})
     group.pop(0)
     return {(product_element(g, m, WORD_LEVELS), sign) for g, sign in group.items()}
+
+
+def random_words(rng, m, k):
+    """k random words on m factors, independent over GF(2), with random signs."""
+    words, bits_list = [], []
+    while len(words) < k:
+        bits = tuple(rng.randint(0, 1) for _ in range(m))
+        if any(bits) and gf2_independent(bits_list + [bits]):
+            bits_list.append(bits)
+            words.append(Word(bits, rng.choice((-1, 1))))
+    return words
 
 
 def test_f1_indicator(f1):
@@ -343,12 +354,7 @@ def test_classification_large_regular_fractions_match_reconstruction():
     rng = random.Random(1016)
     for m in (10, 12, 14, 16):
         k = rng.randint(m - 8, m - 2)
-        words, bits_list = [], []
-        while len(words) < k:
-            bits = tuple(rng.randint(0, 1) for _ in range(m))
-            if any(bits) and gf2_independent(bits_list + [bits]):
-                bits_list.append(bits)
-                words.append(Word(bits, rng.choice((-1, 1))))
+        words = random_words(rng, m, k)
         runs = list(regular_design_from_words(m, words).runs)
         rng.shuffle(runs)
         for d in (Design(m, 2, tuple(runs), "pm1"), Design(m, 2, tuple(runs[1:]), "pm1")):
@@ -367,7 +373,7 @@ def _coefficient_route_classify(d):
     smallest GF(2)-independent exponents with |b_a| = b_0, in sorted order."""
     if d.n == 2**d.m:
         return "full-factorial", (), None
-    f = indicator_from_design(d)
+    f = _reference_indicator(d)
     b0 = f.constant_term()
     big = sorted(
         (bits, 1 if c > 0 else -1)
@@ -407,12 +413,7 @@ def test_classification_matches_coefficient_route():
     for m in range(2, 13):
         for _ in range(4):
             k = rng.randint(1, m - 1)
-            words, bits_list = [], []
-            while len(words) < k:
-                bits = tuple(rng.randint(0, 1) for _ in range(m))
-                if any(bits) and gf2_independent(bits_list + [bits]):
-                    bits_list.append(bits)
-                    words.append(Word(bits, rng.choice((-1, 1))))
+            words = random_words(rng, m, k)
             runs = regular_design_from_words(m, words).runs
             subset = rng.sample(runs, rng.randint(1, len(runs)))
             for d in (Design(m, 2, runs, "pm1"), Design(m, 2, tuple(subset), "pm1")):
@@ -422,12 +423,7 @@ def test_classification_matches_coefficient_route():
 def test_classification_beyond_the_indicator_cap():
     # m = 24 is past the transform cap; the words come from the runs alone
     rng = random.Random(24)
-    words, bits_list = [], []
-    while len(words) < 12:
-        bits = tuple(rng.randint(0, 1) for _ in range(24))
-        if any(bits) and gf2_independent(bits_list + [bits]):
-            bits_list.append(bits)
-            words.append(Word(bits, rng.choice((-1, 1))))
+    words = random_words(rng, 24, 12)
     d = regular_design_from_words(24, words)
     assert d.n == 4096
     cls = classify_design(d)
@@ -534,3 +530,168 @@ def test_walsh_hadamard_matches_the_defining_sum():
             for a in range(n)
         ]
         assert indicators._walsh_hadamard(v) == expected
+
+
+# -- the transforms over the span against the full 2^m transforms -------------
+
+
+def _reference_indicator(d):
+    """The forward transform over all 2^m entries: the 0/1 table of the runs,
+    one transform, and the coefficients read off the product at its nonzero
+    entries."""
+    m = d.m
+    table = [0] * (1 << m)
+    for run in d.runs:
+        table[product_index(run, RUN_LEVELS)] = 1
+    spectrum = _reference_walsh_hadamard(table)
+    keys = itertools.compress(itertools.product(WORD_LEVELS, repeat=m), spectrum)
+    return IndicatorFunction(m, zip(keys, (Fraction(v, 1 << m) for v in spectrum if v)))
+
+
+def _reference_design(f):
+    """The inverse over all 2^m entries, with its checks in their order: each
+    distinct coefficient object above 1 in absolute value, then its
+    denominator, then the values at the 2^m runs, then the empty set of runs."""
+    m = f.m
+    denom = 1 << m
+    scaled = [0] * denom
+    checked = {}
+    for bits, c in f.coeffs.items():
+        if id(c) not in checked:
+            checked[id(c)] = c
+            owner = next(b for b, v in f.coeffs.items() if v is c)
+            if abs(c.numerator) > c.denominator:
+                raise InvalidIndicatorError(
+                    f"coefficient {c} of {indicators.monomial_name(owner)} exceeds 1 in "
+                    "absolute value, so it cannot belong to a 0/1-valued indicator")
+            if denom % c.denominator:
+                raise InvalidIndicatorError(
+                    f"coefficient {c} cannot belong to a 0/1-valued indicator")
+        scaled[product_index(bits, WORD_LEVELS)] = int(c * denom)
+    values = _reference_walsh_hadamard(scaled)
+    for v in values:
+        if v not in (0, denom):
+            raise InvalidIndicatorError(
+                f"polynomial is not 0/1-valued on the full factorial (value {Fraction(v, denom)})")
+    runs = tuple(itertools.compress(
+        itertools.product(RUN_LEVELS[::-1], repeat=m), reversed(values)))
+    if not runs:
+        raise InvalidIndicatorError("indicator is identically zero")
+    return Design(m, 2, runs, "pm1")
+
+
+def _span_corpus(rng):
+    """Designs on m = 1..10 factors of every affine dimension: random subsets,
+    regular fractions for every number k of words (k = 0 is the full factorial,
+    k = m a single run), random subsets of them, unions of cosets of one run
+    group, a single run and the full factorial; runs shuffled."""
+    for m in range(1, 11):
+        pool = list(full_factorial(m).runs)
+        cases = [[rng.choice(pool)], pool]
+        cases += [rng.sample(pool, rng.randint(1, len(pool))) for _ in range(3)]
+        for k in range(m + 1):
+            words = random_words(rng, m, k)
+            runs = regular_design_from_words(m, words).runs
+            cases += [runs, rng.sample(runs, rng.randint(1, len(runs)))]
+            signs = rng.sample(list(itertools.product((-1, 1), repeat=k)),
+                               rng.randint(1, 2**k))
+            cases.append([run for sign in signs for run in regular_design_from_words(
+                m, [Word(w.bits, c) for w, c in zip(words, sign)]).runs])
+        for runs in cases:
+            runs = list(runs)
+            rng.shuffle(runs)
+            yield Design(m, 2, tuple(runs), "pm1")
+
+
+def test_transforms_over_the_span_match_the_full_transforms():
+    rng = random.Random(3911)
+    count = 0
+    for _ in range(3):
+        for d in _span_corpus(rng):
+            f = indicator_from_design(d)
+            # equal coefficients in the same key order
+            assert list(f.coeffs.items()) == list(_reference_indicator(d).coeffs.items()), d.runs
+            assert design_from_indicator(f).runs == _reference_design(f).runs
+            count += 1
+    assert count >= 600
+
+
+def _outcome(call, f):
+    try:
+        return call(f).runs
+    except InvalidIndicatorError as error:
+        return str(error)
+
+
+def test_invalid_indicators_on_a_span_fail_as_over_the_full_factorial():
+    # a regular indicator spans k < m dimensions; with one coefficient halved,
+    # negated or dropped it is mostly no indicator (negating x^w at k = 1 gives
+    # the other half), and the error names the value at the lowest run of the
+    # full factorial where it is not 0 or 1
+    rng = random.Random(3912)
+    invalid = 0
+    while invalid < 240:
+        m = rng.randint(2, 10)
+        words = random_words(rng, m, rng.randint(1, m - 1))
+        f = indicator_from_design(regular_design_from_words(m, words))
+        key = rng.choice(list(f.coeffs))
+        change = rng.choice((lambda c: c / 2, operator.neg, lambda c: 0))
+        g = IndicatorFunction(m, {**f.coeffs, key: change(f.coeffs[key])})
+        expected = _outcome(_reference_design, g)
+        assert _outcome(design_from_indicator, g) == expected
+        invalid += isinstance(expected, str)
+
+
+def test_the_lowest_failing_run_names_the_value():
+    # x1/4 - x2/4 on 3 factors spans 2 dimensions; it is 0 at (1,1,.), 1/2 at
+    # (1,-1,.), the lower run, and -1/2 at (-1,1,.)
+    f = IndicatorFunction(3, {term(3, 1): Fraction(1, 4), term(3, 2): Fraction(-1, 4)})
+    message = "polynomial is not 0/1-valued on the full factorial (value 1/2)"
+    assert _outcome(_reference_design, f) == _outcome(design_from_indicator, f) == message
+
+
+@pytest.mark.parametrize("coeffs", [
+    {},
+    {(0, 0, 0): Fraction(1, 2)},
+    {(0, 0, 0): Fraction(1, 2), (1, 1, 0): Fraction(3, 2), (0, 1, 1): Fraction(1, 3)},
+    {(0, 0, 0): Fraction(1, 2), (1, 1, 0): Fraction(1, 3), (0, 1, 1): Fraction(3, 2)},
+    {(0, 0, 0): Fraction(1, 16), (1, 1, 0): Fraction(1, 2)},
+    {(0, 0, 0): Fraction(-1, 2), (1, 1, 0): Fraction(1, 2)},
+])
+def test_coefficient_and_empty_checks_keep_their_order(coeffs):
+    f = IndicatorFunction(3, coeffs)
+    expected = _outcome(_reference_design, f)
+    assert isinstance(expected, str)
+    assert _outcome(design_from_indicator, f) == expected
+
+
+def test_zero_factors_keep_their_errors():
+    for coeffs, error in (({}, InvalidIndicatorError), ({(): 1}, InputError),
+                          ({(): Fraction(1, 2)}, InvalidIndicatorError)):
+        f = IndicatorFunction(0, coeffs)
+        with pytest.raises(error) as got:
+            design_from_indicator(f)
+        with pytest.raises(error) as want:
+            _reference_design(f)
+        assert str(got.value) == str(want.value)
+
+
+def test_transforms_run_over_the_span(monkeypatch):
+    # the inputs' lengths, counted: 2^r forward for r the dimension of the
+    # runs' affine span, 2^s inverse for s that of the exponents' span
+    lengths = []
+    transform = indicators._walsh_hadamard
+    monkeypatch.setattr(indicators, "_walsh_hadamard",
+                        lambda values: lengths.append(len(values)) or transform(values))
+    rng = random.Random(3913)
+    regular = regular_design_from_words(16, random_words(rng, 16, 3))
+    design_from_indicator(indicator_from_design(regular))
+    assert lengths == [2**13, 2**3]
+    lengths.clear()
+    indicator_from_design(Design(10, 2, ((1, -1) * 5,), "pm1"))
+    assert lengths == [1]
+    lengths.clear()
+    dense = random_two_level_design(rng, 8, 40)
+    assert classify_design(dense).tag == "affinely-full-dimensional"
+    assert design_from_indicator(indicator_from_design(dense)) == Design(8, 2, dense.runs, "pm1")
+    assert lengths == [2**8, 2**8]

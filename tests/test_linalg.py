@@ -6,7 +6,8 @@ import pytest
 
 from algdoe import doptimal
 from algdoe.errors import InputError
-from algdoe.linalg import Echelon, column_dots, hermite, int_det, kernel_lattice
+from algdoe.linalg import (Echelon, column_dots, gf2_dependencies, hermite, int_det,
+                           kernel_lattice)
 
 
 def _random_matrix(rng):
@@ -53,3 +54,35 @@ def test_int_det_refuses_entries_that_are_not_integers():
     assert int_det([]) == 1
     assert int_det([[True, 0], [0, 3]]) == 3
     assert doptimal.int_det is int_det
+
+
+def test_gf2_dependencies_of_random_point_sets():
+    # points in an affine subspace of random dimension, against brute force:
+    # the words are every mask constant on the points, reduced, one dependent
+    # column each, and the independent columns number the span's dimension
+    rng = random.Random(3914)
+    for _ in range(300):
+        m = rng.randint(1, 7)
+        basis = [rng.getrandbits(m) for _ in range(rng.randint(0, m))]
+        shift = rng.getrandbits(m)
+        span = {0}
+        for b in basis:
+            span |= {v ^ b for v in span}
+        points = [shift ^ v for v in rng.sample(sorted(span), rng.randint(1, len(span)))]
+        n = len(points)
+        # column j holds bit m-1-j of each point, point i at bit n-1-i
+        columns = [sum((p >> m - 1 - j & 1) << n - 1 - i for i, p in enumerate(points))
+                   for j in range(m)]
+        words, free = gf2_dependencies(columns, n)
+        constant = [w for w in range(1, 1 << m)
+                    if len({(w & p).bit_count() & 1 for p in points}) == 1]
+        generated = {0}
+        for w in words:
+            generated |= {v ^ w for v in generated}
+        assert generated - {0} == set(constant)
+        assert words == sorted(words) and len(words) + len(free) == m
+        assert free == sorted(free)
+        dependent = [m - w.bit_length() for w in words]
+        assert sorted(dependent + free) == list(range(m))
+        for w, j in zip(words, dependent):
+            assert all(w >> m - 1 - d & 1 == (d == j) for d in dependent)
