@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd, isfinite, prod
 
 from .cyclotomic import CyclotomicNumber, Echelon, omega
-from .designs import Design, _columns, _product, parse_monomial
+from .designs import Design, _product, parse_monomial
 from .errors import EstimabilityError, InputError
 from .linalg import cleared, column_dots
 from .orders import monomial_name
@@ -142,9 +142,8 @@ def build_covariate_matrix(
 
 def _two_level_columns(d: Design, terms):
     labels = [monomial_name(t) for t in terms]
-    packed = _columns(d)
     value = {"0": Fraction(1), "1": Fraction(-1)}.__getitem__
-    columns = [tuple(map(value, f"{_product(packed, t):0{d.n}b}")) for t in terms]
+    columns = [tuple(map(value, f"{_product(d._columns, t):0{d.n}b}")) for t in terms]
     return labels, columns
 
 

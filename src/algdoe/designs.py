@@ -11,10 +11,12 @@ is set where factor j+1 is at -1 (a run over RUN_LEVELS) or present (a word over
 WORD_LEVELS), the element's position in ``itertools.product(levels, repeat=m)``;
 multiplying two elements XORs their indices.  A two-level design packs its
 runs once, on first use, into one table of run-major '0'/'1' digits ('1' at -1)
-that it keeps: a factor's column and a run's index are base-2 reads of that
-table.  Confounding, alias classes and classification all ask whether x^a is
-constant on the runs, and with which sign: x^a's packed column, the XOR of its
-factors' columns, answers them.
+that it keeps, and reads its m factor columns off that table once, on first
+use, into n-bit ints that it keeps beside it; a run's index is a base-2 read
+of the table.  Confounding, alias classes, classification, the indicator and
+the two-level covariate columns all read the kept columns: whether x^a is
+constant on the runs, and with which sign, is x^a's packed column, the XOR of
+its factors' columns.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import itertools
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cyclotomic import QQ, cyclotomic_field, is_prime, omega
 from .errors import InputError, RankError, ScaleError
@@ -96,10 +97,11 @@ class Design:
         return QQ if self.coding == "pm1" else cyclotomic_field(self.s)
 
     def points(self):
-        """Runs as tuples of field elements."""
+        """Runs as tuples of field elements: the runs themselves, exact ints
+        that QQ takes as they are, or under complex coding the powers of w."""
         if self.coding == "complex":
             return [tuple(omega(self.s, v) for v in run) for run in self.runs]
-        return [tuple(Fraction(v) for v in run) for run in self.runs]
+        return list(self.runs)
 
     def ring(self) -> PolyRing:
         return PolyRing(self.var_names, self.field())
@@ -108,6 +110,14 @@ class Design:
     def _digits(self) -> bytes:
         """The two-level run table, packed once per design."""
         return _pack(self.runs)
+
+    @functools.cached_property
+    def _columns(self) -> tuple[int, ...]:
+        """The m two-level factor columns, read once per design off the packed
+        table: factor j+1's is an n-bit int whose bit n-1-r is set where run r
+        is at -1."""
+        digits, m = self._digits, self.m
+        return tuple(int(digits[j::m], 2) for j in range(m))
 
 
 def _in_range(v, s: int) -> bool:
@@ -313,25 +323,11 @@ def _pack(runs) -> bytes:
     return bytes(map(digit, itertools.chain.from_iterable(runs)))
 
 
-def _column(d: Design, j: int) -> int:
-    """Factor j+1's column as an n-bit int: run r sets bit n-1-r where it is -1."""
-    return int(d._digits[j :: d.m], 2)
-
-
-def _columns(d: Design) -> list[int]:
-    return [_column(d, j) for j in range(d.m)]
-
-
-def _run_indices(d: Design, factors: Sequence[int]) -> list[int]:
-    """Each run's ``product_index`` over the ascending ``factors`` alone
-    (``product_index(run, RUN_LEVELS)`` when they are all m), read off the
-    packed table."""
-    return _base2_reads(d._digits, d.m, factors)
-
-
 def _base2_reads(digits: bytes, m: int, columns: Sequence[int]) -> list[int]:
     """The value in base 2 of each m-digit row of ``digits`` (ASCII 0/1), read
-    at the ascending ``columns`` alone; a read of no column is 0."""
+    at the ascending ``columns`` alone; a read of no column is 0.  On a
+    design's packed table that is each run's ``product_index`` over those
+    factors alone (``product_index(run, RUN_LEVELS)`` when they are all m)."""
     r = len(columns)
     if r < m:
         # the kept columns, interleaved back into rows of r digits
@@ -345,7 +341,7 @@ def _base2_reads(digits: bytes, m: int, columns: Sequence[int]) -> list[int]:
     return [int(digits[i : i + m], 2) for i in range(0, len(digits), m)]
 
 
-def _product(columns: list[int], mono) -> int:
+def _product(columns: Sequence[int], mono) -> int:
     """x^mono's column, the XOR of its factors': 0 if constant +1, all ones if -1."""
     return functools.reduce(operator.xor, itertools.compress(columns, mono), 0)
 
@@ -364,8 +360,7 @@ def is_confounded(a1: Monomial, a2: Monomial, d: Design):
     a1, a2 = tuple(a1), tuple(a2)
     _square_free_over(a1, d.m)
     _square_free_over(a2, d.m)
-    differ = itertools.compress(range(d.m), map(operator.ne, a1, a2))
-    column = functools.reduce(operator.xor, (_column(d, j) for j in differ), 0)
+    column = _product(d._columns, map(operator.ne, a1, a2))
     return {0: 1, (1 << d.n) - 1: -1}.get(column)
 
 
@@ -381,7 +376,7 @@ def alias_table(d: Design, max_degree: int = 2):
         raise InputError("alias tables are defined for two-level designs")
     if max_degree < 0:
         raise InputError(f"max_degree must be nonnegative, got {max_degree}")
-    columns = _columns(d)
+    columns = d._columns
     ones = (1 << d.n) - 1
     groups: dict[int, list[tuple[Monomial, int]]] = {}
     # combinations lists the monomials in representative order, so the

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, compress
 from operator import add, and_, le, mul, not_, or_
 
@@ -388,15 +387,16 @@ def point_ideal_intersection(
     monomial, and are certified as the reduced Groebner basis under
     ``x_order``, which is returned.
 
-    Over QQ, integer coordinates are kept as ints, so on pm1- and
-    integer-coded designs every value vector is an integer vector and the
-    fraction-free :class:`~algdoe.cyclotomic.Echelon` eliminates it by
-    cross-multiplication; coefficients become Fractions only in the
-    generators.  Over Q(w_s) every coordinate must be a power w^k of w (an
-    InputError otherwise), as on complex-coded designs.  Each point is read
-    once as its level vector k, the value of x^u there is w^(u.k mod s), and
-    the walk carries these exponents; only the echelon, which eliminates the
-    rational coordinates of each value vector's multiples by powers of w,
+    Over QQ, an int coordinate is kept as it is and an integral Fraction
+    becomes its numerator (:func:`_rational`), so on pm1- and integer-coded
+    designs, whose points are their int runs, every value vector is an
+    integer vector and the fraction-free :class:`~algdoe.cyclotomic.Echelon`
+    eliminates it by cross-multiplication; coefficients become Fractions only
+    in the generators.  Over Q(w_s) every coordinate must be a power w^k of
+    w (an InputError otherwise), as on complex-coded designs.  Each point is
+    read once as its level vector k, the value of x^u there is w^(u.k mod s),
+    and the walk carries these exponents; only the echelon, which eliminates
+    the rational coordinates of each value vector's multiples by powers of w,
     sees the roots of unity.  Rows n(s-1) coordinates wide for n points are
     refused above MAX_ECHELON_WIDTH with a ScaleError.
     """
@@ -418,7 +418,7 @@ def point_ideal_intersection(
     ring = PolyRing(var_names, field)
     root = None  # over Q(w_s), the root of unity w^k of a level k
     if field == QQ:
-        coords = _integral([[field.coerce(a) for a in p] for p in points])
+        coords = [list(map(_rational, p)) for p in points]
     else:
         _check_width(len(points), field.order)
         root = functools.cache(functools.partial(omega, field.order))
@@ -463,13 +463,15 @@ def _check_width(n: int, s: int) -> None:
         )
 
 
-def _integral(points):
-    """The points with each integral Fraction coordinate as an int, so that
-    the values of monomials on integer points are computed in integers."""
-    return [
-        [a.numerator if isinstance(a, Fraction) and a.denominator == 1 else a for a in p]
-        for p in points
-    ]
+def _rational(a):
+    """A QQ coordinate as an int where it is integral, so that the values of
+    monomials on integer points are computed in integers: an int is kept as
+    it is, and anything else is coerced (refusing booleans and non-numbers)
+    and, if integral, replaced by its numerator."""
+    if type(a) is int:
+        return a
+    a = QQ.coerce(a)
+    return a.numerator if a.denominator == 1 else a
 
 
 def _levels(point, field, root) -> tuple[int, ...]:
@@ -510,7 +512,7 @@ def _certify_vanishing_ideal(gens, est, points, order: TermOrder):
     Each generator's coefficients are scaled by the lcm of their
     denominators, a nonzero integer, and the vanishing is checked in
     integers.  Over QQ, ``points`` are the coordinates, and on int
-    coordinates (as :func:`_integral` makes them) a generator is evaluated
+    coordinates (as :func:`_rational` makes them) a generator is evaluated
     directly.  Over Q(w_s), the generators' field, ``points`` are level
     vectors k, the point being w^k.  There a term c x^u, c = sum c_j w^j,
     is sum c_j w^(j + u.k), so each term adds its cleared coordinates into

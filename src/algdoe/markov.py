@@ -264,7 +264,10 @@ def enumerate_fiber(
     # their entries times the count still to place, r - v once run i takes
     # v.  So the gap g of the constraint (its target minus what the runs
     # before i add) needs least (r - v) <= g - a_i v <= most (r - v), which
-    # holds v to (a_i - least) v <= g - least r and (a_i - most) v >= g - most r
+    # holds v to (a_i - least) v <= g - least r and (a_i - most) v >= g - most r.
+    # Run i - 1's count kept the gap within the bounds of runs i onwards
+    # (y0, in its own fiber, keeps run 0's), so where a_i is the least (most)
+    # of run i + 1 onwards, g - least r >= 0 (g - most r <= 0) holds already
     bounds = []
     for i in range(first):
         suffixes = [(col[i], min(col[i + 1:]), max(col[i + 1:])) for col in recoded]
@@ -305,15 +308,11 @@ def enumerate_fiber(
                 hi = min(hi, u // c_least)
             elif c_least < 0:
                 lo = max(lo, -(-u // c_least))
-            elif u < 0:
-                return
             w = g - most * remaining  # c_most v >= w
             if c_most > 0:
                 lo = max(lo, -(-w // c_most))
             elif c_most < 0:
                 hi = min(hi, w // c_most)
-            elif w > 0:
-                return
         if i in forced:
             v = solve(*forced[i])
             counts = (v,) if v is not None and lo <= v <= hi else ()

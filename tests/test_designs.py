@@ -29,15 +29,15 @@ from algdoe import (
     indicator_from_design,
     is_confounded,
     parse_design,
+    point_ideal_intersection,
     regular_design_from_words,
 )
 from algdoe import designs
 from algdoe.designs import (
     RUN_LEVELS,
     WORD_LEVELS,
-    _columns,
+    _base2_reads,
     _product,
-    _run_indices,
     parse_monomial,
     parse_signed_monomial,
     product_element,
@@ -45,6 +45,7 @@ from algdoe.designs import (
     read_header,
 )
 from algdoe.groebner import normal_form, reduce_basis, spolynomials_reduce_to_zero
+from algdoe.linalg import gf2_dependencies
 from algdoe.orders import monomial_name
 
 from conftest import L8_WORDS, extend_design, gf2_independent, random_two_level_design, term
@@ -558,25 +559,44 @@ def test_packed_table_matches_evaluation_on_the_runs():
         runs = list(d.runs)
         rng.shuffle(runs)
         d = Design(d.m, 2, tuple(runs), "pm1")
-        columns = _columns(d)
+        columns = d._columns
         factors = [tuple(int(i == j) for i in range(d.m)) for j in range(d.m)]
         monos = factors + [tuple(rng.randint(0, 1) for _ in range(d.m)) for _ in range(5)]
         for a in monos:
             column = _product(columns, a)
             values = [-1 if column >> d.n - 1 - r & 1 else 1 for r in range(d.n)]
             assert values == [math.prod(itertools.compress(run, a)) for run in d.runs], a
-        assert _run_indices(d, range(d.m)) == [product_index(run, RUN_LEVELS) for run in d.runs]
+        assert _base2_reads(d._digits, d.m, range(d.m)) == [
+            product_index(run, RUN_LEVELS) for run in d.runs]
         # read at some factors alone, a run's index is that of its levels there
         kept = sorted(rng.sample(range(d.m), rng.randint(0, d.m)))
-        assert _run_indices(d, kept) == [
+        assert _base2_reads(d._digits, d.m, kept) == [
             product_index([run[j] for j in kept], RUN_LEVELS) for run in d.runs]
 
 
+class _ColumnCount(bytes):
+    """A packed run table that records the factor of each column read off it."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice) and key.step == self.m:
+            self.reads.append(key.start)
+        return super().__getitem__(key)
+
+
 def test_readers_pack_the_runs_once(l8, monkeypatch):
-    # every two-level reader, in any order, reads the design's one packed table
+    # every two-level reader, in any order, reads the design's one packed
+    # table, and its m columns off that table once; the forward transform
+    # reads its run indices at the independent factors alone
     calls = []
     pack = designs._pack
-    monkeypatch.setattr(designs, "_pack", lambda runs: calls.append(runs) or pack(runs))
+
+    def counted(runs):
+        calls.append(runs)
+        table = _ColumnCount(pack(runs))
+        table.m, table.reads = len(runs[0]), []
+        return table
+
+    monkeypatch.setattr(designs, "_pack", counted)
     queries = [(term(7, 1), term(7, 2, 3)), (term(7, 4), term(7, 5)), (term(7), term(7, 1, 6, 7))]
     readers = [
         lambda d: [is_confounded(a1, a2, d) for a1, a2 in queries],
@@ -591,6 +611,24 @@ def test_readers_pack_the_runs_once(l8, monkeypatch):
             read(d)
         assert calls == [d.runs]
         calls.clear()
+        free = gf2_dependencies(d._columns, d.n)[1]
+        assert len(free) == 3
+        assert sorted(d._digits.reads) == sorted([*range(d.m), *free])
+
+
+def test_design_ideal_of_the_int_runs_is_that_of_their_fractions():
+    # a pm1 design's points are its int runs; the same runs as Fractions give
+    # the same generators, term order and coefficient types included
+    rng = random.Random(4141)
+    for _ in range(40):
+        d = random_two_level_design(rng, rng.randint(1, 4))
+        order = TermOrder.grevlex(d.m, tuple(rng.sample(range(d.m), d.m)))
+        assert d.points() == list(d.runs)
+        fractions = [tuple(map(Fraction, run)) for run in d.runs]
+        got, want = design_ideal(d, order), point_ideal_intersection(fractions, x_order=order)
+        assert [list(g.terms.items()) for g in got.elements] == [
+            list(g.terms.items()) for g in want.elements]
+        assert {type(c) for g in got.elements for c in g.terms.values()} == {Fraction}
 
 
 def test_random_designs_est_size_matches_runs():

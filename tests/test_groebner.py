@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from algdoe import (
     Budget,
     BudgetError,
+    CoefficientFieldError,
     Design,
     InputError,
     NonZeroDimensionalError,
@@ -632,6 +633,38 @@ def test_rejects_zero_generator():
         point_ideal_intersection(
             [(Fraction(1),), (Fraction(1),)], var_names=("x1",)
         )
+
+
+def _basis_items(G):
+    return [[(mono, type(c), c) for mono, c in g.terms.items()] for g in G.elements]
+
+
+def test_int_fraction_and_mixed_coordinates_give_one_basis():
+    # an int coordinate is kept as it is and an integral Fraction becomes its
+    # numerator, so the three spellings of one point set give the same
+    # generators, term order and coefficient types included
+    rng = random.Random(4040)
+    values = [Fraction(v, d) for v in range(-3, 4) for d in (1, 1, 1, 2, 3)]
+    for _ in range(200):
+        m = rng.randint(1, 3)
+        cells = list({tuple(rng.choice(values) for _ in range(m)) for _ in range(rng.randint(1, 7))})
+        order = rng.choice([TermOrder.grevlex(m), TermOrder.lex(m)])
+        ints = [tuple(int(a) if a.denominator == 1 else a for a in p) for p in cells]
+        mixed = [tuple(a if rng.random() < 0.5 else b for a, b in zip(p, q))
+                 for p, q in zip(cells, ints)]
+        expected = _basis_items(point_ideal_intersection(cells, x_order=order))
+        for points in (ints, mixed):
+            assert _basis_items(point_ideal_intersection(points, x_order=order)) == expected
+
+
+@pytest.mark.parametrize(
+    "coordinate, message",
+    [(True, "booleans are not field elements"), (False, "booleans are not field elements"),
+     (1.0, "cannot coerce 1.0 into QQ"), (0.5, "cannot coerce 0.5 into QQ")],
+)
+def test_rational_points_refuse_booleans_and_floats(coordinate, message):
+    with pytest.raises(CoefficientFieldError, match=f"^{re.escape(message)}$"):
+        point_ideal_intersection([(2, Fraction(1, 3)), (coordinate, 1)])
 
 
 # -- the reduction and division of the earlier release, kept as references ----

@@ -678,19 +678,25 @@ def test_zero_factors_keep_their_errors():
 
 def test_transforms_run_over_the_span(monkeypatch):
     # the inputs' lengths, counted: 2^r forward for r the dimension of the
-    # runs' affine span, 2^s inverse for s that of the exponents' span
-    lengths = []
-    transform = indicators._walsh_hadamard
+    # runs' affine span, 2^s inverse for s that of the exponents' span; n = 2^r
+    # runs (a regular fraction, a single run) fill the projected table, so
+    # the forward neither reads their indices nor transforms
+    lengths, reads = [], []
+    transform, base2_reads = indicators._walsh_hadamard, indicators._base2_reads
     monkeypatch.setattr(indicators, "_walsh_hadamard",
                         lambda values: lengths.append(len(values)) or transform(values))
+    monkeypatch.setattr(indicators, "_base2_reads",
+                        lambda *args: reads.append(args[2]) or base2_reads(*args))
     rng = random.Random(3913)
     regular = regular_design_from_words(16, random_words(rng, 16, 3))
-    design_from_indicator(indicator_from_design(regular))
-    assert lengths == [2**13, 2**3]
+    f = indicator_from_design(regular)
+    assert (lengths, reads) == ([], [])
+    assert design_from_indicator(f) == regular
+    assert lengths == [2**3]
     lengths.clear()
+    reads.clear()
     indicator_from_design(Design(10, 2, ((1, -1) * 5,), "pm1"))
-    assert lengths == [1]
-    lengths.clear()
+    assert (lengths, reads) == ([], [])
     dense = random_two_level_design(rng, 8, 40)
     assert classify_design(dense).tag == "affinely-full-dimensional"
     assert design_from_indicator(indicator_from_design(dense)) == Design(8, 2, dense.runs, "pm1")

@@ -1,0 +1,124 @@
+"""Input checks that no other test reaches: each refuses its input with its
+error class and its message."""
+
+import math
+import re
+
+import pytest
+
+from algdoe import (
+    ChainConfig,
+    CovariateMatrix,
+    Design,
+    DimensionError,
+    GlmFit,
+    IndicatorFunction,
+    InputError,
+    MarkovBasis,
+    PolyRing,
+    SearchSpec,
+    TermOrder,
+    ZeroPolynomialError,
+    build_covariate_matrix,
+    buchberger,
+    d_criterion,
+    full_factorial,
+    is_confounded,
+    mh_sample,
+    normal_form,
+    point_ideal_intersection,
+    recode_integer,
+    test_statistic,
+)
+from algdoe.linalg import int_det
+
+from conftest import THREE_LEVEL_RUNS
+
+XY = PolyRing(["x", "y"])
+X, Y = XY.var("x"), XY.var("y")
+F23 = full_factorial(3)
+TWO_BY_TWO = full_factorial(2)
+THREE_LEVEL = Design(3, 3, THREE_LEVEL_RUNS, "integer")
+
+
+def _not_an_intercept():
+    A = build_covariate_matrix(TWO_BY_TWO, [(0, 0), (1, 0)])
+    return CovariateMatrix(A.design, A.terms, A.contrast, A.labels, A.columns[::-1])
+
+
+def _chains(count):
+    A = build_covariate_matrix(TWO_BY_TWO, [(0, 0), (1, 0), (0, 1)])
+    return mh_sample(A, (1, 1, 1, 1), MarkovBasis(4, ((1, -1, -1, 1),)), "pearson",
+                     ChainConfig(seed=1, burn_in=0, samples=1), chains=count)
+
+
+CASES = {
+    "confounding-length": (lambda: is_confounded((1, 0), (0, 0, 0), F23),
+                           InputError, "monomial does not match the factor count"),
+    "confounding-square": (lambda: is_confounded((2, 0, 0), (0, 0, 0), F23),
+                           InputError, "effects are square-free monomials"),
+    "buchberger-rings": (lambda: buchberger([X, PolyRing(["x", "z"]).var("z")], TermOrder.lex(2)),
+                         InputError, "generators over different rings"),
+    "buchberger-order": (lambda: buchberger([X], TermOrder.lex(3)),
+                         InputError, "term order universe does not match the ring"),
+    "division-by-zero": (lambda: normal_form(X, [XY.zero()], TermOrder.lex(2)),
+                         ZeroPolynomialError, "division by a zero polynomial"),
+    "points-none": (lambda: point_ideal_intersection([]),
+                    InputError, "need at least one point"),
+    "points-dimensions": (lambda: point_ideal_intersection([(1, 2), (1,)]),
+                          InputError, "points of unequal dimension"),
+    "points-order": (lambda: point_ideal_intersection([(1, 2)], x_order=TermOrder.grevlex(3)),
+                     InputError, "x_order universe does not match the points"),
+    "ring-var": (lambda: XY.var("z"), InputError, "unknown indeterminate 'z'"),
+    "ring-exponents": (lambda: XY.poly({(1,): 1}),
+                       DimensionError, f"bad exponent vector (1,) for {XY!r}"),
+    "ring-negative-exponent": (lambda: XY.poly({(-1, 0): 1}),
+                               DimensionError, f"bad exponent vector (-1, 0) for {XY!r}"),
+    "ring-embed": (lambda: XY.embed(PolyRing(["x", "z"]).var("x")),
+                   DimensionError, "cannot embed between different universes"),
+    "negative-power": (lambda: (X + Y) ** -1,
+                       InputError, "negative polynomial powers are not defined"),
+    "evaluate-length": (lambda: X.evaluate((1,)),
+                        DimensionError, "point length does not match the universe"),
+    "contrast": (lambda: build_covariate_matrix(THREE_LEVEL, [(0, 0, 0), (1, 0, 0)], "helmert"),
+                 InputError, "unknown contrast 'helmert'"),
+    "recode-intercept": (lambda: recode_integer(_not_an_intercept()),
+                         InputError, "recoding requires the all-ones intercept column"),
+    "search-runs": (lambda: SearchSpec(3, 0),
+                    InputError, "need at least one run and one factor"),
+    "d-criterion-levels": (lambda: d_criterion(THREE_LEVEL),
+                           InputError, "the D criterion is defined for two-level designs"),
+    "statistic-length": (lambda: test_statistic("pearson", (1, 2), GlmFit((0.0,), (1.0,))),
+                         InputError, "observation length does not match the fit"),
+    "determinant-shape": (lambda: int_det([[1, 2]]),
+                          InputError, "determinant of a non-square matrix"),
+    "move-length": (lambda: MarkovBasis(3, ((1, -1),)),
+                    InputError, "move length does not match the run count"),
+    "chains": (lambda: _chains(0), InputError, "need at least one chain"),
+    "indicator-point": (lambda: IndicatorFunction(2, {(0, 0): 1}).evaluate((1,)),
+                        InputError, "point length does not match the factor count"),
+    "indicator-ring": (lambda: IndicatorFunction(2, {(0, 0): 1}).to_polynomial(PolyRing("abc")),
+                       InputError, "ring does not match the factor count"),
+    "order-kind": (lambda: TermOrder("revlex", (0, 1)),
+                   InputError, "unknown term order kind 'revlex'"),
+    "order-blocks": (lambda: TermOrder("block", (0, 1), (((1, 0), "lex"),)),
+                     InputError, "blocks must partition the precedence in order"),
+    "order-inner-kind": (lambda: TermOrder("block", (0, 1), (((0,), "lex"), ((1,), "revlex"))),
+                         InputError, "unknown inner order kind 'revlex'"),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_input_is_refused_with_its_message(name):
+    call, error, message = CASES[name]
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as exc:
+        call()
+    assert type(exc.value) is error
+
+
+def test_pearson_skips_a_zero_mean_at_a_zero_count():
+    # a zero mean adds nothing where the count is zero, and is infinitely far
+    # from any other count
+    fit = GlmFit((0.0,), (0.0, 2.0))
+    assert test_statistic("pearson", (0, 3), fit) == 0.5
+    assert test_statistic("pearson", (1, 3), fit) == math.inf
