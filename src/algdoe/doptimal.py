@@ -10,14 +10,21 @@ the factors or flipping the sign of one leaves det(X'X) unchanged.  The 2^m
 sign flips map the candidate runs onto each other simply transitively, so
 every subset has a flip image that contains the first candidate, the
 all-minus run; factor permutations fix that run, so the image can also be
-taken with non-decreasing factor column sums.  The search therefore walks
-only the C(2^m - 1, n - 1) subsets that contain the first candidate,
-accumulating the Gram matrix X'X along the enumeration, cuts a branch once
-its column sums can no longer end up sorted, and computes the determinant
-of the sorted leaves only.  The maximizers found are closed under the m
-single-factor flips and the m - 1 adjacent factor transpositions, and all
-of them are returned in the order of ``itertools.combinations``.  The cap
-still counts all C(2^m, n) subsets.
+taken with non-decreasing factor column sums.  The search therefore
+enumerates exactly the C(2^m - 1, n - 1) subsets that contain the first
+candidate, sums X'X for each from rows packed into one int, and keeps the
+leaves with sorted column sums s, bucketed by s and by X'X.  Hadamard's
+inequality on the centred Gram matrix (Galil & Kiefer, *Ann. Statist.* 8,
+1980) gives
+
+    det(X'X) <= n^(1-m) prod_j (n^2 - s_j^2),
+
+so the classes of column sums are scored best bound first, with one
+determinant per distinct X'X, and the scoring stops at the first class whose
+bound is below the best determinant.  The maximizers found are closed under
+the m single-factor flips and the m - 1 adjacent factor transpositions, and
+all of them are returned in the order of ``itertools.combinations``.  The
+cap still counts all C(2^m, n) subsets.
 
 Greedy exchange is a seeded hill climb with restarts and makes no optimality
 claim.  Each sweep scores every swap of a design run v for a candidate u
@@ -43,9 +50,12 @@ returned.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import operator
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .designs import Design
@@ -159,54 +169,79 @@ def _subsets_exceed(m: int, n: int, cap: int) -> bool:
 
 
 def _exhaustive(candidates, n: int) -> tuple[int, list[tuple[int, ...]]]:
-    """The optimum and every maximizing n-subset of candidate indices, in
-    ``itertools.combinations`` order.
+    """The optimum and every maximizing n-subset of candidate indices, sorted.
 
     The candidates are the full factorial in product order, so a factor is a
     bit of the index: XOR-ing an index with a bit flips that factor, and
-    swapping two adjacent bits swaps two adjacent factors.  Only subsets
-    containing candidate 0 are walked, and only those whose factor column
-    sums are non-decreasing are scored.  A depth-first walk, on an explicit
-    stack so that n is not bounded by the recursion limit, visits them in
-    combinations order and sums the packed upper triangle of X'X, whose
-    entries 1..m are the column sums, along the way.
+    swapping two adjacent bits swaps two adjacent factors.  Each model row r
+    is packed into one int: entry (a, b) of the strict upper triangle of rr'
+    is stored as r_a r_b + 1 in a lane wide enough for the sum of n rows, so
+    that summing the packed rows of a subset sums its X'X without carries;
+    the diagonal of X'X is n.  The lanes of the factor column sums, entries
+    (0, j), are the top field: the key of a leaf's class of column sums s,
+    under which the sorted leaves are bucketed by their packed X'X.  A class
+    is scored only while its bound prod(n^2 - s_j^2) is at least the best
+    determinant times n^(m-1).
     """
     size = len(candidates)
     rows = _model_rows(candidates)
-    p = len(rows[0])
-    pairs = [(a, b) for a in range(p) for b in range(a, p)]
-    outer = [[r[a] * r[b] for a, b in pairs] for r in rows]
-    slot = {pair: k for k, pair in enumerate(pairs)}
-    unpack = [[slot[min(a, b), max(a, b)] for b in range(p)] for a in range(p)]
+    m = len(rows[0]) - 1
+    width = (2 * n).bit_length()
+    lane = (1 << width) - 1
+    # (a, b) pairs of X'X entries, factor pairs low and (0, 1)..(0, m) on top
+    pairs = [(a, b) for a in reversed(range(m + 1)) for b in range(a + 1, m + 1)]
+    top = width * (len(pairs) - m)
+    packed = [
+        sum((r[a] * r[b] + 1) << width * q for q, (a, b) in enumerate(pairs))
+        for r in rows
+    ]
 
+    def column_sums(key):
+        return [(key >> width * j & lane) - n for j in range(m)]
+
+    # column sums -> None if unsorted, else packed X'X -> subsets without 0
+    classes: dict[int, defaultdict | None] = {}
+    add = functools.partial(sum, start=packed[0])
+    for rest, total in zip(
+        itertools.combinations(range(1, size), n - 1),
+        map(add, itertools.combinations(packed[1:], n - 1)),
+    ):
+        key = total >> top
+        try:
+            grams = classes[key]
+        except KeyError:
+            sums = column_sums(key)
+            grams = classes[key] = (
+                defaultdict(list) if all(map(operator.le, sums, sums[1:])) else None
+            )
+        if grams is not None:
+            grams[total].append(rest)
+
+    scored = sorted(
+        (
+            (math.prod(n * n - s * s for s in column_sums(key)), key)
+            for key, grams in classes.items()
+            if grams is not None
+        ),
+        reverse=True,
+    )
+    scale = n ** (m - 1)
     best = -1
     found: list[tuple[int, ...]] = []
-    chosen = [0] * n
-    # (depth, next candidate, gram of chosen[:depth]); a frame is pushed back
-    # for its next sibling before its child, which keeps combinations order
-    stack = [(1, 1, outer[0])]
-    while stack:
-        depth, c, gram = stack.pop()
-        if c > size - (n - depth):
-            continue
-        stack.append((depth, c + 1, gram))
-        chosen[depth] = c
-        # each run still to come moves a difference of adjacent sums by at
-        # most 2, and the scored leaves have every difference <= 0
-        sums = list(map(operator.add, gram[1:p], outer[c][1:p]))
-        if max(map(operator.sub, sums, sums[1:]), default=0) > 2 * (n - 1 - depth):
-            continue
-        gram = [g + o for g, o in zip(gram, outer[c])]
-        if depth < n - 1:
-            stack.append((depth + 1, c + 1, gram))
-            continue
-        det = bareiss([[gram[k] for k in row] for row in unpack])
-        if det > best:
-            best = det
-            found.clear()
-        if det == best:
-            found.append(tuple(chosen))
-    return best, _closure(found, p - 1)
+    for bound, key in scored:
+        if bound < best * scale:
+            break
+        for total, subsets in classes[key].items():
+            gram = [[n] * (m + 1) for _ in range(m + 1)]
+            for q, (a, b) in enumerate(pairs):
+                gram[a][b] = gram[b][a] = (total >> width * q & lane) - n
+            det = bareiss(gram)
+            if det > best:
+                best = det
+                found.clear()
+            if det == best:
+                found += [(0,) + rest for rest in subsets]
+    return best, _closure(found, m)
 
 
 def _closure(subsets, m: int) -> list[tuple[int, ...]]:

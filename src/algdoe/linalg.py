@@ -189,7 +189,8 @@ def int_det(matrix) -> int:
     rows = [list(row) for row in matrix]
     if any(len(row) != len(rows) for row in rows):
         raise InputError("determinant of a non-square matrix")
-    if not all(isinstance(a, Integral) for row in rows for a in row):
+    # the exact-int test first: it is the common case and the cheaper check
+    if not all(type(a) is int or isinstance(a, Integral) for row in rows for a in row):
         raise InputError("determinant of a matrix with non-integer entries")
     return bareiss([list(map(int, row)) for row in rows]) if rows else 1
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import operator
@@ -16,8 +17,9 @@ from algdoe import (
     d_optimal_search,
     full_factorial,
 )
+from algdoe import doptimal
 from algdoe.doptimal import _greedy_exchange, _null_cofactor, _signed_sums
-from algdoe.linalg import adjugate, int_det, kernel_lattice
+from algdoe.linalg import adjugate, bareiss, int_det, kernel_lattice
 
 from conftest import random_two_level_design
 
@@ -130,7 +132,9 @@ def _direct_det(runs) -> int:
 
 
 @pytest.mark.parametrize(
-    "m,n", [(3, 4), (3, 5), (3, 6), (3, 7), (3, 8), (4, 5), (4, 6), (4, 7), (4, 8)]
+    "m,n",
+    [(1, 2), (2, 3), (2, 4), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8),
+     (4, 5), (4, 6), (4, 7), (4, 8), (4, 9), (4, 10), (4, 12), (4, 16)],
 )
 def test_exhaustive_matches_brute_force_filter(m, n):
     candidates = list(itertools.product((-1, 1), repeat=m))
@@ -139,6 +143,57 @@ def test_exhaustive_matches_brute_force_filter(m, n):
     res = d_optimal_search(SearchSpec(m=m, n=n))
     assert res.best_det == best
     assert [d.runs for d in res.optima] == [s for s, v in dets.items() if v == best]
+
+
+@pytest.mark.parametrize(
+    "m,n,best,count,digest",
+    [
+        (5, 6, 25_600, 320,
+         "9e13af2d692bd62da4e2bfa91a13273723646dd7fedaa0aeaedb395d380e45ad"),
+        (5, 7, 65_536, 1_920,
+         "e5d9ad1458cc9ebc0ff9cbe679751d2ec22c8f061839bdadcea2ac113db37092"),
+    ],
+)
+def test_exhaustive_m5_optima_are_pinned(m, n, best, count, digest):
+    # too many subsets for the brute-force filter, so the optima's runs are
+    # pinned by a hash
+    res = d_optimal_search(SearchSpec(m=m, n=n))
+    assert res.best_det == best
+    assert len(res.optima) == count
+    runs = repr([d.runs for d in res.optima]).encode()
+    assert hashlib.sha256(runs).hexdigest() == digest
+
+
+@pytest.mark.parametrize("m,n,most", [(4, 8, 100), (4, 6, 300)])
+def test_exhaustive_scores_few_determinants(monkeypatch, m, n, most):
+    # a count, not a clock: the column-sum classes whose Hadamard bound falls
+    # below the optimum are never scored, and one determinant serves every
+    # leaf with the same X'X: (4, 8) has 960 sorted leaves and (4, 6) 469
+    res = d_optimal_search(SearchSpec(m=m, n=n))
+    calls = []
+    monkeypatch.setattr(doptimal, "bareiss", lambda rows: calls.append(0) or bareiss(rows))
+    best, optima = doptimal._exhaustive(list(itertools.product((-1, 1), repeat=m)), n)
+    assert (best, len(optima)) == (res.best_det, len(res.optima))
+    assert 0 < len(calls) <= most
+
+
+def _hadamard_bound(runs) -> int:
+    n = len(runs)
+    return math.prod(n * n - sum(col) ** 2 for col in zip(*runs))
+
+
+def test_det_is_within_the_hadamard_bound_of_its_column_sums():
+    # det(X'X) n^(m-1) <= prod(n^2 - s_j^2), the bound the search orders by
+    rng = random.Random(4101)
+    for _ in range(300):
+        m = rng.randint(1, 5)
+        d = random_two_level_design(rng, m)
+        n = d.n
+        assert _direct_det(d.runs) * n ** (m - 1) <= _hadamard_bound(d.runs)
+    # equality on the regular half fraction D = ABC: orthogonal, balanced columns
+    half = [run + (math.prod(run),) for run in full_factorial(3).runs]
+    assert _direct_det(half) == 8**5
+    assert _direct_det(half) * 8**3 == _hadamard_bound(half) == 64**4
 
 
 @pytest.mark.parametrize("m,n", [(3, 5), (4, 6), (4, 7)])

@@ -48,11 +48,14 @@ def test_eliminations_agree_on_random_matrices():
 
 
 def test_int_det_refuses_entries_that_are_not_integers():
-    for matrix in ([[1.5, 0], [0, 2]], [[Fraction(1, 2), 0], [0, 2]], [["3", 0], [0, 1]]):
-        with pytest.raises(InputError):
-            int_det(matrix)
+    # an int subclass such as bool is numbers.Integral and accepted; an
+    # integral value of another type, 1.0 or Fraction(1), is refused
+    for entry in (1.5, Fraction(1, 2), "3", 1.0, Fraction(1)):
+        with pytest.raises(InputError, match=r"^determinant of a matrix with non-integer entries$"):
+            int_det([[entry, 0], [0, 2]])
     assert int_det([]) == 1
     assert int_det([[True, 0], [0, 3]]) == 3
+    assert int_det([[2, 1], [1, 3]]) == 5
     assert doptimal.int_det is int_det
 
 
