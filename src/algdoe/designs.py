@@ -9,14 +9,14 @@ the runs and is cached per (design, order).
 Two-level runs and square-free words share one index map, kept here: bit m-1-j
 is set where factor j+1 is at -1 (a run over RUN_LEVELS) or present (a word over
 WORD_LEVELS), the element's position in ``itertools.product(levels, repeat=m)``;
-multiplying two elements XORs their indices.  A two-level design packs its
-runs once, on first use, into one table of run-major '0'/'1' digits ('1' at -1)
-that it keeps, and reads its m factor columns off that table once, on first
-use, into n-bit ints that it keeps beside it; a run's index is a base-2 read
-of the table.  Confounding, alias classes, classification, the indicator and
-the two-level covariate columns all read the kept columns: whether x^a is
-constant on the runs, and with which sign, is x^a's packed column, the XOR of
-its factors' columns.
+multiplying two elements XORs their indices.  One encoder, ``_pack``, turns
+runs and exponent tuples alike into element-major '0'/'1' digits, and an
+index is a base-2 read of them.  A two-level design packs its runs once, on
+first use, into a table that it keeps, and reads its m factor columns off
+that table once into n-bit ints that it keeps beside it.  Confounding, alias
+classes, classification, the indicator, the D criterion and the two-level
+covariate columns all read the kept columns: whether x^a is constant on the
+runs, and with which sign, is x^a's packed column, the XOR of its factors'.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ class Design:
     @functools.cached_property
     def _digits(self) -> bytes:
         """The two-level run table, packed once per design."""
-        return _pack(self.runs)
+        return _pack(self.runs, RUN_LEVELS)
 
     @functools.cached_property
     def _columns(self) -> tuple[int, ...]:
@@ -188,20 +188,45 @@ def parse_design(text: str) -> Design:
 
 RUN_LEVELS = (1, -1)
 WORD_LEVELS = (0, 1)
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # 0/1 bytes to ASCII digits
+
+
+def _pack(elements, levels) -> bytes:
+    """Runs over RUN_LEVELS or exponent tuples over WORD_LEVELS as
+    element-major ASCII digits, '1' where an entry is levels[1]."""
+    if levels == WORD_LEVELS:
+        try:
+            return bytes(itertools.chain.from_iterable(elements)).translate(_DIGITS)
+        except TypeError:  # exponents that equal 0 or 1 but are not ints
+            pass
+    digit = {levels[0]: ord("0"), levels[1]: ord("1")}.__getitem__
+    return bytes(map(digit, itertools.chain.from_iterable(elements)))
+
+
+def _base2_reads(digits: bytes, rows: int, columns: Sequence[int]) -> list[int]:
+    """The value in base 2 of each of the ``rows`` rows of ``digits`` (ASCII
+    0/1) read at the ascending ``columns`` alone, 0 for no column: on packed
+    elements, each one's ``product_index`` over those factors alone."""
+    if not (rows and columns):
+        return [0] * rows
+    m, r = len(digits) // rows, len(columns)
+    if r < m:
+        # the kept columns, interleaved back into rows of r digits
+        kept = bytearray(rows * r)
+        for t, j in enumerate(columns):
+            kept[t::r] = digits[j::m]
+        digits, m = kept, r
+    return [int(digits[i : i + m], 2) for i in range(0, len(digits), m)]
 
 
 def product_index(element, levels) -> int:
     """Position of ``element`` in ``itertools.product(levels, repeat=m)``."""
-    high = levels[1]
-    idx = 0
-    for v in element:
-        idx = idx << 1 | (v == high)
-    return idx
+    return _base2_reads(_pack((element,), levels), 1, range(len(element)))[0]
 
 
 def product_element(idx: int, m: int, levels) -> tuple[int, ...]:
     """The element at position idx of ``itertools.product(levels, repeat=m)``."""
-    return tuple([levels[c == "1"] for c in f"{idx:0{m}b}"])
+    return tuple([levels[c == "1"] for c in bin(idx | 1 << m)[3:]])
 
 
 # -- defining words ------------------------------------------------------------
@@ -315,30 +340,6 @@ def _square_free_over(mono: Monomial, m: int) -> None:
         raise InputError("monomial does not match the factor count")
     if any(e not in (0, 1) for e in mono):
         raise InputError("effects are square-free monomials")
-
-
-def _pack(runs) -> bytes:
-    """Two-level runs as run-major digits: ord('1') where a factor is at -1."""
-    digit = {1: ord("0"), -1: ord("1")}.__getitem__
-    return bytes(map(digit, itertools.chain.from_iterable(runs)))
-
-
-def _base2_reads(digits: bytes, m: int, columns: Sequence[int]) -> list[int]:
-    """The value in base 2 of each m-digit row of ``digits`` (ASCII 0/1), read
-    at the ascending ``columns`` alone; a read of no column is 0.  On a
-    design's packed table that is each run's ``product_index`` over those
-    factors alone (``product_index(run, RUN_LEVELS)`` when they are all m)."""
-    r = len(columns)
-    if r < m:
-        # the kept columns, interleaved back into rows of r digits
-        rows = len(digits) // m
-        if not r:
-            return [0] * rows
-        kept = bytearray(rows * r)
-        for t, j in enumerate(columns):
-            kept[t::r] = digits[j::m]
-        digits, m = kept, r
-    return [int(digits[i : i + m], 2) for i in range(0, len(digits), m)]
 
 
 def _product(columns: Sequence[int], mono) -> int:

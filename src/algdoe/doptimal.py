@@ -2,7 +2,9 @@
 
 The criterion det(X'X), with X the n x (m+1) model matrix of the intercept
 and the factor columns, is evaluated exactly over the integers by
-fraction-free elimination.
+fraction-free elimination.  Entry (a, b) of X'X, a J-characteristic of the
+design (Deng & Tang, *Statist. Sinica* 9, 1999), is n - 2 popcount(c_a XOR
+c_b) on its packed columns c_1..c_m, with c_0 = 0 for the intercept.
 
 Exhaustive search returns the true optimum with every maximizer; it needs
 n >= m+1 runs, since with fewer every subset has det(X'X) = 0.  Permuting
@@ -45,7 +47,7 @@ det(G - vv' + zz') / (z.z)^2 is computed once per position.
 Both modes list the 2^m candidate runs, so each checks its cap first.
 
 Every returned optimum is checked against ``d_criterion`` before it is
-returned.
+returned, on the packed columns that classification then reuses.
 """
 
 from __future__ import annotations
@@ -110,7 +112,8 @@ def d_criterion(d: Design) -> int:
     """det(X'X) of the main effect model matrix, exactly."""
     if d.s != 2:
         raise InputError("the D criterion is defined for two-level designs")
-    return int_det(_gram(_model_rows(d.runs)))
+    n, columns = d.n, (0, *d._columns)
+    return int_det([[n - 2 * (a ^ b).bit_count() for b in columns] for a in columns])
 
 
 def _gram(rows) -> list[list[int]]:

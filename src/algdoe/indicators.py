@@ -12,36 +12,25 @@ the design's packed columns, the k words x^w constant on F, one dependent
 factor each, and the r = m - k independent factors, on which the runs are
 distinct.  The transform takes the 2^r table of the runs projected onto
 those factors (a regular fraction, n = 2^r, fills that table, whose
-transform is n at 0 alone, so it needs neither the runs' indices nor a
-transform), and b_(a XOR w) = x^w(first run) * b_a spreads each of its
-coefficients over the 2^k products of the words.  The inverse,
+transform is n at 0 alone), and b_(a XOR w) = x^w(first run) * b_a spreads
+each coefficient over the 2^k products of the words.  The inverse,
 :func:`design_from_indicator`, takes the span of the exponents and the zero
-tuple, of dimension s: the indicator's value at a run depends on the run only
-through a . x for a in that span, so one transform of the 2^s projected,
-scaled coefficients evaluates it on each class of 2^(m-s) runs, a coset of
-the words orthogonal to the exponents, whose least run is the class's
-position spread onto the independent factors.  More runs, or exponent
-tuples, than a hyperplane holds span all m factors, and then no span is
-computed.  Either way one transform runs over 2^r (2^s) entries, with Python
-work per run and per nonzero coefficient, and the coefficients (the runs)
-are read at C level off itertools.product over all 2^m entries, indexed by
-the map of :mod:`algdoe.designs`, in the order a full 2^m transform gives.
-On the 2^(16-3) fraction of the golden case indicator-r16 the forward call
-takes 9-11 ms on a new design, 5-6 ms of it packing the runs, and 2.5 ms on
-a packed one, and the inverse 12-19 ms (24-41 ms over 2^16 entries); on a
-design with m = 20 and 40 runs, whose span is all 20 factors,
-they take 1.4-1.5 s and 1.0-1.2 s, as before; 2 vCPU, Python 3.11.7.
-The transform packs the table into 32-bit lanes (64-bit once the absolute
-values sum to 2^29 or more) of 4 KB whole ints and runs each butterfly pass
-as a few whole-int additions, shifts and masks, with no Python int per entry;
-the lanes cannot overflow while the absolute values sum to less than 2^61,
-and the inverse refuses any coefficient above 1 in absolute value, which
-bounds its input by 2^(2m).
-As the two share the transform and the index map, neither checks the other
-at run time.  Classification needs neither transform nor cap on m: as
-x^a = +-1, |b_a| = b_0 holds exactly when x^a is constant on F, one of the
-words above, which :func:`classify_design` reads off the same routine and
-checks word by word on the columns.
+tuple, of dimension s: the indicator's value at a run depends on the run
+only through a . x for a in that span, so one transform of the 2^s
+projected, scaled coefficients evaluates it on each class of 2^(m-s) runs.
+More runs, or exponent tuples, than a hyperplane holds span all m factors,
+and then no span is computed.  Either way one transform runs over 2^r (2^s)
+entries, with Python work per run and per nonzero coefficient, and neither
+transform checks the other at run time.  :func:`indicator_add_factors`
+spreads each coefficient, divided by 2^k, over the signed group of its k
+relations' words in the same loop: the product form of Pistone & Rogantin
+(*J. Stat. Plann. Inference* 138, 2008).  Exponent tuples are packed by
+the one encoder of the index map of :mod:`algdoe.designs`, and the
+coefficients (the runs) are read at C level off itertools.product over all
+2^m entries, in the order a full 2^m transform gives.  Classification needs
+neither transform nor cap on m: as x^a = +-1, |b_a| = b_0 holds exactly when
+x^a is constant on F, one of the words above, which :func:`classify_design`
+reads off the same routine and checks word by word on the columns.
 """
 
 from __future__ import annotations
@@ -54,7 +43,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, compress, product
 
-from .designs import (RUN_LEVELS, WORD_LEVELS, Design, Word, _base2_reads, _product,
+from .designs import (RUN_LEVELS, WORD_LEVELS, Design, Word, _base2_reads, _pack, _product,
                       product_element, product_index)
 from .errors import InputError, InvalidIndicatorError, ScaleError
 from .linalg import gf2_dependencies
@@ -63,7 +52,6 @@ from .polynomials import PolyRing, Polynomial
 
 MAX_EXPANSION_FACTORS = 20
 LANE_CHUNK_BYTES = 4096  # bytes of packed lanes per chunk of the transform
-_BINARY = bytes.maketrans(b"\0\1", b"01")  # exponent bytes to ASCII digits
 
 
 class IndicatorFunction:
@@ -107,7 +95,10 @@ class IndicatorFunction:
         return self.coeffs.get((0,) * self.m, Fraction(0))
 
     def coefficient(self, bits: Monomial) -> Fraction:
-        return self.coeffs.get(tuple(bits), Fraction(0))
+        bits = tuple(bits)
+        if len(bits) != self.m or not set(bits) <= {0, 1}:
+            raise InputError(f"indicator exponents must lie in {{0,1}}^{self.m}")
+        return self.coeffs.get(bits, Fraction(0))
 
     def evaluate(self, point) -> Fraction:
         if len(point) != self.m:
@@ -199,11 +190,11 @@ def indicator_from_design(d: Design) -> IndicatorFunction:
         spectrum = [d.n] + [0] * (d.n - 1)
     else:
         table = [0] * (1 << len(free))
-        for idx in _base2_reads(d._digits, m, free):
+        for idx in _base2_reads(d._digits, d.n, free):
             table[idx] = 1
         spectrum = _walsh_hadamard(table)
     if words:
-        spectrum = _spread(spectrum, m, free, words, product_index(d.runs[0], RUN_LEVELS))
+        spectrum = _spread(spectrum, m, free, words, int(d._digits[:m], 2))  # run 0's index
     denom = 1 << m
     # the spectrum of n runs takes integer values in [-n, n], so each Fraction
     # is made once, on first use, and shared by the coefficients it equals
@@ -241,11 +232,7 @@ def design_from_indicator(f: IndicatorFunction) -> Design:
                 f"coefficient {c} cannot belong to a 0/1-valued indicator"
             )
         scale[key] = num * (denom // den)
-    try:
-        digits = bytes(chain.from_iterable(f.coeffs))
-    except TypeError:  # exponents that equal 0 or 1 but are not ints
-        digits = bytes(map(int, chain.from_iterable(f.coeffs)))
-    digits = digits.translate(_BINARY)
+    digits = _pack(f.coeffs, WORD_LEVELS)
     # x^a on a run depends on the run only through a . x for a in the span
     # of the exponents, which the zero tuple, put first, joins; more exponent
     # tuples than a hyperplane holds span all m factors
@@ -255,8 +242,8 @@ def design_from_indicator(f: IndicatorFunction) -> Design:
     else:
         words, free = [], range(m)
     # each exponent tuple's position is the base-2 read of its independent
-    # digits, which are distinct (m = 0 has the one exponent tuple (), at 0)
-    at = _base2_reads(digits, m, free) if m else [0] * len(f.coeffs)
+    # digits, which are distinct
+    at = _base2_reads(digits, len(f.coeffs), free)
     scaled = [0] * (1 << len(free))
     for idx, v in zip(at, map(scale.__getitem__, map(id, coefficients))):
         scaled[idx] = v
@@ -279,8 +266,7 @@ def design_from_indicator(f: IndicatorFunction) -> Design:
 
 def _spread(values: list[int], m: int, free: list[int], words: list[int], first: int) -> list[int]:
     """The 2^m table that holds values[c] at the index that puts c's digits on
-    the ascending ``free`` factors, and at that index XOR each product w of
-    ``words`` the same value times x^w at the run of index ``first``.
+    the ascending ``free`` factors, spread by :func:`_signed_orbit`.
 
     A run of index u makes b_(a XOR w) = x^w(u) * b_a on a design on which
     x^w is constant; the evaluation of an indicator is the same on u and
@@ -289,15 +275,21 @@ def _spread(values: list[int], m: int, free: list[int], words: list[int], first:
     at = [0]
     for j in reversed(free):
         at += [a | 1 << m - 1 - j for a in at]
-    idxs = list(compress(at, values))
-    vals = list(filter(None, values))
+    table = [0] * (1 << m)
+    for idx, v in zip(*_signed_orbit(list(compress(at, values)), list(filter(None, values)),
+                                     words, first)):
+        table[idx] = v
+    return table
+
+
+def _signed_orbit(idxs: list[int], vals: list, words: list[int], first: int):
+    """``idxs`` and ``vals`` extended over the products w of ``words``: each
+    index i is joined by i XOR w, with its value times x^w at the run of
+    index ``first``."""
     for w in words:
         idxs += [i ^ w for i in idxs]
         vals += [-v for v in vals] if (w & first).bit_count() & 1 else vals
-    table = [0] * (1 << m)
-    for idx, v in zip(idxs, vals):
-        table[idx] = v
-    return table
+    return idxs, vals
 
 
 # -- adding factors -----------------------------------------------------------
@@ -327,9 +319,11 @@ def indicator_add_factors(
 ) -> IndicatorFunction:
     """Indicator of the design extended by factors y_i = e_i * x^(b_i).
 
-    Multiplies f1 by (1 + e_i y_i x^(b_i)) / 2 per relation, with exponents
-    reduced square-free.  With f1 identically 1 this reproduces the product
-    form of a regular fraction's indicator.
+    The product of f1 and (1 + e_i y_i x^(b_i)) / 2 over the relations, with
+    exponents reduced square-free: each coefficient of f1, divided by 2^k,
+    spreads over the group of the k words y_i x^(b_i), each signed by its
+    value e_i at the run x = 1, y = e.  With f1 identically 1 this is the
+    product form of a regular fraction's indicator.
     """
     relations = list(relations)
     m, k = f1.m, len(relations)
@@ -347,19 +341,18 @@ def indicator_add_factors(
             f"adding {k} factors can make {len(f1.coeffs)}*2^{k} coefficients, "
             f"more than 2^{MAX_EXPANSION_FACTORS}"
         )
-    # the added factors take the lowest k bits of the index, the last of them bit 0
-    coeffs = {product_index(bits, WORD_LEVELS) << k: c for bits, c in f1.coeffs.items()}
-    for pos, rel in enumerate(relations):
-        mask = product_index(rel.word, WORD_LEVELS) << k | 1 << (k - 1 - pos)
-        # the new factor's bit is 0 in every key, so idx ^ mask is a new key
-        out = {}
-        for idx, c in coeffs.items():
-            c2 = c / 2
-            out[idx] = c2
-            out[idx ^ mask] = rel.sign * c2
-        coeffs = out
-    keys = (product_element(idx, m + k, WORD_LEVELS) for idx in coeffs)
-    return IndicatorFunction(m + k, zip(keys, coeffs.values()))
+    # the added factors take the lowest k bits of the index, the last of them
+    # bit 0, so each word has a bit of its own and every product is a new key
+    words = [product_index(r.word, WORD_LEVELS) << k | 1 << k - 1 - i
+             for i, r in enumerate(relations)]
+    first = product_index([r.sign for r in relations], RUN_LEVELS)  # the run x = 1, y = e
+    at = _base2_reads(_pack(f1.coeffs, WORD_LEVELS), len(f1.coeffs), range(m))
+    # one Fraction per distinct value, shared by the coefficients it equals
+    share = cache(lambda c: c / (1 << k))
+    idxs, vals = _signed_orbit([i << k for i in at], list(map(share, f1.coeffs.values())),
+                               words, first)
+    keys = (product_element(i, m + k, WORD_LEVELS) for i in idxs)
+    return IndicatorFunction(m + k, zip(keys, vals))
 
 
 # -- classification ------------------------------------------------------------

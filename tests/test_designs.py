@@ -52,11 +52,30 @@ from conftest import L8_WORDS, extend_design, gf2_independent, random_two_level_
 
 
 def test_index_map_is_the_product_position():
-    for m in range(1, 9):
+    for m in range(9):
         for levels in (RUN_LEVELS, WORD_LEVELS):
             for idx, element in enumerate(itertools.product(levels, repeat=m)):
                 assert product_index(element, levels) == idx
                 assert product_element(idx, m, levels) == element
+
+
+def test_packed_digits_read_in_base_2_are_the_product_positions():
+    # the one encoder: random runs, and exponent tuples with entries that
+    # equal 0 and 1 but are not ints, read back as their product positions
+    rng = random.Random(4203)
+    same = {0: (0, 0.0, False), 1: (1, True, 1.0)}
+    for m in range(9):
+        for levels in (RUN_LEVELS, WORD_LEVELS):
+            table = list(itertools.product(levels, repeat=m))
+            for count in (0, 1, rng.randint(2, 40)):
+                elements = rng.choices(table, k=count)
+                if levels == WORD_LEVELS and rng.random() < 0.5:
+                    elements = [tuple(rng.choice(same[v]) for v in e) for e in elements]
+                digits = designs._pack(elements, levels)
+                assert len(digits) == m * count
+                positions = [table.index(e) for e in elements]
+                assert [product_index(e, levels) for e in elements] == positions
+                assert _base2_reads(digits, count, range(m)) == positions
 
 
 def test_regular_design_reproduces_published_table(l8):
@@ -566,11 +585,11 @@ def test_packed_table_matches_evaluation_on_the_runs():
             column = _product(columns, a)
             values = [-1 if column >> d.n - 1 - r & 1 else 1 for r in range(d.n)]
             assert values == [math.prod(itertools.compress(run, a)) for run in d.runs], a
-        assert _base2_reads(d._digits, d.m, range(d.m)) == [
+        assert _base2_reads(d._digits, d.n, range(d.m)) == [
             product_index(run, RUN_LEVELS) for run in d.runs]
         # read at some factors alone, a run's index is that of its levels there
         kept = sorted(rng.sample(range(d.m), rng.randint(0, d.m)))
-        assert _base2_reads(d._digits, d.m, kept) == [
+        assert _base2_reads(d._digits, d.n, kept) == [
             product_index([run[j] for j in kept], RUN_LEVELS) for run in d.runs]
 
 
@@ -590,9 +609,9 @@ def test_readers_pack_the_runs_once(l8, monkeypatch):
     calls = []
     pack = designs._pack
 
-    def counted(runs):
-        calls.append(runs)
-        table = _ColumnCount(pack(runs))
+    def counted(runs, levels):
+        calls.append((runs, levels))
+        table = _ColumnCount(pack(runs, levels))
         table.m, table.reads = len(runs[0]), []
         return table
 
@@ -609,7 +628,7 @@ def test_readers_pack_the_runs_once(l8, monkeypatch):
         d = Design(7, 2, l8.runs[:6], "pm1")
         for read in order:
             read(d)
-        assert calls == [d.runs]
+        assert calls == [(d.runs, RUN_LEVELS)]
         calls.clear()
         free = gf2_dependencies(d._columns, d.n)[1]
         assert len(free) == 3

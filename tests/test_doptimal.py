@@ -177,6 +177,33 @@ def test_exhaustive_scores_few_determinants(monkeypatch, m, n, most):
     assert 0 < len(calls) <= most
 
 
+@pytest.mark.parametrize("m,n", [(3, 4), (4, 8)])
+def test_exhaustive_scores_gram_matrices_of_pm1_rows(monkeypatch, m, n):
+    # at n a power of two a lane of (2n - 1).bit_length() bits overflows only
+    # where two columns agree on every run, a leaf that is never optimal; every
+    # X'X scored must still be a Gram matrix of n rows of +-1: diagonal n,
+    # each entry at most n in absolute value and of n's parity
+    scored = []
+    monkeypatch.setattr(doptimal, "bareiss",
+                        lambda rows: scored.append([row[:] for row in rows]) or bareiss(rows))
+    doptimal._exhaustive(list(itertools.product((-1, 1), repeat=m)), n)
+    assert scored
+    for gram in scored:
+        assert [gram[a][a] for a in range(m + 1)] == [n] * (m + 1)
+        assert all(abs(v) <= n and (v - n) % 2 == 0 for row in gram for v in row), gram
+
+
+def test_d_criterion_is_the_det_of_the_gram_matrix_of_the_model_rows():
+    # X'X off the packed columns, in any run order, is the Gram matrix of the
+    # rows (1, x)
+    rng = random.Random(4202)
+    for _ in range(400):
+        m = rng.randint(1, 7)
+        d = random_two_level_design(rng, m, n=rng.randint(1, min(20, 2**m)))
+        d = Design(m, 2, tuple(rng.sample(d.runs, d.n)), "pm1")
+        assert d_criterion(d) == _direct_det(d.runs)
+
+
 def _hadamard_bound(runs) -> int:
     n = len(runs)
     return math.prod(n * n - sum(col) ** 2 for col in zip(*runs))

@@ -91,6 +91,8 @@ PRIVATE_IMPORTS = [
     ("designs", "groebner", "_check_width"),
     ("glm", "covariates", "_check_counts"),
     ("indicators", "designs", "_base2_reads"),
+    # the index map's one encoder, which packs exponent tuples as it packs runs
+    ("indicators", "designs", "_pack"),
     ("indicators", "designs", "_product"),
     ("markov", "covariates", "_check_counts"),
     ("markov", "groebner", "_Completion"),

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import operator
@@ -272,6 +273,9 @@ def test_add_factors_regular_product_form(l8):
 def test_add_factors_identity_and_derived_case(f2):
     base = indicator_from_design(f2)
     assert indicator_add_factors(base, []) == base
+    # on no factors the one exponent tuple is ()
+    for const in (IndicatorFunction(0, {(): Fraction(1, 2)}), IndicatorFunction(0, {})):
+        assert indicator_add_factors(const, []) == const
     rels = [FactorRelation(1, 1, (1, 1, 0))]
     combined = indicator_add_factors(base, rels)
     direct = indicator_from_design(extend_design(f2, rels))
@@ -321,6 +325,45 @@ def test_add_factors_matches_direct_indicator(data):
     combined = indicator_add_factors(indicator_from_design(d), rels)
     direct = indicator_from_design(extend_design(d, rels))
     assert combined == direct
+
+
+def _add_factors_corpus():
+    """Seeded (f1, relations) pairs for m = 1..8 and k = 0..3, with relations
+    of both signs: f1 is the indicator of a random design, a function with
+    random dyadic coefficients, or the zero function."""
+    rng = random.Random(42)
+    for m in range(1, 9):
+        for k in range(4):
+            for first_sign in (1, -1):
+                rels = []
+                for i in range(k):
+                    word = tuple(rng.randint(0, 1) for _ in range(m))
+                    if not any(word):
+                        word = term(m, rng.randint(1, m))
+                    rels.append(FactorRelation(i + 1, first_sign * (-1) ** i, word))
+                exponents = list(itertools.product((0, 1), repeat=m))
+                picked = rng.sample(exponents, rng.randint(1, len(exponents)))
+                yield IndicatorFunction(m, {
+                    a: Fraction(rng.randint(-9, 9), 2 ** rng.randint(0, m + 1))
+                    for a in picked}), rels
+                yield indicator_from_design(random_two_level_design(rng, m)), rels
+                yield IndicatorFunction(m, {}), rels
+    # exponents that equal 0 and 1 but are not ints
+    yield (IndicatorFunction(3, {(True, 0.0, 1): Fraction(1, 2), (0.0, Fraction(0), 0): 1}),
+           [FactorRelation(1, -1, (1, 1, 0)), FactorRelation(2, 1, (0, 1, 1))])
+
+
+# sha256 of the corpus's extended indicators as the per-relation product
+# computed them before the spread over the relations' word group replaced it
+ADD_FACTORS_SHA256 = "dfa6e6fee8f0af9c19cddfbe4a007a411837d4e28d57b7757e7babf188dd5244"
+
+
+def test_add_factors_output_is_pinned():
+    digest = hashlib.sha256()
+    for f1, rels in _add_factors_corpus():
+        f2 = indicator_add_factors(f1, rels)
+        digest.update(f"{f2.m} {sorted(f2.coeffs.items())!r}\n".encode())
+    assert digest.hexdigest() == ADD_FACTORS_SHA256
 
 
 def test_classification_fixtures(f1, f2, f3):

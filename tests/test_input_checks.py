@@ -97,6 +97,12 @@ CASES = {
     "chains": (lambda: _chains(0), InputError, "need at least one chain"),
     "indicator-point": (lambda: IndicatorFunction(2, {(0, 0): 1}).evaluate((1,)),
                         InputError, "point length does not match the factor count"),
+    "indicator-coefficient-length": (
+        lambda: IndicatorFunction(2, {(0, 0): 1}).coefficient((0, 0, 1)),
+        InputError, "indicator exponents must lie in {0,1}^2"),
+    "indicator-coefficient-entry": (
+        lambda: IndicatorFunction(2, {(0, 0): 1}).coefficient((2, 0)),
+        InputError, "indicator exponents must lie in {0,1}^2"),
     "indicator-ring": (lambda: IndicatorFunction(2, {(0, 0): 1}).to_polynomial(PolyRing("abc")),
                        InputError, "ring does not match the factor count"),
     "order-kind": (lambda: TermOrder("revlex", (0, 1)),
