@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add, getitem, mul, sub
 
 from .covariates import CovariateMatrix, _check_counts
 from .cyclotomic import Echelon
@@ -46,12 +48,11 @@ def design_matrix(A: CovariateMatrix) -> tuple[tuple[float, ...], ...]:
 
 
 def _total(values) -> float:
-    """Left-to-right float sum: built-in sum() rounds floats differently
-    since Python 3.12, which would change the printed statistics."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
+    """Left-to-right float sum, (((0.0 + v1) + v2) + ...), in C.  Built-in
+    sum() compensates its rounding since Python 3.12, which would change the
+    printed statistics between Pythons; ``reduce`` with ``operator.add`` adds
+    in the same order as a Python loop, with no per-item bytecode."""
+    return reduce(add, values, 0.0)
 
 
 def _solve(M, b):
@@ -70,21 +71,33 @@ def _solve(M, b):
                 a[i][k] -= f * a[c][k]
     x = [0.0] * p
     for i in reversed(range(p)):
-        x[i] = (a[i][p] - _total(a[i][k] * x[k] for k in range(i + 1, p))) / a[i][i]
+        x[i] = (a[i][p] - _total(map(mul, a[i][i + 1 : p], x[i + 1 :]))) / a[i][i]
     return x
+
+
+def _pearson_term(yi, mi) -> float:
+    """Run term of the Pearson statistic: (y - mu)^2 / mu; inf for a positive
+    count at a zero mean, and 0.0 for a zero one, which leaves a sum begun at
+    0.0 unchanged (such a sum of terms >= 0 is never -0.0)."""
+    if mi == 0.0:
+        return math.inf if yi else 0.0
+    d = yi - mi
+    return d * d / mi
+
+
+def _deviance_term(yi, mi) -> float:
+    """Run term of half the Poisson deviance: y log(y / mu) - (y - mu), or mu
+    for a zero count; inf where a positive count meets a zero mean."""
+    if yi > 0:
+        if mi == 0.0:
+            return math.inf
+        return yi * math.log(yi / mi) - (yi - mi)
+    return mi
 
 
 def _deviance(y, mu) -> float:
     """Poisson deviance of y against mu; inf where a positive count meets a zero mean."""
-    total = 0.0
-    for yi, mi in zip(y, mu):
-        if yi > 0:
-            if mi == 0.0:
-                return math.inf
-            total += yi * math.log(yi / mi) - (yi - mi)
-        else:
-            total += mi
-    return 2.0 * total
+    return 2.0 * _total(map(_deviance_term, y, mu))
 
 
 def fit_null_glm(A: CovariateMatrix, y0) -> GlmFit:
@@ -103,22 +116,22 @@ def fit_null_glm(A: CovariateMatrix, y0) -> GlmFit:
         # a mean that overflows, or vanishes under a positive count, gives an
         # infinite deviance so that the step is halved
         try:
-            mu_ = [math.exp(_total(x * b for x, b in zip(row, beta_))) for row in X]
+            mu_ = [math.exp(_total(map(mul, row, beta_))) for row in X]
         except OverflowError:
             return None, math.inf
         return mu_, _deviance(y, mu_)
 
     # the recoded intercept is the first column and is identically one
     beta = [math.log(sum(y) / n)] + [0.0] * (p - 1)
+    columns = list(zip(*X))
     mu, dev = means_and_deviance(beta)
     for _ in range(MAX_ITER):
-        resid = [yi - mi for yi, mi in zip(y, mu)]
-        score = [_total(row[j] * r for row, r in zip(X, resid)) for j in range(p)]
+        resid = list(map(sub, y, mu))
+        score = [_total(map(mul, col, resid)) for col in columns]
         if max(map(abs, score)) <= SCORE_TOL:
             return GlmFit(tuple(beta), tuple(mu))
-        WX = [[x * mi for x in row] for row, mi in zip(X, mu)]
-        XtWX = [[_total(row[j] * wrow[k] for row, wrow in zip(X, WX)) for k in range(p)]
-                for j in range(p)]
+        weighted = [list(map(mul, col, mu)) for col in columns]
+        XtWX = [[_total(map(mul, col, wcol)) for wcol in weighted] for col in columns]
         step = _solve(XtWX, score)
         # step halving keeps the deviance from increasing or diverging
         scale = 1.0
@@ -148,17 +161,25 @@ def test_statistic(kind: str, y, fit: GlmFit) -> float:
     if len(y) != len(mu):
         raise InputError("observation length does not match the fit")
     if kind == "pearson":
-        total = 0.0
-        for yi, mi in zip(y, mu):
-            if mi == 0.0:
-                if yi:
-                    return math.inf
-                continue
-            d = yi - mi
-            total += d * d / mi
-        return total
+        return _total(map(_pearson_term, y, mu))
     _check_statistic(kind)
     return _deviance(y, mu)
+
+
+def _statistic_table(kind: str, fit: GlmFit, top: int):
+    """``test_statistic(kind, y, fit)`` as a function of count vectors y with
+    entries in 0..top, read from one table of run terms per run.
+
+    Each table holds the terms that ``test_statistic`` adds for counts
+    0..top, so T(y) adds the same floats in the same order and is the same
+    float, inf included; only the per-run formulas are no longer evaluated
+    per point.
+    """
+    term = _pearson_term if kind == "pearson" else _deviance_term
+    tables = [[term(c, mi) for c in range(top + 1)] for mi in fit.mu]
+    if kind == "pearson":
+        return lambda y: reduce(add, map(getitem, tables, y), 0.0)
+    return lambda y: 2.0 * reduce(add, map(getitem, tables, y), 0.0)
 
 
 # not a unit test, despite the name pytest would otherwise collect

@@ -9,9 +9,15 @@ distinct state, and resolve each proposal, a (state, move, sign) triple,
 once, on its first use: it leaves the orthant (stay, no draw), has
 log r >= 0 (accept, no draw), or owes one uniform draw against exp(log r).
 A proposal met again replays that outcome with the same random draws, so the
-stream is the one a chain that recomputes every step would give.  Memory
-grows with the distinct proposals made, which the step count bounds; the
-statistic is computed once per distinct recorded state.
+stream is the one a chain that recomputes every step would give.  The
+outcomes live in one flat list of 2 * len(moves) slots per visited state
+(8 bytes each on a 64-bit build, so 144 bytes per state for 9 moves),
+indexed by state id and proposal; a replayed step is one list read and one
+sign test.  Memory grows with the distinct states visited times the moves,
+and the step count bounds the states.  The statistic is computed once per
+distinct recorded state, and once per fiber point in exact enumeration, as a
+sum read from per-run tables of the statistic's terms for counts 0..N (N the
+total of y0, which every point of the fiber shares).
 P-values count every point at least as extreme as the observed one, ties
 included: floating-point statistics that are equal in exact arithmetic can
 differ in the last bits, so T(y) >= T(y_obs) is tested with the relative
@@ -26,10 +32,11 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .covariates import CovariateMatrix, _check_counts
 from .errors import InputError
-from .glm import GlmFit, _check_statistic, fit_null_glm, test_statistic
+from .glm import GlmFit, _check_statistic, _statistic_table, fit_null_glm, test_statistic
 from .linalg import column_dots
 from .markov import MAX_FIBER_RUNS, MAX_FIBER_TOTAL, MarkovBasis, enumerate_fiber
 
@@ -96,18 +103,19 @@ def _chain(y0, moves, cfg: ChainConfig, seeds):
     bits = nmoves.bit_length()
     width = 2 * nmoves
     # each move as its (coordinate, entry) pairs on its support, in index
-    # order, for sign +1 at j = 2k and sign -1 at j = 2k + 1
-    signed = []
-    for z in moves:
-        support = [(i, b) for i, b in enumerate(z) if b]
-        signed.append(tuple(support))
-        signed.append(tuple((i, -b) for i, b in support))
+    # order, for sign +1 at j = k and sign -1 at j = nmoves + k
+    signed = [tuple((i, b) for i, b in enumerate(z) if b) for z in moves]
+    signed += [tuple((i, -b) for i, b in support) for support in signed]
     # a coordinate can pass the total before a later one of the same
     # proposal turns out negative, so the table reaches past the total
     reach = max((abs(b) for support in signed for _, b in support), default=0)
     lgam = [math.lgamma(k + 1) for k in range(sum(y0) + reach + 1)]
     states = [tuple(y0)]
     ids = {states[0]: 0}
+    unresolved = [-1] * width
+    table = unresolved[:]
+    probs: list[float] = []
+    targets: list[int | None] = []
 
     def intern(y, support):
         target = list(y)
@@ -117,19 +125,18 @@ def _chain(y0, moves, cfg: ChainConfig, seeds):
         tid = ids.setdefault(target, len(states))
         if tid == len(states):
             states.append(target)
+            table.extend(unresolved)
         return tid
 
-    # A proposal (state id, j) is resolved on its first use, under the key
-    # sid * width + j, to one int.  A state id >= 0 is where the chain goes
-    # with no draw: the state itself if the proposal leaves the orthant, the
-    # target if log r >= 0.  Otherwise it is ~d < 0 for the d-th proposal
-    # that owes one uniform draw against probs[d] = exp(log r), whose target
-    # is interned when a draw first accepts it (targets[d]).  The sign, not
-    # the probability, says whether a draw is owed: exp(log r) can underflow
-    # to 0.0, or round to 1.0 with log r < 0.
-    outcomes: dict[int, int] = {}
-    probs: list[float] = []
-    targets: list[int | None] = []
+    # Proposal j of state sid is resolved on its first use into the slot
+    # table[sid * width + j], which holds -1 until then.  A state id >= 0 is
+    # where the chain goes with no draw: the state itself if the proposal
+    # leaves the orthant, the target if log r >= 0.  Otherwise the slot holds
+    # -2 - d for the d-th proposal that owes one uniform draw against
+    # probs[d] = exp(log r), whose target is interned when a draw first
+    # accepts it (targets[d]).  The sign, not the probability, says whether a
+    # draw is owed: exp(log r) can underflow to 0.0, or round to 1.0 with
+    # log r < 0.
     stride = cfg.thinning
     steps = cfg.burn_in + stride * cfg.samples
     runs = []
@@ -139,48 +146,50 @@ def _chain(y0, moves, cfg: ChainConfig, seeds):
         uniform = rng.random
         recorded = []
         record = recorded.append
-        due = cfg.burn_in + stride
         sid = base = 0
-        y = states[0]
-        for step in range(1, steps + 1):
+        for _ in repeat(None, steps):
             k = getrandbits(bits)
             while k >= nmoves:
                 k = getrandbits(bits)
-            j = 2 * k + (uniform() >= 0.5)
-            key = base + j
-            nxt = outcomes.get(key)
-            if nxt is None:
-                support = signed[j]
-                # log acceptance ratio, summed in index order over the support
-                logr = 0.0
-                for i, b in support:
-                    v = y[i] + b
-                    if v < 0:
-                        nxt = outcomes[key] = sid
-                        break
-                    logr += lgam[y[i]] - lgam[v]
-                else:
-                    if logr >= 0.0:
-                        nxt = outcomes[key] = intern(y, support)
-                    else:
-                        nxt = outcomes[key] = ~len(probs)
-                        probs.append(math.exp(logr))
-                        targets.append(None)
+            key = base + k
+            if uniform() >= 0.5:
+                key += nmoves
+            nxt = table[key]
             if nxt < 0:
-                d = ~nxt
-                if uniform() < probs[d]:
-                    nxt = targets[d]
-                    if nxt is None:
-                        nxt = targets[d] = intern(y, signed[j])
-                else:
-                    nxt = sid
-            if nxt != sid:
-                sid = nxt
-                y = states[sid]
-                base = sid * width
-            if step == due:
-                record(sid)
-                due += stride
+                if nxt == -1:
+                    y = states[sid]
+                    support = signed[key - base]
+                    # log acceptance ratio, summed in index order over the support
+                    logr = 0.0
+                    for i, b in support:
+                        v = y[i] + b
+                        if v < 0:
+                            nxt = sid
+                            break
+                        logr += lgam[y[i]] - lgam[v]
+                    else:
+                        if logr >= 0.0:
+                            nxt = intern(y, support)
+                        else:
+                            nxt = -2 - len(probs)
+                            probs.append(math.exp(logr))
+                            targets.append(None)
+                    table[key] = nxt
+                if nxt < 0:
+                    d = -2 - nxt
+                    if uniform() < probs[d]:
+                        nxt = targets[d]
+                        if nxt is None:
+                            nxt = targets[d] = intern(states[sid], signed[key - base])
+                    else:
+                        nxt = sid
+            sid = nxt
+            base = nxt * width
+            record(nxt)
+        # step t (from 1) is kept when t = burn_in + stride * s, s = 1..samples
+        del recorded[: cfg.burn_in]
+        if stride > 1:
+            recorded[:] = recorded[stride - 1 :: stride]
         runs.append(recorded)
     return states, runs
 
@@ -243,10 +252,10 @@ def mh_sample(
     states, runs = _chain(y0, basis.moves, cfg, seeds)
     # the indicator depends on the state alone, so it is computed once per
     # distinct recorded state, by id, over all chains
+    statistic = _statistic_table(kind, fit, sum(y0))
     hit_of: list[int | None] = [None] * len(states)
     for sid in set().union(*runs):
-        t = test_statistic(kind, states[sid], fit)
-        hit_of[sid] = int(_at_least_as_extreme(t, t_obs))
+        hit_of[sid] = int(_at_least_as_extreme(statistic(states[sid]), t_obs))
     hits = 0
     total = 0
     se_parts: list[float] = []
@@ -264,7 +273,7 @@ def _multinomial_weights(fiber) -> list[int]:
     """N!/prod(y_i!) per fiber point: integers proportional to 1/prod(y_i!),
     since every point of a fiber has the same total N (the intercept)."""
     fact = [math.factorial(k) for k in range(sum(fiber[0]) + 1)]
-    return [fact[-1] // math.prod(fact[v] for v in y) for y in fiber]
+    return [fact[-1] // math.prod(map(fact.__getitem__, y)) for y in fiber]
 
 
 def exact_p_value(
@@ -292,10 +301,11 @@ def exact_p_value(
     t_obs = test_statistic(kind, y0, fit)
     _check_fit(A.recoded, y0, fit)
     weights = _multinomial_weights(fiber)
+    statistic = _statistic_table(kind, fit, sum(y0))
     num = sum(
         w
         for y, w in zip(fiber, weights)
-        if _at_least_as_extreme(test_statistic(kind, y, fit), t_obs)
+        if _at_least_as_extreme(statistic(y), t_obs)
     )
     p = Fraction(num, sum(weights))
     return TestResult(t_obs, float(p), 0.0, len(fiber), "exact-enumeration", p)

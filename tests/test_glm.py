@@ -209,3 +209,58 @@ def test_infinite_statistic_when_mean_zero():
     fit = GlmFit((0.0,), (0.0, 1.0))
     assert test_statistic("pearson", (1, 1), fit) == math.inf
     assert test_statistic("deviance", (1, 1), fit) == math.inf
+
+
+def _reference_statistic(kind, y, mu):
+    """The statistic as two loops with early returns, summed left to right."""
+    total = 0.0
+    for yi, mi in zip(y, mu):
+        if kind == "pearson":
+            if mi == 0.0:
+                if yi:
+                    return math.inf
+                continue
+            total += (yi - mi) * (yi - mi) / mi
+        elif yi > 0:
+            if mi == 0.0:
+                return math.inf
+            total += yi * math.log(yi / mi) - (yi - mi)
+        else:
+            total += mi
+    return total if kind == "pearson" else 2.0 * total
+
+
+def _random_mean(rng):
+    roll = rng.random()
+    if roll < 0.1:
+        return 0.0
+    if roll < 0.2:
+        return rng.choice((5e-324, 1e-310, 1e-300, 1e-20))
+    if roll < 0.3:
+        return rng.choice((1e20, 1e300, 1e307, 1.7e308))
+    return rng.expovariate(0.2)
+
+
+def test_statistic_table_matches_test_statistic_bit_for_bit():
+    from algdoe.glm import _statistic_table
+
+    rng = random.Random(29)
+    checked = {kind: 0 for kind in glm.STATISTICS}
+    infinite = zero_at_zero = 0
+    for _ in range(1000):
+        n = rng.randint(1, 9)
+        fit = GlmFit((0.0,), tuple(_random_mean(rng) for _ in range(n)))
+        top = rng.randint(0, 30)
+        for kind in glm.STATISTICS:
+            statistic = _statistic_table(kind, fit, top)
+            for _ in range(10):
+                y = tuple(rng.randint(0, top) for _ in range(n))
+                want = test_statistic(kind, y, fit)
+                # float.hex tells -0.0 from 0.0 and names inf
+                assert statistic(y).hex() == want.hex(), (kind, y, fit.mu)
+                assert want.hex() == _reference_statistic(kind, y, fit.mu).hex()
+                checked[kind] += 1
+                infinite += want == math.inf
+                zero_at_zero += any(not yi and not mi for yi, mi in zip(y, fit.mu))
+    assert min(checked.values()) >= 10_000
+    assert infinite >= 1000 and zero_at_zero >= 100

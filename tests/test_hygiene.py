@@ -98,6 +98,9 @@ PRIVATE_IMPORTS = [
     ("markov", "groebner", "_Completion"),
     ("mcmc", "covariates", "_check_counts"),
     ("mcmc", "glm", "_check_statistic"),
+    # the statistic's run terms tabulated once per fit, so the formulas stay
+    # in glm alone
+    ("mcmc", "glm", "_statistic_table"),
     ("polynomials", "orders", "_format_terms"),
 ]
 
