@@ -4,19 +4,23 @@ A design is a finite set of distinct runs over coded levels.  Two-level
 designs are coded plus/minus one; prime-level designs carry integer labels
 0..s-1 which the complex coding interprets as powers of the s-th root of
 unity.  The design ideal is computed by the Buchberger-Moeller algorithm on
-the runs and is cached per (design, order).
+the runs as the design validated them: pm1 runs are the points' ints, and
+complex runs the level vectors k of the points w^k, so no point is built.
+The walk is done once per (design, order): its basis and the standard
+monomials it found and certified, Est, are cached together.
 
 Two-level runs and square-free words share one index map, kept here: bit m-1-j
 is set where factor j+1 is at -1 (a run over RUN_LEVELS) or present (a word over
 WORD_LEVELS), the element's position in ``itertools.product(levels, repeat=m)``;
 multiplying two elements XORs their indices.  One encoder, ``_pack``, turns
-runs and exponent tuples alike into element-major '0'/'1' digits, and an
-index is a base-2 read of them.  A two-level design packs its runs once, on
-first use, into a table that it keeps, and reads its m factor columns off
-that table once into n-bit ints that it keeps beside it.  Confounding, alias
-classes, classification, the indicator, the D criterion and the two-level
-covariate columns all read the kept columns: whether x^a is constant on the
-runs, and with which sign, is x^a's packed column, the XOR of its factors'.
+runs and exponent tuples alike into element-major '0'/'1' digits, an index
+is a base-2 read of them, and ``_unpack`` decodes a batch of indices back.
+A two-level design packs its runs once, on first use, into a table that it
+keeps, and reads its m factor columns off that table once into n-bit ints
+that it keeps beside it.  Confounding, alias classes, classification, the
+indicator, the D criterion and the two-level covariate columns all read the
+kept columns: whether x^a is constant on the runs, and with which sign, is
+x^a's packed column, the XOR of its factors'.
 """
 
 from __future__ import annotations
@@ -29,12 +33,7 @@ from dataclasses import dataclass
 
 from .cyclotomic import QQ, cyclotomic_field, is_prime, omega
 from .errors import InputError, RankError, ScaleError
-from .groebner import (
-    GroebnerBasis,
-    _check_width,
-    point_ideal_intersection,
-    standard_monomials,
-)
+from .groebner import GroebnerBasis, _buchberger_moeller, _check_width
 from .linalg import gf2_insert
 from .orders import Monomial, TermOrder
 from .polynomials import PolyRing
@@ -189,6 +188,7 @@ def parse_design(text: str) -> Design:
 RUN_LEVELS = (1, -1)
 WORD_LEVELS = (0, 1)
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # 0/1 bytes to ASCII digits
+_BITS = bytes.maketrans(b"01", b"\0\1")  # and back
 
 
 def _pack(elements, levels) -> bytes:
@@ -226,7 +226,20 @@ def product_index(element, levels) -> int:
 
 def product_element(idx: int, m: int, levels) -> tuple[int, ...]:
     """The element at position idx of ``itertools.product(levels, repeat=m)``."""
-    return tuple([levels[c == "1"] for c in bin(idx | 1 << m)[3:]])
+    return _unpack((idx,), m, levels)[0]
+
+
+def _unpack(indices: Sequence[int], m: int, levels) -> list[tuple[int, ...]]:
+    """The elements at the positions ``indices`` of
+    ``itertools.product(levels, repeat=m)``, the inverse of ``_pack`` and
+    ``_base2_reads``: every index's m binary digits, as 0/1 bytes, cut into
+    m-tuples by one zip over one iterator."""
+    if not m:
+        return [()] * len(indices)
+    width = f"0{m}b"
+    bits = "".join([format(i, width) for i in indices]).encode().translate(_BITS)
+    entries = iter(bits) if levels == WORD_LEVELS else map(levels.__getitem__, bits)
+    return list(zip(*[entries] * m))
 
 
 # -- defining words ------------------------------------------------------------
@@ -306,8 +319,25 @@ def design_ideal(d: Design, order: TermOrder) -> GroebnerBasis:
     Prime-level designs with more than two levels must use complex coding so
     that the coefficient field is the cyclotomic extension.  A complex-coded
     design with n(s-1) above ``groebner.MAX_ECHELON_WIDTH`` is a ScaleError,
-    raised before any point is built.
+    raised before the walk.
     """
+    _check_ideal(d, order)
+    return _design_ideal(d, order)[0]
+
+
+def est_monomials(d: Design, order: TermOrder) -> tuple[Monomial, ...]:
+    """The standard monomials of the design ideal, ascending under ``order``:
+    an identifiable set of main and interaction effects, always of size n.
+    They are the ones the Buchberger-Moeller walk of :func:`design_ideal`
+    found and certified, kept with its basis."""
+    _check_ideal(d, order)
+    return _design_ideal(d, order)[1]
+
+
+def _check_ideal(d: Design, order: TermOrder) -> None:
+    """Refuse a design of more than two levels that is not complex coded, an
+    order over another number of variables, and a complex design whose
+    echelon rows would pass ``groebner.MAX_ECHELON_WIDTH``."""
     if d.s > 2 and d.coding != "complex":
         raise InputError(
             "designs with more than two levels need coding=complex for ideals"
@@ -316,20 +346,13 @@ def design_ideal(d: Design, order: TermOrder) -> GroebnerBasis:
         raise InputError("term order universe does not match the design")
     if d.coding == "complex":
         _check_width(d.n, d.s)
-    return _design_ideal(d, order)
 
 
 @functools.lru_cache(maxsize=256)
-def _design_ideal(d: Design, order: TermOrder) -> GroebnerBasis:
-    return point_ideal_intersection(
-        d.points(), field=d.field(), var_names=d.var_names, x_order=order
-    )
-
-
-def est_monomials(d: Design, order: TermOrder) -> tuple[Monomial, ...]:
-    """The standard monomials of the design ideal: an identifiable set of
-    main and interaction effects, always of size n."""
-    return standard_monomials(design_ideal(d, order))
+def _design_ideal(d: Design, order: TermOrder):
+    """The walk's basis and Est on the validated runs: pm1 runs are the
+    points' ints and complex runs their levels, as the walk reads them."""
+    return _buchberger_moeller(d.runs, d.ring(), order)
 
 
 # -- confounding ---------------------------------------------------------------
@@ -338,7 +361,7 @@ def est_monomials(d: Design, order: TermOrder) -> tuple[Monomial, ...]:
 def _square_free_over(mono: Monomial, m: int) -> None:
     if len(mono) != m:
         raise InputError("monomial does not match the factor count")
-    if any(e not in (0, 1) for e in mono):
+    if not all(map(WORD_LEVELS.__contains__, mono)):
         raise InputError("effects are square-free monomials")
 
 
@@ -380,14 +403,7 @@ def alias_table(d: Design, max_degree: int = 2):
     columns = d._columns
     ones = (1 << d.n) - 1
     groups: dict[int, list[tuple[Monomial, int]]] = {}
-    # combinations lists the monomials in representative order, so the
-    # classes, made in the order of their first members, come out sorted
-    monos = [
-        tuple(int(j in factors) for j in range(d.m))
-        for degree in range(max_degree + 1)
-        for factors in itertools.combinations(range(d.m), degree)
-    ]
-    for mono in monos:
+    for mono in _square_free_monomials(d.m, min(max_degree, d.m)):
         column = _product(columns, mono)
         key = min(column, column ^ ones)  # top bit clear: +1 on the first run
         groups.setdefault(key, []).append((mono, 1 if key == column else -1))
@@ -395,6 +411,18 @@ def alias_table(d: Design, max_degree: int = 2):
         [(mono, sign * members[0][1]) for mono, sign in members]
         for members in groups.values()
     ]
+
+
+@functools.lru_cache(maxsize=64)
+def _square_free_monomials(m: int, max_degree: int) -> tuple[Monomial, ...]:
+    """The square-free monomials in m factors of degree <= max_degree, in
+    representative order: combinations lists them so, and the alias classes,
+    made in the order of their first members, come out sorted."""
+    return tuple(
+        tuple(int(j in factors) for j in range(m))
+        for degree in range(max_degree + 1)
+        for factors in itertools.combinations(range(m), degree)
+    )
 
 
 def factor_ring(m: int) -> PolyRing:

@@ -9,7 +9,9 @@ the budget raises a structured :class:`~algdoe.errors.BudgetError` instead of
 hanging.  A :class:`_Completion` with no pairs is the package's one lead
 index: division, minimalization, the Buchberger-Moeller walk, the staircase
 of standard monomials and the Markov reductions all ask it which leading
-term divides a monomial.
+term divides a monomial.  The Buchberger-Moeller walk returns the standard
+monomials it found beside its basis, certified equal to the staircase of the
+leads, so a design ideal's Est needs no walk of its own.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .errors import (
     ScaleError,
     ZeroPolynomialError,
 )
+from . import linalg
 from .linalg import cleared, column_dots
 from .orders import Monomial, TermOrder
 from .polynomials import PolyRing, Polynomial, mono_lcm, mono_mul, mono_quot
@@ -385,20 +388,23 @@ def point_ideal_intersection(
     dependent one ``t`` yields the generator ``t - sum c_s * s`` over standard
     monomials ``s``.  The generators are monic and sorted by ascending leading
     monomial, and are certified as the reduced Groebner basis under
-    ``x_order``, which is returned.
+    ``x_order``, which is returned.  The walk is :func:`_buchberger_moeller`,
+    which also returns the standard monomials; the design path calls it
+    directly on a design's validated runs, so this function is the route for
+    points given as field elements.
 
     Over QQ, an int coordinate is kept as it is and an integral Fraction
-    becomes its numerator (:func:`_rational`), so on pm1- and integer-coded
-    designs, whose points are their int runs, every value vector is an
-    integer vector and the fraction-free :class:`~algdoe.cyclotomic.Echelon`
-    eliminates it by cross-multiplication; coefficients become Fractions only
-    in the generators.  Over Q(w_s) every coordinate must be a power w^k of
-    w (an InputError otherwise), as on complex-coded designs.  Each point is
-    read once as its level vector k, the value of x^u there is w^(u.k mod s),
-    and the walk carries these exponents; only the echelon, which eliminates
-    the rational coordinates of each value vector's multiples by powers of w,
-    sees the roots of unity.  Rows n(s-1) coordinates wide for n points are
-    refused above MAX_ECHELON_WIDTH with a ScaleError.
+    becomes its numerator (:func:`_rational`), so on integer points every
+    value vector is an integer vector and the fraction-free
+    :class:`~algdoe.linalg.Echelon` eliminates it by cross-multiplication;
+    coefficients become Fractions only in the generators.  Over Q(w_s) every
+    coordinate must be a power w^k of w (an InputError otherwise), given as
+    any element of the field or as a rational equal to one.  Each point is
+    read once as its level vector k, the value of x^u there is w^(u.k mod
+    s), and the walk carries these exponents; only the echelon, which
+    eliminates the rational coordinates of each value vector's multiples by
+    powers of w, sees the roots of unity.  Rows n(s-1) coordinates wide for
+    n points are refused above MAX_ECHELON_WIDTH with a ScaleError.
     """
     points = [tuple(p) for p in points]
     if not points:
@@ -415,17 +421,41 @@ def point_ideal_intersection(
     if x_order.nvars != m:
         raise InputError("x_order universe does not match the points")
 
-    ring = PolyRing(var_names, field)
-    root = None  # over Q(w_s), the root of unity w^k of a level k
     if field == QQ:
         coords = [list(map(_rational, p)) for p in points]
     else:
         _check_width(len(points), field.order)
         root = functools.cache(functools.partial(omega, field.order))
         coords = [_levels(p, field, root) for p in points]
-    one, times = _value_rule(field, coords)
+    return _buchberger_moeller(coords, PolyRing(var_names, field), x_order)[0]
+
+
+def _buchberger_moeller(points, ring: PolyRing, x_order: TermOrder):
+    """The certified reduced Groebner basis of the vanishing ideal of
+    ``points`` and its standard monomials, ascending under ``x_order``.
+
+    ``points`` are distinct, of the ring's dimension, in the form the walk
+    reads: over QQ, ints or Fractions (an integral one already its
+    numerator); over Q(w_s), the level vectors k of the points w^k, within
+    MAX_ECHELON_WIDTH.  The heap pops monomials in ascending
+    ``x_order.key``, since a candidate's key exceeds its parent's, so the
+    standard monomials are found in the order :func:`standard_monomials`
+    sorts by, and the certificate proves them equal to the staircase of the
+    leading terms: they are the basis's Est, with no walk of their own.
+    Over QQ the value vectors go into :class:`~algdoe.linalg.Echelon`
+    itself, and over Q(w_s), as powers of w, into
+    :class:`~algdoe.cyclotomic.Echelon`.
+    """
+    field = ring.field
+    m = ring.nvars
+    root = None  # over Q(w_s), the root of unity w^k of a level k
+    if field == QQ:
+        ech = linalg.Echelon()
+    else:
+        root = functools.cache(functools.partial(omega, field.order))
+        ech = Echelon()
+    one, times = _value_rule(field, points)
     key = x_order.key
-    ech = Echelon()
     est: list[Monomial] = []
     leads = _Completion(m)
     gens: list[Polynomial] = []
@@ -449,8 +479,8 @@ def point_ideal_intersection(
         for j in range(last, m):
             u = t[:j] + (t[j] + 1,) + t[j + 1 :]
             heapq.heappush(heap, (key(u), u, j, times(vec, j)))
-    _certify_vanishing_ideal(gens, est, coords, x_order)
-    return GroebnerBasis(x_order, tuple(gens))
+    _certify_vanishing_ideal(gens, est, points, x_order)
+    return GroebnerBasis(x_order, tuple(gens)), tuple(est)
 
 
 def _check_width(n: int, s: int) -> None:

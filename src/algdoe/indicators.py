@@ -44,7 +44,7 @@ from functools import cache
 from itertools import chain, compress, product
 
 from .designs import (RUN_LEVELS, WORD_LEVELS, Design, Word, _base2_reads, _pack, _product,
-                      product_element, product_index)
+                      _unpack, product_element, product_index)
 from .errors import InputError, InvalidIndicatorError, ScaleError
 from .linalg import gf2_dependencies
 from .orders import Monomial, monomial_name
@@ -351,8 +351,7 @@ def indicator_add_factors(
     share = cache(lambda c: c / (1 << k))
     idxs, vals = _signed_orbit([i << k for i in at], list(map(share, f1.coeffs.values())),
                                words, first)
-    keys = (product_element(i, m + k, WORD_LEVELS) for i in idxs)
-    return IndicatorFunction(m + k, zip(keys, vals))
+    return IndicatorFunction(m + k, zip(_unpack(idxs, m + k, WORD_LEVELS), vals))
 
 
 # -- classification ------------------------------------------------------------

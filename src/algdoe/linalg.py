@@ -18,9 +18,15 @@ from .errors import InputError
 
 def cleared(values) -> tuple[list[int], int]:
     """The rationals ``values`` times the lcm of their denominators, as ints,
-    and that lcm."""
-    scale = lcm(*(a.denominator for a in values))
-    return [a.numerator * (scale // a.denominator) for a in values], scale
+    and that lcm.  Both attributes are read in C; when the lcm is 1, as on
+    every value vector of a pm1 or integer design, the numerators are the
+    answer and nothing is multiplied."""
+    denominators = list(map(operator.attrgetter("denominator"), values))
+    numerators = list(map(operator.attrgetter("numerator"), values))
+    scale = lcm(*denominators)
+    if scale == 1:
+        return numerators, 1
+    return [a * (scale // b) for a, b in zip(numerators, denominators)], scale
 
 
 def dot(a, b):

@@ -11,6 +11,12 @@ working directory, so it reads its files by bare name.
 needs only the standard library and an importable ``algdoe`` (installed, or
 on ``PYTHONPATH``). It names the Python it runs under, prints a diff for every
 failing case, names each one, and exits 1 if any case fails.
+
+    python tests/golden/run.py --record NAME ARGS...
+
+runs ``algdoe ARGS...`` the same way and writes what it printed and returned
+as the new case ``NAME``, from the code as it is now. It refuses (exit 2) to
+overwrite a case that exists.
 """
 
 from __future__ import annotations
@@ -53,15 +59,21 @@ def _diff(name: str, expected: bytes, actual: bytes) -> str:
     return "".join(diff) or f"expected {name} and actual {name} differ in bytes that print alike\n"
 
 
-def run_case(case: Path, inputs: Path, env: dict) -> str:
-    """The diffs of one case's outputs from its expected files; empty if none."""
-    argv = shlex.split((case / "args").read_text())
+def _outputs(argv: list[str], inputs: Path, env: dict) -> dict[str, bytes]:
+    """What ``algdoe argv`` prints and returns, run in ``inputs``, by output
+    file name."""
     proc = subprocess.run(
         [sys.executable, "-m", "algdoe.cli", *argv],
         cwd=inputs, env=env, capture_output=True,
     )
-    actual = {"stdout": proc.stdout, "stderr": proc.stderr,
-              "exit": f"{proc.returncode}\n".encode()}
+    return {"stdout": proc.stdout, "stderr": proc.stderr,
+            "exit": f"{proc.returncode}\n".encode()}
+
+
+def run_case(case: Path, inputs: Path, env: dict) -> str:
+    """The diffs of one case's outputs from its expected files; empty if none."""
+    argv = shlex.split((case / "args").read_text())
+    actual = _outputs(argv, inputs, env)
     return "".join(
         _diff(name, (case / name).read_bytes(), actual[name])
         for name in OUTPUTS
@@ -80,7 +92,32 @@ def run(root: Path = ROOT) -> tuple[int, list[str]]:
     return len(cases), failures
 
 
-def main(root: Path = ROOT) -> int:
+def record(name: str, argv: list[str], root: Path = ROOT) -> Path:
+    """Write the case ``name`` from what ``algdoe argv`` does now; a
+    FileExistsError, writing nothing, if the case exists."""
+    case = root / "cases" / name
+    if case.exists():
+        raise FileExistsError(case)
+    outputs = _outputs(argv, root / "inputs", _child_env())
+    case.mkdir(parents=True)
+    (case / "args").write_text(shlex.join(argv) + "\n")
+    for output, data in outputs.items():
+        (case / output).write_bytes(data)
+    return case
+
+
+def main(root: Path = ROOT, argv=()) -> int:
+    if argv and argv[0] == "--record":
+        if len(argv) < 3:
+            print("usage: run.py --record NAME ARGS...", file=sys.stderr)
+            return 2
+        try:
+            case = record(argv[1], argv[2:], root)
+        except FileExistsError:
+            print(f"case {argv[1]} exists; not overwritten", file=sys.stderr)
+            return 2
+        print(f"recorded {case.name}: exit {(case / 'exit').read_text().strip()}")
+        return 0
     print(f"golden cases under Python {platform.python_version()}")
     count, failures = run(root)
     for report in failures:
@@ -90,4 +127,4 @@ def main(root: Path = ROOT) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(argv=sys.argv[1:]))

@@ -340,3 +340,28 @@ def test_product_and_omega_match_the_general_fold(s, data):
         unit = [Fraction(0)] * (k % s) + [Fraction(1)]
         assert omega(s, k).coords == _reference_reduce(s, unit)
         assert all(type(c) is Fraction for c in omega(s, k).coords)
+
+
+def _random_cyclotomic(rng, s):
+    return CyclotomicNumber(s, tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                                     for _ in range(s - 1)))
+
+
+def test_division_and_reflected_operators_are_products_by_the_inverse():
+    # the public operators no package code calls: a / b, q / b and q - a,
+    # for numbers a, b and rationals q, against inverse() and negation
+    rng = random.Random(4417)
+    for s in (2, 3, 5, 7):
+        for _ in range(30):
+            a = _random_cyclotomic(rng, s)
+            b = _random_cyclotomic(rng, s) or omega(s)
+            q = rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 4))))
+            qs = CyclotomicNumber.from_rational(q, s)
+            assert a / b == a * b.inverse()
+            assert q / b == qs * b.inverse()
+            assert q - a == qs + (-a) == qs - a
+            assert (q / b).order == (q - a).order == s
+            if q:
+                assert a / q == a * qs.inverse() == a * (1 / Fraction(q))
+    assert omega(3).__truediv__("1") is NotImplemented
+    assert omega(3).__rtruediv__(1.0) is NotImplemented

@@ -31,13 +31,15 @@ from algdoe import (
     parse_design,
     point_ideal_intersection,
     regular_design_from_words,
+    standard_monomials,
 )
-from algdoe import designs
+from algdoe import designs, groebner
 from algdoe.designs import (
     RUN_LEVELS,
     WORD_LEVELS,
     _base2_reads,
     _product,
+    _unpack,
     parse_monomial,
     parse_signed_monomial,
     product_element,
@@ -57,6 +59,25 @@ def test_index_map_is_the_product_position():
             for idx, element in enumerate(itertools.product(levels, repeat=m)):
                 assert product_index(element, levels) == idx
                 assert product_element(idx, m, levels) == element
+            # the batch decoder, in one call, in any order, with repeats
+            elements = list(itertools.product(levels, repeat=m))
+            assert _unpack(range(2**m), m, levels) == elements
+            assert _unpack([0, 2**m - 1, 0], m, levels) == [elements[0], elements[-1], elements[0]]
+            assert _unpack([], m, levels) == []
+
+
+def test_batch_decoder_matches_the_string_decoder():
+    # the decoder _unpack replaced, kept as its reference, on wide keys
+    def by_bin(idx, m, levels):
+        return tuple([levels[c == "1"] for c in bin(idx | 1 << m)[3:]])
+
+    rng = random.Random(4444)
+    for m in (1, 16, 33):
+        for levels in (RUN_LEVELS, WORD_LEVELS):
+            keys = [rng.getrandbits(m) for _ in range(500)]
+            got = _unpack(keys, m, levels)
+            assert got == [by_bin(i, m, levels) for i in keys]
+            assert {type(v) for e in got for v in e} == {int}
 
 
 def test_packed_digits_read_in_base_2_are_the_product_positions():
@@ -648,6 +669,93 @@ def test_design_ideal_of_the_int_runs_is_that_of_their_fractions():
         assert [list(g.terms.items()) for g in got.elements] == [
             list(g.terms.items()) for g in want.elements]
         assert {type(c) for g in got.elements for c in g.terms.values()} == {Fraction}
+
+
+def _est_route_corpus():
+    """320 seeded designs, each with an order: random and regular pm1
+    fractions in m <= 7 factors and complex designs over Q(w3) and Q(w5) in
+    m <= 3, under lex, grevlex, a two-block order, or a kind with a shuffled
+    precedence as ``--vars`` gives it."""
+    rng = random.Random(4404)
+    for i in range(320):
+        kind = ("random", "regular", "complex")[i % 3]
+        if kind == "random":
+            m = rng.randint(1, 7)
+            d = random_two_level_design(rng, m, rng.randint(1, min(2**m, 32)))
+        elif kind == "regular":
+            m = rng.randint(2, 7)
+            k, words = rng.randint(1, m - 1), []
+            while len(words) < k:
+                bits = tuple(rng.randint(0, 1) for _ in range(m))
+                if any(bits) and gf2_independent([w.bits for w in words] + [bits]):
+                    words.append(Word(bits, rng.choice((1, -1))))
+            d = regular_design_from_words(m, words)
+        else:
+            m, s = rng.randint(1, 3), rng.choice((3, 5))
+            pool = list(itertools.product(range(s), repeat=m))
+            d = Design(m, s, tuple(rng.sample(pool, rng.randint(1, min(len(pool), 12)))), "complex")
+        h = rng.randint(1, m - 1) if m > 1 else 1
+        order = (
+            TermOrder.lex(m),
+            TermOrder.grevlex(m),
+            TermOrder.block([(range(h), "grevlex"), (range(h, m), "lex")]) if m > 1
+            else TermOrder.grlex(1),
+            TermOrder(rng.choice(("lex", "grlex", "grevlex")), tuple(rng.sample(range(m), m))),
+        )[i // 3 % 4]
+        yield kind, d, order
+
+
+def test_est_of_the_walk_is_the_staircase_of_its_basis():
+    # the second route to Est: the standard monomials of the basis, walked
+    # from its leads and sorted
+    kinds = {}
+    for i, (kind, d, order) in enumerate(_est_route_corpus()):
+        est = est_monomials(d, order)
+        G = design_ideal(d, order)
+        assert est == standard_monomials(G), (kind, d, order)
+        if kind == "complex" and i % 5 == 0:
+            # the levels the walk reads give the basis of the points w^k
+            assert G == point_ideal_intersection(d.points(), d.field(), x_order=order)
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert min(kinds.values()) >= 100
+
+
+def test_one_staircase_walk_per_cold_design_ideal_and_none_for_a_cached_est(
+    monkeypatch, l8, three_level_complex
+):
+    walks = []
+    staircase = groebner._staircase
+
+    def walk(*args):
+        walks.append(args)
+        return staircase(*args)
+
+    monkeypatch.setattr(groebner, "_staircase", walk)
+    for d, order in ((l8, TermOrder.grevlex(7)), (three_level_complex, TermOrder.lex(3))):
+        for first, second in ((design_ideal, est_monomials), (est_monomials, design_ideal)):
+            designs._design_ideal.cache_clear()
+            walks.clear()
+            first(d, order)
+            second(d, order)
+            # the certificate's walk, stopped after n monomials
+            assert [args[2] for args in walks] == [d.n]
+            est = est_monomials(d, order)
+            assert est_monomials(d, order) is est
+            assert len(walks) == 1
+
+
+def test_complex_design_ideal_builds_no_point(monkeypatch, three_level_complex):
+    def called(*args):
+        raise AssertionError("a point was built or read back")
+
+    order = TermOrder.grevlex(3)
+    want = point_ideal_intersection(
+        three_level_complex.points(), three_level_complex.field(), x_order=order)
+    designs._design_ideal.cache_clear()
+    monkeypatch.setattr(Design, "points", called)
+    monkeypatch.setattr(groebner, "_levels", called)
+    assert design_ideal(three_level_complex, order) == want
+    assert len(est_monomials(three_level_complex, order)) == three_level_complex.n
 
 
 def test_random_designs_est_size_matches_runs():

@@ -42,3 +42,22 @@ def test_runner_fails_and_names_a_changed_case(tmp_path, capsys, name, edit):
     assert "FAIL est-l8-grevlex" not in report
     assert f"expected {name}" in report
     assert report.endswith("1 of 2 golden cases pass\n")
+
+
+def test_record_writes_a_case_that_replays_and_keeps_an_existing_one(tmp_path, capsys):
+    root = tmp_path / "golden"
+    shutil.copytree(GOLDEN / "inputs", root / "inputs")
+    argv = ["--record", "est-l8-rev", "est", "--design", "l8.design", "--order", "lex", "--vars", "x7,x6,x5,x4,x3,x2,x1"]
+    assert golden.main(root, argv) == 0
+    case = root / "cases" / "est-l8-rev"
+    assert (case / "args").read_text() == "est --design l8.design --order lex --vars x7,x6,x5,x4,x3,x2,x1\n"
+    assert (case / "exit").read_bytes() == b"0\n"
+    assert (case / "stderr").read_bytes() == b""
+    assert golden.run(root) == (1, [])
+    # a second recording under the name is refused and leaves the case as it was
+    (case / "stdout").write_bytes(b"edited\n")
+    capsys.readouterr()
+    assert golden.main(root, argv[:2] + ["alias", "--design", "l8.design"]) == 2
+    assert "case est-l8-rev exists; not overwritten" in capsys.readouterr().err
+    assert (case / "stdout").read_bytes() == b"edited\n"
+    assert (case / "args").read_text() == "est --design l8.design --order lex --vars x7,x6,x5,x4,x3,x2,x1\n"

@@ -6,7 +6,7 @@ import pytest
 
 from algdoe import doptimal
 from algdoe.errors import InputError
-from algdoe.linalg import (Echelon, column_dots, gf2_dependencies, hermite, int_det,
+from algdoe.linalg import (Echelon, cleared, column_dots, gf2_dependencies, hermite, int_det,
                            kernel_lattice)
 
 
@@ -45,6 +45,43 @@ def test_eliminations_agree_on_random_matrices():
         assert len(lattice) == n - rank
         assert all(not any(column_dots(rows, z)) for z in lattice)
     assert square >= 50 and short >= 10
+
+
+def _cleared_by_comprehension(values):
+    """The comprehension ``cleared`` replaced, kept as its reference."""
+    scale = math.lcm(*(a.denominator for a in values))
+    return [a.numerator * (scale // a.denominator) for a in values], scale
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [],
+        [0, 1, -1, 7],
+        [True, False, True],
+        [Fraction(4, 2), Fraction(-6, 3), Fraction(0)],
+        [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6)],
+        [3, Fraction(-1, 4), True, Fraction(8, 2), -5],
+        [Fraction(1, 2**61), -(2**70)],
+    ],
+    ids=["empty", "ints", "bools", "integral-fractions", "fractions", "mixed", "wide"],
+)
+def test_cleared_matches_the_comprehension(values):
+    got, want = cleared(values), _cleared_by_comprehension(values)
+    assert got == want
+    assert [type(a) for a in got[0]] == [type(a) for a in want[0]] == [int] * len(values)
+    assert type(got[1]) is int
+
+
+def test_cleared_of_random_vectors_matches_the_comprehension():
+    rng = random.Random(4410)
+    for _ in range(300):
+        values = [
+            rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 12))))
+            for _ in range(rng.randint(0, 8))
+        ]
+        assert cleared(values) == _cleared_by_comprehension(values)
+        assert cleared(tuple(values)) == _cleared_by_comprehension(values)
 
 
 def test_int_det_refuses_entries_that_are_not_integers():

@@ -1,3 +1,6 @@
+import functools
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,8 +9,10 @@ from hypothesis import given, strategies as st
 from algdoe import (
     CoefficientFieldError,
     CyclotomicNumber,
+    DimensionError,
     InputError,
     PolyRing,
+    QQ,
     TermOrder,
     ZeroPolynomialError,
     cyclotomic_field,
@@ -197,3 +202,64 @@ def test_cyclotomic_parse_print_round_trip(order, data):
     f = data.draw(_cyclotomic_polys(order))
     term_order = data.draw(orders3)
     assert f.ring.parse(f.text(term_order)) == f
+
+
+def _random_polynomial(rng, ring):
+    coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))]
+    if ring.field != QQ:
+        coeffs.append(omega(ring.field.order, rng.randint(0, ring.field.order - 1)))
+    return ring.poly({
+        tuple(rng.randint(0, 2) for _ in range(ring.nvars)): rng.choice(coeffs)
+        for _ in range(rng.randint(0, 3))
+    })
+
+
+def test_power_and_product_are_repeated_multiplication():
+    # the public operators no package code calls, checked term by term
+    rng = random.Random(4418)
+    rings = [PolyRing(["x", "y"]), PolyRing(["x", "y", "z"], cyclotomic_field(3))]
+    for ring in rings:
+        for _ in range(25):
+            f, g = _random_polynomial(rng, ring), _random_polynomial(rng, ring)
+            by_terms = ring.zero()
+            for e1, c1 in f.terms.items():
+                for e2, c2 in g.terms.items():
+                    by_terms = by_terms + ring.monomial(tuple(map(operator.add, e1, e2)), c1 * c2)
+            assert f * g == by_terms == g * f
+            for n in range(5):
+                assert f**n == functools.reduce(operator.mul, [f] * n, ring.one())
+            assert f * 0 == 0 * f == ring.zero()
+            assert f * Fraction(1, 2) == Fraction(1, 2) * f == f.mul_term((0,) * ring.nvars, Fraction(1, 2))
+        with pytest.raises(InputError, match="negative polynomial powers are not defined"):
+            ring.one() ** -1
+
+
+def test_ring_constructors():
+    R = PolyRing(["x", "y", "z"])
+    assert R.zero().terms == {} and not R.zero()
+    assert R.one().terms == {(0, 0, 0): 1} and R.one() == 1
+    assert R.const(Fraction(2, 4)).terms == {(0, 0, 0): Fraction(1, 2)}
+    assert R.const(0) == R.zero()
+    assert R.var("y").terms == {(0, 1, 0): 1} == R.var(1).terms
+    assert R.var(-1) == R.var("z")
+    with pytest.raises(IndexError):
+        R.var(3)
+    with pytest.raises(InputError, match="unknown indeterminate 'w'"):
+        R.var("w")
+    assert R.monomial([1, 0, 2]).terms == {(1, 0, 2): 1}
+    assert R.monomial((1, 0, 2), -3) == R.var("x") * R.var("z") ** 2 * -3
+    assert R.monomial((0, 0, 0), 0) == R.zero()
+    with pytest.raises(DimensionError, match="bad exponent vector"):
+        R.monomial((1, 0))
+    assert {type(c) for f in (R.one(), R.var(0), R.monomial((1, 1, 1), 2)) for c in f.terms.values()} == {Fraction}
+    # embed: the same terms, each coefficient coerced into the new field
+    F = cyclotomic_field(5)
+    R5 = PolyRing(R.names, F)
+    f = R.parse("1/2*x*y-z^2+3")
+    g = R5.embed(f)
+    assert g.ring == R5 and g == R5.parse("(1/2)*x*y-z^2+3")
+    assert g.terms.keys() == f.terms.keys()
+    assert all(g.terms[e] == F.coerce(c) and g.terms[e].order == 5 for e, c in f.terms.items())
+    assert R.embed(f) == f
+    with pytest.raises(DimensionError, match="cannot embed between different universes"):
+        PolyRing(["x", "y"], F).embed(f)
