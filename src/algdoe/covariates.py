@@ -27,6 +27,7 @@ from math import gcd, isfinite, prod
 from .cyclotomic import CyclotomicNumber, Echelon, omega
 from .designs import Design, _product, parse_monomial
 from .errors import EstimabilityError, InputError
+from . import linalg
 from .linalg import cleared, column_dots
 from .orders import monomial_name
 
@@ -134,7 +135,10 @@ def build_covariate_matrix(
         if contrast not in CONTRASTS:
             raise InputError(f"unknown contrast {contrast!r}")
         labels, columns = _prime_level_columns(d, terms, contrast)
-    _check_rank(labels, columns)
+    _check_rank(labels, columns, Echelon(d.s) if contrast == "complex" else linalg.Echelon())
+    if contrast == "complex":  # exponent columns, as powers of w
+        roots = [omega(d.s, e) for e in range(d.s)]
+        columns = [tuple(map(roots.__getitem__, col)) for col in columns]
     return CovariateMatrix(
         d, tuple(terms), contrast, tuple(labels), tuple(columns)
     )
@@ -148,10 +152,11 @@ def _two_level_columns(d: Design, terms):
 
 
 def _prime_level_columns(d: Design, terms, contrast: str):
+    """The terms' labels and columns; a complex column holds exponents e of w^e."""
     s = d.s
     labels = ["1"]
     if contrast == "complex":
-        columns = [tuple(omega(s, 0) for _ in d.runs)]
+        columns = [(0,) * d.n]
         for t in terms[1:]:
             factors = [i for i, e in enumerate(t) if e]
             # one complex column per power vector (1, b2, ..., bk); each column
@@ -159,7 +164,7 @@ def _prime_level_columns(d: Design, terms, contrast: str):
             for rest in itertools.product(range(1, s), repeat=len(factors) - 1):
                 powers = (1,) + rest
                 col = tuple(
-                    omega(s, sum(p * run[i] for i, p in zip(factors, powers)) % s)
+                    sum(p * run[i] for i, p in zip(factors, powers)) % s
                     for run in d.runs
                 )
                 labels.append(_sub_label(t, powers, factors))
@@ -196,18 +201,18 @@ def _sub_label(term: Term, subscripts, factors) -> str:
     return f"{base}[{','.join(str(x) for x in subscripts)}]"
 
 
-def _check_rank(labels, columns):
-    """Exact rank check; on failure name a completely aliased pair if any.
+def _check_rank(labels, columns, ech):
+    """Exact rank check of the columns in the empty echelon ``ech`` of
+    their field; on failure name a completely aliased pair if any.
 
     The kept columns are independent, so a dependent column is a multiple of
-    one earlier column exactly when its combination of them has one label.
+    one earlier column exactly when its relation to them has one label.
     """
-    ech = Echelon()
     for j, col in enumerate(columns):
-        combo = ech.insert(col, j)
-        if combo is not None:
+        relation = ech.insert(col, j)
+        if relation is not None:
             term = labels[j]
-            other = labels[next(iter(combo))] if len(combo) == 1 else None
+            other = labels[next(iter(relation))] if len(relation) == 1 else None
             if other is None:
                 message = (f"term {term} is linearly dependent on the preceding "
                            "columns; the model is not estimable on this design")

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
+from itertools import chain
 from typing import Union
 
 from . import linalg
@@ -136,13 +137,20 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse: the c with 1 = c * self, from an Echelon."""
+        """Multiplicative inverse: the c = sum c_j w^j with 1 = sum c_j *
+        (self * w^j), from a rational :class:`algdoe.linalg.Echelon`."""
         if not self:
             raise ZeroDivisionError("cyclotomic division by zero")
-        # the nonzero self spans Q(w_s), so inserting one after it returns c
-        ech = Echelon()
-        ech.insert((self,), 0)
-        return ech.insert((CyclotomicNumber.from_rational(1, self.order),), 1)[0]
+        # the s-1 multiples self * w^j are a Q-basis of Q(w_s), so the relation
+        # -1 + sum c_j * (self * w^j) = 0 of the coordinates of -1 gives the c_j
+        s = self.order
+        ech = linalg.Echelon()
+        coords = self.coords
+        for j in range(s - 1):
+            ech.insert(coords, j)
+            coords = _fold((0, *coords))  # times w
+        c = ech.insert((-1,) + (0,) * (s - 2), s - 1)
+        return CyclotomicNumber(s, tuple(c.get(j, Fraction(0)) for j in range(s - 1)))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -289,42 +297,43 @@ class CyclotomicField:
         return self.name
 
 
-class Echelon(linalg.Echelon):
-    """Incremental exact row echelon form over Q or Q(w_s).
+class Echelon:
+    """Incremental exact row echelon form over Q(w_s) of vectors of powers
+    of w, each entry given as its exponent e in range(s).
 
-    A vector in Q(w_s)^n enters the rational :class:`algdoe.linalg.Echelon`
-    as the coordinates (n(s-1) of them) of its multiples by 1, w, ...,
-    w^(s-2), the multiple by w^j under the label (label, j).  Those
-    multiples of the kept vectors span their Q(w_s)-span over Q, so a vector
-    is dependent exactly when its own coordinates are, and the Q-coefficients
-    of the multiples of a kept vector are the coordinates of its coefficient
-    in Q(w_s), so no step divides in the field.  Each multiple by w is the
-    previous one with every entry's coordinates moved up one power and
-    folded by ``_fold``, the fold that products and :func:`omega` use.  One
-    echelon holds one field.
+    A vector enters a rational :class:`algdoe.linalg.Echelon` as the integer
+    coordinates (n(s-1) of them) of its multiples by 1, w, ..., w^(s-2), the
+    multiple by w^j under the label (label, j): entry by entry, those of
+    w^(e + j), folded as :func:`omega` folds.  The multiples of the kept
+    vectors span their Q(w_s)-span over Q, so a vector is dependent exactly
+    when its own coordinates are, and the Q-coefficients of the multiples of
+    a kept vector are the coordinates of its coefficient in Q(w_s), so no
+    step divides in the field.
     """
 
-    _order = None  # s when the rows are Q(w_s) vectors
+    def __init__(self, order: int):
+        _check_order(order)
+        self.order = s = order
+        # the coordinates of w^k for every k < 2s - 2, so that e + j needs no mod
+        self._coords = [_fold([int(i == k % s) for i in range(s)]) for k in range(2 * s - 2)]
+        self._rational = linalg.Echelon()
 
-    def insert(self, vec, label):
-        vec = list(vec)
-        s = next((a.order for a in vec if isinstance(a, CyclotomicNumber)), None)
-        if self._rows and s != self._order:
-            raise CoefficientFieldError("cannot mix coefficient fields in one echelon")
-        self._order = s
-        if s is None:
-            return super().insert(vec, label)
-        entries = [cyclotomic_field(s).coerce(a).coords for a in vec]
-        combo = super().insert([c for e in entries for c in e], (label, 0))
-        if combo is not None:
-            parts: dict = {}
-            for (lab, j), c in combo.items():
-                parts.setdefault(lab, [Fraction(0)] * (s - 1))[j] = c
-            return {lab: CyclotomicNumber(s, tuple(c)) for lab, c in parts.items()}
-        for j in range(1, s - 1):
-            # times w, entry by entry: each coordinate moves up one power
-            entries = [_fold((0, *e)) for e in entries]
-            super().insert([c for e in entries for c in e], (label, j))
+    def insert(self, exponents, label):
+        """Add the vector of the w^e, e in ``exponents``, under ``label`` and
+        return None when it is independent of the vectors kept so far;
+        otherwise keep nothing and return the relation ``{label: a}``, a in
+        Q(w_s), with vec + sum(a * kept) = 0."""
+        s = self.order
+        for j in range(s - 1):
+            coords = self._coords[j : j + s]  # of w^(e + j), by e
+            row = list(chain.from_iterable(map(coords.__getitem__, exponents)))
+            # only j = 0 can be dependent: w^j times an independent vector is not
+            relation = self._rational.insert(row, (label, j))
+            if relation is not None:
+                parts: dict = {}
+                for (lab, i), a in relation.items():
+                    parts.setdefault(lab, [Fraction(0)] * (s - 1))[i] = a
+                return {lab: CyclotomicNumber(s, tuple(a)) for lab, a in parts.items()}
         return None
 
 

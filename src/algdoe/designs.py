@@ -224,11 +224,6 @@ def product_index(element, levels) -> int:
     return _base2_reads(_pack((element,), levels), 1, range(len(element)))[0]
 
 
-def product_element(idx: int, m: int, levels) -> tuple[int, ...]:
-    """The element at position idx of ``itertools.product(levels, repeat=m)``."""
-    return _unpack((idx,), m, levels)[0]
-
-
 def _unpack(indices: Sequence[int], m: int, levels) -> list[tuple[int, ...]]:
     """The elements at the positions ``indices`` of
     ``itertools.product(levels, repeat=m)``, the inverse of ``_pack`` and
@@ -293,8 +288,8 @@ def regular_design_from_words(m: int, words) -> Design:
         )
     free = [j for j in range(m) if m - 1 - j not in pivots]
     rules = []
-    for lead, row in pivots.items():
-        negative, *bits = product_element(row ^ 1 << lead, m + 1, WORD_LEVELS)
+    rests = _unpack([row ^ 1 << lead for lead, row in pivots.items()], m + 1, WORD_LEVELS)
+    for lead, (negative, *bits) in zip(pivots, rests):
         factors = list(itertools.compress(range(m), bits))
         rules.append((m - 1 - lead, -1 if negative else 1, factors))
     runs = []

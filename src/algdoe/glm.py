@@ -15,8 +15,8 @@ from functools import reduce
 from operator import add, getitem, mul, sub
 
 from .covariates import CovariateMatrix, _check_counts
-from .cyclotomic import Echelon
 from .errors import GlmConvergenceError, InputError
+from .linalg import Echelon
 
 SCORE_TOL = 1e-10
 MAX_ITER = 100

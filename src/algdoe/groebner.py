@@ -401,10 +401,10 @@ def point_ideal_intersection(
     coordinate must be a power w^k of w (an InputError otherwise), given as
     any element of the field or as a rational equal to one.  Each point is
     read once as its level vector k, the value of x^u there is w^(u.k mod
-    s), and the walk carries these exponents; only the echelon, which
-    eliminates the rational coordinates of each value vector's multiples by
-    powers of w, sees the roots of unity.  Rows n(s-1) coordinates wide for
-    n points are refused above MAX_ECHELON_WIDTH with a ScaleError.
+    s), and the walk and its echelon carry these exponents; the echelon
+    eliminates the integer coordinates of each value vector's multiples by
+    powers of w, and no root of unity is built.  Rows n(s-1) coordinates
+    wide for n points are refused above MAX_ECHELON_WIDTH with a ScaleError.
     """
     points = [tuple(p) for p in points]
     if not points:
@@ -425,8 +425,8 @@ def point_ideal_intersection(
         coords = [list(map(_rational, p)) for p in points]
     else:
         _check_width(len(points), field.order)
-        root = functools.cache(functools.partial(omega, field.order))
-        coords = [_levels(p, field, root) for p in points]
+        power = {omega(field.order, k): k for k in range(field.order)}
+        coords = [_levels(p, field, power) for p in points]
     return _buchberger_moeller(coords, PolyRing(var_names, field), x_order)[0]
 
 
@@ -442,18 +442,14 @@ def _buchberger_moeller(points, ring: PolyRing, x_order: TermOrder):
     standard monomials are found in the order :func:`standard_monomials`
     sorts by, and the certificate proves them equal to the staircase of the
     leading terms: they are the basis's Est, with no walk of their own.
-    Over QQ the value vectors go into :class:`~algdoe.linalg.Echelon`
-    itself, and over Q(w_s), as powers of w, into
-    :class:`~algdoe.cyclotomic.Echelon`.
+    Over QQ the value vectors go into :class:`~algdoe.linalg.Echelon`, and
+    over Q(w_s), as the exponents e of their values w^e, into
+    :class:`~algdoe.cyclotomic.Echelon`; either returns a dependent
+    monomial's relation, which with the monomial itself is its generator.
     """
     field = ring.field
     m = ring.nvars
-    root = None  # over Q(w_s), the root of unity w^k of a level k
-    if field == QQ:
-        ech = linalg.Echelon()
-    else:
-        root = functools.cache(functools.partial(omega, field.order))
-        ech = Echelon()
+    ech = linalg.Echelon() if field == QQ else Echelon(field.order)
     one, times = _value_rule(field, points)
     key = x_order.key
     est: list[Monomial] = []
@@ -467,12 +463,11 @@ def _buchberger_moeller(points, ring: PolyRing, x_order: TermOrder):
         _, t, last, vec = heapq.heappop(heap)
         if leads.divisor(t) is not None:
             continue
-        combo = ech.insert(vec if root is None else map(root, vec), t)
-        if combo is not None:
-            terms = {s: -c for s, c in combo.items()}
-            terms[t] = field.one
+        relation = ech.insert(vec, t)
+        if relation is not None:
+            relation[t] = field.one
             leads.index(t)
-            gens.append(Polynomial(ring, terms))
+            gens.append(Polynomial(ring, relation))
             continue
         est.append(t)
         # as in _staircase, each candidate is pushed once, by its parent
@@ -504,18 +499,14 @@ def _rational(a):
     return a.numerator if a.denominator == 1 else a
 
 
-def _levels(point, field, root) -> tuple[int, ...]:
-    """The level vector k of a Q(w_s) point (w^k1, ..., w^km): each k is the
-    position of the 1 among an element's coordinates on 1, w, ..., w^(s-2),
-    or s - 1 when there is none, and the element must equal ``root(k)``."""
-    s = field.order
-    levels = []
-    for a in map(field.coerce, point):
-        levels.append(a.coords.index(1) if 1 in a.coords else s - 1)
-        if a != root(levels[-1]):
-            shown = ", ".join(map(str, point))
-            raise InputError(f"point ({shown}) has a coordinate that is not a power of w{s}")
-    return tuple(levels)
+def _levels(point, field, power) -> tuple[int, ...]:
+    """The level vector k of a Q(w_s) point (w^k1, ..., w^km), each k read
+    off ``power``, the map from w^k to k."""
+    try:
+        return tuple(power[a] for a in map(field.coerce, point))
+    except KeyError:
+        shown = ", ".join(map(str, point))
+    raise InputError(f"point ({shown}) has a coordinate that is not a power of w{field.order}")
 
 
 def _value_rule(field, points):

@@ -44,7 +44,7 @@ from functools import cache
 from itertools import chain, compress, product
 
 from .designs import (RUN_LEVELS, WORD_LEVELS, Design, Word, _base2_reads, _pack, _product,
-                      _unpack, product_element, product_index)
+                      _unpack, product_index)
 from .errors import InputError, InvalidIndicatorError, ScaleError
 from .linalg import gf2_dependencies
 from .orders import Monomial, monomial_name
@@ -388,10 +388,8 @@ def classify_design(d: Design) -> DesignClass:
         return DesignClass("full-factorial")
     n, m = d.n, d.m
     columns = d._columns
-    found = []
-    for w in gf2_dependencies(columns, n)[0]:
-        bits = product_element(w, m, WORD_LEVELS)
-        found.append((bits, _product(columns, bits)))
+    words = _unpack(gf2_dependencies(columns, n)[0], m, WORD_LEVELS)
+    found = [(bits, _product(columns, bits)) for bits in words]
     if not found:
         return DesignClass("affinely-full-dimensional")
     # the witness: each word is constant on the runs, its sign the first run's

@@ -51,7 +51,7 @@ class Echelon:
     terms.  The vector being reduced carries its combination along and,
     whenever a step scales it, sheds the factor that its entries share with
     that scale.  Each new row is divided by the gcd of its entries and its
-    combination.  A dependent combination becomes Fractions once, at the end.
+    combination.  A dependent vector's relation becomes Fractions at the end.
     """
 
     def __init__(self):
@@ -62,7 +62,7 @@ class Echelon:
     def insert(self, vec, label):
         """Add ``vec`` under ``label`` and return None when it is independent
         of the vectors kept so far; otherwise keep nothing and return the
-        ``{label: coeff}`` combination of kept vectors that equals ``vec``."""
+        relation ``{label: a}`` of kept vectors with vec + sum(a * kept) = 0."""
         n = len(vec)
         vec, scale = cleared(vec)
         # vec is [v | c] with v = total * (the cleared input) + sum(c[i] * w_i),
@@ -92,7 +92,7 @@ class Echelon:
         k = next((i for i in range(n) if vec[i]), None)
         if k is None:
             return {
-                lab: Fraction(-c * lab_scale, total * scale)
+                lab: Fraction(c * lab_scale, total * scale)
                 for c, (_, _, (lab, lab_scale)) in zip(vec[n:], self._rows)
                 if c
             }

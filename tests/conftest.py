@@ -4,7 +4,7 @@ from itertools import compress
 import pytest
 
 from algdoe import Design, Word, full_factorial, regular_design_from_words
-from algdoe.designs import WORD_LEVELS, product_index
+from algdoe.designs import WORD_LEVELS, _unpack, product_index
 from algdoe.linalg import gf2_insert
 
 L8_WORDS = (
@@ -96,6 +96,12 @@ def extend_design(d: Design, relations) -> Design:
         for run in d.runs
     )
     return Design(d.m + len(relations), 2, runs, "pm1")
+
+
+def product_element(idx: int, m: int, levels) -> tuple[int, ...]:
+    """The element at position idx of ``itertools.product(levels, repeat=m)``:
+    the one-element form of ``designs._unpack``."""
+    return _unpack((idx,), m, levels)[0]
 
 
 def gf2_independent(vectors) -> bool:

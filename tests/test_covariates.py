@@ -20,7 +20,7 @@ from algdoe import (
     mh_sample,
     recode_integer,
 )
-from algdoe import covariates
+from algdoe import covariates, linalg
 from algdoe.covariates import (
     CONTRASTS,
     _prime_level_columns,
@@ -94,6 +94,16 @@ def _alias_pair(labels, columns, j):
     return (labels[j], None)
 
 
+def _echelon_rows(columns):
+    """An empty echelon of the columns' field and the columns as it takes
+    them: a column of powers w^e as its exponents e."""
+    if not isinstance(columns[0][0], CyclotomicNumber):
+        return linalg.Echelon(), columns
+    s = columns[0][0].order
+    exponent = {omega(s, e): e for e in range(s)}
+    return Echelon(s), [tuple(map(exponent.__getitem__, col)) for col in columns]
+
+
 def test_estimability_error_names_the_pair_a_ratio_scan_finds():
     # the error names the first dependent column, and the earlier column a
     # brute-force ratio scan finds to be a constant multiple of it, if any
@@ -120,10 +130,12 @@ def test_estimability_error_names_the_pair_a_ratio_scan_finds():
                 labels, columns = _two_level_columns(d, terms)
             else:
                 labels, columns = _prime_level_columns(d, terms, contrast)
+                if contrast == "complex":  # exponent columns, as powers of w
+                    columns = [tuple(omega(s, e) for e in col) for col in columns]
             j = labels.index(error.aliased[0])
-            ech = Echelon()
-            assert all(ech.insert(col, i) is None for i, col in enumerate(columns[:j]))
-            assert ech.insert(columns[j], j) is not None
+            ech, rows = _echelon_rows(columns)
+            assert all(ech.insert(col, i) is None for i, col in enumerate(rows[:j]))
+            assert ech.insert(rows[j], j) is not None
             name, other = pair = _alias_pair(labels, columns, j)
             assert error.aliased == pair
             if other is None:
@@ -222,8 +234,8 @@ def test_covariate_matrix_and_recoding_match_fraction_oracle():
             words = [t for t in itertools.product((0, 1), repeat=m) if any(t)]
             terms = [term(m)] + rng.sample(words, rng.randint(0, min(len(words), 3)))
             labels, columns = _fraction_columns(d, terms, contrast)
-            ech = Echelon()
-            j = next((j for j, col in enumerate(columns) if ech.insert(col, j) is not None),
+            ech, rows = _echelon_rows(columns)
+            j = next((j for j, col in enumerate(rows) if ech.insert(col, j) is not None),
                      None)
             seen.add((s, contrast, j is None))
             if j is not None:

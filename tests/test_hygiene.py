@@ -121,6 +121,39 @@ def test_private_names_cross_modules_only_where_listed():
     assert found == PRIVATE_IMPORTS
 
 
+def _subclasses_across_modules(trees):
+    """Every (module, class, base) whose base is a class imported from
+    another algdoe module than ``errors``."""
+    found = []
+    for module, tree in trees.items():
+        origin = {}  # a name bound by a relative import -> its algdoe module
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    origin[alias.asname or alias.name] = node.module or alias.name
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for base in node.bases:
+                while isinstance(base, ast.Attribute):  # linalg.Echelon names linalg
+                    base = base.value
+                if isinstance(base, ast.Name) and origin.get(base.id, "errors") != "errors":
+                    found.append((module, node.name, origin[base.id]))
+    return found
+
+
+def test_no_class_extends_a_class_of_another_module():
+    # each job's class lives in one module: a subclass across modules splits
+    # it in two, as the field-scanning echelon over linalg's once did; the
+    # error hierarchy alone is shared as bases
+    assert _subclasses_across_modules(MODULES) == []
+    planted = ast.parse("from . import linalg\nfrom .errors import InputError\n"
+                        "class Echelon(linalg.Echelon):\n    pass\n"
+                        "class E(InputError, ValueError):\n    pass\n")
+    assert _subclasses_across_modules({"cyclotomic": planted}) == [
+        ("cyclotomic", "Echelon", "linalg")]
+
+
 def test_linalg_imports_nothing_from_the_package_but_errors():
     # the modules that eliminate import linalg, so an import back could make
     # a cycle

@@ -24,10 +24,11 @@ from algdoe import (
     regular_design_from_words,
 )
 from algdoe import indicators
-from algdoe.designs import RUN_LEVELS, WORD_LEVELS, product_element, product_index
+from algdoe.designs import RUN_LEVELS, WORD_LEVELS, product_index
 from algdoe.indicators import FactorRelation, IndicatorFunction
 
-from conftest import L8_WORDS, extend_design, gf2_independent, random_two_level_design, term
+from conftest import (L8_WORDS, extend_design, gf2_independent, product_element,
+                      random_two_level_design, term)
 
 
 def word_group(words) -> set[tuple[tuple[int, ...], int]]:
