@@ -167,7 +167,7 @@ def _prime_level_columns(d: Design, terms, contrast: str):
                     sum(p * run[i] for i, p in zip(factors, powers)) % s
                     for run in d.runs
                 )
-                labels.append(_sub_label(t, powers, factors))
+                labels.append(_sub_label(t, powers))
                 columns.append(col)
         return labels, columns
     columns = [tuple(Fraction(1) for _ in d.runs)]
@@ -180,7 +180,7 @@ def _prime_level_columns(d: Design, terms, contrast: str):
                               for i, lvl in zip(factors, levels)))
                 for run in d.runs
             )
-            labels.append(_sub_label(t, levels, factors))
+            labels.append(_sub_label(t, levels))
             columns.append(col)
     return labels, columns
 
@@ -194,11 +194,8 @@ def _contrast_value(contrast: str, s: int, value: int, level: int) -> int:
     return -1 if value == s - 1 else 0
 
 
-def _sub_label(term: Term, subscripts, factors) -> str:
-    base = monomial_name(term)
-    if len(subscripts) == 1:
-        return f"{base}[{subscripts[0]}]"
-    return f"{base}[{','.join(str(x) for x in subscripts)}]"
+def _sub_label(term: Term, subscripts) -> str:
+    return f"{monomial_name(term)}[{','.join(str(x) for x in subscripts)}]"
 
 
 def _check_rank(labels, columns, ech):

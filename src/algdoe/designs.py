@@ -14,7 +14,8 @@ is set where factor j+1 is at -1 (a run over RUN_LEVELS) or present (a word over
 WORD_LEVELS), the element's position in ``itertools.product(levels, repeat=m)``;
 multiplying two elements XORs their indices.  One encoder, ``_pack``, turns
 runs and exponent tuples alike into element-major '0'/'1' digits, an index
-is a base-2 read of them, and ``_unpack`` decodes a batch of indices back.
+is a base-2 read of them, and ``_unpack`` decodes a batch of indices back,
+such as the runs of a regular fraction, whose indices are a coset.
 A two-level design packs its runs once, on first use, into a table that it
 keeps, and reads its m factor columns off that table once into n-bit ints
 that it keeps beside it.  Confounding, alias classes, classification, the
@@ -25,6 +26,7 @@ x^a's packed column, the XOR of its factors'.
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 import operator
@@ -32,7 +34,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .cyclotomic import QQ, cyclotomic_field, is_prime, omega
-from .errors import InputError, RankError, ScaleError
+from .errors import InputError, RankError, ScaleError, int_fields, whole
 from .groebner import GroebnerBasis, _buchberger_moeller, _check_width
 from .linalg import gf2_insert
 from .orders import Monomial, TermOrder
@@ -52,6 +54,7 @@ class Design:
     coding: str = "pm1"
 
     def __post_init__(self):
+        int_fields(self, "m", "s")
         if self.m < 1:
             raise InputError("a design needs at least one factor")
         if not is_prime(self.s):
@@ -120,15 +123,8 @@ class Design:
 
 
 def _in_range(v, s: int) -> bool:
-    """``v in range(s)`` in O(1).  range scans its items for any v that is not
-    an int, but of them only int(v.real) can equal v."""
-    try:
-        r = v.real
-        if not 0 <= r < s:
-            return False
-    except (AttributeError, TypeError, ArithmeticError):
-        return False
-    return int(r) == v
+    """``v in range(s)`` in O(1); range scans its items for any v not an int."""
+    return (w := whole(v)) is not None and 0 <= w < s
 
 
 def full_factorial(m: int, s: int = 2) -> Design:
@@ -188,7 +184,8 @@ def parse_design(text: str) -> Design:
 RUN_LEVELS = (1, -1)
 WORD_LEVELS = (0, 1)
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # 0/1 bytes to ASCII digits
-_BITS = bytes.maketrans(b"01", b"\0\1")  # and back
+_LEVELS = {WORD_LEVELS: bytes.maketrans(b"01", b"\0\1"),  # and back, to the levels
+           RUN_LEVELS: bytes.maketrans(b"01", b"\1\xff")}  # -1 as a signed byte
 
 
 def _pack(elements, levels) -> bytes:
@@ -227,14 +224,15 @@ def product_index(element, levels) -> int:
 def _unpack(indices: Sequence[int], m: int, levels) -> list[tuple[int, ...]]:
     """The elements at the positions ``indices`` of
     ``itertools.product(levels, repeat=m)``, the inverse of ``_pack`` and
-    ``_base2_reads``: every index's m binary digits, as 0/1 bytes, cut into
-    m-tuples by one zip over one iterator."""
+    ``_base2_reads``: every index's m binary digits, translated to the levels
+    as bytes (read as signed bytes for RUN_LEVELS, by a "b" array), cut into
+    m-tuples by one zip over one iterator, all in C."""
     if not m:
         return [()] * len(indices)
     width = f"0{m}b"
-    bits = "".join([format(i, width) for i in indices]).encode().translate(_BITS)
-    entries = iter(bits) if levels == WORD_LEVELS else map(levels.__getitem__, bits)
-    return list(zip(*[entries] * m))
+    digits = "".join([format(i, width) for i in indices]).encode().translate(_LEVELS[levels])
+    entries = digits if levels == WORD_LEVELS else array.array("b", digits)
+    return list(zip(*[iter(entries)] * m))
 
 
 # -- defining words ------------------------------------------------------------
@@ -264,11 +262,11 @@ def regular_design_from_words(m: int, words) -> Design:
     ascending lexicographic order with -1 before +1, which matches tabulated
     orthogonal arrays.
 
-    The runs are generated from the solution space directly: the words are
-    reduced to an echelon form whose pivot factors are each fixed by a product
-    of earlier free factors, so listing the free factors in lexicographic
-    order lists the runs in order.
-    """
+    The runs' indices are a coset: in the GF(2) echelon of the signed words
+    each row fixes its lead factor by a sign and earlier free factors, so the
+    least index sets the leads of the rows of sign -1, and each free factor
+    steps by its bit and the leads of the rows holding it.  Doubled from the
+    lowest free bit the indices ascend; reversed, they list the runs in order."""
     words = tuple(words)
     for w in words:
         if len(w.bits) != m:
@@ -286,23 +284,12 @@ def regular_design_from_words(m: int, words) -> Design:
             f"a fraction of 2^{m - len(words)} runs exceeds the cap of "
             f"{MAX_REGULAR_RUNS}"
         )
-    free = [j for j in range(m) if m - 1 - j not in pivots]
-    rules = []
-    rests = _unpack([row ^ 1 << lead for lead, row in pivots.items()], m + 1, WORD_LEVELS)
-    for lead, (negative, *bits) in zip(pivots, rests):
-        factors = list(itertools.compress(range(m), bits))
-        rules.append((m - 1 - lead, -1 if negative else 1, factors))
-    runs = []
-    for values in itertools.product((-1, 1), repeat=len(free)):
-        point = [0] * m
-        for j, v in zip(free, values):
-            point[j] = v
-        for lead, sign, factors in rules:
-            for j in factors:
-                sign *= point[j]
-            point[lead] = sign
-        runs.append(tuple(point))
-    return Design(m, 2, tuple(runs), "pm1")
+    indices = [sum((row >> m) << lead for lead, row in pivots.items())]
+    for b in range(m):
+        if b not in pivots:
+            step = sum((row >> b & 1) << lead for lead, row in pivots.items())
+            indices += [i ^ step ^ 1 << b for i in indices]
+    return Design(m, 2, tuple(_unpack(indices[::-1], m, RUN_LEVELS)), "pm1")
 
 
 # -- design ideals -------------------------------------------------------------

@@ -61,7 +61,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .designs import Design
-from .errors import InputError, ScaleError
+from .errors import InputError, ScaleError, int_fields
 from .indicators import DesignClass, classify_design
 from .linalg import adjugate, bareiss, dot, int_det, kernel_lattice
 
@@ -78,6 +78,7 @@ class SearchSpec:
     restarts: int = 20
 
     def __post_init__(self):
+        int_fields(self, "m", "n", "restarts")
         if self.mode not in ("exhaustive", "greedy-exchange"):
             raise InputError(f"unknown search mode {self.mode!r}")
         if self.n < 1 or self.m < 1:

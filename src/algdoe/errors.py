@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the rule for integer values, shared across the package."""
 
 
 class AlgdoeError(Exception):
@@ -51,3 +51,21 @@ class NonZeroDimensionalError(AlgdoeError):
 
 class GlmConvergenceError(AlgdoeError):
     """Poisson fit failed to converge (boundary or separated sufficient statistic)."""
+
+
+def whole(value) -> int | None:
+    """The int that ``value`` (2.0, True, Fraction(2), ...) equals, else None."""
+    try:
+        w = int(value.real)  # the one int that can equal value
+    except (AttributeError, TypeError, ValueError, OverflowError):
+        return None
+    return w if w == value else None
+
+
+def int_fields(record, *names) -> None:
+    """Store each field ``names`` of the frozen ``record`` as the int it equals, or refuse it."""
+    for name in names:
+        value = getattr(record, name)
+        if (w := whole(value)) is None:
+            raise InputError(f"{type(record).__name__}.{name} must be an integer, found {value!r}")
+        object.__setattr__(record, name, w)

@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import repeat
 
 from .covariates import CovariateMatrix, _check_counts
-from .errors import InputError
+from .errors import InputError, int_fields
 from .glm import GlmFit, _check_statistic, _statistic_table, fit_null_glm, test_statistic
 from .linalg import column_dots
 from .markov import MAX_FIBER_RUNS, MAX_FIBER_TOTAL, MarkovBasis, enumerate_fiber
@@ -58,6 +58,7 @@ class ChainConfig:
     thinning: int = 1
 
     def __post_init__(self):
+        int_fields(self, "seed", "burn_in", "samples", "thinning")
         if self.samples < 1:
             raise InputError("samples must be at least 1")
         if self.burn_in < 0:

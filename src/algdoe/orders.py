@@ -24,15 +24,10 @@ def _simple_key(kind: str, precedence: tuple[int, ...], a: Monomial):
         return tuple(a[p] for p in precedence)
     if kind == "grlex":
         return (sum(a[p] for p in precedence), tuple(a[p] for p in precedence))
-    if kind == "grevlex":
-        # degree first, then reverse lex on the reversed precedence: with equal
-        # degrees the monomial with the smaller exponent in the least
-        # significant differing variable is the greater one
-        return (
-            sum(a[p] for p in precedence),
-            tuple(-a[p] for p in reversed(precedence)),
-        )
-    raise InputError(f"unknown term order kind {kind!r}")
+    # grevlex, the one simple kind left: degree first, then reverse lex on the
+    # reversed precedence, so with equal degrees the smaller exponent in the
+    # least significant differing variable wins
+    return (sum(a[p] for p in precedence), tuple(-a[p] for p in reversed(precedence)))
 
 
 @dataclass(frozen=True)

@@ -112,10 +112,12 @@ def test_regular_design_small_fixtures(f1):
 
 
 def test_regular_design_matches_full_factorial_filter():
+    # every m at no word and at m words (one run), then 300 seeded sizes; each
+    # word's sign drawn at random
     rng = random.Random(41)
-    for _ in range(60):
-        m = rng.randint(1, 8)
-        k = rng.randint(0, m)
+    sizes = [(m, k) for m in range(1, 13) for k in (0, m)]
+    sizes += [(m, rng.randint(0, m)) for m in (rng.randint(1, 12) for _ in range(300))]
+    for m, k in sizes:
         words = []
         while len(words) < k:
             bits = tuple(rng.randint(0, 1) for _ in range(m))

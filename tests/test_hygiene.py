@@ -1,8 +1,8 @@
 """Static checks on the package source, with the standard library's ``ast``:
 no module imports a name it does not use, no private module-level def or
-class is left that nothing else in the package refers to, and private names
-cross modules only where listed; and the package's public names are its API,
-not its submodules."""
+class is left that nothing else in the package refers to, no def leaves a
+parameter unread, and private names cross modules only where listed; and the
+package's public names are its API, not its submodules."""
 
 import ast
 from pathlib import Path
@@ -152,6 +152,43 @@ def test_no_class_extends_a_class_of_another_module():
                         "class E(InputError, ValueError):\n    pass\n")
     assert _subclasses_across_modules({"cyclotomic": planted}) == [
         ("cyclotomic", "Echelon", "linalg")]
+
+
+def _unread_parameters(trees):
+    """Every (module, def, parameter) whose parameter the def's body never
+    loads, leaving out ``self``, ``cls`` and names that start with ``_``."""
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [p for p in (args.vararg, args.kwarg) if p]
+            loaded = {
+                part.id
+                for statement in node.body
+                for part in ast.walk(statement)
+                if isinstance(part, ast.Name) and isinstance(part.ctx, ast.Load)
+            }
+            found += [
+                (module, node.name, p.arg)
+                for p in params
+                if p.arg not in loaded and p.arg not in ("self", "cls")
+                and not p.arg.startswith("_")
+            ]
+    return found
+
+
+def test_every_def_reads_its_parameters():
+    # a parameter that its def never reads is dead weight at every call
+    assert _unread_parameters(MODULES) == []
+    planted = ast.parse("def label(term, subscripts, factors):\n"
+                        "    factors = subscripts\n    return f'{term}{factors}'\n"
+                        "class C:\n    def m(self, _unused, *args, **kw):\n"
+                        "        def inner(x):\n            return args\n        return inner\n")
+    assert _unread_parameters({"covariates": planted}) == [
+        ("covariates", "m", "kw"), ("covariates", "inner", "x")]
 
 
 def test_linalg_imports_nothing_from_the_package_but_errors():

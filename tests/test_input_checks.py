@@ -3,6 +3,7 @@ error class and its message."""
 
 import math
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -22,10 +23,13 @@ from algdoe import (
     build_covariate_matrix,
     buchberger,
     d_criterion,
+    d_optimal_search,
+    format_design,
     full_factorial,
     is_confounded,
     mh_sample,
     normal_form,
+    parse_design,
     point_ideal_intersection,
     recode_integer,
     test_statistic,
@@ -111,6 +115,25 @@ CASES = {
                      InputError, "blocks must partition the precedence in order"),
     "order-inner-kind": (lambda: TermOrder("block", (0, 1), (((0,), "lex"), ((1,), "revlex"))),
                          InputError, "unknown inner order kind 'revlex'"),
+    # a size that equals no int is refused when its record is built
+    "design-m": (lambda: Design(2.5, 2, ((1, 1),), "pm1"),
+                 InputError, "Design.m must be an integer, found 2.5"),
+    "design-s": (lambda: Design(2, "2", ((1, 1),), "pm1"),
+                 InputError, "Design.s must be an integer, found '2'"),
+    "search-m": (lambda: SearchSpec(math.nan, 3),
+                 InputError, "SearchSpec.m must be an integer, found nan"),
+    "search-n": (lambda: SearchSpec(2, 3.5),
+                 InputError, "SearchSpec.n must be an integer, found 3.5"),
+    "search-restarts": (lambda: SearchSpec(2, 3, "greedy-exchange", restarts=1.5),
+                        InputError, "SearchSpec.restarts must be an integer, found 1.5"),
+    "chain-seed": (lambda: ChainConfig(seed=None),
+                   InputError, "ChainConfig.seed must be an integer, found None"),
+    "chain-burn-in": (lambda: ChainConfig(seed=1, burn_in=Fraction(1, 2)),
+                      InputError, "ChainConfig.burn_in must be an integer, found Fraction(1, 2)"),
+    "chain-samples": (lambda: ChainConfig(seed=1, samples=math.inf),
+                      InputError, "ChainConfig.samples must be an integer, found inf"),
+    "chain-thinning": (lambda: ChainConfig(seed=1, thinning=2 + 1j),
+                       InputError, "ChainConfig.thinning must be an integer, found (2+1j)"),
 }
 
 
@@ -120,6 +143,28 @@ def test_input_is_refused_with_its_message(name):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as exc:
         call()
     assert type(exc.value) is error
+
+
+def test_sizes_that_equal_an_int_are_stored_as_that_int():
+    # the rule of Design's levels and of the counts: 2.0, True, Fraction(2)
+    # and numpy ints are the ints they equal, so later arithmetic sees ints
+    np = pytest.importorskip("numpy")
+    for two in (2.0, Fraction(2), np.int64(2), 2 + 0j):
+        d = Design(two, two, ((1, 1), (-1, 1)), "pm1")
+        assert (type(d.m), type(d.s), d.var_names) == (int, int, ("x1", "x2"))
+        assert parse_design(format_design(d)) == d
+        spec = SearchSpec(two, 3.0, "greedy-exchange", restarts=two)
+        assert [type(v) for v in (spec.m, spec.n, spec.restarts)] == [int] * 3
+        assert d_optimal_search(spec) == d_optimal_search(SearchSpec(2, 3, "greedy-exchange",
+                                                                     restarts=2))
+    assert Design(True, 2, ((1,),), "pm1").m == 1 and format_design(
+        Design(True, 2, ((1,),), "pm1")).startswith("m=1 ")
+    A = build_covariate_matrix(TWO_BY_TWO, [(0, 0), (1, 0), (0, 1)])
+    basis = MarkovBasis(4, ((1, -1, -1, 1),))
+    cfg = ChainConfig(seed=1.0, burn_in=0.0, samples=np.int32(5), thinning=1.0)
+    assert [type(v) for v in (cfg.seed, cfg.burn_in, cfg.samples, cfg.thinning)] == [int] * 4
+    assert mh_sample(A, (1, 1, 1, 1), basis, "pearson", cfg) == mh_sample(
+        A, (1, 1, 1, 1), basis, "pearson", ChainConfig(seed=1, burn_in=0, samples=5))
 
 
 def test_pearson_skips_a_zero_mean_at_a_zero_count():
