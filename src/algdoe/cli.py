@@ -15,9 +15,7 @@ import json
 import sys
 
 from . import __version__
-from .covariates import (
-    CONTRASTS, _check_counts, build_covariate_matrix, parse_model_terms,
-)
+from .covariates import CONTRASTS, build_covariate_matrix, parse_model_terms
 from .designs import (
     Design,
     design_ideal,
@@ -29,7 +27,7 @@ from .designs import (
     read_header,
 )
 from .doptimal import SearchSpec, d_optimal_search
-from .errors import AlgdoeError, BudgetError, InputError, ScaleError
+from .errors import AlgdoeError, BudgetError, InputError, ScaleError, int_counts
 from .glm import STATISTICS
 from .groebner import Budget, GroebnerBasis, buchberger
 from .indicators import (
@@ -217,7 +215,7 @@ def _load_counts(path: str, n: int):
         y = [int(v) for v in values]
     except ValueError as exc:
         raise InputError(f"counts file must hold integers: {exc}") from exc
-    return _check_counts(n, y)
+    return int_counts(n, y)
 
 
 def _test_report(result, stat: str) -> dict:

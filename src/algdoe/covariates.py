@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isfinite, prod
+from math import gcd, prod
 
 from .cyclotomic import CyclotomicNumber, Echelon, omega
 from .designs import Design, _product, parse_monomial
-from .errors import EstimabilityError, InputError
+from .errors import EstimabilityError, InputError, int_counts
 from . import linalg
 from .linalg import cleared, column_dots
 from .orders import monomial_name
@@ -69,20 +68,7 @@ class CovariateMatrix:
         ]
 
     def sufficient_statistic(self, y) -> tuple:
-        return column_dots(self.columns, _check_counts(self.n, y))
-
-
-def _check_counts(n: int, y) -> tuple[int, ...]:
-    """The counts y as ints; InputError unless they are n nonnegative integers."""
-    y = tuple(y)
-    if len(y) != n:
-        raise InputError(f"expected {n} counts, found {len(y)}")
-    for v in y:
-        if not (isinstance(v, numbers.Real) and isfinite(v) and v == int(v)):
-            raise InputError(f"counts must be integers, found {v!r}")
-        if v < 0:
-            raise InputError(f"counts must be nonnegative, found {v!r}")
-    return tuple(int(v) for v in y)
+        return column_dots(self.columns, int_counts(self.n, y))
 
 
 def parse_model_terms(text: str, m: int):

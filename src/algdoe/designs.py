@@ -34,7 +34,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .cyclotomic import QQ, cyclotomic_field, is_prime, omega
-from .errors import InputError, RankError, ScaleError, int_fields, whole
+from .errors import InputError, RankError, ScaleError, int_arg, int_fields, whole
 from .groebner import GroebnerBasis, _buchberger_moeller, _check_width
 from .linalg import gf2_insert
 from .orders import Monomial, TermOrder
@@ -65,27 +65,34 @@ class Design:
             raise InputError("plus-minus-one coding requires two levels")
         if self.coding != "pm1" and self.s == 2:
             raise InputError("two-level designs use plus-minus-one coding")
-        if not self.runs:
+        # runs held in lists are stored as a tuple of tuples; a tuple of
+        # hashable runs is taken as it is
+        runs = self.runs if type(self.runs) is tuple else tuple(self.runs)
+        if not runs:
             raise InputError("a design needs at least one run")
-        if len(set(self.runs)) != len(self.runs):
+        try:
+            distinct = len(set(runs))
+        except TypeError:
+            runs = tuple(map(tuple, runs))
+            distinct = len(set(runs))
+        if distinct != len(runs):
             raise InputError("replicated runs are not allowed")
-        # a test per level, not a set of s levels: s may be a large prime
-        if self.coding == "pm1":
-            valid = (-1, 1).__contains__
-        else:
-            valid = functools.partial(_in_range, s=self.s)
+        # one whole() per distinct level, then an O(1) test of its int, not a
+        # set of s levels: s may be a large prime
+        valid = (-1, 1).__contains__ if self.coding == "pm1" else range(self.s).__contains__
+        levels = set(itertools.chain.from_iterable(runs))
+        ints = {v: w for v in levels if (w := whole(v)) is not None and valid(w)}
         # whole-table checks; the runs are walked only to name the culprit
-        levels = set(itertools.chain.from_iterable(self.runs))
-        if set(map(len, self.runs)) != {self.m} or not all(map(valid, levels)):
-            for run in self.runs:
+        if set(map(len, runs)) != {self.m} or len(ints) != len(levels):
+            for run in runs:
                 if len(run) != self.m:
                     raise InputError(f"run {run} has wrong length")
-                if not all(map(valid, run)):
+                if not all(map(ints.__contains__, run)):
                     raise InputError(f"run {run} has an invalid coded level")
         # a valid level equals an int (1.0, True, Fraction(2), ...): store that
-        if not {int}.issuperset(map(type, itertools.chain.from_iterable(self.runs))):
-            runs = tuple(tuple(int(v.real) for v in run) for run in self.runs)
-            object.__setattr__(self, "runs", runs)
+        if not {int}.issuperset(map(type, itertools.chain.from_iterable(runs))):
+            runs = tuple(tuple(map(ints.__getitem__, run)) for run in runs)
+        object.__setattr__(self, "runs", runs)
 
     @property
     def n(self) -> int:
@@ -120,11 +127,6 @@ class Design:
         is at -1."""
         digits, m = self._digits, self.m
         return tuple(int(digits[j::m], 2) for j in range(m))
-
-
-def _in_range(v, s: int) -> bool:
-    """``v in range(s)`` in O(1); range scans its items for any v not an int."""
-    return (w := whole(v)) is not None and 0 <= w < s
 
 
 def full_factorial(m: int, s: int = 2) -> Design:
@@ -380,6 +382,7 @@ def alias_table(d: Design, max_degree: int = 2):
     """
     if d.s != 2:
         raise InputError("alias tables are defined for two-level designs")
+    max_degree = int_arg("max_degree", max_degree)
     if max_degree < 0:
         raise InputError(f"max_degree must be nonnegative, got {max_degree}")
     columns = d._columns

@@ -1,4 +1,12 @@
-"""Exception types, and the rule for integer values, shared across the package."""
+"""Exception types, and the one rule for integer values, shared across the package.
+
+A size, a coded level or a count is an integer when it equals one (2.0, True,
+Fraction(2), Decimal(2), 2+0j, a numpy int): ``whole`` finds that int, which
+the package stores in place of the value.  ``int_fields`` reads a record's
+size fields, ``int_arg`` a size argument and ``int_counts`` the counts of the
+conditional tests; each refusal names what it refused.  ``Design`` reads its
+distinct levels through ``whole`` itself, once each.
+"""
 
 
 class AlgdoeError(Exception):
@@ -62,10 +70,29 @@ def whole(value) -> int | None:
     return w if w == value else None
 
 
+def int_arg(name: str, value) -> int:
+    """The int that the size ``name`` equals; InputError naming it otherwise."""
+    if (w := whole(value)) is None:
+        raise InputError(f"{name} must be an integer, found {value!r}")
+    return w
+
+
 def int_fields(record, *names) -> None:
     """Store each field ``names`` of the frozen ``record`` as the int it equals, or refuse it."""
     for name in names:
-        value = getattr(record, name)
-        if (w := whole(value)) is None:
-            raise InputError(f"{type(record).__name__}.{name} must be an integer, found {value!r}")
-        object.__setattr__(record, name, w)
+        value = int_arg(f"{type(record).__name__}.{name}", getattr(record, name))
+        object.__setattr__(record, name, value)
+
+
+def int_counts(n: int, y) -> tuple[int, ...]:
+    """The counts y as ints; InputError unless they are n nonnegative integers."""
+    y = tuple(y)
+    if len(y) != n:
+        raise InputError(f"expected {n} counts, found {len(y)}")
+    ints = tuple(map(whole, y))
+    for v, w in zip(y, ints):
+        if w is None:
+            raise InputError(f"counts must be integers, found {v!r}")
+        if w < 0:
+            raise InputError(f"counts must be nonnegative, found {v!r}")
+    return ints

@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import reduce
 from operator import add, getitem, mul, sub
 
-from .covariates import CovariateMatrix, _check_counts
-from .errors import GlmConvergenceError, InputError
+from .covariates import CovariateMatrix
+from .errors import GlmConvergenceError, InputError, int_counts
 from .linalg import Echelon
 
 SCORE_TOL = 1e-10
@@ -106,7 +106,7 @@ def fit_null_glm(A: CovariateMatrix, y0) -> GlmFit:
     Raises :class:`GlmConvergenceError` when the score equations cannot be
     satisfied, which happens on boundary sufficient statistics.
     """
-    y = _check_counts(A.n, y0)
+    y = int_counts(A.n, y0)
     X = design_matrix(A)
     n, p = len(X), len(X[0])
     if sum(y) == 0:

@@ -29,6 +29,7 @@ from .errors import (
     NonZeroDimensionalError,
     ScaleError,
     ZeroPolynomialError,
+    int_fields,
 )
 from . import linalg
 from .linalg import cleared, column_dots
@@ -44,6 +45,7 @@ class Budget:
     max_terms: int = 100_000
 
     def __post_init__(self):
+        int_fields(self, "max_pairs", "max_terms")
         for name in ("max_pairs", "max_terms"):
             if getattr(self, name) < 0:
                 raise InputError(f"{name} must be nonnegative, got {getattr(self, name)}")

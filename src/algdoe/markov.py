@@ -27,8 +27,8 @@ import functools
 from dataclasses import dataclass
 from operator import add, sub
 
-from .covariates import CovariateMatrix, _check_counts
-from .errors import BudgetError, InputError, ScaleError
+from .covariates import CovariateMatrix
+from .errors import BudgetError, InputError, ScaleError, int_arg, int_counts, int_fields
 from .groebner import Budget, DEFAULT_BUDGET, _Completion
 from .linalg import column_dots, hermite, kernel_lattice
 from .orders import TermOrder
@@ -46,6 +46,7 @@ class MarkovBasis:
     moves: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        int_fields(self, "n")
         for z in self.moves:
             if len(z) != self.n:
                 raise InputError("move length does not match the run count")
@@ -242,11 +243,13 @@ def enumerate_fiber(
     caps, and stops with :class:`ScaleError` after MAX_FIBER_NODES search
     nodes.
     """
+    max_total = int_arg("max_total", max_total)
+    max_runs = int_arg("max_runs", max_runs)
     if max_total < 0:
         raise InputError(f"max_total must be nonnegative, got {max_total}")
     if max_runs < 1:
         raise InputError(f"max_runs must be at least 1, got {max_runs}")
-    y0 = _check_counts(A.n, y0)
+    y0 = int_counts(A.n, y0)
     total = sum(y0)
     if total > max_total:
         raise ScaleError(f"fiber total {total} exceeds the cap {max_total}")
@@ -335,7 +338,7 @@ def fiber_connected(A: CovariateMatrix, y0, basis: MarkovBasis, **caps) -> bool:
     The walk steps only to points of the enumerated fiber: a move that
     leaves the fiber, off the orthant or outside the kernel, adds no edge.
     """
-    start = _check_counts(A.n, y0)
+    start = int_counts(A.n, y0)
     fiber = set(enumerate_fiber(A, start, **caps))
     seen = {start}
     frontier = [start]

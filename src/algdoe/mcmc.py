@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
-from .covariates import CovariateMatrix, _check_counts
-from .errors import InputError, int_fields
+from .covariates import CovariateMatrix
+from .errors import InputError, int_arg, int_counts, int_fields
 from .glm import GlmFit, _check_statistic, _statistic_table, fit_null_glm, test_statistic
 from .linalg import column_dots
 from .markov import MAX_FIBER_RUNS, MAX_FIBER_TOTAL, MarkovBasis, enumerate_fiber
@@ -236,9 +236,10 @@ def mh_sample(
     and so is a ``fit`` of another fiber than y0's.
     """
     _check_statistic(kind)
+    chains = int_arg("chains", chains)
     if chains < 1:
         raise InputError("need at least one chain")
-    y0 = _check_counts(A.n, y0)
+    y0 = int_counts(A.n, y0)
     recoded = A.recoded
     for z in basis.moves:
         if len(z) != A.n or any(column_dots(recoded, z)):
@@ -292,7 +293,7 @@ def exact_p_value(
     ``fit`` of another fiber than y0's is refused.
     """
     _check_statistic(kind)
-    y0 = _check_counts(A.n, y0)
+    y0 = int_counts(A.n, y0)
     fiber = enumerate_fiber(A, y0, max_total=max_total, max_runs=max_runs)
     at = bisect_left(fiber, y0)
     if at == len(fiber) or fiber[at] != y0:

@@ -267,6 +267,25 @@ def test_complex_ideal_of_non_int_levels_is_that_of_their_ints():
     assert got == design_ideal(Design(1, 3, ((1,), (2,), (0,)), "complex"), order)
 
 
+def test_runs_held_in_lists_are_stored_as_a_tuple_of_tuples():
+    # a design kept a list as given, so it could not be hashed by the ideal's
+    # cache, nor its list runs by the replicated-runs check
+    order = TermOrder.grevlex(2)
+    d = Design(2, 2, ((1, 1), (-1, 1), (1, -1)), "pm1")
+    for runs in ([(1, 1), (-1, 1), (1, -1)], [[1, 1], [-1, 1], [1, -1]],
+                 ([1, 1], [-1, 1], [1.0, -1])):
+        given = Design(2, 2, runs, "pm1")
+        assert given == d and type(given.runs) is tuple
+        assert all(type(run) is tuple for run in given.runs)
+        assert design_ideal(given, order) == design_ideal(d, order)
+    assert Design(2, 2, d.runs, "pm1").runs is d.runs  # a tuple of tuples is kept
+    assert Design(1, 3, [[0], [2]], "complex").runs == ((0,), (2,))
+    with pytest.raises(InputError, match="^replicated runs are not allowed$"):
+        Design(2, 2, [[1, 1], [1, 1]], "pm1")
+    with pytest.raises(InputError, match=r"^run \(1, 0\) has an invalid coded level$"):
+        Design(2, 2, [[1, 1], [1, 0]], "pm1")
+
+
 class _CountingFloat(float):
     """A float that counts the equality tests made on it."""
 

@@ -85,22 +85,18 @@ def test_every_private_definition_is_referenced(module):
 # sharing a private helper is a decision, so a new one is added here, where a
 # reviewer sees it
 PRIVATE_IMPORTS = [
-    ("cli", "covariates", "_check_counts"),
     ("covariates", "designs", "_product"),
     ("cyclotomic", "orders", "_format_terms"),
     # the certified walk and its Est, read by the design path on the runs
     ("designs", "groebner", "_buchberger_moeller"),
     ("designs", "groebner", "_check_width"),
-    ("glm", "covariates", "_check_counts"),
     ("indicators", "designs", "_base2_reads"),
     # the index map's one encoder, which packs exponent tuples as it packs runs
     ("indicators", "designs", "_pack"),
     ("indicators", "designs", "_product"),
     # the index map's batch decoder, the inverse of _pack
     ("indicators", "designs", "_unpack"),
-    ("markov", "covariates", "_check_counts"),
     ("markov", "groebner", "_Completion"),
-    ("mcmc", "covariates", "_check_counts"),
     ("mcmc", "glm", "_check_statistic"),
     # the statistic's run terms tabulated once per fit, so the formulas stay
     # in glm alone

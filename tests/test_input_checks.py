@@ -3,11 +3,13 @@ error class and its message."""
 
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from algdoe import (
+    Budget,
     ChainConfig,
     CovariateMatrix,
     Design,
@@ -20,10 +22,14 @@ from algdoe import (
     SearchSpec,
     TermOrder,
     ZeroPolynomialError,
+    alias_table,
     build_covariate_matrix,
     buchberger,
     d_criterion,
     d_optimal_search,
+    enumerate_fiber,
+    exact_p_value,
+    fit_null_glm,
     format_design,
     full_factorial,
     is_confounded,
@@ -43,6 +49,8 @@ X, Y = XY.var("x"), XY.var("y")
 F23 = full_factorial(3)
 TWO_BY_TWO = full_factorial(2)
 THREE_LEVEL = Design(3, 3, THREE_LEVEL_RUNS, "integer")
+MAIN_EFFECTS = build_covariate_matrix(TWO_BY_TWO, [(0, 0), (1, 0), (0, 1)])
+MOVE = MarkovBasis(4, ((1, -1, -1, 1),))
 
 
 def _not_an_intercept():
@@ -51,8 +59,7 @@ def _not_an_intercept():
 
 
 def _chains(count):
-    A = build_covariate_matrix(TWO_BY_TWO, [(0, 0), (1, 0), (0, 1)])
-    return mh_sample(A, (1, 1, 1, 1), MarkovBasis(4, ((1, -1, -1, 1),)), "pearson",
+    return mh_sample(MAIN_EFFECTS, (1, 1, 1, 1), MOVE, "pearson",
                      ChainConfig(seed=1, burn_in=0, samples=1), chains=count)
 
 
@@ -134,6 +141,30 @@ CASES = {
                       InputError, "ChainConfig.samples must be an integer, found inf"),
     "chain-thinning": (lambda: ChainConfig(seed=1, thinning=2 + 1j),
                        InputError, "ChainConfig.thinning must be an integer, found (2+1j)"),
+    "budget-max-pairs": (lambda: Budget(max_pairs=1.5),
+                         InputError, "Budget.max_pairs must be an integer, found 1.5"),
+    "budget-max-terms": (lambda: Budget(max_terms=None),
+                         InputError, "Budget.max_terms must be an integer, found None"),
+    "markov-basis-n": (lambda: MarkovBasis(2.5, ()),
+                       InputError, "MarkovBasis.n must be an integer, found 2.5"),
+    # and so is a size argument, by its name
+    "alias-max-degree": (lambda: alias_table(F23, None),
+                         InputError, "max_degree must be an integer, found None"),
+    "chains-integer": (lambda: _chains(1.5), InputError, "chains must be an integer, found 1.5"),
+    "fiber-max-total": (lambda: enumerate_fiber(MAIN_EFFECTS, (1, 1, 1, 1), max_total=10.5),
+                        InputError, "max_total must be an integer, found 10.5"),
+    "fiber-max-runs": (lambda: enumerate_fiber(MAIN_EFFECTS, (1, 1, 1, 1), max_runs="16"),
+                       InputError, "max_runs must be an integer, found '16'"),
+    "exact-max-total": (lambda: exact_p_value(MAIN_EFFECTS, (1, 1, 1, 1), "pearson",
+                                              max_total=None),
+                        InputError, "max_total must be an integer, found None"),
+    # counts are n nonnegative integers, by one check that every entry point calls
+    "counts-length": (lambda: MAIN_EFFECTS.sufficient_statistic((1, 1, 1)),
+                      InputError, "expected 4 counts, found 3"),
+    "counts-integer": (lambda: MAIN_EFFECTS.sufficient_statistic((1.7, 1, 1, 1)),
+                       InputError, "counts must be integers, found 1.7"),
+    "counts-negative": (lambda: MAIN_EFFECTS.sufficient_statistic((-1, 1, 1, 1)),
+                        InputError, "counts must be nonnegative, found -1"),
 }
 
 
@@ -145,26 +176,46 @@ def test_input_is_refused_with_its_message(name):
     assert type(exc.value) is error
 
 
+def _stored_as_two(two):
+    """Each size given as ``two``, a value equal to 2, is the int 2, and each
+    result is the one of the int arguments."""
+    d = Design(two, two, ((1, 1), (-1, 1)), "pm1")
+    assert (type(d.m), type(d.s), d.var_names) == (int, int, ("x1", "x2"))
+    assert parse_design(format_design(d)) == d
+    spec = SearchSpec(two, 3.0, "greedy-exchange", restarts=two)
+    assert [type(v) for v in (spec.m, spec.n, spec.restarts)] == [int] * 3
+    assert d_optimal_search(spec) == d_optimal_search(SearchSpec(2, 3, "greedy-exchange",
+                                                                 restarts=2))
+    cfg = ChainConfig(seed=two, burn_in=two, samples=two, thinning=two)
+    assert [type(v) for v in (cfg.seed, cfg.burn_in, cfg.samples, cfg.thinning)] == [int] * 4
+    assert mh_sample(MAIN_EFFECTS, (1, 1, 1, 1), MOVE, "pearson", cfg) == mh_sample(
+        MAIN_EFFECTS, (1, 1, 1, 1), MOVE, "pearson",
+        ChainConfig(seed=2, burn_in=2, samples=2, thinning=2))
+
+
 def test_sizes_that_equal_an_int_are_stored_as_that_int():
     # the rule of Design's levels and of the counts: 2.0, True, Fraction(2)
-    # and numpy ints are the ints they equal, so later arithmetic sees ints
-    np = pytest.importorskip("numpy")
-    for two in (2.0, Fraction(2), np.int64(2), 2 + 0j):
-        d = Design(two, two, ((1, 1), (-1, 1)), "pm1")
-        assert (type(d.m), type(d.s), d.var_names) == (int, int, ("x1", "x2"))
-        assert parse_design(format_design(d)) == d
-        spec = SearchSpec(two, 3.0, "greedy-exchange", restarts=two)
-        assert [type(v) for v in (spec.m, spec.n, spec.restarts)] == [int] * 3
-        assert d_optimal_search(spec) == d_optimal_search(SearchSpec(2, 3, "greedy-exchange",
-                                                                     restarts=2))
+    # and 2+0j are the ints they equal, so later arithmetic sees ints
+    for two in (2.0, Fraction(2), Decimal(2), 2 + 0j):
+        _stored_as_two(two)
     assert Design(True, 2, ((1,),), "pm1").m == 1 and format_design(
         Design(True, 2, ((1,),), "pm1")).startswith("m=1 ")
-    A = build_covariate_matrix(TWO_BY_TWO, [(0, 0), (1, 0), (0, 1)])
-    basis = MarkovBasis(4, ((1, -1, -1, 1),))
-    cfg = ChainConfig(seed=1.0, burn_in=0.0, samples=np.int32(5), thinning=1.0)
-    assert [type(v) for v in (cfg.seed, cfg.burn_in, cfg.samples, cfg.thinning)] == [int] * 4
-    assert mh_sample(A, (1, 1, 1, 1), basis, "pearson", cfg) == mh_sample(
-        A, (1, 1, 1, 1), basis, "pearson", ChainConfig(seed=1, burn_in=0, samples=5))
+
+
+def test_numpy_sizes_are_stored_as_ints():
+    np = pytest.importorskip("numpy")
+    for two in (np.int64(2), np.int32(2), np.float64(2)):
+        _stored_as_two(two)
+
+
+def test_counts_that_equal_an_int_are_read_as_that_int():
+    # a count follows the rule of the sizes: Decimal(2), 2+0j and True are
+    # the ints they equal, at the fit and at the exact test alike
+    ints = (2, 2, 1, 0)
+    for y in ((Decimal(2), 2, True, 0), (2 + 0j, 2.0, 1, Fraction(0)), (2, 2, True, 0)):
+        assert fit_null_glm(MAIN_EFFECTS, y) == fit_null_glm(MAIN_EFFECTS, ints)
+        assert exact_p_value(MAIN_EFFECTS, y, "pearson") == exact_p_value(
+            MAIN_EFFECTS, ints, "pearson")
 
 
 def test_pearson_skips_a_zero_mean_at_a_zero_count():
