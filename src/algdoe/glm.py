@@ -3,7 +3,10 @@
 This is the one floating-point corner of the package: maximum likelihood for
 log mu = A beta by iteratively reweighted least squares with step halving.
 The fitted means depend on the data only through the sufficient statistic
-A'y, so a single fit serves an entire fiber.
+A'y, so a single fit serves an entire fiber.  Each statistic is a scale times
+a sum of run terms, its entry (term, scale) in ``_TERMS``: the fit's deviance,
+the formula :func:`test_statistic` and the per-run tables that score every
+point of a conditional test (:func:`_statistic_table`) all read it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .linalg import Echelon
 
 SCORE_TOL = 1e-10
 MAX_ITER = 100
-STATISTICS = ("pearson", "deviance")
 
 
 @dataclass(frozen=True)
@@ -95,9 +97,8 @@ def _deviance_term(yi, mi) -> float:
     return mi
 
 
-def _deviance(y, mu) -> float:
-    """Poisson deviance of y against mu; inf where a positive count meets a zero mean."""
-    return 2.0 * _total(map(_deviance_term, y, mu))
+_TERMS = {"pearson": (_pearson_term, 1.0), "deviance": (_deviance_term, 2.0)}
+STATISTICS = tuple(_TERMS)
 
 
 def fit_null_glm(A: CovariateMatrix, y0) -> GlmFit:
@@ -111,6 +112,7 @@ def fit_null_glm(A: CovariateMatrix, y0) -> GlmFit:
     n, p = len(X), len(X[0])
     if sum(y) == 0:
         raise GlmConvergenceError("all-zero observations lie on the boundary")
+    dev_term, dev_scale = _TERMS["deviance"]
 
     def means_and_deviance(beta_):
         # a mean that overflows, or vanishes under a positive count, gives an
@@ -119,7 +121,7 @@ def fit_null_glm(A: CovariateMatrix, y0) -> GlmFit:
             mu_ = [math.exp(_total(map(mul, row, beta_))) for row in X]
         except OverflowError:
             return None, math.inf
-        return mu_, _deviance(y, mu_)
+        return mu_, dev_scale * _total(map(dev_term, y, mu_))
 
     # the recoded intercept is the first column and is identically one
     beta = [math.log(sum(y) / n)] + [0.0] * (p - 1)
@@ -156,14 +158,14 @@ def _check_statistic(kind: str) -> None:
 
 
 def test_statistic(kind: str, y, fit: GlmFit) -> float:
-    """Deviance or Pearson statistic of y against the fitted means."""
+    """Deviance or Pearson statistic of y against the fitted means, by its
+    formula: the reference that the tables of :func:`_statistic_table` match."""
     mu = fit.mu
     if len(y) != len(mu):
         raise InputError("observation length does not match the fit")
-    if kind == "pearson":
-        return _total(map(_pearson_term, y, mu))
     _check_statistic(kind)
-    return _deviance(y, mu)
+    term, scale = _TERMS[kind]
+    return scale * _total(map(term, y, mu))
 
 
 def _statistic_table(kind: str, fit: GlmFit, top: int):
@@ -175,11 +177,9 @@ def _statistic_table(kind: str, fit: GlmFit, top: int):
     float, inf included; only the per-run formulas are no longer evaluated
     per point.
     """
-    term = _pearson_term if kind == "pearson" else _deviance_term
+    term, scale = _TERMS[kind]
     tables = [[term(c, mi) for c in range(top + 1)] for mi in fit.mu]
-    if kind == "pearson":
-        return lambda y: reduce(add, map(getitem, tables, y), 0.0)
-    return lambda y: 2.0 * reduce(add, map(getitem, tables, y), 0.0)
+    return lambda y: scale * reduce(add, map(getitem, tables, y), 0.0)
 
 
 # not a unit test, despite the name pytest would otherwise collect

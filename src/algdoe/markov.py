@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from operator import add, sub
 
 from .covariates import CovariateMatrix
-from .errors import BudgetError, InputError, ScaleError, int_arg, int_counts, int_fields
+from .errors import BudgetError, InputError, ScaleError, int_arg, int_counts, int_fields, whole
 from .groebner import Budget, DEFAULT_BUDGET, _Completion
 from .linalg import column_dots, hermite, kernel_lattice
 from .orders import TermOrder
@@ -40,16 +40,24 @@ MAX_FIBER_RUNS = 16
 
 @dataclass(frozen=True)
 class MarkovBasis:
-    """Integer kernel moves of the recoded covariate matrix, stored up to sign."""
+    """Integer kernel moves of the recoded covariate matrix, stored up to sign.
+    An entry that equals an int, such as 1.0, is stored as that int."""
 
     n: int
     moves: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         int_fields(self, "n")
-        for z in self.moves:
+        moves = []
+        for z in map(tuple, self.moves):
             if len(z) != self.n:
                 raise InputError("move length does not match the run count")
+            ints = tuple(map(whole, z))
+            if None in ints:
+                v = z[ints.index(None)]
+                raise InputError(f"move entries must be integers, found {v!r} in {z}")
+            moves.append(ints)
+        object.__setattr__(self, "moves", tuple(moves))
 
 
 def markov_basis(A: CovariateMatrix, budget: Budget = DEFAULT_BUDGET) -> MarkovBasis:

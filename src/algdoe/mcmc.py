@@ -14,10 +14,10 @@ outcomes live in one flat list of 2 * len(moves) slots per visited state
 (8 bytes each on a 64-bit build, so 144 bytes per state for 9 moves),
 indexed by state id and proposal; a replayed step is one list read and one
 sign test.  Memory grows with the distinct states visited times the moves,
-and the step count bounds the states.  The statistic is computed once per
-distinct recorded state, and once per fiber point in exact enumeration, as a
-sum read from per-run tables of the statistic's terms for counts 0..N (N the
-total of y0, which every point of the fiber shares).
+and the step count bounds the states.  Every statistic of a test, the
+observed one included, is read as a sum from one set of per-run tables of
+the statistic's terms for counts 0..N (N the total of y0, which every point
+of the fiber shares), once per distinct recorded state or fiber point.
 P-values count every point at least as extreme as the observed one, ties
 included: floating-point statistics that are equal in exact arithmetic can
 differ in the last bits, so T(y) >= T(y_obs) is tested with the relative
@@ -36,7 +36,7 @@ from itertools import repeat
 
 from .covariates import CovariateMatrix
 from .errors import InputError, int_arg, int_counts, int_fields
-from .glm import GlmFit, _check_statistic, _statistic_table, fit_null_glm, test_statistic
+from .glm import GlmFit, _check_statistic, _statistic_table, fit_null_glm
 from .linalg import column_dots
 from .markov import MAX_FIBER_RUNS, MAX_FIBER_TOTAL, MarkovBasis, enumerate_fiber
 
@@ -207,6 +207,19 @@ def _check_fit(recoded, y0, fit: GlmFit) -> None:
             )
 
 
+def _scorer(A: CovariateMatrix, y0, kind: str, fit: GlmFit | None):
+    """T(y0) against ``fit``, by default y0's own, and the one tie rule
+    ``extreme(y)`` against it, both read from one table of run terms."""
+    if fit is None:
+        fit = fit_null_glm(A, y0)
+    if len(fit.mu) != len(y0):
+        raise InputError("observation length does not match the fit")
+    statistic = _statistic_table(kind, fit, sum(y0))
+    t_obs = statistic(y0)
+    _check_fit(A.recoded, y0, fit)
+    return t_obs, lambda y: _at_least_as_extreme(statistic(y), t_obs)
+
+
 def _batch_means_se(indicators) -> float:
     """Batch-means standard error of the mean of 0/1 ints, from the integer
     batch counts with one final division, so no float sum sets its digits."""
@@ -240,24 +253,19 @@ def mh_sample(
     if chains < 1:
         raise InputError("need at least one chain")
     y0 = int_counts(A.n, y0)
-    recoded = A.recoded
     for z in basis.moves:
-        if len(z) != A.n or any(column_dots(recoded, z)):
+        if len(z) != A.n or any(column_dots(A.recoded, z)):
             raise InputError(f"move {z} is not a kernel vector of A")
-    if fit is None:
-        fit = fit_null_glm(A, y0)
-    t_obs = test_statistic(kind, y0, fit)
-    _check_fit(recoded, y0, fit)
+    t_obs, extreme = _scorer(A, y0, kind, fit)
     if not basis.moves:
         return TestResult(t_obs, 1.0, 0.0, 0, "mcmc")
     seeds = [chain_seed(cfg.seed, c) for c in range(chains)]
     states, runs = _chain(y0, basis.moves, cfg, seeds)
     # the indicator depends on the state alone, so it is computed once per
     # distinct recorded state, by id, over all chains
-    statistic = _statistic_table(kind, fit, sum(y0))
     hit_of: list[int | None] = [None] * len(states)
     for sid in set().union(*runs):
-        hit_of[sid] = int(_at_least_as_extreme(statistic(states[sid]), t_obs))
+        hit_of[sid] = int(extreme(states[sid]))
     hits = 0
     total = 0
     se_parts: list[float] = []
@@ -298,17 +306,9 @@ def exact_p_value(
     at = bisect_left(fiber, y0)
     if at == len(fiber) or fiber[at] != y0:
         raise InputError("the observed vector is not in its own fiber")
-    if fit is None:
-        fit = fit_null_glm(A, y0)
-    t_obs = test_statistic(kind, y0, fit)
-    _check_fit(A.recoded, y0, fit)
+    t_obs, extreme = _scorer(A, y0, kind, fit)
     weights = _multinomial_weights(fiber)
-    statistic = _statistic_table(kind, fit, sum(y0))
-    num = sum(
-        w
-        for y, w in zip(fiber, weights)
-        if _at_least_as_extreme(statistic(y), t_obs)
-    )
+    num = sum(w for y, w in zip(fiber, weights) if extreme(y))
     p = Fraction(num, sum(weights))
     return TestResult(t_obs, float(p), 0.0, len(fiber), "exact-enumeration", p)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
+from itertools import chain
 
 from .cyclotomic import QQ, CyclotomicField, CyclotomicNumber, omega
 from .errors import (
@@ -19,6 +20,7 @@ from .errors import (
     DimensionError,
     InputError,
     ZeroPolynomialError,
+    whole,
 )
 from .orders import Monomial, TermOrder, _format_terms
 
@@ -108,12 +110,22 @@ class PolyRing:
 
     def poly(self, terms) -> "Polynomial":
         """Build a polynomial from an exponent-to-coefficient mapping: the one
-        place that checks exponent vectors and coerces coefficients."""
+        place that checks exponent vectors and coerces coefficients.  An
+        exponent that equals an int, such as 1.0, is stored as that int."""
+        terms = dict(terms)
+        keys = terms.keys()
+        # a table of int tuples, the common case, is checked as a whole in C;
+        # the types are read off every entry, as 1.0 and 1 are one set member
+        checked = (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {self.nvars}
+                   and set(map(type, chain.from_iterable(keys))) <= {int}
+                   and min(chain.from_iterable(keys), default=0) >= 0)
         clean: dict = {}
-        for e, c in dict(terms).items():
-            e = tuple(e)
-            if len(e) != self.nvars or any(x < 0 for x in e):
-                raise DimensionError(f"bad exponent vector {e} for {self!r}")
+        for e, c in terms.items():
+            if not checked:
+                e, ints = tuple(e), tuple(map(whole, e))
+                if len(e) != self.nvars or None in ints or min(ints, default=0) < 0:
+                    raise DimensionError(f"bad exponent vector {e} for {self!r}")
+                e = ints
             _add_term(clean, e, self.field.coerce(c))
         return Polynomial(self, clean)
 

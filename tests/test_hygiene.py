@@ -1,8 +1,9 @@
 """Static checks on the package source, with the standard library's ``ast``:
 no module imports a name it does not use, no private module-level def or
 class is left that nothing else in the package refers to, no def leaves a
-parameter unread, and private names cross modules only where listed; and the
-package's public names are its API, not its submodules."""
+parameter unread, private names cross modules only where listed, and no
+module but ``glm`` computes a statistic by its formula; and the package's
+public names are its API, not its submodules."""
 
 import ast
 from pathlib import Path
@@ -148,6 +149,25 @@ def test_no_class_extends_a_class_of_another_module():
                         "class E(InputError, ValueError):\n    pass\n")
     assert _subclasses_across_modules({"cyclotomic": planted}) == [
         ("cyclotomic", "Echelon", "linalg")]
+
+
+def _formula_route_users(trees):
+    """Every module, but ``glm`` and the re-exporting ``__init__``, that
+    names ``test_statistic``."""
+    return sorted(module for module, tree in trees.items()
+                  if module not in ("glm", "__init__") and "test_statistic" in _names(tree))
+
+
+def test_only_glm_computes_a_statistic_by_its_formula():
+    # a conditional test scores y0 and every point it compares with it from
+    # one table of run terms; the formula is the reference the table matches,
+    # and a second route to T(y0) could round apart from the first
+    assert _formula_route_users(MODULES) == []
+    planted = ast.parse("from . import glm\nfrom .glm import _statistic_table\n"
+                        "def t(kind, y, fit):\n    return glm.test_statistic(kind, y, fit)\n")
+    clean = ast.parse("from .glm import _statistic_table\n")
+    assert _formula_route_users({"mcmc": planted, "markov": clean, "__init__": planted}) == [
+        "mcmc"]
 
 
 def _unread_parameters(trees):

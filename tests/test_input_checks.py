@@ -58,9 +58,17 @@ def _not_an_intercept():
     return CovariateMatrix(A.design, A.terms, A.contrast, A.labels, A.columns[::-1])
 
 
-def _chains(count):
+def _means(runs):
+    return GlmFit((0.0,), (1.5,) * runs)
+
+
+def _chains(count, fit=None):
     return mh_sample(MAIN_EFFECTS, (1, 1, 1, 1), MOVE, "pearson",
-                     ChainConfig(seed=1, burn_in=0, samples=1), chains=count)
+                     ChainConfig(seed=1, burn_in=0, samples=1), chains=count, fit=fit)
+
+
+def _exact_with_means(runs):
+    return exact_p_value(MAIN_EFFECTS, (1, 1, 1, 1), "pearson", fit=_means(runs))
 
 
 CASES = {
@@ -85,6 +93,11 @@ CASES = {
                        DimensionError, f"bad exponent vector (1,) for {XY!r}"),
     "ring-negative-exponent": (lambda: XY.poly({(-1, 0): 1}),
                                DimensionError, f"bad exponent vector (-1, 0) for {XY!r}"),
+    # an exponent is an int, by the rule of the sizes and counts
+    "ring-half-exponent": (lambda: XY.poly({(0.5, 1): 1}),
+                           DimensionError, f"bad exponent vector (0.5, 1) for {XY!r}"),
+    "ring-fraction-exponent": (lambda: XY.poly({(Fraction(1, 2), 0): 1}), DimensionError,
+                               f"bad exponent vector (Fraction(1, 2), 0) for {XY!r}"),
     "ring-embed": (lambda: XY.embed(PolyRing(["x", "z"]).var("x")),
                    DimensionError, "cannot embed between different universes"),
     "negative-power": (lambda: (X + Y) ** -1,
@@ -105,7 +118,18 @@ CASES = {
                           InputError, "determinant of a non-square matrix"),
     "move-length": (lambda: MarkovBasis(3, ((1, -1),)),
                     InputError, "move length does not match the run count"),
+    "move-entry": (lambda: MarkovBasis(4, ((0.5, -0.5, -0.5, 0.5),)), InputError,
+                   "move entries must be integers, found 0.5 in (0.5, -0.5, -0.5, 0.5)"),
     "chains": (lambda: _chains(0), InputError, "need at least one chain"),
+    # a fit of another run count is refused before its means are read
+    "exact-fit-short": (lambda: _exact_with_means(3),
+                        InputError, "observation length does not match the fit"),
+    "exact-fit-long": (lambda: _exact_with_means(5),
+                       InputError, "observation length does not match the fit"),
+    "mh-fit-short": (lambda: _chains(1, _means(3)),
+                     InputError, "observation length does not match the fit"),
+    "mh-fit-long": (lambda: _chains(1, _means(5)),
+                    InputError, "observation length does not match the fit"),
     "indicator-point": (lambda: IndicatorFunction(2, {(0, 0): 1}).evaluate((1,)),
                         InputError, "point length does not match the factor count"),
     "indicator-coefficient-length": (
@@ -216,6 +240,20 @@ def test_counts_that_equal_an_int_are_read_as_that_int():
         assert fit_null_glm(MAIN_EFFECTS, y) == fit_null_glm(MAIN_EFFECTS, ints)
         assert exact_p_value(MAIN_EFFECTS, y, "pearson") == exact_p_value(
             MAIN_EFFECTS, ints, "pearson")
+
+
+def test_exponents_and_moves_that_equal_an_int_are_stored_as_that_int():
+    # an exponent or a move entry follows the rule of the sizes and counts,
+    # also where an int of the same value sits in another term
+    for terms, want in (({(1, 0): 1, (1.0, 1.0): 2}, X + 2 * X * Y),
+                        ({(Fraction(2), True): 3}, 3 * X**2 * Y)):
+        f = XY.poly(terms)
+        assert f == want and {type(v) for e in f.terms for v in e} == {int}
+    floats = MarkovBasis(4, ((1.0, -1.0, -1.0, 1.0),))
+    assert floats == MOVE and type(floats.moves[0][0]) is int
+    cfg = ChainConfig(seed=3, burn_in=5, samples=50)
+    assert mh_sample(MAIN_EFFECTS, (1, 1, 1, 1), floats, "pearson", cfg) == mh_sample(
+        MAIN_EFFECTS, (1, 1, 1, 1), MOVE, "pearson", cfg)
 
 
 def test_pearson_skips_a_zero_mean_at_a_zero_count():
