@@ -207,16 +207,16 @@ def _check_fit(recoded, y0, fit: GlmFit) -> None:
             )
 
 
-def _scorer(A: CovariateMatrix, y0, kind: str, fit: GlmFit | None):
-    """T(y0) against ``fit``, by default y0's own, and the one tie rule
-    ``extreme(y)`` against it, both read from one table of run terms."""
+def _scorer(A: CovariateMatrix, y0, kind: str, fit: GlmFit | None, top: int):
+    """T(y0) against ``fit``, by default y0's own, and the one tie rule ``extreme(y)``,
+    read from one table of run terms for counts 0..top, built once the fit is checked."""
     if fit is None:
         fit = fit_null_glm(A, y0)
     if len(fit.mu) != len(y0):
         raise InputError("observation length does not match the fit")
-    statistic = _statistic_table(kind, fit, sum(y0))
-    t_obs = statistic(y0)
     _check_fit(A.recoded, y0, fit)
+    statistic = _statistic_table(kind, fit, top)
+    t_obs = statistic(y0)
     return t_obs, lambda y: _at_least_as_extreme(statistic(y), t_obs)
 
 
@@ -244,7 +244,7 @@ def mh_sample(
     """Metropolis-Hastings estimate of the conditional p-value.
 
     Runs ``chains`` independent chains with seeds split from the master seed
-    and pools their counts.  A degenerate fiber (no moves) returns p = 1.
+    and pools their counts.  A degenerate fiber (no moves) is y0 alone: p = 1.
     A move outside the kernel of A, which would leave the fiber, is refused,
     and so is a ``fit`` of another fiber than y0's.
     """
@@ -256,7 +256,7 @@ def mh_sample(
     for z in basis.moves:
         if len(z) != A.n or any(column_dots(A.recoded, z)):
             raise InputError(f"move {z} is not a kernel vector of A")
-    t_obs, extreme = _scorer(A, y0, kind, fit)
+    t_obs, extreme = _scorer(A, y0, kind, fit, sum(y0) if basis.moves else max(y0))
     if not basis.moves:
         return TestResult(t_obs, 1.0, 0.0, 0, "mcmc")
     seeds = [chain_seed(cfg.seed, c) for c in range(chains)]
@@ -306,7 +306,7 @@ def exact_p_value(
     at = bisect_left(fiber, y0)
     if at == len(fiber) or fiber[at] != y0:
         raise InputError("the observed vector is not in its own fiber")
-    t_obs, extreme = _scorer(A, y0, kind, fit)
+    t_obs, extreme = _scorer(A, y0, kind, fit, sum(y0))
     weights = _multinomial_weights(fiber)
     num = sum(w for y, w in zip(fiber, weights) if extreme(y))
     p = Fraction(num, sum(weights))

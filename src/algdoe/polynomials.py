@@ -113,20 +113,20 @@ class PolyRing:
         place that checks exponent vectors and coerces coefficients.  An
         exponent that equals an int, such as 1.0, is stored as that int."""
         terms = dict(terms)
-        keys = terms.keys()
-        # a table of int tuples, the common case, is checked as a whole in C;
-        # the types are read off every entry, as 1.0 and 1 are one set member
-        checked = (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {self.nvars}
-                   and set(map(type, chain.from_iterable(keys))) <= {int}
-                   and min(chain.from_iterable(keys), default=0) >= 0)
+        # the integer rule, read once per distinct entry (1.0 and 1 are one
+        # key): a valid exponent maps to its int, and an invalid one is absent
+        exponent = {x: w for x in set(chain.from_iterable(terms))
+                    if (w := whole(x)) is not None and w >= 0}
         clean: dict = {}
         for e, c in terms.items():
-            if not checked:
-                e, ints = tuple(e), tuple(map(whole, e))
-                if len(e) != self.nvars or None in ints or min(ints, default=0) < 0:
-                    raise DimensionError(f"bad exponent vector {e} for {self!r}")
-                e = ints
-            _add_term(clean, e, self.field.coerce(c))
+            e = tuple(e)
+            try:
+                ints = tuple(map(exponent.__getitem__, e))
+            except KeyError:
+                ints = None
+            if ints is None or len(ints) != self.nvars:
+                raise DimensionError(f"bad exponent vector {e} for {self!r}")
+            _add_term(clean, ints, self.field.coerce(c))
         return Polynomial(self, clean)
 
     # -- conversions ------------------------------------------------------

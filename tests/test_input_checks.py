@@ -71,6 +71,12 @@ def _exact_with_means(runs):
     return exact_p_value(MAIN_EFFECTS, (1, 1, 1, 1), "pearson", fit=_means(runs))
 
 
+# total 2 against y0's 3, so of another fiber, with a mean -1 where y0 is 0:
+# the deviance has no term for it at a positive count
+NEGATIVE_MEAN = GlmFit((0.0,), (-1.0, 1.0, 1.0, 1.0))
+OTHER_FIBER = "the fit is not of the fiber of y0: A'mu misses A'y0 by 1 in a recoded coordinate"
+
+
 CASES = {
     "confounding-length": (lambda: is_confounded((1, 0), (0, 0, 0), F23),
                            InputError, "monomial does not match the factor count"),
@@ -130,6 +136,14 @@ CASES = {
                      InputError, "observation length does not match the fit"),
     "mh-fit-long": (lambda: _chains(1, _means(5)),
                     InputError, "observation length does not match the fit"),
+    # and a fit of another fiber before any of its terms is read
+    "exact-fit-negative-mean": (
+        lambda: exact_p_value(MAIN_EFFECTS, (0, 1, 1, 1), "deviance", fit=NEGATIVE_MEAN),
+        InputError, OTHER_FIBER),
+    "mh-fit-negative-mean": (
+        lambda: mh_sample(MAIN_EFFECTS, (0, 1, 1, 1), MOVE, "deviance",
+                          ChainConfig(seed=1), fit=NEGATIVE_MEAN),
+        InputError, OTHER_FIBER),
     "indicator-point": (lambda: IndicatorFunction(2, {(0, 0): 1}).evaluate((1,)),
                         InputError, "point length does not match the factor count"),
     "indicator-coefficient-length": (

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from algdoe import (
     ChainConfig,
     Design,
+    GlmFit,
     InputError,
     build_covariate_matrix,
     enumerate_fiber,
@@ -140,6 +142,26 @@ def test_degenerate_fiber(setup_2x2):
     res = mh_sample(A, (1, 1, 1, 1), empty, "pearson", ChainConfig(seed=1))
     assert res.p_value == 1.0 and res.std_error == 0.0
     assert res.samples_used == 0
+
+
+def test_degenerate_fiber_tabulates_no_count_above_y0s_largest():
+    # the saturated 2x2 model: the fiber is y0 alone, so its statistic needs
+    # terms up to 41 000 per run, not up to the total 160 500 (about 21 MB)
+    # fit_null_glm does not converge at these counts, so the exact fit is given
+    from algdoe.markov import MarkovBasis
+
+    d = Design(2, 2, ((1, 1), (1, -1), (-1, 1), (-1, -1)), "pm1")
+    A = build_covariate_matrix(d, main_effects(2) + [term(2, 1, 2)])
+    y0 = (40000, 39000, 41000, 40500)
+    fit = GlmFit((0.0,) * 4, tuple(map(float, y0)))
+    tracemalloc.start()
+    try:
+        res = mh_sample(A, y0, MarkovBasis(4, ()), "deviance", ChainConfig(seed=1), fit=fit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.statistic, res.p_value, res.samples_used) == (0.0, 1.0, 0)
+    assert peak < 8e6
 
 
 def test_mh_sample_rejects_moves_outside_the_kernel(setup_2x2):
