@@ -248,12 +248,17 @@ class Word:
     sign: int
 
     def __post_init__(self):
-        if self.sign not in (-1, 1):
+        # each field is stored as the int (the ints) it equals
+        sign = whole(self.sign)
+        if sign not in (-1, 1):
             raise InputError("word sign must be +1 or -1")
-        if any(b not in (0, 1) for b in self.bits):
+        bits = tuple(map(whole, self.bits))
+        if any(b not in (0, 1) for b in bits):
             raise InputError("word exponents must be 0/1")
-        if not any(self.bits):
+        if not any(bits):
             raise InputError("the empty word is not allowed")
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "bits", bits)
 
 
 def regular_design_from_words(m: int, words) -> Design:

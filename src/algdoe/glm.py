@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from operator import add, getitem, mul, sub
 
 from .covariates import CovariateMatrix
@@ -113,6 +114,9 @@ def fit_null_glm(A: CovariateMatrix, y0) -> GlmFit:
     if sum(y) == 0:
         raise GlmConvergenceError("all-zero observations lie on the boundary")
     dev_term, dev_scale = _TERMS["deviance"]
+    # the rounding of a score entry grows with max|X| * sum(y) and passes
+    # SCORE_TOL on large counts, so there the bound follows it
+    tol = max(SCORE_TOL, 64 * 2.0**-52 * max(map(abs, chain.from_iterable(X))) * sum(y))
 
     def means_and_deviance(beta_):
         # a mean that overflows, or vanishes under a positive count, gives an
@@ -130,7 +134,7 @@ def fit_null_glm(A: CovariateMatrix, y0) -> GlmFit:
     for _ in range(MAX_ITER):
         resid = list(map(sub, y, mu))
         score = [_total(map(mul, col, resid)) for col in columns]
-        if max(map(abs, score)) <= SCORE_TOL:
+        if max(map(abs, score)) <= tol:
             return GlmFit(tuple(beta), tuple(mu))
         weighted = [list(map(mul, col, mu)) for col in columns]
         XtWX = [[_total(map(mul, col, wcol)) for wcol in weighted] for col in columns]

@@ -25,12 +25,14 @@ transform checks the other at run time.  :func:`indicator_add_factors`
 spreads each coefficient, divided by 2^k, over the signed group of its k
 relations' words in the same loop: the product form of Pistone & Rogantin
 (*J. Stat. Plann. Inference* 138, 2008).  Exponent tuples are packed by
-the one encoder of the index map of :mod:`algdoe.designs`, and the
-coefficients (the runs) are read at C level off itertools.product over all
-2^m entries, in the order a full 2^m transform gives.  Classification needs
-neither transform nor cap on m: as x^a = +-1, |b_a| = b_0 holds exactly when
-x^a is constant on F, one of the words above, which :func:`classify_design`
-reads off the same routine and checks word by word on the columns.
+the one encoder of the index map of :mod:`algdoe.designs`.  A table over
+all m factors is read at C level off itertools.product; with words, both
+transforms decode the orbit of :func:`_signed_orbit` with ``_unpack`` and
+build no 2^m table.  Either way the coefficients (the runs) come in the
+order a full 2^m transform gives.  Classification needs neither transform
+nor cap on m: as x^a = +-1, |b_a| = b_0 holds exactly when x^a is constant
+on F, one of the words above, which :func:`classify_design` reads off the
+same routine and checks word by word on the columns.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from itertools import chain, compress, product
 
 from .designs import (RUN_LEVELS, WORD_LEVELS, Design, Word, _base2_reads, _pack, _product,
                       _unpack, product_index)
-from .errors import InputError, InvalidIndicatorError, ScaleError
+from .errors import InputError, InvalidIndicatorError, ScaleError, int_arg, int_fields, whole
 from .linalg import gf2_dependencies
 from .orders import Monomial, monomial_name
 from .polynomials import PolyRing, Polynomial
@@ -60,7 +62,9 @@ class IndicatorFunction:
     __slots__ = ("m", "coeffs")
 
     def __init__(self, m: int, coeffs):
-        self.m = m
+        self.m = m = int_arg("IndicatorFunction.m", m)
+        if m < 0:
+            raise InputError(f"IndicatorFunction.m must be nonnegative, found {m}")
         coeffs = dict(coeffs)
         if not set(map(type, coeffs)) <= {tuple}:
             coeffs = dict(zip(map(tuple, coeffs), coeffs.values()))
@@ -184,26 +188,28 @@ def indicator_from_design(d: Design) -> IndicatorFunction:
     m = d.m
     # more runs than an affine hyperplane holds span all m factors
     words, free = gf2_dependencies(d._columns, d.n) if d.n <= 1 << m - 1 else ([], range(m))
+    denom = 1 << m
+    # the spectrum of n runs takes integer values in [-n, n], so each Fraction
+    # is made once, on first use, and shared by the coefficients it equals
+    fraction = cache(lambda v: Fraction(v, denom))
     # the runs are distinct on their independent factors
     if d.n == 1 << len(free):
         # they fill the projected table, whose transform is n at 0 alone
-        spectrum = [d.n] + [0] * (d.n - 1)
+        at, spectrum = [0], [d.n]
     else:
         table = [0] * (1 << len(free))
         for idx in _base2_reads(d._digits, d.n, free):
             table[idx] = 1
         spectrum = _walsh_hadamard(table)
-    if words:
-        spectrum = _spread(spectrum, m, free, words, int(d._digits[:m], 2))  # run 0's index
-    denom = 1 << m
-    # the spectrum of n runs takes integer values in [-n, n], so each Fraction
-    # is made once, on first use, and shared by the coefficients it equals
-    fraction = cache(lambda v: Fraction(v, denom))
-    coeffs = zip(
-        compress(product(WORD_LEVELS, repeat=m), spectrum),
-        map(fraction, filter(None, spectrum)),
-    )
-    return IndicatorFunction(m, coeffs)
+        if not words:  # the table spans all m factors
+            keys = compress(product(WORD_LEVELS, repeat=m), spectrum)
+            return IndicatorFunction(m, zip(keys, map(fraction, filter(None, spectrum))))
+        at = list(compress(_free_indices(m, free), spectrum))
+        spectrum = list(filter(None, spectrum))
+    idxs, vals = _signed_orbit(at, spectrum, words, int(d._digits[:m], 2))  # run 0's index
+    order = sorted(range(len(idxs)), key=idxs.__getitem__)  # a full transform's key order
+    keys = _unpack(list(map(idxs.__getitem__, order)), m, WORD_LEVELS)
+    return IndicatorFunction(m, zip(keys, map(fraction, map(vals.__getitem__, order))))
 
 
 def design_from_indicator(f: IndicatorFunction) -> Design:
@@ -256,30 +262,25 @@ def design_from_indicator(f: IndicatorFunction) -> Design:
             f"polynomial is not 0/1-valued on the full factorial (value {Fraction(v, denom)})"
         )
     if words:
-        values = _spread(values, m, free, words, 0)
-    # read backwards, the table lists the runs in ascending order
-    runs = tuple(compress(product(RUN_LEVELS[::-1], repeat=m), reversed(values)))
+        # w is orthogonal to the exponents, so u XOR w shares u's value; read
+        # descending, the indices list the runs in ascending order
+        idxs = _signed_orbit(list(compress(_free_indices(m, free), values)), [], words, 0)[0]
+        runs = tuple(_unpack(sorted(idxs, reverse=True), m, RUN_LEVELS))
+    else:
+        # read backwards, the table lists the runs in ascending order
+        runs = tuple(compress(product(RUN_LEVELS[::-1], repeat=m), reversed(values)))
     if not runs:
         raise InvalidIndicatorError("indicator is identically zero")
     return Design(m, 2, runs, "pm1")
 
 
-def _spread(values: list[int], m: int, free: list[int], words: list[int], first: int) -> list[int]:
-    """The 2^m table that holds values[c] at the index that puts c's digits on
-    the ascending ``free`` factors, spread by :func:`_signed_orbit`.
-
-    A run of index u makes b_(a XOR w) = x^w(u) * b_a on a design on which
-    x^w is constant; the evaluation of an indicator is the same on u and
-    u XOR w when w is orthogonal to its exponents (``first`` = 0).
-    """
+def _free_indices(m: int, free: list[int]) -> list[int]:
+    """The index over m factors of each c < 2^len(free): c's digits put on
+    the ascending ``free`` factors."""
     at = [0]
     for j in reversed(free):
         at += [a | 1 << m - 1 - j for a in at]
-    table = [0] * (1 << m)
-    for idx, v in zip(*_signed_orbit(list(compress(at, values)), list(filter(None, values)),
-                                     words, first)):
-        table[idx] = v
-    return table
+    return at
 
 
 def _signed_orbit(idxs: list[int], vals: list, words: list[int], first: int):
@@ -304,14 +305,20 @@ class FactorRelation:
     word: tuple[int, ...]
 
     def __post_init__(self):
-        if self.sign not in (-1, 1):
+        # each field is stored as the int (the ints) it equals
+        sign = whole(self.sign)
+        if sign not in (-1, 1):
             raise InputError("relation sign must be +1 or -1")
-        if any(b not in (0, 1) for b in self.word):
+        word = tuple(map(whole, self.word))
+        if any(b not in (0, 1) for b in word):
             raise InputError("relation word must be square-free")
-        if not any(self.word):
+        if not any(word):
             raise InputError("relation word must be nonzero")
+        int_fields(self, "index")
         if self.index < 1:
             raise InputError("relation index is 1-based")
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "word", word)
 
 
 def indicator_add_factors(

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,20 @@ def test_boundary_statistic_converges_to_face(d22):
     fit = fit_null_glm(A, (5, 5, 0, 0))
     assert fit.mu[0] == pytest.approx(5.0, abs=1e-6)
     assert fit.mu[2] == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("scale", [1, 10, 100, 1000])
+@pytest.mark.parametrize("interaction", [[], [term(2, 1, 2)]], ids=["main-effects", "saturated"])
+def test_large_counts_converge(d22, interaction, scale):
+    # the rounding of the score grows with the counts: near 40 000 it alone
+    # passed the absolute SCORE_TOL, and no fit converged
+    A = build_covariate_matrix(d22, main_effects(2) + interaction)
+    y = tuple(scale * v for v in (4000, 3900, 4100, 4050))
+    fit = fit_null_glm(A, y)
+    for col in zip(*glm.design_matrix(A)):
+        assert _total(map(mul, col, fit.mu)) == pytest.approx(_total(map(mul, col, y)), rel=1e-12)
+    if interaction:  # the saturated model fits the counts themselves
+        assert fit.mu == pytest.approx(y, rel=1e-12)
 
 
 def test_cli_import_loads_no_numpy():

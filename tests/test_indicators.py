@@ -745,3 +745,22 @@ def test_transforms_run_over_the_span(monkeypatch):
     assert classify_design(dense).tag == "affinely-full-dimensional"
     assert design_from_indicator(indicator_from_design(dense)) == Design(8, 2, dense.runs, "pm1")
     assert lengths == [2**8, 2**8]
+
+
+def _peak(call, arg):
+    tracemalloc.start()
+    try:
+        out = call(arg)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_word_groups_build_no_table_over_all_factors():
+    # a 2^(20-12) fraction: 256 runs and 4 096 terms, spread over the group
+    # of its 12 words; a list of 2^20 entries alone takes 8 MB
+    d = regular_design_from_words(20, random_words(random.Random(3914), 20, 12))
+    f, forward = _peak(indicator_from_design, d)
+    back, inverse = _peak(design_from_indicator, f)
+    assert (len(f.coeffs), back) == (4096, d)
+    assert forward < 4 << 20 and inverse < 4 << 20, (forward, inverse)

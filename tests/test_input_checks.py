@@ -14,6 +14,7 @@ from algdoe import (
     CovariateMatrix,
     Design,
     DimensionError,
+    FactorRelation,
     GlmFit,
     IndicatorFunction,
     InputError,
@@ -21,12 +22,14 @@ from algdoe import (
     PolyRing,
     SearchSpec,
     TermOrder,
+    Word,
     ZeroPolynomialError,
     alias_table,
     build_covariate_matrix,
     buchberger,
     d_criterion,
     d_optimal_search,
+    design_from_indicator,
     enumerate_fiber,
     exact_p_value,
     fit_null_glm,
@@ -185,6 +188,14 @@ CASES = {
                          InputError, "Budget.max_terms must be an integer, found None"),
     "markov-basis-n": (lambda: MarkovBasis(2.5, ()),
                        InputError, "MarkovBasis.n must be an integer, found 2.5"),
+    "relation-index": (lambda: FactorRelation("1", 1, (1, 1)),
+                       InputError, "FactorRelation.index must be an integer, found '1'"),
+    "relation-half-index": (lambda: FactorRelation(1.5, 1, (1, 1)),
+                            InputError, "FactorRelation.index must be an integer, found 1.5"),
+    "indicator-m": (lambda: IndicatorFunction(1.5, {}),
+                    InputError, "IndicatorFunction.m must be an integer, found 1.5"),
+    "indicator-m-negative": (lambda: IndicatorFunction(-1, {}),
+                             InputError, "IndicatorFunction.m must be nonnegative, found -1"),
     # and so is a size argument, by its name
     "alias-max-degree": (lambda: alias_table(F23, None),
                          InputError, "max_degree must be an integer, found None"),
@@ -220,6 +231,8 @@ def _stored_as_two(two):
     d = Design(two, two, ((1, 1), (-1, 1)), "pm1")
     assert (type(d.m), type(d.s), d.var_names) == (int, int, ("x1", "x2"))
     assert parse_design(format_design(d)) == d
+    f = IndicatorFunction(two, {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)})
+    assert type(f.m) is int and design_from_indicator(f) == Design(2, 2, ((-1, -1), (1, 1)), "pm1")
     spec = SearchSpec(two, 3.0, "greedy-exchange", restarts=two)
     assert [type(v) for v in (spec.m, spec.n, spec.restarts)] == [int] * 3
     assert d_optimal_search(spec) == d_optimal_search(SearchSpec(2, 3, "greedy-exchange",
@@ -276,3 +289,15 @@ def test_pearson_skips_a_zero_mean_at_a_zero_count():
     fit = GlmFit((0.0,), (0.0, 2.0))
     assert test_statistic("pearson", (0, 3), fit) == 0.5
     assert test_statistic("pearson", (1, 3), fit) == math.inf
+
+
+def test_records_store_the_ints_their_fields_equal():
+    # signs and words are read by the rule of the sizes: 1.0 and True are
+    # stored as 1, and a list word as a tuple, so the records hash
+    word = Word([1, 1.0, Fraction(0)], True)
+    assert (word.bits, word.sign) == ((1, 1, 0), 1) and hash(word) == hash(Word((1, 1, 0), 1))
+    assert {type(b) for b in word.bits} | {type(word.sign)} == {int}
+    relation = FactorRelation(1.0, True, [1, Decimal(1)])
+    assert relation == FactorRelation(1, 1, (1, 1)) and hash(relation) == hash(
+        FactorRelation(1, 1, (1, 1)))
+    assert {type(v) for v in (relation.index, relation.sign, *relation.word)} == {int}
