@@ -25,7 +25,7 @@ from math import gcd, prod
 
 from .cyclotomic import CyclotomicNumber, Echelon, omega
 from .designs import Design, _product, parse_monomial
-from .errors import EstimabilityError, InputError, int_counts
+from .errors import EstimabilityError, InputError, int_bits, int_counts
 from . import linalg
 from .linalg import cleared, column_dots
 from .orders import monomial_name
@@ -97,10 +97,11 @@ def build_covariate_matrix(
     intercept.  Raises :class:`EstimabilityError` when the requested terms are
     confounded on the design, naming a completely aliased pair when one exists.
     """
-    terms = [tuple(t) for t in terms]
-    if not terms or any(terms[0]):
+    given = [tuple(t) for t in terms]
+    terms = list(map(int_bits, given))  # each term is stored as the ints it equals
+    if not terms or terms[0] is None or any(terms[0]):
         raise InputError("the model must start with the intercept term '1'")
-    for t in terms[1:]:
+    for t, bits in zip(given[1:], terms[1:]):
         name = monomial_name(t)
         if len(t) != d.m:
             raise InputError(
@@ -108,7 +109,7 @@ def build_covariate_matrix(
             )
         if not any(t):
             raise InputError(f"bad model term {name}: the intercept may only come first")
-        if any(e not in (0, 1) for e in t):
+        if bits is None:
             raise InputError(f"bad model term {name}: not square-free")
     if len(set(terms)) != len(terms):
         raise InputError("duplicate model terms")

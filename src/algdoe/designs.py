@@ -15,7 +15,8 @@ WORD_LEVELS), the element's position in ``itertools.product(levels, repeat=m)``;
 multiplying two elements XORs their indices.  One encoder, ``_pack``, turns
 runs and exponent tuples alike into element-major '0'/'1' digits, an index
 is a base-2 read of them, and ``_unpack`` decodes a batch of indices back,
-such as the runs of a regular fraction, whose indices are a coset.
+such as the runs of a regular fraction, whose indices are a coset.  Exponents
+are packed as bytes, so only the ints that ``errors.int_bits`` reads reach it.
 A two-level design packs its runs once, on first use, into a table that it
 keeps, and reads its m factor columns off that table once into n-bit ints
 that it keeps beside it.  Confounding, alias classes, classification, the
@@ -34,7 +35,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .cyclotomic import QQ, cyclotomic_field, is_prime, omega
-from .errors import InputError, RankError, ScaleError, int_arg, int_fields, whole
+from .errors import InputError, RankError, ScaleError, int_arg, int_bits, int_fields, whole
 from .groebner import GroebnerBasis, _buchberger_moeller, _check_width
 from .linalg import gf2_insert
 from .orders import Monomial, TermOrder
@@ -192,12 +193,10 @@ _LEVELS = {WORD_LEVELS: bytes.maketrans(b"01", b"\0\1"),  # and back, to the lev
 
 def _pack(elements, levels) -> bytes:
     """Runs over RUN_LEVELS or exponent tuples over WORD_LEVELS as
-    element-major ASCII digits, '1' where an entry is levels[1]."""
+    element-major ASCII digits, '1' where an entry is levels[1].  An exponent
+    that ``bytes`` refuses, such as 1.0 or 256, raises TypeError or ValueError."""
     if levels == WORD_LEVELS:
-        try:
-            return bytes(itertools.chain.from_iterable(elements)).translate(_DIGITS)
-        except TypeError:  # exponents that equal 0 or 1 but are not ints
-            pass
+        return bytes(itertools.chain.from_iterable(elements)).translate(_DIGITS)
     digit = {levels[0]: ord("0"), levels[1]: ord("1")}.__getitem__
     return bytes(map(digit, itertools.chain.from_iterable(elements)))
 
@@ -252,8 +251,7 @@ class Word:
         sign = whole(self.sign)
         if sign not in (-1, 1):
             raise InputError("word sign must be +1 or -1")
-        bits = tuple(map(whole, self.bits))
-        if any(b not in (0, 1) for b in bits):
+        if (bits := int_bits(self.bits)) is None:
             raise InputError("word exponents must be 0/1")
         if not any(bits):
             raise InputError("the empty word is not allowed")
@@ -347,13 +345,6 @@ def _design_ideal(d: Design, order: TermOrder):
 # -- confounding ---------------------------------------------------------------
 
 
-def _square_free_over(mono: Monomial, m: int) -> None:
-    if len(mono) != m:
-        raise InputError("monomial does not match the factor count")
-    if not all(map(WORD_LEVELS.__contains__, mono)):
-        raise InputError("effects are square-free monomials")
-
-
 def _product(columns: Sequence[int], mono) -> int:
     """x^mono's column, the XOR of its factors': 0 if constant +1, all ones if -1."""
     return functools.reduce(operator.xor, itertools.compress(columns, mono), 0)
@@ -371,8 +362,11 @@ def is_confounded(a1: Monomial, a2: Monomial, d: Design):
     if d.s != 2:
         raise InputError("confounding analysis is defined for two-level designs")
     a1, a2 = tuple(a1), tuple(a2)
-    _square_free_over(a1, d.m)
-    _square_free_over(a2, d.m)
+    for mono in (a1, a2):
+        if len(mono) != d.m:
+            raise InputError("monomial does not match the factor count")
+        if int_bits(mono) is None:
+            raise InputError("effects are square-free monomials")
     column = _product(d._columns, map(operator.ne, a1, a2))
     return {0: 1, (1 << d.n) - 1: -1}.get(column)
 

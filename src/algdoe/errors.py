@@ -4,8 +4,9 @@ A size, a coded level or a count is an integer when it equals one (2.0, True,
 Fraction(2), Decimal(2), 2+0j, a numpy int): ``whole`` finds that int, which
 the package stores in place of the value.  ``int_fields`` reads a record's
 size fields, ``int_arg`` a size argument and ``int_counts`` the counts of the
-conditional tests; each refusal names what it refused.  ``Design`` reads its
-distinct levels through ``whole`` itself, once each.
+conditional tests; each refusal names what it refused.  ``int_bits`` reads a
+square-free exponent tuple, which each caller refuses with its own message.
+``Design`` reads its distinct levels through ``whole`` itself, once each.
 """
 
 
@@ -68,6 +69,14 @@ def whole(value) -> int | None:
     except (AttributeError, TypeError, ValueError, OverflowError):
         return None
     return w if w == value else None
+
+
+def int_bits(values) -> tuple[int, ...] | None:
+    """The ints 0/1 that the entries of ``values`` (1.0, True, ...) equal, else None."""
+    bits = tuple(values)
+    if not {int}.issuperset(map(type, bits)):  # an int is read as it is
+        bits = tuple(map(whole, bits))
+    return bits if {0, 1}.issuperset(bits) else None
 
 
 def int_arg(name: str, value) -> int:

@@ -19,20 +19,18 @@ tuple, of dimension s: the indicator's value at a run depends on the run
 only through a . x for a in that span, so one transform of the 2^s
 projected, scaled coefficients evaluates it on each class of 2^(m-s) runs.
 More runs, or exponent tuples, than a hyperplane holds span all m factors,
-and then no span is computed.  Either way one transform runs over 2^r (2^s)
-entries, with Python work per run and per nonzero coefficient, and neither
-transform checks the other at run time.  :func:`indicator_add_factors`
-spreads each coefficient, divided by 2^k, over the signed group of its k
-relations' words in the same loop: the product form of Pistone & Rogantin
-(*J. Stat. Plann. Inference* 138, 2008).  Exponent tuples are packed by
-the one encoder of the index map of :mod:`algdoe.designs`.  A table over
-all m factors is read at C level off itertools.product; with words, both
-transforms decode the orbit of :func:`_signed_orbit` with ``_unpack`` and
-build no 2^m table.  Either way the coefficients (the runs) come in the
-order a full 2^m transform gives.  Classification needs neither transform
-nor cap on m: as x^a = +-1, |b_a| = b_0 holds exactly when x^a is constant
-on F, one of the words above, which :func:`classify_design` reads off the
-same routine and checks word by word on the columns.
+and then no span is computed.  :func:`indicator_add_factors` spreads each
+coefficient, divided by 2^k, over the signed group of its k relations'
+words in the same loop: the product form of Pistone & Rogantin (*J. Stat.
+Plann. Inference* 138, 2008).  An indicator packs its keys once, with the
+index map's encoder in :mod:`algdoe.designs`, which checks them, and both
+transforms read that table.  A table over all m factors is read off
+itertools.product; with words, the orbit of :func:`_signed_orbit` is
+decoded with ``_unpack``.  Either way the coefficients (the runs) come in
+the order a full 2^m transform gives.  Classification needs neither
+transform nor cap on m: as x^a = +-1, |b_a| = b_0 holds exactly when x^a is
+constant on F, one of the words above, which :func:`classify_design` reads
+off the same routine and checks word by word on the columns.
 """
 
 from __future__ import annotations
@@ -47,7 +45,8 @@ from itertools import chain, compress, product
 
 from .designs import (RUN_LEVELS, WORD_LEVELS, Design, Word, _base2_reads, _pack, _product,
                       _unpack, product_index)
-from .errors import InputError, InvalidIndicatorError, ScaleError, int_arg, int_fields, whole
+from .errors import (InputError, InvalidIndicatorError, ScaleError, int_arg, int_bits, int_fields,
+                     whole)
 from .linalg import gf2_dependencies
 from .orders import Monomial, monomial_name
 from .polynomials import PolyRing, Polynomial
@@ -57,9 +56,10 @@ LANE_CHUNK_BYTES = 4096  # bytes of packed lanes per chunk of the transform
 
 
 class IndicatorFunction:
-    """Square-free polynomial representation of a two-level fraction."""
+    """Square-free polynomial representation of a two-level fraction; its
+    keys are packed once, when it is built, so ``coeffs`` is read-only."""
 
-    __slots__ = ("m", "coeffs")
+    __slots__ = ("m", "coeffs", "_digits")
 
     def __init__(self, m: int, coeffs):
         self.m = m = int_arg("IndicatorFunction.m", m)
@@ -69,8 +69,17 @@ class IndicatorFunction:
         if not set(map(type, coeffs)) <= {tuple}:
             coeffs = dict(zip(map(tuple, coeffs), coeffs.values()))
         keys = coeffs.keys()
-        # the exponents are checked once over the whole table, as sets
-        if not (set(map(len, keys)) <= {m} and set(chain.from_iterable(keys)) <= {0, 1}):
+        # the whole table is checked in C: only ints in range(256) pack, only 0/1 pass
+        try:
+            digits = _pack(keys, WORD_LEVELS)
+        except (TypeError, ValueError):  # no ints: each distinct one is read once
+            entries = tuple(set(chain.from_iterable(keys)))
+            if (bits := int_bits(entries)) is None:
+                raise InputError(f"indicator exponents must lie in {{0,1}}^{m}") from None
+            exponent = dict(zip(entries, bits)).__getitem__
+            coeffs = dict(zip([tuple(map(exponent, k)) for k in keys], coeffs.values()))
+            digits = _pack(keys := coeffs.keys(), WORD_LEVELS)
+        if not set(map(len, keys)) <= {m} or digits.translate(None, b"01"):
             raise InputError(f"indicator exponents must lie in {{0,1}}^{m}")
         if not set(map(type, coeffs.values())) <= {Fraction}:
             coeffs = dict(zip(keys, map(Fraction, coeffs.values())))
@@ -78,7 +87,9 @@ class IndicatorFunction:
         # forward transform's, is kept as built
         if not all(coeffs.values()):
             coeffs = {bits: c for bits, c in coeffs.items() if c}
+            digits = _pack(coeffs, WORD_LEVELS)
         self.coeffs = coeffs
+        self._digits = digits
 
     def __eq__(self, other):
         return (
@@ -99,8 +110,7 @@ class IndicatorFunction:
         return self.coeffs.get((0,) * self.m, Fraction(0))
 
     def coefficient(self, bits: Monomial) -> Fraction:
-        bits = tuple(bits)
-        if len(bits) != self.m or not set(bits) <= {0, 1}:
+        if (bits := int_bits(bits)) is None or len(bits) != self.m:
             raise InputError(f"indicator exponents must lie in {{0,1}}^{self.m}")
         return self.coeffs.get(bits, Fraction(0))
 
@@ -238,18 +248,17 @@ def design_from_indicator(f: IndicatorFunction) -> Design:
                 f"coefficient {c} cannot belong to a 0/1-valued indicator"
             )
         scale[key] = num * (denom // den)
-    digits = _pack(f.coeffs, WORD_LEVELS)
     # x^a on a run depends on the run only through a . x for a in the span
     # of the exponents, which the zero tuple, put first, joins; more exponent
     # tuples than a hyperplane holds span all m factors
     if len(f.coeffs) <= denom >> 1:
-        columns = [int(b"0" + digits[j::m], 2) for j in range(m)]
+        columns = [int(b"0" + f._digits[j::m], 2) for j in range(m)]
         words, free = gf2_dependencies(columns, len(f.coeffs) + 1)
     else:
         words, free = [], range(m)
     # each exponent tuple's position is the base-2 read of its independent
     # digits, which are distinct
-    at = _base2_reads(digits, len(f.coeffs), free)
+    at = _base2_reads(f._digits, len(f.coeffs), free)
     scaled = [0] * (1 << len(free))
     for idx, v in zip(at, map(scale.__getitem__, map(id, coefficients))):
         scaled[idx] = v
@@ -309,8 +318,7 @@ class FactorRelation:
         sign = whole(self.sign)
         if sign not in (-1, 1):
             raise InputError("relation sign must be +1 or -1")
-        word = tuple(map(whole, self.word))
-        if any(b not in (0, 1) for b in word):
+        if (word := int_bits(self.word)) is None:
             raise InputError("relation word must be square-free")
         if not any(word):
             raise InputError("relation word must be nonzero")
@@ -353,7 +361,7 @@ def indicator_add_factors(
     words = [product_index(r.word, WORD_LEVELS) << k | 1 << k - 1 - i
              for i, r in enumerate(relations)]
     first = product_index([r.sign for r in relations], RUN_LEVELS)  # the run x = 1, y = e
-    at = _base2_reads(_pack(f1.coeffs, WORD_LEVELS), len(f1.coeffs), range(m))
+    at = _base2_reads(f1._digits, len(f1.coeffs), range(m))
     # one Fraction per distinct value, shared by the coefficients it equals
     share = cache(lambda c: c / (1 << k))
     idxs, vals = _signed_orbit([i << k for i in at], list(map(share, f1.coeffs.values())),

@@ -11,9 +11,8 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from math import gcd, lcm
-from numbers import Integral
 
-from .errors import InputError
+from .errors import InputError, whole
 
 
 def cleared(values) -> tuple[list[int], int]:
@@ -191,14 +190,16 @@ def kernel_lattice(columns, n: int) -> tuple[tuple[int, ...], ...]:
 
 def int_det(matrix) -> int:
     """Exact determinant of a square integer matrix by Bareiss elimination, 1
-    for 0 x 0; an entry that is no numbers.Integral is an InputError."""
+    for 0 x 0; an entry that equals no int (``errors.whole``) is an InputError."""
     rows = [list(row) for row in matrix]
     if any(len(row) != len(rows) for row in rows):
         raise InputError("determinant of a non-square matrix")
     # the exact-int test first: it is the common case and the cheaper check
-    if not all(type(a) is int or isinstance(a, Integral) for row in rows for a in row):
-        raise InputError("determinant of a matrix with non-integer entries")
-    return bareiss([list(map(int, row)) for row in rows]) if rows else 1
+    if not all(type(a) is int for row in rows for a in row):
+        rows = [list(map(whole, row)) for row in rows]
+        if any(None in row for row in rows):
+            raise InputError("determinant of a matrix with non-integer entries")
+    return bareiss(rows) if rows else 1
 
 
 def bareiss(m) -> int:

@@ -45,6 +45,7 @@ from algdoe.designs import (
     product_index,
     read_header,
 )
+from algdoe.errors import int_bits
 from algdoe.groebner import normal_form, reduce_basis, spolynomials_reduce_to_zero
 from algdoe.linalg import gf2_dependencies
 from algdoe.orders import monomial_name
@@ -81,8 +82,10 @@ def test_batch_decoder_matches_the_string_decoder():
 
 
 def test_packed_digits_read_in_base_2_are_the_product_positions():
-    # the one encoder: random runs, and exponent tuples with entries that
-    # equal 0 and 1 but are not ints, read back as their product positions
+    # the one encoder: random runs and exponent tuples, read back as their
+    # product positions; exponents that equal 0 and 1 but are not ints are
+    # no bytes, so the packing refuses a float, and int_bits reads them all
+    # as the ints they equal
     rng = random.Random(4203)
     same = {0: (0, 0.0, False), 1: (1, True, 1.0)}
     for m in range(9):
@@ -91,7 +94,12 @@ def test_packed_digits_read_in_base_2_are_the_product_positions():
             for count in (0, 1, rng.randint(2, 40)):
                 elements = rng.choices(table, k=count)
                 if levels == WORD_LEVELS and rng.random() < 0.5:
-                    elements = [tuple(rng.choice(same[v]) for v in e) for e in elements]
+                    given = [tuple(rng.choice(same[v]) for v in e) for e in elements]
+                    read = [int_bits(e) for e in given]
+                    assert read == elements and {type(v) for e in read for v in e} <= {int}
+                    if any(type(v) is float for e in given for v in e):
+                        with pytest.raises(TypeError):
+                            designs._pack(given, levels)
                 digits = designs._pack(elements, levels)
                 assert len(digits) == m * count
                 positions = [table.index(e) for e in elements]

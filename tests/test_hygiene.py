@@ -1,9 +1,10 @@
 """Static checks on the package source, with the standard library's ``ast``:
 no module imports a name it does not use, no private module-level def or
 class is left that nothing else in the package refers to, no def leaves a
-parameter unread, private names cross modules only where listed, and no
-module but ``glm`` computes a statistic by its formula; and the package's
-public names are its API, not its submodules."""
+parameter unread, private names cross modules only where listed, no module
+but ``glm`` computes a statistic by its formula, and none but ``errors``
+tests exponents against a 0/1 literal; and the package's public names are
+its API, not its submodules."""
 
 import ast
 from pathlib import Path
@@ -168,6 +169,40 @@ def test_only_glm_computes_a_statistic_by_its_formula():
     clean = ast.parse("from .glm import _statistic_table\n")
     assert _formula_route_users({"mcmc": planted, "markov": clean, "__init__": planted}) == [
         "mcmc"]
+
+
+def _is_bit_literal(node):
+    """Whether ``node`` is the literal (0, 1), {0, 1} or [0, 1], in any order."""
+    return (isinstance(node, (ast.Tuple, ast.Set, ast.List)) and len(node.elts) == 2
+            and all(isinstance(e, ast.Constant) and type(e.value) is int for e in node.elts)
+            and {e.value for e in node.elts} == {0, 1})
+
+
+def _bit_literal_tests(trees):
+    """Every (module, line) but in ``errors`` that compares a value with a
+    0/1 literal or calls a method of one, such as ``{0, 1}.issuperset``."""
+    return sorted(
+        (module, node.lineno)
+        for module, tree in trees.items() if module != "errors"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(map(_is_bit_literal, [node.left, *node.comparators]))
+        or isinstance(node, ast.Attribute) and _is_bit_literal(node.value)
+    )
+
+
+def test_only_errors_tests_for_square_free_exponents():
+    # an exponent tuple over {0,1}^m is read by errors.int_bits, the integer
+    # rule entry by entry; a set or membership test of its own elsewhere
+    # would let 1.0 through unread, as the indicator's keys once did
+    assert _bit_literal_tests(MODULES) == []
+    planted = ast.parse("LEVELS = (0, 1)\n"
+                        "def f(t, bits):\n"
+                        "    if any(e not in (0, 1) for e in t):\n"
+                        "        return set(bits) <= {1, 0}\n"
+                        "    return {0, 1}.issuperset(t) or t == [0, 1] or t in (0, 2)\n")
+    assert _bit_literal_tests({"designs": planted, "errors": planted}) == [
+        ("designs", 3), ("designs", 4), ("designs", 5), ("designs", 5)]
 
 
 def _unread_parameters(trees):

@@ -4,6 +4,7 @@ import math
 import operator
 import random
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from algdoe import (
     indicator_from_design,
     regular_design_from_words,
 )
-from algdoe import indicators
+from algdoe import designs, indicators
 from algdoe.designs import RUN_LEVELS, WORD_LEVELS, product_index
 from algdoe.indicators import FactorRelation, IndicatorFunction
 
@@ -198,6 +199,35 @@ def test_indicator_function_checks_its_exponents():
     assert IndicatorFunction(0, {(): 1}).coeffs == {(): Fraction(1)}
     assert IndicatorFunction(3, {}).coeffs == {}
     for bad in ({(0, 1, 0): 1}, {(0,): 1}, {(0, 2): 1}, {(0, -1): 1}, {(1, 0): 1, "01": 1}):
+        with pytest.raises(InputError, match=r"^indicator exponents must lie in \{0,1\}\^2$"):
+            IndicatorFunction(2, bad)
+
+
+def test_indicator_keeps_its_packed_keys():
+    # every constructor path keeps the digits of the keys it stores, which
+    # the inverse and addfactors read in place of packing the keys again
+    half = Fraction(1, 2)
+    d = regular_design_from_words(4, [Word((1, 1, 1, 0), 1)])
+    built = [
+        IndicatorFunction(2, {(0, 1): 1, (1, 1): half}),  # int keys
+        IndicatorFunction(2, {(0.0, 1.0): 1, (Fraction(1), Decimal(1)): half}),  # no ints
+        IndicatorFunction(2, {(0, 1): 1, (1, 1): 0, (1, 0): half}),  # a zero dropped
+        IndicatorFunction(2, {(1.0, 1): 0, (0, True): half}),  # both
+        IndicatorFunction(2, {range(2): half}),  # keys made tuples
+        IndicatorFunction(0, {(): 1}),
+        IndicatorFunction(3, {}),
+        indicator_from_design(d),
+        indicator_from_design(Design(3, 2, ((1, 1, 1), (-1, 1, 1), (1, -1, -1)), "pm1")),
+        indicator_add_factors(indicator_from_design(d), [FactorRelation(1, -1, (1, 0, 0, 1))]),
+    ]
+    for f in built:
+        assert f._digits == designs._pack(f.coeffs, WORD_LEVELS)
+        assert {type(b) for bits in f.coeffs for b in bits} <= {int}
+    assert list(built[1].coeffs) == [(0, 1), (1, 1)] and list(built[2].coeffs) == [(0, 1), (1, 0)]
+    assert list(built[3].coeffs) == [(0, 1)] and type(list(built[3].coeffs)[0][1]) is int
+    # the exponents are checked before the coefficients are read and zeros dropped
+    for bad in ({(0, 2): 0}, {(0, 1): 1, (0.5, 0): 0}, {(0, -1): Fraction(0)},
+                {(0, 2): "not a number"}):
         with pytest.raises(InputError, match=r"^indicator exponents must lie in \{0,1\}\^2$"):
             IndicatorFunction(2, bad)
 

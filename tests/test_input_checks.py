@@ -44,6 +44,7 @@ from algdoe import (
     test_statistic,
 )
 from algdoe.linalg import int_det
+from algdoe.orders import monomial_name
 
 from conftest import THREE_LEVEL_RUNS
 
@@ -301,3 +302,39 @@ def test_records_store_the_ints_their_fields_equal():
     assert relation == FactorRelation(1, 1, (1, 1)) and hash(relation) == hash(
         FactorRelation(1, 1, (1, 1)))
     assert {type(v) for v in (relation.index, relation.sign, *relation.word)} == {int}
+
+
+HALF = Design(2, 2, ((1, 1), (-1, -1)), "pm1")  # x1*x2 = 1
+INDICATOR_EXPONENTS = "indicator exponents must lie in {0,1}^2"
+# every entry point that reads a square-free exponent tuple, each given the
+# exponents e: the call, what it gives for e = (1, 1) (the exponents it
+# stores, or what it reads them as) and its refusal of e
+SQUARE_FREE = {
+    "indicator-key": (lambda e: next(iter(IndicatorFunction(2, {e: 1}).coeffs)), (1, 1),
+                      lambda e: INDICATOR_EXPONENTS),
+    "indicator-coefficient": (
+        lambda e: IndicatorFunction(2, {(1, 1): Fraction(1, 2)}).coefficient(e), Fraction(1, 2),
+        lambda e: INDICATOR_EXPONENTS),
+    "confounding": (lambda e: is_confounded(e, (0, 0), HALF), 1,
+                    lambda e: "effects are square-free monomials"),
+    "word": (lambda e: Word(e, 1).bits, (1, 1), lambda e: "word exponents must be 0/1"),
+    "relation": (lambda e: FactorRelation(1, 1, e).word, (1, 1),
+                 lambda e: "relation word must be square-free"),
+    "model-term": (lambda e: build_covariate_matrix(TWO_BY_TWO, [(0, 0), e]).terms[1], (1, 1),
+                   lambda e: f"bad model term {monomial_name(e)}: not square-free"),
+}
+
+
+@pytest.mark.parametrize("name", list(SQUARE_FREE))
+def test_square_free_exponents_follow_the_integer_rule(name):
+    # an exponent that equals 0 or 1 is read, and stored, as that int; any
+    # other is refused with the entry point's message
+    call, want, message = SQUARE_FREE[name]
+    for one in (1, 1.0, Fraction(1), Decimal(1)):
+        got = call((1, one))
+        assert got == want
+        if isinstance(got, tuple):
+            assert {type(b) for b in got} == {int}
+    for bad in (2, 0.5, -1, 300, "1", None):
+        with pytest.raises(InputError, match=f"^{re.escape(message((1, bad)))}$"):
+            call((1, bad))

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -85,13 +86,16 @@ def test_cleared_of_random_vectors_matches_the_comprehension():
 
 
 def test_int_det_refuses_entries_that_are_not_integers():
-    # an int subclass such as bool is numbers.Integral and accepted; an
-    # integral value of another type, 1.0 or Fraction(1), is refused
-    for entry in (1.5, Fraction(1, 2), "3", 1.0, Fraction(1)):
+    # the package's integer rule: an entry that equals an int (True, 1.0,
+    # Fraction(1), Decimal(1)) is read as that int, any other is refused
+    for entry in (1.5, Fraction(1, 2), "3", "1", None, float("nan")):
         with pytest.raises(InputError, match=r"^determinant of a matrix with non-integer entries$"):
             int_det([[entry, 0], [0, 2]])
+    for entry in (True, 1.0, Fraction(1), Decimal(1)):
+        assert int_det([[entry, 0], [0, 3]]) == 3
+        assert type(int_det([[entry, 1], [1, 3]])) is int
+    assert int_det([[Fraction(4, 2), 1.0], [1, 3]]) == 5
     assert int_det([]) == 1
-    assert int_det([[True, 0], [0, 3]]) == 3
     assert int_det([[2, 1], [1, 3]]) == 5
     assert doptimal.int_det is int_det
 
