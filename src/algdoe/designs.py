@@ -186,7 +186,7 @@ def parse_design(text: str) -> Design:
 
 RUN_LEVELS = (1, -1)
 WORD_LEVELS = (0, 1)
-_DIGITS = bytes.maketrans(b"\0\1", b"01")  # 0/1 bytes to ASCII digits
+_DIGITS = b"01" + b"2" * 254  # bytes 0/1 to ASCII digits, any other to "2", no base-2 digit
 _LEVELS = {WORD_LEVELS: bytes.maketrans(b"01", b"\0\1"),  # and back, to the levels
            RUN_LEVELS: bytes.maketrans(b"01", b"\1\xff")}  # -1 as a signed byte
 
@@ -194,7 +194,8 @@ _LEVELS = {WORD_LEVELS: bytes.maketrans(b"01", b"\0\1"),  # and back, to the lev
 def _pack(elements, levels) -> bytes:
     """Runs over RUN_LEVELS or exponent tuples over WORD_LEVELS as
     element-major ASCII digits, '1' where an entry is levels[1].  An exponent
-    that ``bytes`` refuses, such as 1.0 or 256, raises TypeError or ValueError."""
+    that ``bytes`` refuses, such as 1.0 or 256, raises TypeError or ValueError;
+    any other but 0 and 1, such as 48 (the byte '0'), packs to '2'."""
     if levels == WORD_LEVELS:
         return bytes(itertools.chain.from_iterable(elements)).translate(_DIGITS)
     digit = {levels[0]: ord("0"), levels[1]: ord("1")}.__getitem__

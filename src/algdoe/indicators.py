@@ -24,7 +24,7 @@ coefficient, divided by 2^k, over the signed group of its k relations'
 words in the same loop: the product form of Pistone & Rogantin (*J. Stat.
 Plann. Inference* 138, 2008).  An indicator packs its keys once, with the
 index map's encoder in :mod:`algdoe.designs`, which checks them, and both
-transforms read that table.  A table over all m factors is read off
+transforms read that table; it is frozen, so the table stays its keys'.  A table over all m factors is read off
 itertools.product; with words, the orbit of :func:`_signed_orbit` is
 decoded with ``_unpack``.  Either way the coefficients (the runs) come in
 the order a full 2^m transform gives.  Classification needs neither
@@ -41,7 +41,8 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, compress, product
+from itertools import compress, product
+from types import MappingProxyType
 
 from .designs import (RUN_LEVELS, WORD_LEVELS, Design, Word, _base2_reads, _pack, _product,
                       _unpack, product_index)
@@ -56,13 +57,13 @@ LANE_CHUNK_BYTES = 4096  # bytes of packed lanes per chunk of the transform
 
 
 class IndicatorFunction:
-    """Square-free polynomial representation of a two-level fraction; its
-    keys are packed once, when it is built, so ``coeffs`` is read-only."""
+    """Square-free polynomial representation of a two-level fraction.  Its keys
+    are packed once, when it is built, so it is frozen and ``coeffs`` is read-only."""
 
     __slots__ = ("m", "coeffs", "_digits")
 
     def __init__(self, m: int, coeffs):
-        self.m = m = int_arg("IndicatorFunction.m", m)
+        m = int_arg("IndicatorFunction.m", m)
         if m < 0:
             raise InputError(f"IndicatorFunction.m must be nonnegative, found {m}")
         coeffs = dict(coeffs)
@@ -72,12 +73,10 @@ class IndicatorFunction:
         # the whole table is checked in C: only ints in range(256) pack, only 0/1 pass
         try:
             digits = _pack(keys, WORD_LEVELS)
-        except (TypeError, ValueError):  # no ints: each distinct one is read once
-            entries = tuple(set(chain.from_iterable(keys)))
-            if (bits := int_bits(entries)) is None:
+        except (TypeError, ValueError):  # not all ints: each key is read by int_bits
+            coeffs = dict(zip(map(int_bits, keys), coeffs.values()))
+            if None in coeffs:
                 raise InputError(f"indicator exponents must lie in {{0,1}}^{m}") from None
-            exponent = dict(zip(entries, bits)).__getitem__
-            coeffs = dict(zip([tuple(map(exponent, k)) for k in keys], coeffs.values()))
             digits = _pack(keys := coeffs.keys(), WORD_LEVELS)
         if not set(map(len, keys)) <= {m} or digits.translate(None, b"01"):
             raise InputError(f"indicator exponents must lie in {{0,1}}^{m}")
@@ -88,8 +87,14 @@ class IndicatorFunction:
         if not all(coeffs.values()):
             coeffs = {bits: c for bits, c in coeffs.items() if c}
             digits = _pack(coeffs, WORD_LEVELS)
-        self.coeffs = coeffs
-        self._digits = digits
+        for name, value in zip(self.__slots__, (m, MappingProxyType(coeffs), digits)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"IndicatorFunction is frozen: cannot set {name}")
+
+    def __reduce__(self):  # copies and pickles are built again from the table
+        return IndicatorFunction, (self.m, dict(self.coeffs))
 
     def __eq__(self, other):
         return (

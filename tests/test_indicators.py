@@ -1,7 +1,9 @@
+import copy
 import hashlib
 import itertools
 import math
 import operator
+import pickle
 import random
 import tracemalloc
 from decimal import Decimal
@@ -198,9 +200,26 @@ def test_indicator_function_checks_its_exponents():
     assert type(list(g.coeffs)[0]) is tuple
     assert IndicatorFunction(0, {(): 1}).coeffs == {(): Fraction(1)}
     assert IndicatorFunction(3, {}).coeffs == {}
-    for bad in ({(0, 1, 0): 1}, {(0,): 1}, {(0, 2): 1}, {(0, -1): 1}, {(1, 0): 1, "01": 1}):
+    # 48 and 49, such as b"01" read as a tuple, are the bytes of the digits '0' and '1'
+    for bad in ({(0, 1, 0): 1}, {(0,): 1}, {(0, 2): 1}, {(0, -1): 1}, {(1, 0): 1, "01": 1},
+                {(0, 48): 1}, {(48, 49): 1}, {b"01": 1}, {(1, 0): 1, (1, 1.0): 0, (49, 0): 1}):
         with pytest.raises(InputError, match=r"^indicator exponents must lie in \{0,1\}\^2$"):
             IndicatorFunction(2, bad)
+
+
+def test_indicator_function_is_frozen():
+    # the packed keys are those of coeffs for good: neither the table nor an
+    # attribute can be changed, and copies and pickles are built again
+    f = indicator_from_design(full_factorial(2))
+    with pytest.raises(TypeError):
+        f.coeffs[(1, 1)] = Fraction(1, 2)
+    for name in ("m", "coeffs", "_digits"):
+        with pytest.raises(AttributeError, match=f"^IndicatorFunction is frozen: cannot set {name}$"):
+            setattr(f, name, {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)})
+    assert f.coeffs == {(0, 0): Fraction(1)}
+    assert design_from_indicator(f) == full_factorial(2)
+    for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert g == f and g is not f and repr(g) == repr(f) and g._digits == f._digits
 
 
 def test_indicator_keeps_its_packed_keys():

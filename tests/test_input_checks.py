@@ -335,6 +335,7 @@ def test_square_free_exponents_follow_the_integer_rule(name):
         assert got == want
         if isinstance(got, tuple):
             assert {type(b) for b in got} == {int}
-    for bad in (2, 0.5, -1, 300, "1", None):
+    # 48 and 49 are the bytes of the digits '0' and '1'
+    for bad in (2, 0.5, -1, 48, 49, 300, "1", None):
         with pytest.raises(InputError, match=f"^{re.escape(message((1, bad)))}$"):
             call((1, bad))
